@@ -10,7 +10,6 @@ sweep).
 from .airy import AiryQuad, ScaledAiryQuad, airy_eval, airy_eval_scaled
 from .errors import (
     AirystackError,
-    BiasFreeLayerError,
     ConfigError,
     DegenerateSlopeError,
     EvanescentLeadError,

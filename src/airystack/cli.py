@@ -34,24 +34,58 @@ from .scattering import scatter
 from .sweep import SweepRequest, run_sweep, sweep_to_csv, sweep_to_json
 from .transfer import structure_matrix
 
-SCENARIOS = ("fig3_barrier_well", "fig5_transistor", "custom")
 
-# power assignments the two figure templates use, per layer position
-_TEMPLATE_POWERS = {
-    "fig3_barrier_well": ((1.0, 1.0), (2.0, 1.0)),
-    "fig5_transistor": ((1.0, 1.0), (2.0, 0.0), (1.0, 1.0)),
+# scenario -> (layer power template, sign s, solvers).  Each equation's
+# variable is s * b1, b1 being layer 0's bias.  A solver maps
+# (layers, lo, hi, energy) to a ResonanceSet holding at least the roots in
+# [lo, hi]; the first one is the closed form a sweep of layer 0 is
+# compared against.
+SCENARIOS = {
+    "fig3_barrier_well": (((1.0, 1.0), (2.0, 1.0)), 1.0, {
+        ResonanceEquation.EQ73_DELTA_BARRIER_WELL: lambda ls, lo, hi, e: (
+            resonances_delta_barrier_well(
+                ls[1].a, ls[1].d, (lo, hi), a1=ls[0].a, d1=ls[0].d, energy=e)),
+        ResonanceEquation.EQ69_DELTAPRIME_2LAYER: lambda ls, lo, hi, e: (
+            find_resonances_deltaprime_2layer(
+                ls[0].a, ls[1].a, ls[0].d, ls[1].d, (lo, hi), b2=ls[1].b, energy=e)),
+    }),
+    "fig5_transistor": (((1.0, 1.0), (2.0, 0.0), (1.0, 1.0)), -1.0, {
+        ResonanceEquation.EQ76_TRANSISTOR_DELTA: lambda ls, lo, hi, e: (
+            resonances_transistor_delta(
+                ls[1].d, hi, a1=ls[0].a, a3=ls[2].a, d1=ls[0].d, d3=ls[2].d,
+                v_cb=-ls[2].b, energy=e)),
+        ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME: lambda ls, lo, hi, e: (
+            find_resonances_transistor_deltaprime(
+                ls[0].a, ls[2].a, ls[0].d, ls[1].d, ls[2].d, -ls[2].b, (lo, hi), energy=e)),
+    }),
+    "custom": (None, None, {}),
 }
 
-_EQ_FOR_SCENARIO = {
-    "fig3_barrier_well": {
-        ResonanceEquation.EQ73_DELTA_BARRIER_WELL,
-        ResonanceEquation.EQ69_DELTAPRIME_2LAYER,
-    },
-    "fig5_transistor": {
-        ResonanceEquation.EQ76_TRANSISTOR_DELTA,
-        ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME,
-    },
+# JSON value types and the Python types that carry them; a bool never
+# counts as a number or an index, and a number must be finite
+NUMBER, INTEGER, STRING, LIST, OBJECT = (
+    "a finite number", "an integer", "a string", "a list", "an object"
+)
+_TYPES = {NUMBER: (int, float), INTEGER: int, STRING: str, LIST: list, OBJECT: dict}
+
+# per config object: key -> (type, required)
+_CONFIG_KEYS = {
+    "units": (STRING, True), "layers": (LIST, True), "energy": (NUMBER, True),
+    "scenario": (STRING, False), "leads": (OBJECT, False), "sweep": (OBJECT, False),
 }
+_LAYER_KEYS = {
+    "a": (NUMBER, True), "b": (NUMBER, True), "d": (NUMBER, True),
+    "mu": (NUMBER, False), "nu": (NUMBER, False),
+}
+_LEADS_KEYS = {"v_left": (NUMBER, False), "v_right": (NUMBER, False)}
+_SWEEP_KEYS = {
+    "tuned_layer": (INTEGER, True), "lo": (NUMBER, True), "hi": (NUMBER, True),
+    "tuned_sign": (NUMBER, False), "points": (INTEGER, False),
+    "epsilons": (LIST, False), "peak_floor": (NUMBER, False),
+}
+_UNITS = {"eV": EV_TO_INVNM2, "invnm2": 1.0}
+# --equation accepts the full enum value or its exact EQnn tag
+_EQUATIONS = {n: eq for eq in ResonanceEquation for n in (eq.value, eq.value.split("_")[0])}
 
 
 class DeviceConfig:
@@ -64,18 +98,25 @@ class DeviceConfig:
         self.sweep = sweep
 
 
-def _require_keys(obj: dict, allowed: set[str], where: str):
-    unknown = set(obj) - allowed
+def _is(value, kind: str) -> bool:
+    typed = isinstance(value, _TYPES[kind]) and not isinstance(value, bool)
+    return typed and (kind != NUMBER or abs(value) <= sys.float_info.max)
+
+
+def _check(obj, keys: dict, where: str) -> dict:
+    """obj checked against a key table: no unknown keys, every required
+    key present, every value of its declared type."""
+    if not _is(obj, OBJECT):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(obj) - set(keys)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
-
-
-def _unit_factor(units: str) -> float:
-    if units == "eV":
-        return EV_TO_INVNM2
-    if units == "invnm2":
-        return 1.0
-    raise ConfigError(f'units must be "eV" or "invnm2", got {units!r}')
+    for key, (kind, required) in keys.items():
+        if required and key not in obj:
+            raise ConfigError(f"{where} missing required key {key!r}")
+        if key in obj and not _is(obj[key], kind):
+            raise ConfigError(f"{where}.{key} must be {kind}, got {obj[key]!r}")
+    return obj
 
 
 def load_config(path: str) -> DeviceConfig:
@@ -86,76 +127,52 @@ def load_config(path: str) -> DeviceConfig:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    _require_keys(raw, {"units", "layers", "leads", "scenario", "sweep", "energy"}, "config")
-    for key in ("units", "layers", "energy"):
-        if key not in raw:
-            raise ConfigError(f"missing required key {key!r}")
-    scale = _unit_factor(raw["units"])
+    _check(raw, _CONFIG_KEYS, "config")
+    scale = _UNITS.get(raw["units"])
+    if scale is None:
+        raise ConfigError(f"units must be one of {tuple(_UNITS)}, got {raw['units']!r}")
     scenario = raw.get("scenario", "custom")
     if scenario not in SCENARIOS:
-        raise ConfigError(f"scenario must be one of {SCENARIOS}, got {scenario!r}")
+        raise ConfigError(f"scenario must be one of {tuple(SCENARIOS)}, got {scenario!r}")
 
     layers_raw = raw["layers"]
-    if not isinstance(layers_raw, list) or not layers_raw:
+    if not layers_raw:
         raise ConfigError("layers must be a non-empty list")
-    template = _TEMPLATE_POWERS.get(scenario)
+    template = SCENARIOS[scenario][0]
     if template is not None and len(layers_raw) != len(template):
-        raise ConfigError(
-            f"scenario {scenario!r} needs exactly {len(template)} layers"
-        )
+        raise ConfigError(f"scenario {scenario!r} needs exactly {len(template)} layers")
     layers = []
     for i, entry in enumerate(layers_raw):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"layers[{i}] must be an object")
-        _require_keys(entry, {"a", "b", "d", "mu", "nu"}, f"layers[{i}]")
-        for key in ("a", "b", "d"):
-            if key not in entry:
-                raise ConfigError(f"layers[{i}] missing {key!r}")
-        if template is not None:
-            mu, nu = template[i]
-            mu = entry.get("mu", mu)
-            nu = entry.get("nu", nu)
-        else:
-            if "mu" not in entry or "nu" not in entry:
-                raise ConfigError(f"layers[{i}] needs mu and nu for custom scenario")
-            mu, nu = entry["mu"], entry["nu"]
+        _check(entry, _LAYER_KEYS, f"layers[{i}]")
+        mu, nu = template[i] if template else (None, None)
+        mu, nu = entry.get("mu", mu), entry.get("nu", nu)
+        if mu is None or nu is None:
+            raise ConfigError(f"layers[{i}] needs mu and nu for custom scenario")
         try:
-            layers.append(
-                LayerSpec(entry["a"] * scale, entry["b"] * scale, entry["d"], mu, nu)
-            )
+            layer = LayerSpec(entry["a"] * scale, entry["b"] * scale, entry["d"], mu, nu)
         except ValueError as exc:
             raise ConfigError(f"layers[{i}]: {exc}") from exc
+        layers.append(layer)
 
-    leads = raw.get("leads", {})
-    _require_keys(leads, {"v_left", "v_right"}, "leads")
-    v_left = leads.get("v_left", 0.0) * scale
+    leads = _check(raw.get("leads", {}), _LEADS_KEYS, "leads")
     v_right = leads.get("v_right")
-    if v_right is not None:
-        v_right = v_right * scale
-    spec = StructureSpec(tuple(layers), v_left, v_right)
+    spec = StructureSpec(
+        tuple(layers),
+        leads.get("v_left", 0.0) * scale,
+        None if v_right is None else v_right * scale,
+    )
 
     sweep = raw.get("sweep")
     if sweep is not None:
-        _require_keys(
-            sweep,
-            {"tuned_layer", "tuned_sign", "lo", "hi", "points", "epsilons", "peak_floor"},
-            "sweep",
-        )
-        for key in ("tuned_layer", "lo", "hi"):
-            if key not in sweep:
-                raise ConfigError(f"sweep missing {key!r}")
-        sweep = dict(sweep)
-        sweep["lo"] = sweep["lo"] * scale
-        sweep["hi"] = sweep["hi"] * scale
+        _check(sweep, _SWEEP_KEYS, "sweep")
+        if sweep.get("tuned_sign", -1.0) not in (1.0, -1.0):
+            raise ConfigError(f"sweep.tuned_sign must be 1 or -1, got {sweep['tuned_sign']!r}")
+        sweep = dict(sweep, lo=sweep["lo"] * scale, hi=sweep["hi"] * scale)
     return DeviceConfig(spec, raw["energy"] * scale, scenario, sweep)
 
 
 def cmd_airy_check(args) -> int:
     worst, per_regime = wronskian_sweep()
-    if args.inject_fault:
-        worst += 1e-6
     if args.verbose:
         for name in sorted(per_regime):
             print(f"{name}: {per_regime[name]:.3e}", file=sys.stderr)
@@ -187,44 +204,28 @@ def cmd_scatter(args) -> int:
     return 0
 
 
-def _resolve_equation(name: str) -> ResonanceEquation:
-    for eq in ResonanceEquation:
-        if eq.value == name or eq.value.startswith(name):
-            return eq
-    raise ConfigError(f"unknown equation {name!r}")
+def _solve(solver, layers, lo: float, hi: float, energy: float | None):
+    """A registry solver's roots on [lo, hi]; its argument checks are config errors."""
+    try:
+        rset = solver(layers, lo, hi, energy)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return type(rset)(rset.equation, tuple(r for r in rset.roots if lo <= r.value <= hi))
 
 
 def cmd_resonances(args) -> int:
     cfg = load_config(args.config)
-    eq = _resolve_equation(args.equation)
-    allowed = _EQ_FOR_SCENARIO.get(cfg.scenario, set())
-    if eq not in allowed:
+    eq = _EQUATIONS.get(args.equation)
+    if eq is None:
+        raise ConfigError(f"unknown equation {args.equation!r}")
+    solver = SCENARIOS[cfg.scenario][2].get(eq)
+    if solver is None:
         raise ConfigError(f"equation {eq.value} does not apply to scenario {cfg.scenario!r}")
-    scale = _unit_factor(args.units)
+    scale = _UNITS[args.units]
     lo, hi = args.interval[0] * scale, args.interval[1] * scale
-    layers = cfg.spec.layers
-    if eq is ResonanceEquation.EQ73_DELTA_BARRIER_WELL:
-        rset = resonances_delta_barrier_well(
-            layers[1].a, layers[1].d, (lo, hi),
-            a1=layers[0].a, d1=layers[0].d, energy=cfg.energy,
-        )
-    elif eq is ResonanceEquation.EQ69_DELTAPRIME_2LAYER:
-        rset = find_resonances_deltaprime_2layer(
-            layers[0].a, layers[1].a, layers[0].d, layers[1].d, (lo, hi),
-            b2=layers[1].b, energy=cfg.energy,
-        )
-    elif eq is ResonanceEquation.EQ76_TRANSISTOR_DELTA:
-        rset = resonances_transistor_delta(
-            layers[1].d, hi,
-            a1=layers[0].a, a3=layers[2].a, d1=layers[0].d, d3=layers[2].d,
-            v_cb=-layers[2].b, energy=cfg.energy,
-        )
-        rset = type(rset)(rset.equation, tuple(r for r in rset.roots if r.value >= lo))
-    else:
-        rset = find_resonances_transistor_deltaprime(
-            layers[0].a, layers[2].a, layers[0].d, layers[1].d, layers[2].d,
-            -layers[2].b, (lo, hi), energy=cfg.energy,
-        )
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ConfigError(f"interval needs finite LO < HI, got {args.interval}")
+    rset = _solve(solver, cfg.spec.layers, lo, hi, cfg.energy)
     print("n,value_eV,value_invnm2,theta,alpha,T_n,admissible")
     for root in rset.roots:
         theta = "" if root.theta is None else repr(root.theta)
@@ -240,45 +241,40 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     if cfg.sweep is None:
         raise ConfigError("config has no sweep block")
-    epsilons = (
-        tuple(float(e) for e in args.epsilons.split(","))
-        if args.epsilons
-        else tuple(cfg.sweep.get("epsilons", (0.5, 0.25, 0.1)))
-    )
-    req = SweepRequest(
-        structure=cfg.spec,
-        tuned_layer=cfg.sweep["tuned_layer"],
-        grid_lo=cfg.sweep["lo"],
-        grid_hi=cfg.sweep["hi"],
-        grid_points=int(cfg.sweep.get("points", 2001)),
-        epsilons=epsilons,
-        energy=cfg.energy,
-        tuned_sign=float(cfg.sweep.get("tuned_sign", -1.0)),
-        peak_floor=float(cfg.sweep.get("peak_floor", 0.01)),
-    )
-    if min(epsilons) < 0.02:
-        print(
-            "note: epsilon < 0.02 drives Airy arguments to |z| ~ 1e4; "
-            "scaled evaluation is in effect",
-            file=sys.stderr,
+    epsilons = cfg.sweep.get("epsilons", (0.5, 0.25, 0.1))
+    if args.epsilons:
+        try:
+            epsilons = [float(e) for e in args.epsilons.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"--epsilons: {exc}") from exc
+    if not epsilons or not all(_is(e, NUMBER) for e in epsilons):
+        raise ConfigError(f"epsilons must be finite numbers, got {epsilons!r}")
+    try:
+        req = SweepRequest(
+            structure=cfg.spec,
+            tuned_layer=cfg.sweep["tuned_layer"],
+            grid_lo=cfg.sweep["lo"],
+            grid_hi=cfg.sweep["hi"],
+            grid_points=cfg.sweep.get("points", 2001),
+            epsilons=epsilons,
+            energy=cfg.energy,
+            tuned_sign=float(cfg.sweep.get("tuned_sign", -1.0)),
+            peak_floor=float(cfg.sweep.get("peak_floor", 0.01)),
         )
+    except ValueError as exc:
+        raise ConfigError(f"sweep: {exc}") from exc
+    if min(req.epsilons) < 0.02:
+        print("note: epsilon < 0.02 drives Airy arguments to |z| ~ 1e4; "
+              "scaled evaluation is in effect", file=sys.stderr)
     roots: tuple[float, ...] = ()
-    layers = cfg.spec.layers
-    if cfg.scenario == "fig3_barrier_well":
-        rset = resonances_delta_barrier_well(
-            layers[1].a, layers[1].d,
-            (-req.grid_hi, -req.grid_lo) if req.tuned_sign < 0 else (req.grid_lo, req.grid_hi),
-            a1=layers[0].a, d1=layers[0].d,
-        )
-        roots = tuple(req.tuned_sign * r.value for r in rset.roots)
-    elif cfg.scenario == "fig5_transistor":
-        rset = resonances_transistor_delta(
-            layers[1].d, req.grid_hi,
-            a1=layers[0].a, a3=layers[2].a, d1=layers[0].d, d3=layers[2].d,
-            v_cb=-layers[2].b,
-        )
-        roots = tuple(r.value for r in rset.roots if r.value >= req.grid_lo)
-    result = run_sweep(req, reference_roots=tuple(sorted(roots)))
+    _, sign, solvers = SCENARIOS[cfg.scenario]
+    if solvers and req.tuned_layer == 0:
+        # grid value v sets b1 = tuned_sign * v, so the variable is k * v
+        k = sign * req.tuned_sign
+        lo, hi = sorted((k * req.grid_lo, k * req.grid_hi))
+        rset = _solve(next(iter(solvers.values())), cfg.spec.layers, lo, hi, None)
+        roots = tuple(sorted(k * r.value for r in rset.roots))
+    result = run_sweep(req, reference_roots=roots)
     csv_text = sweep_to_csv(result)
     json_text = sweep_to_json(result)
     if args.out:
@@ -306,7 +302,9 @@ def cmd_limit_check(args) -> int:
     energy = ev_to_invnm2(0.3)
     epsilons = (0.5, 0.25, 0.1, 0.05)
     limit = single_layer_limit(layer, epsilon_probe=epsilons, energy=energy)
-    assert limit.kind is LimitKind.DELTA
+    if limit.kind is not LimitKind.DELTA:
+        print(f"limit is {limit.kind.value}, expected DELTA", file=sys.stderr)
+        return 1
     k = math.sqrt(energy)
     k_r = math.sqrt(energy - layer.b)
     t_formula = delta_transmission(limit.alpha, k, k_r)
@@ -332,7 +330,6 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("airy-check", help="Wronskian sweep of the Airy evaluator")
     p.add_argument("--verbose", action="store_true", help="per-regime deviation table")
-    p.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_airy_check)
 
     p = sub.add_parser("scatter", help="transfer matrix and R/T for one energy")
@@ -344,8 +341,7 @@ def main(argv=None) -> int:
     p = sub.add_parser("resonances", help="resonance set of the device template")
     p.add_argument("config")
     p.add_argument("--equation", required=True,
-                   help="EQ69_DELTAPRIME_2LAYER | EQ73_DELTA_BARRIER_WELL | "
-                        "EQ76_TRANSISTOR_DELTA | EQ83_TRANSISTOR_DELTAPRIME")
+                   help=" | ".join(eq.value for eq in ResonanceEquation))
     p.add_argument("--interval", type=float, nargs=2, required=True,
                    metavar=("LO", "HI"))
     p.add_argument("--units", default="eV", choices=("eV", "invnm2"))

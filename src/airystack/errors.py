@@ -13,10 +13,6 @@ class DegenerateSlopeError(AirystackError, ValueError):
     """Linear-profile matrix requested for a layer with (near-)zero slope."""
 
 
-class BiasFreeLayerError(AirystackError, ValueError):
-    """Quantity undefined for a layer with zero bias (divides by b)."""
-
-
 class NoClosedFormLimitError(AirystackError, ValueError):
     """The requested (mu, nu) squeeze has no closed-form limit in scope."""
 

@@ -39,7 +39,6 @@ __all__ = [
     "two_layer_resonance_residual",
     "two_layer_theta_alpha",
     "transistor_resonance_residual",
-    "transistor_resonance_residual_product_form",
     "transistor_theta_representations",
     "transistor_offdiag_strength",
     "RESIDUAL_RTOL",
@@ -516,23 +515,6 @@ def transistor_resonance_residual(
     lhs = r1 * t1 + r3 * t3
     rhs = (1.0 - r1 * r3 * t1 * t3) * math.tan(math.sqrt(v_eb) * params.d2)
     return lhs - rhs, abs(lhs) + abs(rhs)
-
-
-def transistor_resonance_residual_product_form(
-    params: TransistorSpec, v_eb: float
-) -> tuple[float, float]:
-    """Same condition in its three-term product form (independent coding):
-    (q1 q3 / k2) T1 T2 T3 + q1 T1 + q3 T3 - k2 T2 with T2 = tan(k2 d2)."""
-    if not 0.0 < v_eb < params.a3:
-        raise ValueError("v_eb must lie strictly inside (0, a3)")
-    q1 = math.sqrt(params.a1)
-    q3 = math.sqrt(params.a3 - v_eb)
-    k2 = math.sqrt(v_eb)
-    t1 = math.tanh(q1 * params.d1)
-    t3 = math.tanh(q3 * params.d3)
-    t2 = math.tan(k2 * params.d2)
-    terms = ((q1 * q3 / k2) * t1 * t2 * t3, q1 * t1, q3 * t3, -k2 * t2)
-    return math.fsum(terms), sum(abs(t) for t in terms)
 
 
 def transistor_theta_representations(

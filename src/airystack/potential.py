@@ -11,12 +11,9 @@ m* = 0.1 m_e); eV appears only at the config/CLI boundary.
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-
-from .errors import BiasFreeLayerError
 
 __all__ = [
     "EV_TO_INVNM2",
@@ -141,38 +138,17 @@ class DerivedCoefficients:
 
     kappa is sqrt(-(a + upstream bias)); when the shifted coefficient is
     positive (barrier) kappa stores sqrt(+shifted) and kappa_is_imaginary
-    is set.  c1/c2 carry (d/b)^2 and are undefined for bias-free layers.
+    is set.
     """
 
     alpha: float
     kappa: float
     kappa_is_imaginary: bool
     shifted_a: float
-    _g: complex | None = field(repr=False, default=None)
-    _c1: float | None = field(repr=False, default=None)
-    _c2: float | None = field(repr=False, default=None)
 
     @property
     def kappa_complex(self) -> complex:
         return 1j * self.kappa if self.kappa_is_imaginary else complex(self.kappa)
-
-    @property
-    def g(self) -> complex:
-        if self._g is None:
-            raise BiasFreeLayerError("g undefined: layer has b = 0")
-        return self._g
-
-    @property
-    def c1(self) -> float:
-        if self._c1 is None:
-            raise BiasFreeLayerError("c1 undefined: layer has b = 0")
-        return self._c1
-
-    @property
-    def c2(self) -> float:
-        if self._c2 is None:
-            raise BiasFreeLayerError("c2 undefined: layer has b = 0")
-        return self._c2
 
 
 def derived_coefficients(spec: StructureSpec, layer_index: int) -> DerivedCoefficients:
@@ -182,13 +158,6 @@ def derived_coefficients(spec: StructureSpec, layer_index: int) -> DerivedCoeffi
     alpha = (shifted + 0.5 * layer.b) * layer.d
     imaginary = shifted > 0
     kappa = math.sqrt(shifted if imaginary else -shifted)
-    if layer.b != 0.0:
-        kc = cmath.sqrt(complex(-shifted))
-        g = layer.b / (4.0 * kc**3 * layer.d) if kc != 0 else complex(math.inf)
-        ratio = (layer.d / layer.b) ** 2
-        c1 = 0.5 * shifted**2 * (shifted + layer.b) * ratio
-        c2 = 0.5 * shifted * (shifted + layer.b) ** 2 * ratio
-        return DerivedCoefficients(alpha, kappa, imaginary, shifted, g, c1, c2)
     return DerivedCoefficients(alpha, kappa, imaginary, shifted)
 
 

@@ -1,8 +1,12 @@
 """Shared numerical oracles, all independent of the package's own code paths."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+
+from airystack.limits import TransistorSpec
 
 
 def ode_layer_matrix(v0, v1, width, energy, rtol=1e-12, atol=1e-14):
@@ -51,6 +55,23 @@ def rect_barrier_transmission(v, width, energy):
     q = math.sqrt(q2)
     s = math.sinh(q * width)
     return 1.0 / (1.0 + ((k2 + q2) ** 2 / (4.0 * k2 * q2)) * s * s)
+
+
+def transistor_resonance_residual_product_form(
+    params: TransistorSpec, v_eb: float
+) -> tuple[float, float]:
+    """Same condition in its three-term product form (independent coding):
+    (q1 q3 / k2) T1 T2 T3 + q1 T1 + q3 T3 - k2 T2 with T2 = tan(k2 d2)."""
+    if not 0.0 < v_eb < params.a3:
+        raise ValueError("v_eb must lie strictly inside (0, a3)")
+    q1 = math.sqrt(params.a1)
+    q3 = math.sqrt(params.a3 - v_eb)
+    k2 = math.sqrt(v_eb)
+    t1 = math.tanh(q1 * params.d1)
+    t3 = math.tanh(q3 * params.d3)
+    t2 = math.tan(k2 * params.d2)
+    terms = ((q1 * q3 / k2) * t1 * t2 * t3, q1 * t1, q3 * t3, -k2 * t2)
+    return math.fsum(terms), sum(abs(t) for t in terms)
 
 
 @pytest.fixture

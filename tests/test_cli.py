@@ -1,10 +1,12 @@
 """CLI subcommands: exit codes, output shapes, config validation."""
 
+import copy
 import json
 import pathlib
 
 import pytest
 
+from airystack import cli
 from airystack.cli import load_config, main
 from airystack.errors import ConfigError
 
@@ -34,8 +36,9 @@ def test_airy_check_ok(capsys):
     assert float(out.split(":")[1]) < 1e-10
 
 
-def test_airy_check_injected_fault(capsys):
-    assert main(["airy-check", "--inject-fault"]) == 1
+def test_airy_check_injected_fault(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "wronskian_sweep", lambda: (1e-6, {}))
+    assert main(["airy-check"]) == 1
 
 
 def test_airy_check_verbose_regime_table(capsys):
@@ -217,3 +220,100 @@ def test_custom_requires_powers(tmp_path):
     }
     with pytest.raises(ConfigError):
         load_config(write_config(tmp_path, doc))
+
+
+FIG4 = json.loads((REPO / "configs" / "fig4.json").read_text())
+FIG6 = json.loads((REPO / "configs" / "fig6.json").read_text())
+SWEEP = ["sweep"]
+EQ73 = ["resonances", "--equation", "EQ73_DELTA_BARRIER_WELL", "--interval", "-0.6", "0.0"]
+
+
+def edited(base, changes):
+    """Deep copy of a config with (key path, value) edits applied."""
+    doc = copy.deepcopy(base)
+    for path, value in changes:
+        target = doc
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+    return doc
+
+
+MALFORMED = {
+    # config values of the wrong JSON type, non-finite or out of range
+    "energy-string": (FIG4, [(("energy",), "0.1")], SWEEP),
+    "energy-bool": (FIG4, [(("energy",), True)], SWEEP),
+    "energy-nan": (FIG4, [(("energy",), float("nan"))], SWEEP),
+    "leads-list": (FIG4, [(("leads",), [])], SWEEP),
+    "layer-a-string": (FIG4, [(("layers", 0, "a"), "0.5")], SWEEP),
+    "layer-mu-string": (FIG4, [(("layers", 0, "mu"), "1")], SWEEP),
+    "scenario-list": (FIG4, [(("scenario",), ["x"])], SWEEP),
+    "tuned-layer-float": (FIG4, [(("sweep", "tuned_layer"), 0.0)], SWEEP),
+    "tuned-layer-bool": (FIG4, [(("sweep", "tuned_layer"), True)], SWEEP),
+    "tuned-sign-2": (FIG4, [(("sweep", "tuned_sign"), 2.0)], SWEEP),
+    "lo-infinite": (FIG4, [(("sweep", "lo"), float("inf"))], SWEEP),
+    "points-1": (FIG4, [(("sweep", "points"), 1)], SWEEP),
+    "empty-range": (FIG4, [(("sweep", "lo"), 0.3), (("sweep", "hi"), 0.1)], SWEEP),
+    "epsilons-ascending": (FIG4, [(("sweep", "epsilons"), [0.1, 0.5])], SWEEP),
+    # command-line values
+    "epsilons-abc": (FIG4, [], SWEEP + ["--epsilons", "abc"]),
+    "epsilons-ascending-flag": (FIG4, [], SWEEP + ["--epsilons", "0.1,0.5"]),
+    "epsilons-nan": (FIG4, [], SWEEP + ["--epsilons", "nan"]),
+    "equation-EQ": (FIG4, [], ["resonances", "--equation", "EQ", "--interval", "-0.6", "0"]),
+    "equation-EQ7": (FIG4, [], ["resonances", "--equation", "EQ7", "--interval", "-0.6", "0"]),
+    "interval-reversed": (FIG4, [], EQ73[:-2] + ["0.0", "-0.6"]),
+    # solver argument checks
+    "eq69-well-first": (
+        FIG4,
+        [(("layers", 0, "a"), -0.1)],
+        ["resonances", "--equation", "EQ69", "--interval", "-0.6", "0.0"],
+    ),
+    "eq83-well-first": (
+        FIG6,
+        [(("layers", 0, "a"), -0.1)],
+        ["resonances", "--equation", "EQ83", "--interval", "0.0", "0.4"],
+    ),
+    "eq76-negative-interval": (
+        FIG6, [], ["resonances", "--equation", "EQ76", "--interval", "-0.4", "-0.1"]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_input_exit_2(tmp_path, capsys, name):
+    base, changes, command = MALFORMED[name]
+    cfg = write_config(tmp_path, edited(base, changes))
+    assert main([command[0], cfg, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
+    assert "Traceback" not in err
+
+
+def test_resonances_empty_interval_prints_header_only(capsys):
+    cfg = str(REPO / "configs" / "fig4.json")
+    assert main(EQ73[:1] + [cfg] + EQ73[1:-2] + ["-0.01", "-0.005"]) == 0
+    assert capsys.readouterr().out == "n,value_eV,value_invnm2,theta,alpha,T_n,admissible\n"
+
+
+def sweep_json(tmp_path, doc):
+    """Short sweep of doc; returns the emitted JSON document."""
+    doc = edited(doc, [(("sweep", "points"), 21), (("sweep", "epsilons"), [0.5])])
+    prefix = str(tmp_path / "run")
+    assert main(["sweep", write_config(tmp_path, doc), "--out", prefix]) == 0
+    return json.loads(pathlib.Path(prefix + ".json").read_text())
+
+
+def test_sweep_sign_flipped_fig6_reference_roots(tmp_path):
+    shipped = sweep_json(tmp_path, FIG6)["reference_roots_invnm2"]
+    flipped = edited(FIG6, [
+        (("sweep", "tuned_sign"), 1.0), (("sweep", "lo"), -0.45), (("sweep", "hi"), -0.02),
+    ])
+    roots = sweep_json(tmp_path, flipped)["reference_roots_invnm2"]
+    assert len(shipped) == 3
+    assert roots == sorted(-r for r in shipped)
+
+
+def test_sweep_of_other_layer_has_no_reference_roots(tmp_path):
+    doc = sweep_json(tmp_path, edited(FIG4, [(("sweep", "tuned_layer"), 1)]))
+    assert doc["reference_roots_invnm2"] == []
+    assert all(s["convergence_invnm2"] == [] for s in doc["sweeps"])

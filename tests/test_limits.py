@@ -22,7 +22,6 @@ from airystack.limits import (
     transistor_delta_limit,
     transistor_deltaprime_limit,
     transistor_resonance_residual,
-    transistor_resonance_residual_product_form,
     transistor_theta_representations,
     two_layer_limit_matrices,
     two_layer_resonance_residual,
@@ -30,6 +29,7 @@ from airystack.limits import (
 from airystack.potential import ConcreteLayer, LayerSpec, StructureSpec, realize
 from airystack.scattering import scatter
 from airystack.transfer import layer_matrix_constant, layer_matrix_linear, structure_matrix
+from conftest import transistor_resonance_residual_product_form
 
 
 def exact_matrix_from_z(z0, z1, sigma, energy=1.0):

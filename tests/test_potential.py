@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from airystack.errors import BiasFreeLayerError
 from airystack.potential import (
     LayerSpec,
     RegionClass,
@@ -127,10 +126,6 @@ def test_derived_coefficients_bias_free():
     spec = StructureSpec((LayerSpec(1.5, 0.0, 2.0, 1.0, 1.0),))
     dc = derived_coefficients(spec, 0)
     assert dc.alpha == pytest.approx(1.5 * 2.0)
-    with pytest.raises(BiasFreeLayerError):
-        dc.c1
-    with pytest.raises(BiasFreeLayerError):
-        dc.g
 
 
 def test_derived_coefficients_kappa_branches():
@@ -144,15 +139,6 @@ def test_derived_coefficients_kappa_branches():
     assert dc.kappa_is_imaginary
     assert dc.kappa == pytest.approx(2.0)
     assert dc.kappa_complex == pytest.approx(2.0j)
-
-
-def test_derived_coefficients_c_values():
-    # c1 = shifted^2 (shifted + b) (d/b)^2 / 2, c2 with the roles swapped
-    spec = StructureSpec((LayerSpec(1.2, -0.5, 2.0, 2.0, 1.0),))
-    dc = derived_coefficients(spec, 0)
-    ratio = (2.0 / -0.5) ** 2
-    assert dc.c1 == pytest.approx(0.5 * 1.2**2 * 0.7 * ratio, rel=1e-12)
-    assert dc.c2 == pytest.approx(0.5 * 1.2 * 0.7**2 * ratio, rel=1e-12)
 
 
 def test_named_points():
