@@ -7,9 +7,10 @@ Writes out/fig4.csv and out/fig4.json and prints the peak convergence table.
 import pathlib
 import sys
 
-from airystack.cli import main
-
 HERE = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(HERE / "src"))  # run from a checkout without installing
+
+from airystack.cli import main  # noqa: E402
 
 if __name__ == "__main__":
     out = HERE / "out"

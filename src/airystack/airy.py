@@ -2,13 +2,18 @@
 
 Two evaluation regimes, selected by |z|:
 
-* |z| <= SERIES_RADIUS (9.0): the Maclaurin f/g series summed in
-  double-double (compensated) arithmetic.  Compensation is not optional
-  here: at z = +9 the combination c1*f - c2*g cancels ~16 decimal digits
-  (f, g ~ e^zeta while Ai ~ e^-zeta, zeta = (2/3) z^(3/2) = 18), so plain
-  double summation would lose everything.  The double-double path keeps
-  ~32 working digits and delivers full double accuracy over the whole
-  disc, including the oscillatory side where individual terms reach e^18.
+* |z| <= SERIES_RADIUS (9.0): one Taylor step of the Airy equation
+  y'' = z y from the nearest node c = k/2, |z - c| <= 1/4, summed in
+  plain doubles.  The node values are built at import by the same step,
+  of length 1/2, from the exact Ai(0) and Ai'(0).  Each solution is
+  stepped only in a direction where it does not decay, so step round-off
+  never grows relative to it: Ai and Bi outward over z < 0, where both
+  oscillate with the same amplitude; Bi upward over z > 0; Ai downward
+  over z > 0, from z = 12 where the asymptotic expansion gives Ai'/Ai,
+  rescaled to end on Ai(0).  No Taylor term exceeds about e^0.75 times
+  the local amplitude and Ai is never a difference of growing solutions,
+  so nothing cancels: the error is below 1e-15 of the local amplitude
+  (hypot(Ai, Bi) on the oscillatory side).
 
 * |z| > SERIES_RADIUS: Poincare asymptotic expansions, truncated at the
   smallest term.  At the crossover zeta = 18 the optimally truncated
@@ -42,55 +47,16 @@ SERIES_RADIUS = 9.0
 
 _SQRT_PI = math.sqrt(math.pi)
 
-# Ai(0), -Ai'(0) and sqrt(3) as double-double pairs.  The low parts matter:
-# the c1*f - c2*g cancellation at z ~ +9 amplifies any constant error by e^36.
-_C1_HI, _C1_LO = 0.3550280538878172, 2.05233632436212e-17
-_C2_HI, _C2_LO = 0.2588194037928068, -2.522243111610832e-17
-_SQ3_HI, _SQ3_LO = 1.7320508075688772, 1.0035084221806903e-16
+# Ai(0) = 3^(-2/3) / Gamma(2/3) and Ai'(0) = -3^(-1/3) / Gamma(1/3), correctly
+# rounded; Bi(0) = sqrt(3) Ai(0) and Bi'(0) = -sqrt(3) Ai'(0).
+_AI0 = 0.3550280538878172
+_AIP0 = -0.2588194037928068
 
-_SPLIT = 134217729.0  # 2**27 + 1, Dekker splitting constant
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _fast_two_sum(a, b):
-    # requires |a| >= |b| or a == 0; callers guarantee this
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a, b):
-    p = a * b
-    ta = _SPLIT * a
-    ahi = ta - (ta - a)
-    alo = a - ahi
-    tb = _SPLIT * b
-    bhi = tb - (tb - b)
-    blo = b - bhi
-    return p, ((ahi * bhi - p) + ahi * blo + alo * bhi) + alo * blo
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    return _fast_two_sum(s, e + xl + yl)
-
-
-def _dd_mul(xh, xl, yh, yl):
-    p, e = _two_prod(xh, yh)
-    return _fast_two_sum(p, e + xh * yl + xl * yh)
-
-
-def _dd_div_int(xh, xl, n):
-    # x / n for integer-valued float n; one Newton correction step
-    q1 = xh / n
-    p, pe = _two_prod(q1, n)
-    s, e = _two_sum(xh, -p)
-    q2 = (s + (e + xl - pe)) / n
-    return _fast_two_sum(q1, q2)
+# Taylor nodes c = k/2 for |k| <= _NODE_MAX.  For a step |t| <= 1/2 from
+# |c| <= 12 the terms fall like (sqrt|c| |t|)^j / j!, below 1e-18 of the
+# largest one by j = _TERMS.
+_NODE_MAX = 20
+_TERMS = 24
 
 
 @dataclass(frozen=True)
@@ -123,63 +89,6 @@ class ScaledAiryQuad:
     bi_prime_scaled: float
     exponent: float
     z: float
-
-
-def _series_quad(z: float) -> tuple[float, float, float, float]:
-    """Maclaurin evaluation in double-double arithmetic, |z| <= ~9.5.
-
-    f  = sum t_k,  t_0 = 1,    t_k = t_{k-1} z^3 / (3k (3k-1))
-    g  = sum s_k,  s_0 = z,    s_k = s_{k-1} z^3 / ((3k+1) 3k)
-    f' = sum p_k,  p_1 = z^2/2, p_k = p_{k-1} z^3 / ((3k-1)(3k-3))
-    g' = sum q_k,  q_0 = 1,    q_k = q_{k-1} z^3 / (3k (3k-2))
-    then Ai = c1 f - c2 g, Bi = sqrt(3)(c1 f + c2 g), same for primes.
-    """
-    z2h, z2l = _two_prod(z, z)
-    wh, wl = _dd_mul(z2h, z2l, z, 0.0)
-
-    fh, fl = 1.0, 0.0
-    gh, gl = z, 0.0
-    fph, fpl = 0.0, 0.0
-    gph, gpl = 1.0, 0.0
-    tfh, tfl = 1.0, 0.0
-    tgh, tgl = z, 0.0
-    tph, tpl = 0.5 * z2h, 0.5 * z2l
-    tqh, tql = 1.0, 0.0
-
-    max_term = 1.0
-    for k in range(1, 140):
-        tk = 3.0 * k
-        tfh, tfl = _dd_mul(tfh, tfl, wh, wl)
-        tfh, tfl = _dd_div_int(tfh, tfl, tk * (tk - 1.0))
-        tgh, tgl = _dd_mul(tgh, tgl, wh, wl)
-        tgh, tgl = _dd_div_int(tgh, tgl, (tk + 1.0) * tk)
-        if k > 1:
-            tph, tpl = _dd_mul(tph, tpl, wh, wl)
-            tph, tpl = _dd_div_int(tph, tpl, (tk - 1.0) * (tk - 3.0))
-        tqh, tql = _dd_mul(tqh, tql, wh, wl)
-        tqh, tql = _dd_div_int(tqh, tql, tk * (tk - 2.0))
-
-        fh, fl = _dd_add(fh, fl, tfh, tfl)
-        gh, gl = _dd_add(gh, gl, tgh, tgl)
-        fph, fpl = _dd_add(fph, fpl, tph, tpl)
-        gph, gpl = _dd_add(gph, gpl, tqh, tql)
-
-        m = max(abs(tfh), abs(tgh), abs(tph), abs(tqh))
-        if m > max_term:
-            max_term = m
-        elif k >= 4 and m < 1e-36 * max_term:
-            break
-
-    c1fh, c1fl = _dd_mul(_C1_HI, _C1_LO, fh, fl)
-    c2gh, c2gl = _dd_mul(_C2_HI, _C2_LO, gh, gl)
-    c1ph, c1pl = _dd_mul(_C1_HI, _C1_LO, fph, fpl)
-    c2qh, c2ql = _dd_mul(_C2_HI, _C2_LO, gph, gpl)
-
-    ai = _dd_add(c1fh, c1fl, -c2gh, -c2gl)[0]
-    aip = _dd_add(c1ph, c1pl, -c2qh, -c2ql)[0]
-    bi = _dd_mul(_SQ3_HI, _SQ3_LO, *_dd_add(c1fh, c1fl, c2gh, c2gl))[0]
-    bip = _dd_mul(_SQ3_HI, _SQ3_LO, *_dd_add(c1ph, c1pl, c2qh, c2ql))[0]
-    return ai, aip, bi, bip
 
 
 def _uv_tables(n: int) -> tuple[list[float], list[float]]:
@@ -260,6 +169,57 @@ def _asym_neg(z: float) -> tuple[float, float, float, float]:
     return ai, aip, bi, bip
 
 
+def _taylor(c: float, t: float, y: float, yp: float) -> tuple[float, float]:
+    """y(c + t) and y'(c + t) for the solution of y'' = z y with y(c) = y, y'(c) = yp.
+
+    y(c + t) = sum a_j t^j with a_0 = y, a_1 = yp and
+    (j+1)(j+2) a_{j+2} = c a_j + a_{j-1}, summed by Horner.
+    """
+    a = [y, yp, 0.5 * c * y]
+    for j in range(1, _TERMS - 2):
+        a.append((c * a[j] + a[j - 1]) / ((j + 1) * (j + 2)))
+    val = der = 0.0
+    for j in range(_TERMS - 1, 0, -1):
+        val = val * t + a[j]
+        der = der * t + j * a[j]
+    return val * t + a[0], der
+
+
+def _walk(c: float, step: float, count: int, y: float, yp: float) -> list[tuple[float, float]]:
+    """(y, y') at c + i * step, i = 0 .. count, for the solution with y(c) = y, y'(c) = yp."""
+    path = [(y, yp)]
+    for i in range(count):
+        path.append(_taylor(c + i * step, step, *path[-1]))
+    return path
+
+
+def _build_nodes() -> list[tuple[float, float, float, float]]:
+    """(Ai, Ai', Bi, Bi') at c = k/2, stored at index k + _NODE_MAX."""
+    n = _NODE_MAX
+    bi0 = (math.sqrt(3.0) * _AI0, -math.sqrt(3.0) * _AIP0)
+    bi = _walk(0.0, -0.5, n, *bi0)[::-1] + _walk(0.0, 0.5, n, *bi0)[1:]
+    # any Bi admixture in the asymptotic start shrinks by e^-55 on the way down
+    ai_s, _, aip_s, _, _ = _asym_pos_scaled(12.0)
+    down = _walk(12.0, -0.5, 24, ai_s, aip_s)[::-1]
+    scale = _AI0 / down[0][0]
+    ai = _walk(0.0, -0.5, n, _AI0, _AIP0)[::-1]
+    ai += [(scale * y, scale * yp) for y, yp in down[1:n + 1]]
+    return [a + b for a, b in zip(ai, bi)]
+
+
+_NODES = _build_nodes()
+
+
+def _series_quad(z: float) -> tuple[float, float, float, float]:
+    """(Ai, Ai', Bi, Bi') by one Taylor step from the nearest node, |z| <= ~10."""
+    k = round(2.0 * z)
+    c = 0.5 * k
+    ai, aip, bi, bip = _NODES[k + _NODE_MAX]
+    ai, aip = _taylor(c, z - c, ai, aip)
+    bi, bip = _taylor(c, z - c, bi, bip)
+    return ai, aip, bi, bip
+
+
 def _find_overflow_argument() -> float:
     # Largest z for which unscaled Bi(z) ~ e^zeta / (sqrt(pi) z^(1/4)) is
     # representable; solved at import from the float range, not hardcoded.
@@ -273,50 +233,44 @@ def _find_overflow_argument() -> float:
 Z_OVERFLOW = _find_overflow_argument()
 
 
+def _scaled_quad(z: float) -> tuple[tuple[float, float, float, float], float]:
+    """Scaled (ai, aip, bi, bip) at finite z and the exponent removed from them."""
+    if not math.isfinite(z):
+        raise ValueError(f"Airy functions need finite z, got {z!r}")
+    if z > SERIES_RADIUS:
+        ai, bi, aip, bip, zeta = _asym_pos_scaled(z)
+        return (ai, aip, bi, bip), zeta
+    if z < -SERIES_RADIUS:
+        return _asym_neg(z), 0.0
+    ai, aip, bi, bip = _series_quad(z)
+    if z <= 0.0:
+        return (ai, aip, bi, bip), 0.0
+    # 0 < z <= SERIES_RADIUS: zeta <= 18, both factors representable
+    zeta = (2.0 / 3.0) * z * math.sqrt(z)
+    ep, em = math.exp(zeta), math.exp(-zeta)
+    return (ai * ep, aip * ep, bi * em, bip * em), zeta
+
+
 def airy_eval(z: float) -> AiryQuad:
     """Ai, Bi, Ai', Bi' at real z (unscaled).
 
     Raises OverflowError for z > Z_OVERFLOW where unscaled Bi exceeds the
     float range; use airy_eval_scaled there instead.
     """
-    if not math.isfinite(z):
-        raise ValueError(f"airy_eval requires finite z, got {z!r}")
+    (ai, aip, bi, bip), zeta = _scaled_quad(z)
     if z > Z_OVERFLOW:
         raise OverflowError(
             f"unscaled Airy values overflow for z = {z!r} > {Z_OVERFLOW:.2f}; "
             "use airy_eval_scaled"
         )
-    az = abs(z)
-    if az <= SERIES_RADIUS:
-        ai, aip, bi, bip = _series_quad(z)
-    elif z > 0.0:
-        ai_s, bi_s, aip_s, bip_s, zeta = _asym_pos_scaled(z)
-        em = math.exp(-zeta)
-        ep = math.exp(zeta)
-        ai, aip, bi, bip = ai_s * em, aip_s * em, bi_s * ep, bip_s * ep
-    else:
-        ai, aip, bi, bip = _asym_neg(z)
-    return AiryQuad(ai=ai, bi=bi, ai_prime=aip, bi_prime=bip, z=z)
+    em, ep = math.exp(-zeta), math.exp(zeta)
+    return AiryQuad(ai=ai * em, bi=bi * ep, ai_prime=aip * em, bi_prime=bip * ep, z=z)
 
 
 def airy_eval_scaled(z: float) -> ScaledAiryQuad:
     """Scaled Airy quad, finite for every representable z."""
-    if not math.isfinite(z):
-        raise ValueError(f"airy_eval_scaled requires finite z, got {z!r}")
-    if z <= 0.0 or z <= SERIES_RADIUS:
-        if abs(z) <= SERIES_RADIUS:
-            ai, aip, bi, bip = _series_quad(z)
-        else:
-            ai, aip, bi, bip = _asym_neg(z)
-        if z <= 0.0:
-            return ScaledAiryQuad(ai, bi, aip, bip, 0.0, z)
-        # 0 < z <= SERIES_RADIUS: zeta <= 18, both factors representable
-        zeta = (2.0 / 3.0) * z * math.sqrt(z)
-        ep = math.exp(zeta)
-        em = math.exp(-zeta)
-        return ScaledAiryQuad(ai * ep, bi * em, aip * ep, bip * em, zeta, z)
-    ai_s, bi_s, aip_s, bip_s, zeta = _asym_pos_scaled(z)
-    return ScaledAiryQuad(ai_s, bi_s, aip_s, bip_s, zeta, z)
+    (ai, aip, bi, bip), zeta = _scaled_quad(z)
+    return ScaledAiryQuad(ai, bi, aip, bip, zeta, z)
 
 
 def wronskian_sweep(lo: float = -20.0, hi: float = 8.0, n: int = 2000):

@@ -181,6 +181,10 @@ def cmd_airy_check(args) -> int:
 
 
 def cmd_scatter(args) -> int:
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0.0):
+        raise ConfigError(f"--epsilon must be a finite number > 0, got {args.epsilon!r}")
+    if args.energy is not None and not math.isfinite(args.energy):
+        raise ConfigError(f"--energy must be finite, got {args.energy!r}")
     cfg = load_config(args.config)
     energy = ev_to_invnm2(args.energy) if args.energy is not None else cfg.energy
     matrix = structure_matrix(realize(cfg.spec, args.epsilon), energy)

@@ -196,7 +196,8 @@ def sweep_to_json(result: SweepResult) -> str:
                 "epsilon": eps,
                 "peaks_invnm2": list(pk),
                 "peaks_eV": [invnm2_to_ev(p) for p in pk],
-                "convergence_invnm2": list(conv),
+                # no peak above the floor: no distance to report
+                "convergence_invnm2": [c if math.isfinite(c) else None for c in conv],
             }
             for eps, pk, conv in zip(
                 result.request.epsilons,
@@ -207,4 +208,4 @@ def sweep_to_json(result: SweepResult) -> str:
             )
         ],
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"

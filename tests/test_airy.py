@@ -21,7 +21,7 @@ mp.mp.dps = 40
 
 def series_oracle(z, terms=40):
     """Maclaurin f/g series summed in 40-digit arithmetic; independent of the
-    package's compensated-double path."""
+    package's Taylor-step path."""
     zm = mp.mpf(z)
     c1 = mp.mpf(3) ** mp.mpf("-2/3") / mp.gamma(mp.mpf(2) / 3)
     c2 = mp.mpf(3) ** mp.mpf("-1/3") / mp.gamma(mp.mpf(1) / 3)
@@ -93,6 +93,25 @@ def test_against_scipy_and_mpmath(z):
         assert mine == pytest.approx(float(mref), rel=5e-13)
         if math.isfinite(ref):
             assert mine == pytest.approx(ref, rel=1e-10)
+
+
+def test_dense_grid_against_mpmath():
+    # z = -9 .. 9 in steps of 0.05 hits every Taylor node k/2 and every node
+    # midpoint, where the step is longest.  For z < 0 the bound is relative
+    # to the local amplitude, so zeros of Ai or Bi do not turn an absolute
+    # accuracy into a meaningless relative one.
+    for i in range(-180, 181):
+        z = i / 20
+        q = airy_eval(z)
+        refs = (mp.airyai(z), mp.airyai(z, 1), mp.airybi(z), mp.airybi(z, 1))
+        if z < 0:
+            amp, amp_prime = mp.hypot(refs[0], refs[2]), mp.hypot(refs[1], refs[3])
+            scales = (amp, amp_prime, amp, amp_prime)
+        else:
+            scales = tuple(abs(r) for r in refs)
+        mine = (q.ai, q.ai_prime, q.bi, q.bi_prime)
+        for name, value, ref, scale in zip(("Ai", "Ai'", "Bi", "Bi'"), mine, refs, scales):
+            assert abs(value - ref) <= 1e-14 * scale, (name, z, float((value - ref) / scale))
 
 
 def test_scaled_identity_below_zero():

@@ -262,6 +262,12 @@ MALFORMED = {
     "equation-EQ": (FIG4, [], ["resonances", "--equation", "EQ", "--interval", "-0.6", "0"]),
     "equation-EQ7": (FIG4, [], ["resonances", "--equation", "EQ7", "--interval", "-0.6", "0"]),
     "interval-reversed": (FIG4, [], EQ73[:-2] + ["0.0", "-0.6"]),
+    "scatter-epsilon-0": (FIG4, [], ["scatter", "--epsilon", "0"]),
+    "scatter-epsilon-negative": (FIG4, [], ["scatter", "--epsilon", "-1"]),
+    "scatter-epsilon-nan": (FIG4, [], ["scatter", "--epsilon", "nan"]),
+    "scatter-epsilon-inf": (FIG4, [], ["scatter", "--epsilon", "inf"]),
+    "scatter-energy-inf": (FIG4, [], ["scatter", "--energy", "inf"]),
+    "scatter-energy-nan": (FIG4, [], ["scatter", "--energy", "nan"]),
     # solver argument checks
     "eq69-well-first": (
         FIG4,
@@ -301,6 +307,21 @@ def sweep_json(tmp_path, doc):
     prefix = str(tmp_path / "run")
     assert main(["sweep", write_config(tmp_path, doc), "--out", prefix]) == 0
     return json.loads(pathlib.Path(prefix + ".json").read_text())
+
+
+def test_sweep_json_without_peaks_is_strict_json(tmp_path):
+    # a floor above every T leaves no peak, so no distance to any root
+    doc = edited(FIG4, [
+        (("sweep", "peak_floor"), 2.0), (("sweep", "points"), 21), (("sweep", "epsilons"), [0.5]),
+    ])
+    prefix = str(tmp_path / "run")
+    assert main(["sweep", write_config(tmp_path, doc), "--out", prefix]) == 0
+
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    parsed = json.loads(pathlib.Path(prefix + ".json").read_text(), parse_constant=reject)
+    assert parsed["sweeps"][0]["convergence_invnm2"] == [None, None, None]
 
 
 def test_sweep_sign_flipped_fig6_reference_roots(tmp_path):
