@@ -135,6 +135,11 @@ def load_config(path: str) -> DeviceConfig:
     if scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {tuple(SCENARIOS)}, got {scenario!r}")
 
+    def scaled(value, where: str) -> float:
+        if not math.isfinite(value * scale):
+            raise ConfigError(f"{where} = {value!r} {raw['units']} is out of range")
+        return value * scale
+
     layers_raw = raw["layers"]
     if not layers_raw:
         raise ConfigError("layers must be a non-empty list")
@@ -148,8 +153,9 @@ def load_config(path: str) -> DeviceConfig:
         mu, nu = entry.get("mu", mu), entry.get("nu", nu)
         if mu is None or nu is None:
             raise ConfigError(f"layers[{i}] needs mu and nu for custom scenario")
+        a, b = scaled(entry["a"], f"layers[{i}].a"), scaled(entry["b"], f"layers[{i}].b")
         try:
-            layer = LayerSpec(entry["a"] * scale, entry["b"] * scale, entry["d"], mu, nu)
+            layer = LayerSpec(a, b, entry["d"], mu, nu)
         except ValueError as exc:
             raise ConfigError(f"layers[{i}]: {exc}") from exc
         layers.append(layer)
@@ -158,8 +164,8 @@ def load_config(path: str) -> DeviceConfig:
     v_right = leads.get("v_right")
     spec = StructureSpec(
         tuple(layers),
-        leads.get("v_left", 0.0) * scale,
-        None if v_right is None else v_right * scale,
+        scaled(leads.get("v_left", 0.0), "leads.v_left"),
+        None if v_right is None else scaled(v_right, "leads.v_right"),
     )
 
     sweep = raw.get("sweep")
@@ -167,8 +173,8 @@ def load_config(path: str) -> DeviceConfig:
         _check(sweep, _SWEEP_KEYS, "sweep")
         if sweep.get("tuned_sign", -1.0) not in (1.0, -1.0):
             raise ConfigError(f"sweep.tuned_sign must be 1 or -1, got {sweep['tuned_sign']!r}")
-        sweep = dict(sweep, lo=sweep["lo"] * scale, hi=sweep["hi"] * scale)
-    return DeviceConfig(spec, raw["energy"] * scale, scenario, sweep)
+        sweep = dict(sweep, lo=scaled(sweep["lo"], "sweep.lo"), hi=scaled(sweep["hi"], "sweep.hi"))
+    return DeviceConfig(spec, scaled(raw["energy"], "energy"), scenario, sweep)
 
 
 def cmd_airy_check(args) -> int:
@@ -183,11 +189,15 @@ def cmd_airy_check(args) -> int:
 def cmd_scatter(args) -> int:
     if not (math.isfinite(args.epsilon) and args.epsilon > 0.0):
         raise ConfigError(f"--epsilon must be a finite number > 0, got {args.epsilon!r}")
-    if args.energy is not None and not math.isfinite(args.energy):
-        raise ConfigError(f"--energy must be finite, got {args.energy!r}")
     cfg = load_config(args.config)
     energy = ev_to_invnm2(args.energy) if args.energy is not None else cfg.energy
-    matrix = structure_matrix(realize(cfg.spec, args.epsilon), energy)
+    if not math.isfinite(energy):
+        raise ConfigError(f"--energy must be finite in nm^-2, got {args.energy!r}")
+    try:
+        layers = realize(cfg.spec, args.epsilon)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    matrix = structure_matrix(layers, energy)
     v_l, v_r = cfg.spec.lead_potentials()
     res = scatter(matrix, v_l, v_r, energy)
     doc = {

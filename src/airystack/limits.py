@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .errors import NoClosedFormLimitError, NotAResonanceRootError
@@ -37,7 +37,6 @@ __all__ = [
     "transistor_delta_limit",
     "transistor_deltaprime_limit",
     "two_layer_resonance_residual",
-    "two_layer_theta_alpha",
     "transistor_resonance_residual",
     "transistor_theta_representations",
     "transistor_offdiag_strength",
@@ -191,7 +190,7 @@ class LimitClassification:
 
 def delta_transmission(alpha: float, k: float, k_right: float) -> float:
     """Transmission probability through a delta point with unequal leads."""
-    return 4.0 * k * k_right / ((k + k_right) ** 2 + alpha * alpha)
+    return limit_transmission_on_resonance(1.0, alpha, k, k_right)
 
 
 def limit_transmission_on_resonance(
@@ -283,17 +282,19 @@ def single_layer_limit(
             raise ValueError("epsilon_probe requires an energy")
         spec = StructureSpec((layer,))
         probe = _probe_convergence(spec, result, tuple(epsilon_probe), energy)
-        result = LimitClassification(
-            result.kind,
-            result.alpha,
-            result.theta,
-            result.sign,
-            result.n,
-            result.resonance_depths,
-            result.warnings,
-            probe,
-        )
+        result = replace(result, probe=probe)
     return result
+
+
+def _admissibility_warnings(name: str, value: float, lo: float, hi: float) -> tuple[str, ...]:
+    """A warning unless lo < value < hi, the range of the tuned bias in
+    which every barrier edge potential of the device stays positive."""
+    if lo < value < hi:
+        return ()
+    return (
+        f"{name} = {value!r} outside the admissible interval ({lo!r}, {hi!r}); "
+        "a barrier edge potential is not positive",
+    )
 
 
 # --- two-layer limits -----------------------------------------------------
@@ -338,29 +339,6 @@ def _cos_branch(shifted: float, d: float) -> float:
     return math.cosh(math.sqrt(shifted) * d)
 
 
-def two_layer_theta_alpha(
-    a1: float, b1: float, b2: float, d1: float, d2: float, shifted2: float
-) -> tuple[float, float]:
-    """(theta_n, alpha_n) of the two-layer diagonal limit at a resonance root.
-
-    Closed form for the barrier-well case a1 > 0, shifted2 = a2 + b1 < 0:
-    theta = cosh(sqrt(a1) d1) / cos(kappa2 d2) and alpha carries the two
-    bias tilts weighted by kappa^-3 of the opposite layer.
-    """
-    if not (a1 > 0.0 and shifted2 < 0.0):
-        raise ValueError("closed form needs a barrier (a1 > 0) and a well (a2 + b1 < 0)")
-    q1 = math.sqrt(a1)
-    kap2 = math.sqrt(-shifted2)
-    theta = math.cosh(q1 * d1) / math.cos(kap2 * d2)
-    alpha = (
-        0.25
-        * (q1 * b2 / ((-shifted2) ** 1.5 * d2) - kap2 * b1 / (a1**1.5 * d1))
-        * math.sinh(q1 * d1)
-        * math.sin(kap2 * d2)
-    )
-    return theta, alpha
-
-
 def two_layer_limit_matrices(
     spec: StructureSpec, mode: TwoLayerMode
 ) -> LimitClassification:
@@ -369,12 +347,15 @@ def two_layer_limit_matrices(
     DELTA_PRIME evaluates the stack at (2,1)+(2,1): on the resonance set
     the limit is diag-dominant with theta != 1; RESONANT_DELTA evaluates
     (1,1)+(2,1): on the set the limit is a parity-signed delta.  Anywhere
-    off the resonance set the classification is OPAQUE_WALL.
+    off the resonance set the classification is OPAQUE_WALL.  A first
+    layer whose right edge a1 + b1 is not positive is reported as a
+    warning, not an error.
     """
     if len(spec.layers) != 2:
         raise ValueError("two_layer_limit_matrices needs exactly 2 layers")
     l1, l2 = spec.layers
     tol = 1e-12
+    warnings = _admissibility_warnings("-b1", -l1.b, -math.inf, l1.a)
 
     def powers_are(la, mu, nu):
         return abs(la.mu - mu) <= tol and abs(la.nu - nu) <= tol
@@ -384,14 +365,14 @@ def two_layer_limit_matrices(
             raise ValueError("RESONANT_DELTA mode needs powers (1,1) + (2,1)")
         shifted2 = l2.a + l1.b
         if shifted2 > 0.0:
-            return LimitClassification(LimitKind.OPAQUE_WALL)
+            return LimitClassification(LimitKind.OPAQUE_WALL, warnings=warnings)
         kap_d = math.sqrt(-shifted2) * l2.d
         n = round(kap_d / math.pi)
         if abs(kap_d - n * math.pi) > 1e-9 * max(1.0, kap_d):
-            return LimitClassification(LimitKind.OPAQUE_WALL)
+            return LimitClassification(LimitKind.OPAQUE_WALL, warnings=warnings)
         alpha = (l1.a + 0.5 * l1.b) * l1.d
         return LimitClassification(
-            LimitKind.RESONANT_DELTA, alpha=alpha, sign=(-1) ** n, n=n
+            LimitKind.RESONANT_DELTA, alpha=alpha, sign=(-1) ** n, n=n, warnings=warnings
         )
 
     if not (powers_are(l1, 2, 1) and powers_are(l2, 2, 1)):
@@ -400,19 +381,17 @@ def two_layer_limit_matrices(
     shifted2 = l2.a + l1.b
     residual, scale = two_layer_resonance_residual(shifted1, shifted2, l1.d, l2.d)
     if abs(residual) > RESIDUAL_RTOL * max(scale, 1e-300):
-        return LimitClassification(LimitKind.OPAQUE_WALL)
+        return LimitClassification(LimitKind.OPAQUE_WALL, warnings=warnings)
     theta = _cos_branch(shifted1, l1.d) / _cos_branch(shifted2, l2.d)
-    if shifted1 > 0.0 and shifted2 < 0.0:
-        _, alpha = two_layer_theta_alpha(shifted1, l1.b, l2.b, l1.d, l2.d, shifted2)
-    else:
-        # general branch combination via the complex tilt coefficients
-        k1c = cmath.sqrt(complex(-shifted1))
-        k2c = cmath.sqrt(complex(-shifted2))
-        g1 = l1.b / (4.0 * k1c**3 * l1.d)
-        g2 = l2.b / (4.0 * k2c**3 * l2.d)
-        val = (k2c * g1 - k1c * g2) * cmath.sin(k1c * l1.d) * cmath.sin(k2c * l2.d)
-        alpha = val.real
-    return LimitClassification(LimitKind.DELTA_PRIME_FAMILY, alpha=alpha, theta=theta)
+    # every branch combination through the complex tilt coefficients
+    k1c = cmath.sqrt(complex(-shifted1))
+    k2c = cmath.sqrt(complex(-shifted2))
+    g1 = l1.b / (4.0 * k1c**3 * l1.d)
+    g2 = l2.b / (4.0 * k2c**3 * l2.d)
+    val = (k2c * g1 - k1c * g2) * cmath.sin(k1c * l1.d) * cmath.sin(k2c * l2.d)
+    return LimitClassification(
+        LimitKind.DELTA_PRIME_FAMILY, alpha=val.real, theta=theta, warnings=warnings
+    )
 
 
 # --- transistor (three-layer) limits ---------------------------------------
@@ -459,19 +438,6 @@ class TransistorSpec:
         )
 
 
-def _admissibility_warnings(
-    params: TransistorSpec, v_eb: float, v_cb: float
-) -> tuple[str, ...]:
-    warnings = []
-    limit = min(params.a1, params.a3 - v_cb)
-    if not 0.0 < v_eb < limit:
-        warnings.append(
-            f"v_eb = {v_eb!r} outside the admissible interval (0, {limit!r}); "
-            "a barrier edge potential is not positive"
-        )
-    return tuple(warnings)
-
-
 def transistor_delta_limit(
     params: TransistorSpec, v_eb: float, v_cb: float
 ) -> LimitClassification:
@@ -483,7 +449,7 @@ def transistor_delta_limit(
     """
     if v_eb < 0.0:
         raise ValueError("v_eb must be non-negative")
-    warnings = _admissibility_warnings(params, v_eb, v_cb)
+    warnings = _admissibility_warnings("v_eb", v_eb, 0.0, min(params.a1, params.a3 - v_cb))
     x = math.sqrt(v_eb) * params.d2
     n = round(x / math.pi)
     if n < 1 or abs(x - n * math.pi) > 1e-9 * max(1.0, x):
@@ -517,6 +483,19 @@ def transistor_resonance_residual(
     return lhs - rhs, abs(lhs) + abs(rhs)
 
 
+def _transistor_factors(params: TransistorSpec, v_eb: float) -> tuple[float, ...]:
+    """q1, q3, k2 and cosh/sinh(q1 d1), cosh/sinh(q3 d3), cos/sin(k2 d2)."""
+    q1 = math.sqrt(params.a1)
+    q3 = math.sqrt(params.a3 - v_eb)
+    k2 = math.sqrt(v_eb)
+    return (
+        q1, q3, k2,
+        math.cosh(q1 * params.d1), math.sinh(q1 * params.d1),
+        math.cosh(q3 * params.d3), math.sinh(q3 * params.d3),
+        math.cos(k2 * params.d2), math.sin(k2 * params.d2),
+    )
+
+
 def transistor_theta_representations(
     params: TransistorSpec, v_eb: float
 ) -> tuple[float, float, float, float]:
@@ -525,12 +504,7 @@ def transistor_theta_representations(
     Equality of all four is itself the resonance condition, so their
     spread is the acceptance check for a supplied root.
     """
-    q1 = math.sqrt(params.a1)
-    q3 = math.sqrt(params.a3 - v_eb)
-    k2 = math.sqrt(v_eb)
-    c1h, s1h = math.cosh(q1 * params.d1), math.sinh(q1 * params.d1)
-    c3h, s3h = math.cosh(q3 * params.d3), math.sinh(q3 * params.d3)
-    c2, s2 = math.cos(k2 * params.d2), math.sin(k2 * params.d2)
+    q1, q3, k2, c1h, s1h, c3h, s3h, c2, s2 = _transistor_factors(params, v_eb)
     i1 = (c1h * c2 + (q1 / k2) * s1h * s2) / c3h
     i2 = (k2 * c1h * s2 - q1 * s1h * c2) / (q3 * s3h)
     j1 = (c2 * c3h + (q3 / k2) * s2 * s3h) / c1h
@@ -543,12 +517,7 @@ def transistor_offdiag_strength(
 ) -> float:
     """Off-diagonal element alpha_n of the delta-prime transistor limit
     (grouped form: each barrier tilt weighted by the opposite-side factors)."""
-    q1 = math.sqrt(params.a1)
-    q3 = math.sqrt(params.a3 - v_eb)
-    k2 = math.sqrt(v_eb)
-    c1h, s1h = math.cosh(q1 * params.d1), math.sinh(q1 * params.d1)
-    c3h, s3h = math.cosh(q3 * params.d3), math.sinh(q3 * params.d3)
-    c2, s2 = math.cos(k2 * params.d2), math.sin(k2 * params.d2)
+    q1, q3, k2, c1h, s1h, c3h, s3h, c2, s2 = _transistor_factors(params, v_eb)
     return params.a1**-1.5 * (v_eb / (4.0 * params.d1)) * s1h * (
         k2 * c3h * s2 - q3 * s3h * c2
     ) - (params.a3 - v_eb) ** -1.5 * (v_cb / (4.0 * params.d3)) * s3h * (
@@ -578,7 +547,7 @@ def transistor_deltaprime_limit(
             f"theta representations disagree by {spread:.3e} (not a root)"
         )
     alpha = transistor_offdiag_strength(params, v_eb_root, v_cb)
-    warnings = _admissibility_warnings(params, v_eb_root, v_cb)
+    warnings = _admissibility_warnings("v_eb", v_eb_root, 0.0, min(params.a1, params.a3 - v_cb))
     return LimitClassification(
         LimitKind.DELTA_PRIME_FAMILY, alpha=alpha, theta=theta, warnings=warnings
     )

@@ -119,14 +119,21 @@ class ConcreteLayer:
 
 
 def realize(spec: StructureSpec, epsilon: float) -> list[ConcreteLayer]:
-    """Concrete per-layer potentials at the given squeeze parameter."""
+    """Concrete per-layer potentials at the given squeeze parameter; a
+    potential that overflows is a ValueError."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     out = []
     shift = 0.0
     for layer in spec.layers:
-        v_left = (layer.a + shift) * epsilon ** -layer.mu
-        v_right = v_left + layer.b * epsilon ** -layer.nu
+        try:
+            v_left = (layer.a + shift) * epsilon ** -layer.mu
+            v_right = v_left + layer.b * epsilon ** -layer.nu
+        except OverflowError:
+            v_right = math.inf
+        # v_right is not finite whenever v_left is not
+        if not math.isfinite(v_right):
+            raise ValueError(f"layer potential is not finite at epsilon = {epsilon!r}")
         out.append(ConcreteLayer(v_left, v_right, epsilon * layer.d))
         shift += layer.b
     return out

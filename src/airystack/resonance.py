@@ -15,15 +15,17 @@ from enum import Enum
 
 from .errors import NotAResonanceRootError
 from .limits import (
-    RESIDUAL_RTOL,
+    LimitKind,
     TransistorSpec,
-    delta_transmission,
+    TwoLayerMode,
     limit_transmission_on_resonance,
+    transistor_delta_limit,
     transistor_deltaprime_limit,
     transistor_resonance_residual,
+    two_layer_limit_matrices,
     two_layer_resonance_residual,
-    two_layer_theta_alpha,
 )
+from .potential import LayerSpec, StructureSpec
 
 __all__ = [
     "ResonanceEquation",
@@ -35,6 +37,10 @@ __all__ = [
     "find_resonances_deltaprime_2layer",
     "find_resonances_transistor_deltaprime",
 ]
+
+# Most levels (closed-form roots or tangent poles) one set may span; a
+# wider interval is rejected before any level is generated.
+MAX_LEVELS = 100_000
 
 
 class ResonanceEquation(Enum):
@@ -129,6 +135,43 @@ def scan_and_bisect(
     return sorted(set(roots))
 
 
+def _levels(start, d: float, sign: float, offset: float, lo: float, hi: float) -> list[float]:
+    """sign * (x pi / d)^2 + offset for x = start, start + 1, ... inside [lo, hi].
+
+    The count follows from the closed form before any level is made; more
+    than MAX_LEVELS is a ValueError.
+    """
+    # levels inside [lo, hi] have (x pi / d)^2 in [y_lo, y_hi]
+    y_lo, y_hi = sorted((sign * (lo - offset), sign * (hi - offset)))
+    x_lo = d * math.sqrt(max(y_lo, 0.0)) / math.pi
+    x_hi = d * math.sqrt(max(y_hi, 0.0)) / math.pi
+    if not x_hi - x_lo <= MAX_LEVELS:
+        raise ValueError(f"more than {MAX_LEVELS} levels in [{lo!r}, {hi!r}]")
+    # x_hi may round below the last level's x: one x more, the value test decides
+    first, stop = max(0, int(x_lo - start)), int(x_hi - start) + 2
+    values = (sign * ((start + j) * math.pi / d) ** 2 + offset for j in range(first, stop))
+    return [v for v in values if lo <= v <= hi]
+
+
+def _root(n: int, value: float, limit, stack: StructureSpec, energy, **fields) -> ResonanceRoot:
+    """Root at value carrying its limit's alpha, theta and admissibility; with
+    an energy, T_n through the limit matrix between the stack's leads
+    (theta = 1 for a delta limit)."""
+    if limit.alpha is None:
+        raise ValueError(f"{value!r} is off the limit's resonance set in double precision")
+    trans = None
+    if energy is not None:
+        v_left, v_right = stack.lead_potentials()
+        trans = limit_transmission_on_resonance(
+            1.0 if limit.theta is None else limit.theta,
+            limit.alpha,
+            math.sqrt(energy - v_left),
+            math.sqrt(energy - v_right),
+        )
+    fields = {"theta": limit.theta, "admissible": not limit.warnings, **fields}
+    return ResonanceRoot(n, value, limit.alpha, trans_prob=trans, **fields)
+
+
 def resonances_delta_barrier_well(
     a2: float,
     d2: float,
@@ -141,33 +184,17 @@ def resonances_delta_barrier_well(
     """Closed-form bias set of the barrier-well delta limit:
     b_1n = -(n pi / d2)^2 - a2 for n >= 1, restricted to b1_range.
 
-    a1, d1 fix the barrier so each root carries its delta strength
-    (a1 + b/2) d1; with an energy the on-resonance transmission is
-    attached (left lead at zero, right lead at the cumulative bias b).
+    a1, d1 fix the barrier so each root carries its delta strength; with
+    an energy the on-resonance transmission is attached (left lead at
+    zero, right lead at the bias b).
     """
     if not d2 > 0:
         raise ValueError("d2 must be positive")
-    lo, hi = b1_range
     roots = []
-    n = 1
-    while True:
-        b = -((n * math.pi / d2) ** 2) - a2
-        if b < lo:
-            break
-        if b <= hi:
-            alpha = (a1 + 0.5 * b) * d1
-            trans = None
-            if energy is not None:
-                k = math.sqrt(energy)
-                k_r = math.sqrt(energy - b)
-                trans = delta_transmission(alpha, k, k_r)
-            roots.append(
-                ResonanceRoot(
-                    n=n, value=b, alpha=alpha, trans_prob=trans, admissible=-b < a1
-                )
-            )
-        n += 1
-    roots.sort(key=lambda r: r.value)
+    for b in sorted(_levels(1, d2, -1.0, -a2, *b1_range)):
+        stack = StructureSpec((LayerSpec(a1, b, d1, 1.0, 1.0), LayerSpec(a2, 0.0, d2, 2.0, 1.0)))
+        limit = two_layer_limit_matrices(stack, TwoLayerMode.RESONANT_DELTA)
+        roots.append(_root(limit.n, b, limit, stack, energy))
     return ResonanceSet(ResonanceEquation.EQ73_DELTA_BARRIER_WELL, tuple(roots))
 
 
@@ -187,29 +214,12 @@ def resonances_transistor_delta(
     strength attached per root."""
     if not (d2 > 0 and v_eb_max > 0):
         raise ValueError("d2 and v_eb_max must be positive")
+    params = TransistorSpec(a1, a3, d1, d2, d3)
     roots = []
-    n = 1
-    while True:
-        v = (n * math.pi / d2) ** 2
-        if v > v_eb_max:
-            break
-        alpha = (a1 - 0.5 * v) * d1 + (a3 - v - 0.5 * v_cb) * d3
-        trans = None
-        if energy is not None:
-            k = math.sqrt(energy)
-            k_r = math.sqrt(energy + v + v_cb)
-            trans = limit_transmission_on_resonance(1.0, alpha, k, k_r)
-        roots.append(
-            ResonanceRoot(
-                n=n,
-                value=v,
-                alpha=alpha,
-                theta=1.0,
-                trans_prob=trans,
-                admissible=v < min(a1, a3 - v_cb),
-            )
-        )
-        n += 1
+    for v in _levels(1, d2, 1.0, 0.0, 0.0, v_eb_max):
+        limit = transistor_delta_limit(params, v, v_cb)
+        stack = params.structure(v, v_cb, "delta")
+        roots.append(_root(limit.n, v, limit, stack, energy, theta=1.0))
     return ResonanceSet(ResonanceEquation.EQ76_TRANSISTOR_DELTA, tuple(roots))
 
 
@@ -240,44 +250,15 @@ def find_resonances_deltaprime_2layer(
     def f(b1):
         return two_layer_resonance_residual(a1, a2 + b1, d1, d2)[0]
 
-    poles = []
-    m = 0
-    while True:
-        kap = (m + 0.5) * math.pi / d2
-        b_pole = -(kap * kap) - a2
-        if b_pole < lo:
-            break
-        if b_pole <= hi:
-            poles.append(b_pole)
-        m += 1
-    xs = scan_and_bisect(f, lo, hi, poles=tuple(poles))
-    accepted = []
-    for b in xs:
-        resid, scale = two_layer_resonance_residual(a1, a2 + b, d1, d2)
-        # candidates that bisected into a tangent pole fail the residual
-        # gate and are dropped; genuine roots land orders below it
-        if abs(resid) <= RESIDUAL_RTOL * max(scale, 1e-300):
-            accepted.append((b, resid, scale))
     roots = []
-    for i, (b, resid, scale) in enumerate(accepted, start=1):
-        shifted2 = a2 + b
-        theta, alpha = two_layer_theta_alpha(a1, b, b2, d1, d2, shifted2)
-        trans = None
-        if energy is not None:
-            k = math.sqrt(energy)
-            k_r = math.sqrt(energy - b - b2)
-            trans = limit_transmission_on_resonance(theta, alpha, k, k_r)
-        roots.append(
-            ResonanceRoot(
-                n=i,
-                value=b,
-                alpha=alpha,
-                theta=theta,
-                trans_prob=trans,
-                admissible=-b < a1,
-                residual=abs(resid) / max(scale, 1e-300),
-            )
-        )
+    for b in scan_and_bisect(f, lo, hi, poles=tuple(_levels(0.5, d2, -1.0, -a2, lo, hi))):
+        stack = StructureSpec((LayerSpec(a1, b, d1, 2.0, 1.0), LayerSpec(a2, b2, d2, 2.0, 1.0)))
+        limit = two_layer_limit_matrices(stack, TwoLayerMode.DELTA_PRIME)
+        # a candidate that bisected into a tangent pole classifies as a wall
+        if limit.kind is not LimitKind.OPAQUE_WALL:
+            resid, scale = two_layer_resonance_residual(a1, a2 + b, d1, d2)
+            residual = abs(resid) / max(scale, 1e-300)
+            roots.append(_root(len(roots) + 1, b, limit, stack, energy, residual=residual))
     return ResonanceSet(ResonanceEquation.EQ69_DELTAPRIME_2LAYER, tuple(roots))
 
 
@@ -310,41 +291,14 @@ def find_resonances_transistor_deltaprime(
     def f(v):
         return transistor_resonance_residual(params, v)[0]
 
-    poles = []
-    m = 0
-    while True:
-        v_pole = ((m + 0.5) * math.pi / d2) ** 2
-        if v_pole > hi:
-            break
-        if v_pole >= lo:
-            poles.append(v_pole)
-        m += 1
-    xs = scan_and_bisect(f, lo, hi, poles=tuple(poles))
-    accepted = []
-    for v in xs:
+    roots = []
+    for v in scan_and_bisect(f, lo, hi, poles=tuple(_levels(0.5, d2, 1.0, 0.0, lo, hi))):
         try:
             limit = transistor_deltaprime_limit(params, v, v_cb)
         except NotAResonanceRootError:
-            # bisection converged onto a tangent pole, not a root
-            continue
-        accepted.append((v, limit))
-    roots = []
-    for i, (v, limit) in enumerate(accepted, start=1):
+            continue  # bisection converged onto a tangent pole, not a root
         resid, scale = transistor_resonance_residual(params, v)
-        trans = None
-        if energy is not None:
-            k = math.sqrt(energy)
-            k_r = math.sqrt(energy + v + v_cb)
-            trans = limit_transmission_on_resonance(limit.theta, limit.alpha, k, k_r)
-        roots.append(
-            ResonanceRoot(
-                n=i,
-                value=v,
-                alpha=limit.alpha,
-                theta=limit.theta,
-                trans_prob=trans,
-                admissible=v < min(a1, a3 - v_cb),
-                residual=abs(resid) / max(scale, 1e-300),
-            )
-        )
+        residual = abs(resid) / max(scale, 1e-300)
+        stack = params.structure(v, v_cb, "delta_prime")
+        roots.append(_root(len(roots) + 1, v, limit, stack, energy, residual=residual))
     return ResonanceSet(ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, tuple(roots))

@@ -61,6 +61,11 @@ class SweepRequest:
             raise ValueError("epsilons must be strictly descending")
         if not 0 <= self.tuned_layer < len(self.structure.layers):
             raise ValueError("tuned_layer out of range")
+        # potentials are affine in the tuned value: finite at both grid ends, finite throughout
+        for value in (self.grid_lo, self.grid_hi):
+            spec = self.structure.replace_bias(self.tuned_layer, self.tuned_sign * value)
+            for eps in self.epsilons:
+                realize(spec, eps)
 
     def transmission(self, value: float, epsilon: float) -> float:
         """Exact transmission at one grid value; NaN for evanescent leads."""

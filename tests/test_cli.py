@@ -279,9 +279,24 @@ MALFORMED = {
         [(("layers", 0, "a"), -0.1)],
         ["resonances", "--equation", "EQ83", "--interval", "0.0", "0.4"],
     ),
+    "eq76-well-first": (
+        FIG6,
+        [(("layers", 0, "a"), -0.1)],
+        ["resonances", "--equation", "EQ76", "--interval", "0.0", "0.4"],
+    ),
     "eq76-negative-interval": (
         FIG6, [], ["resonances", "--equation", "EQ76", "--interval", "-0.4", "-0.1"]
     ),
+    # level counts and values that overflow once scaled or squeezed
+    "eq76-too-many-levels": (
+        FIG6, [], ["resonances", "--equation", "EQ76", "--interval", "0", "1e300"]
+    ),
+    "layer-a-overflow-scatter": (FIG4, [(("layers", 0, "a"), 1e308)], ["scatter"]),
+    "layer-a-overflow-eq73": (FIG4, [(("layers", 0, "a"), 1e308)], EQ73),
+    "sweep-hi-overflow": (FIG4, [(("sweep", "hi"), 1e308)], SWEEP),
+    "scatter-energy-overflow": (FIG4, [], ["scatter", "--energy", "1e308"]),
+    "scatter-epsilon-tiny": (FIG4, [], ["scatter", "--epsilon", "1e-300"]),
+    "epsilons-tiny-flag": (FIG4, [], SWEEP + ["--epsilons", "1e-300"]),
 }
 
 

@@ -338,6 +338,16 @@ def test_two_layer_resonant_delta_at_root():
     assert lim.alpha == pytest.approx((1.31232 + 0.5 * b1) * 2.0, rel=1e-12)
 
 
+def test_two_layer_admissibility_warning():
+    # the barrier's right edge a1 + b1 = 1.31232 + b1 must stay positive
+    for n, admissible in ((2, True), (4, False)):
+        b1 = -((n * math.pi / 10.0) ** 2) + 0.262464
+        lim = two_layer_limit_matrices(_fig4_spec(b1), TwoLayerMode.RESONANT_DELTA)
+        assert lim.kind is LimitKind.RESONANT_DELTA and lim.n == n
+        assert (not lim.warnings) == admissible == (-b1 < 1.31232)
+    assert two_layer_limit_matrices(_fig4_spec(-2.0), TwoLayerMode.RESONANT_DELTA).warnings
+
+
 def test_two_layer_resonant_delta_off_root():
     lim = two_layer_limit_matrices(_fig4_spec(-0.2), TwoLayerMode.RESONANT_DELTA)
     assert lim.kind is LimitKind.OPAQUE_WALL

@@ -11,6 +11,7 @@ from airystack.limits import (
 )
 from airystack.potential import EV_TO_INVNM2
 from airystack.resonance import (
+    MAX_LEVELS,
     ResonanceEquation,
     find_resonances_deltaprime_2layer,
     find_resonances_transistor_deltaprime,
@@ -18,6 +19,8 @@ from airystack.resonance import (
     resonances_transistor_delta,
     scan_and_bisect,
 )
+from airystack.scattering import scatter
+from airystack.transfer import TransferMatrix
 
 EV = EV_TO_INVNM2
 
@@ -302,3 +305,130 @@ def test_equation_tags():
     assert rset.equation is ResonanceEquation.EQ73_DELTA_BARRIER_WELL
     rset = resonances_transistor_delta(10.0, 1.0, a1=1.0, a3=1.0, d1=1.0, d3=1.0, v_cb=0.0)
     assert rset.equation is ResonanceEquation.EQ76_TRANSISTOR_DELTA
+
+
+# --- limit data of every root ------------------------------------------------
+
+FIG4 = dict(a1=0.5 * EV, a2=-0.1 * EV, d1=2.0, d2=10.0)
+ENERGY = 0.1 * EV
+
+
+def _limit_trans(theta, alpha, v_right):
+    return scatter(TransferMatrix(theta, 0.0, alpha, 1.0 / theta), 0.0, v_right, ENERGY).trans_prob
+
+
+@pytest.mark.parametrize("b2", [0.0, -0.05 * EV])
+def test_barrier_well_trans_prob_is_limit_scattering(b2):
+    a1, a2, d1, d2 = FIG4["a1"], FIG4["a2"], FIG4["d1"], FIG4["d2"]
+    delta = resonances_delta_barrier_well(
+        a2, d2, (-0.6 * EV, 0.0), a1=a1, d1=d1, energy=ENERGY
+    )
+    prime = find_resonances_deltaprime_2layer(
+        a1, a2, d1, d2, (-0.6 * EV, 0.0), b2=b2, energy=ENERGY
+    )
+    assert len(delta.roots) == 3 and len(prime.roots) >= 2
+    for root in delta.roots:
+        # the delta set's right lead sits at b1
+        want = _limit_trans(1.0, root.alpha, root.value)
+        assert root.trans_prob == pytest.approx(want, rel=1e-12)
+    for root in prime.roots:
+        want = _limit_trans(root.theta, root.alpha, root.value + b2)
+        assert root.theta != 1.0 and root.trans_prob == pytest.approx(want, rel=1e-12)
+
+
+def test_transistor_trans_prob_is_limit_scattering():
+    p = FIG6
+    delta = resonances_transistor_delta(
+        p["d2"], 0.45 * EV, a1=p["a1"], a3=p["a3"], d1=p["d1"], d3=p["d3"],
+        v_cb=p["v_cb"], energy=ENERGY,
+    )
+    prime = find_resonances_transistor_deltaprime(
+        p["a1"], p["a3"], p["d1"], p["d2"], p["d3"], p["v_cb"], (1e-6, 0.5 * EV), energy=ENERGY
+    )
+    assert len(delta.roots) == 3 and prime.roots
+    for root in delta.roots + prime.roots:
+        want = _limit_trans(root.theta, root.alpha, -(root.value + p["v_cb"]))
+        assert root.trans_prob == pytest.approx(want, rel=1e-12)
+
+
+def _alpha_barrier_well(a1, a2, b1, b2, d1, d2):
+    """Off-diagonal strength of the barrier-well delta-prime limit in real
+    arithmetic (a1 > 0, a2 + b1 < 0; independent coding): each bias tilt
+    weighted by kappa^-3 of its own layer.  Returns (alpha, term scale)."""
+    q1 = math.sqrt(a1)
+    kap2 = math.sqrt(-(a2 + b1))
+    common = 0.25 * math.sinh(q1 * d1) * math.sin(kap2 * d2)
+    t2 = q1 * b2 / (kap2**3 * d2)
+    t1 = kap2 * b1 / (a1**1.5 * d1)
+    return (t2 - t1) * common, (abs(t1) + abs(t2)) * abs(common)
+
+
+def test_2layer_alpha_against_real_barrier_well_form(rng):
+    devices = [(FIG4["a1"], FIG4["a2"], FIG4["d1"], FIG4["d2"], b2)
+               for b2 in (0.0, -0.05 * EV, 0.1 * EV)]
+    for _ in range(10):
+        devices.append((rng.uniform(0.2, 2.0), rng.uniform(-1.0, 0.5), rng.uniform(0.5, 3.0),
+                        rng.uniform(3.0, 12.0), rng.uniform(-0.5, 0.5)))
+    checked = 0
+    for a1, a2, d1, d2, b2 in devices:
+        rset = find_resonances_deltaprime_2layer(a1, a2, d1, d2, (-2.5, 2.5), b2=b2)
+        for root in rset.roots:
+            want, scale = _alpha_barrier_well(a1, a2, root.value, b2, d1, d2)
+            assert abs(root.alpha - want) <= 1e-12 * scale
+            checked += 1
+    assert checked > 20
+
+
+# --- level enumeration --------------------------------------------------------
+
+
+def _naive_levels(start, d, sign, offset, lo, hi):
+    """Every sign * (x pi / d)^2 + offset in [lo, hi], x walked up from start
+    until the levels leave the interval (the direct loop)."""
+    out, x = [], start
+    while True:
+        v = sign * (x * math.pi / d) ** 2 + offset
+        if (sign < 0 and v < lo) or (sign > 0 and v > hi):
+            return out
+        if lo <= v <= hi:
+            out.append(v)
+        x += 1
+
+
+def test_closed_form_sets_match_direct_level_loop(rng):
+    for i in range(400):
+        a1, a2, d2 = 1.0, rng.uniform(-2.0, 1.0), 10.0 ** rng.uniform(0.0, 3.0)
+        lo = rng.uniform(-5.0, 1.0)
+        hi = lo + rng.choice([1e-3, 0.1, 3.0])
+        if i % 2:
+            # interval ends exactly on levels, where round-off decides
+            n_hi, n_lo = sorted(rng.integers(1, 300, 2))
+            lo, hi = (-((n * math.pi / d2) ** 2) - a2 for n in (n_lo, n_hi))
+        rset = resonances_delta_barrier_well(a2, d2, (lo, hi), a1=a1, d1=2.0)
+        assert list(rset.values()) == sorted(_naive_levels(1, d2, -1.0, -a2, lo, hi))
+        v_max = rng.uniform(1e-3, 5.0) if i % 2 else (rng.integers(1, 300) * math.pi / d2) ** 2
+        rset = resonances_transistor_delta(d2, v_max, a1=1.0, a3=1.0, d1=1.0, d3=1.0, v_cb=0.0)
+        assert list(rset.values()) == _naive_levels(1, d2, 1.0, 0.0, 0.0, v_max)
+        assert [r.n for r in rset.roots] == list(range(1, len(rset.roots) + 1))
+
+
+def test_level_count_bounded_before_enumeration():
+    kw = dict(a1=1.0, a3=1.0, d1=1.0, d3=1.0, v_cb=0.0)
+    with pytest.raises(ValueError, match="levels"):
+        resonances_transistor_delta(10.0, 1e300, **kw)
+    with pytest.raises(ValueError, match="levels"):
+        resonances_delta_barrier_well(-0.1, 10.0, (-1e300, 0.0), a1=1.0, d1=2.0)
+    with pytest.raises(ValueError, match="levels"):
+        find_resonances_deltaprime_2layer(1.0, -0.1, 2.0, 10.0, (-1e300, 0.0))
+    # just under the bound: (n pi / d2)^2 <= v_max for n <= MAX_LEVELS - 1
+    v_max = ((MAX_LEVELS - 0.5) * math.pi / 10.0) ** 2
+    assert len(resonances_transistor_delta(10.0, v_max, **kw).roots) == MAX_LEVELS - 1
+
+
+def test_closed_form_level_the_classifier_cannot_resolve_is_an_error():
+    # a2 + b cancels to ~1e-9 relative at |a2| = 1e7, beyond the classifier's
+    # on-set tolerance: the level is rejected, not returned without limit data
+    with pytest.raises(ValueError, match="double precision"):
+        resonances_delta_barrier_well(-1e7, 10.0, (1e7 - 1.0, 1e7), a1=1.0, d1=2.0)
+    rset = resonances_delta_barrier_well(-1e6, 10.0, (1e6 - 1.0, 1e6), a1=1.0, d1=2.0)
+    assert len(rset.roots) == 3
