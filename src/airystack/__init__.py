@@ -36,12 +36,10 @@ from .limits import (
 from .potential import (
     EV_TO_INVNM2,
     ConcreteLayer,
-    DerivedCoefficients,
     LayerSpec,
     RegionClass,
     StructureSpec,
     classify_region,
-    derived_coefficients,
     ev_to_invnm2,
     invnm2_to_ev,
     realize,

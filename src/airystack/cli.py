@@ -23,42 +23,25 @@ from .potential import (
     invnm2_to_ev,
     realize,
 )
-from .resonance import (
-    ResonanceEquation,
-    find_resonances_deltaprime_2layer,
-    find_resonances_transistor_deltaprime,
-    resonances_delta_barrier_well,
-    resonances_transistor_delta,
-)
+from .resonance import FINDERS, ResonanceEquation
 from .scattering import scatter
 from .sweep import SweepRequest, run_sweep, sweep_to_csv, sweep_to_json
 from .transfer import structure_matrix
 
 
-# scenario -> (layer power template, sign s, solvers).  Each equation's
-# variable is s * b1, b1 being layer 0's bias.  A solver maps
-# (layers, lo, hi, energy) to a ResonanceSet holding at least the roots in
-# [lo, hi]; the first one is the closed form a sweep of layer 0 is
-# compared against.
+# scenario -> (layer power template, sign s, equations).  Each equation's
+# variable is s * b1, b1 being layer 0's bias; the first equation is the
+# closed form a sweep of layer 0 is compared against.
 SCENARIOS = {
-    "fig3_barrier_well": (((1.0, 1.0), (2.0, 1.0)), 1.0, {
-        ResonanceEquation.EQ73_DELTA_BARRIER_WELL: lambda ls, lo, hi, e: (
-            resonances_delta_barrier_well(
-                ls[1].a, ls[1].d, (lo, hi), a1=ls[0].a, d1=ls[0].d, energy=e)),
-        ResonanceEquation.EQ69_DELTAPRIME_2LAYER: lambda ls, lo, hi, e: (
-            find_resonances_deltaprime_2layer(
-                ls[0].a, ls[1].a, ls[0].d, ls[1].d, (lo, hi), b2=ls[1].b, energy=e)),
-    }),
-    "fig5_transistor": (((1.0, 1.0), (2.0, 0.0), (1.0, 1.0)), -1.0, {
-        ResonanceEquation.EQ76_TRANSISTOR_DELTA: lambda ls, lo, hi, e: (
-            resonances_transistor_delta(
-                ls[1].d, hi, a1=ls[0].a, a3=ls[2].a, d1=ls[0].d, d3=ls[2].d,
-                v_cb=-ls[2].b, energy=e)),
-        ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME: lambda ls, lo, hi, e: (
-            find_resonances_transistor_deltaprime(
-                ls[0].a, ls[2].a, ls[0].d, ls[1].d, ls[2].d, -ls[2].b, (lo, hi), energy=e)),
-    }),
-    "custom": (None, None, {}),
+    "fig3_barrier_well": (((1.0, 1.0), (2.0, 1.0)), 1.0, (
+        ResonanceEquation.EQ73_DELTA_BARRIER_WELL,
+        ResonanceEquation.EQ69_DELTAPRIME_2LAYER,
+    )),
+    "fig5_transistor": (((1.0, 1.0), (2.0, 0.0), (1.0, 1.0)), -1.0, (
+        ResonanceEquation.EQ76_TRANSISTOR_DELTA,
+        ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME,
+    )),
+    "custom": (None, None, ()),
 }
 
 # JSON value types and the Python types that carry them; a bool never
@@ -218,13 +201,17 @@ def cmd_scatter(args) -> int:
     return 0
 
 
-def _solve(solver, layers, lo: float, hi: float, energy: float | None):
-    """A registry solver's roots on [lo, hi]; its argument checks are config errors."""
+def _solve(eq: ResonanceEquation, stack: StructureSpec, lo: float, hi: float, energy):
+    """The equation's roots on [lo, hi]; its finder's argument checks are
+    config errors, an evanescent lead stays a physics error."""
     try:
-        rset = solver(layers, lo, hi, energy)
+        return FINDERS[eq](stack, lo, hi, energy)
+    except EvanescentLeadError:
+        raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return type(rset)(rset.equation, tuple(r for r in rset.roots if lo <= r.value <= hi))
+    except OverflowError as exc:
+        raise ConfigError(f"a device value overflows the closed form ({exc})") from exc
 
 
 def cmd_resonances(args) -> int:
@@ -232,14 +219,13 @@ def cmd_resonances(args) -> int:
     eq = _EQUATIONS.get(args.equation)
     if eq is None:
         raise ConfigError(f"unknown equation {args.equation!r}")
-    solver = SCENARIOS[cfg.scenario][2].get(eq)
-    if solver is None:
+    if eq not in SCENARIOS[cfg.scenario][2]:
         raise ConfigError(f"equation {eq.value} does not apply to scenario {cfg.scenario!r}")
     scale = _UNITS[args.units]
     lo, hi = args.interval[0] * scale, args.interval[1] * scale
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ConfigError(f"interval needs finite LO < HI, got {args.interval}")
-    rset = _solve(solver, cfg.spec.layers, lo, hi, cfg.energy)
+    rset = _solve(eq, cfg.spec, lo, hi, cfg.energy)
     print("n,value_eV,value_invnm2,theta,alpha,T_n,admissible")
     for root in rset.roots:
         theta = "" if root.theta is None else repr(root.theta)
@@ -281,12 +267,14 @@ def cmd_sweep(args) -> int:
         print("note: epsilon < 0.02 drives Airy arguments to |z| ~ 1e4; "
               "scaled evaluation is in effect", file=sys.stderr)
     roots: tuple[float, ...] = ()
-    _, sign, solvers = SCENARIOS[cfg.scenario]
-    if solvers and req.tuned_layer == 0:
+    template, sign, equations = SCENARIOS[cfg.scenario]
+    # the closed form describes the template's squeeze only
+    squeeze = [(layer.mu, layer.nu) for layer in cfg.spec.layers]
+    if equations and req.tuned_layer == 0 and squeeze == list(template):
         # grid value v sets b1 = tuned_sign * v, so the variable is k * v
         k = sign * req.tuned_sign
         lo, hi = sorted((k * req.grid_lo, k * req.grid_hi))
-        rset = _solve(next(iter(solvers.values())), cfg.spec.layers, lo, hi, None)
+        rset = _solve(equations[0], cfg.spec, lo, hi, None)
         roots = tuple(sorted(k * r.value for r in rset.roots))
     result = run_sweep(req, reference_roots=roots)
     csv_text = sweep_to_csv(result)

@@ -417,26 +417,6 @@ class TransistorSpec:
         if not (self.d1 > 0 and self.d2 > 0 and self.d3 > 0):
             raise ValueError("layer widths must be positive")
 
-    def structure(self, v_eb: float, v_cb: float, powers: str) -> StructureSpec:
-        """Realizable five-number stack for the chosen squeeze model.
-
-        powers = "delta": barriers at (1,1), base at (2,0);
-        powers = "delta_prime": all mu = 2, barrier nu = 1, base nu = 0.
-        """
-        if powers == "delta":
-            mu1 = mu3 = 1.0
-        elif powers == "delta_prime":
-            mu1 = mu3 = 2.0
-        else:
-            raise ValueError(f"unknown power set {powers!r}")
-        return StructureSpec(
-            (
-                LayerSpec(self.a1, -v_eb, self.d1, mu1, 1.0),
-                LayerSpec(0.0, 0.0, self.d2, 2.0, 0.0),
-                LayerSpec(self.a3, -v_cb, self.d3, mu3, 1.0),
-            )
-        )
-
 
 def transistor_delta_limit(
     params: TransistorSpec, v_eb: float, v_cb: float

@@ -22,10 +22,8 @@ __all__ = [
     "LayerSpec",
     "StructureSpec",
     "ConcreteLayer",
-    "DerivedCoefficients",
     "RegionClass",
     "realize",
-    "derived_coefficients",
     "classify_region",
 ]
 
@@ -137,35 +135,6 @@ def realize(spec: StructureSpec, epsilon: float) -> list[ConcreteLayer]:
         out.append(ConcreteLayer(v_left, v_right, epsilon * layer.d))
         shift += layer.b
     return out
-
-
-@dataclass(frozen=True)
-class DerivedCoefficients:
-    """Per-layer quantities entering the squeezed-limit formulas.
-
-    kappa is sqrt(-(a + upstream bias)); when the shifted coefficient is
-    positive (barrier) kappa stores sqrt(+shifted) and kappa_is_imaginary
-    is set.
-    """
-
-    alpha: float
-    kappa: float
-    kappa_is_imaginary: bool
-    shifted_a: float
-
-    @property
-    def kappa_complex(self) -> complex:
-        return 1j * self.kappa if self.kappa_is_imaginary else complex(self.kappa)
-
-
-def derived_coefficients(spec: StructureSpec, layer_index: int) -> DerivedCoefficients:
-    layer = spec.layers[layer_index]
-    shift = spec.cumulative_bias(layer_index)
-    shifted = layer.a + shift
-    alpha = (shifted + 0.5 * layer.b) * layer.d
-    imaginary = shifted > 0
-    kappa = math.sqrt(shifted if imaginary else -shifted)
-    return DerivedCoefficients(alpha, kappa, imaginary, shifted)
 
 
 class RegionClass(Enum):

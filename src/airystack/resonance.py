@@ -10,10 +10,10 @@ the limit data (theta, alpha, on-resonance transmission) attached.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import NotAResonanceRootError
+from .errors import EvanescentLeadError, NotAResonanceRootError
 from .limits import (
     LimitKind,
     TransistorSpec,
@@ -31,6 +31,7 @@ __all__ = [
     "ResonanceEquation",
     "ResonanceRoot",
     "ResonanceSet",
+    "FINDERS",
     "scan_and_bisect",
     "resonances_delta_barrier_well",
     "resonances_transistor_delta",
@@ -153,96 +154,109 @@ def _levels(start, d: float, sign: float, offset: float, lo: float, hi: float) -
     return [v for v in values if lo <= v <= hi]
 
 
+def _tuned(stack: StructureSpec, b1: float, powers) -> StructureSpec:
+    """stack with layer 0's bias set to b1 and layer i squeezed at powers[i]."""
+    layers = tuple(
+        LayerSpec(layer.a, layer.b if i else b1, layer.d, mu, nu)
+        for i, (layer, (mu, nu)) in enumerate(zip(stack.layers, powers))
+    )
+    return replace(stack, layers=layers)
+
+
+def _transistor(stack: StructureSpec) -> tuple[TransistorSpec, float]:
+    """Double-barrier parameters of a three-layer stack and v_cb = -b3; the
+    closed forms hold for a flat, unbiased base only."""
+    emitter, base, collector = stack.layers
+    if base.a != 0.0 or base.b != 0.0:
+        raise ValueError("the transistor base must be flat and unbiased (a = b = 0)")
+    return TransistorSpec(emitter.a, collector.a, emitter.d, base.d, collector.d), -collector.b
+
+
 def _root(n: int, value: float, limit, stack: StructureSpec, energy, **fields) -> ResonanceRoot:
     """Root at value carrying its limit's alpha, theta and admissibility; with
     an energy, T_n through the limit matrix between the stack's leads
-    (theta = 1 for a delta limit)."""
+    (theta = 1 for a delta limit).  A lead at or above the energy is an
+    EvanescentLeadError, a non-finite alpha or T_n a ValueError."""
     if limit.alpha is None:
         raise ValueError(f"{value!r} is off the limit's resonance set in double precision")
     trans = None
     if energy is not None:
         v_left, v_right = stack.lead_potentials()
+        if energy <= v_left or energy <= v_right:
+            raise EvanescentLeadError(
+                f"energy {energy!r} not above lead potentials ({v_left!r}, {v_right!r}) "
+                f"at the root {value!r}"
+            )
         trans = limit_transmission_on_resonance(
             1.0 if limit.theta is None else limit.theta,
             limit.alpha,
             math.sqrt(energy - v_left),
             math.sqrt(energy - v_right),
         )
+    if not (math.isfinite(limit.alpha) and (trans is None or math.isfinite(trans))):
+        raise ValueError(f"alpha = {limit.alpha!r} or T_n = {trans!r} at {value!r} is not finite")
     fields = {"theta": limit.theta, "admissible": not limit.warnings, **fields}
     return ResonanceRoot(n, value, limit.alpha, trans_prob=trans, **fields)
 
 
+# Every finder maps (stack, lo, hi, energy) to the resonance set on [lo, hi]
+# of the tuned variable.  It reads widths, coefficients, biases and leads
+# from the stack, tunes layer 0's bias (b1 for the barrier-well devices,
+# b1 = -v_eb for the transistor) and squeezes each layer at the powers its
+# equation is derived for; the stack's own powers play no part.
+
+
 def resonances_delta_barrier_well(
-    a2: float,
-    d2: float,
-    b1_range: tuple[float, float],
-    *,
-    a1: float,
-    d1: float,
-    energy: float | None = None,
+    stack: StructureSpec, lo: float, hi: float, energy: float | None = None
 ) -> ResonanceSet:
     """Closed-form bias set of the barrier-well delta limit:
-    b_1n = -(n pi / d2)^2 - a2 for n >= 1, restricted to b1_range.
-
-    a1, d1 fix the barrier so each root carries its delta strength; with
-    an energy the on-resonance transmission is attached (left lead at
-    zero, right lead at the bias b).
-    """
-    if not d2 > 0:
-        raise ValueError("d2 must be positive")
+    b_1n = -(n pi / d2)^2 - a2 for n >= 1 inside [lo, hi], squeezed at
+    (1,1) + (2,1).  Each root carries the barrier's delta strength; with an
+    energy the on-resonance transmission between the leads is attached."""
+    barrier, well = stack.layers
+    # The well's bias b2 enters neither alpha nor the right lead yet (its
+    # first-order terms are not derived): the set is the unbiased well's.
+    stack = replace(stack, layers=(barrier, replace(well, b=0.0)))
     roots = []
-    for b in sorted(_levels(1, d2, -1.0, -a2, *b1_range)):
-        stack = StructureSpec((LayerSpec(a1, b, d1, 1.0, 1.0), LayerSpec(a2, 0.0, d2, 2.0, 1.0)))
-        limit = two_layer_limit_matrices(stack, TwoLayerMode.RESONANT_DELTA)
-        roots.append(_root(limit.n, b, limit, stack, energy))
+    for b in sorted(_levels(1, well.d, -1.0, -well.a, lo, hi)):
+        tuned = _tuned(stack, b, ((1.0, 1.0), (2.0, 1.0)))
+        limit = two_layer_limit_matrices(tuned, TwoLayerMode.RESONANT_DELTA)
+        roots.append(_root(limit.n, b, limit, tuned, energy))
     return ResonanceSet(ResonanceEquation.EQ73_DELTA_BARRIER_WELL, tuple(roots))
 
 
 def resonances_transistor_delta(
-    d2: float,
-    v_eb_max: float,
-    *,
-    a1: float,
-    a3: float,
-    d1: float,
-    d3: float,
-    v_cb: float,
-    energy: float | None = None,
+    stack: StructureSpec, lo: float, hi: float, energy: float | None = None
 ) -> ResonanceSet:
     """Closed-form emitter-voltage set of the transistor delta limit:
-    V_n = (n pi / d2)^2 for n >= 1 up to v_eb_max, with the summed barrier
-    strength attached per root."""
-    if not (d2 > 0 and v_eb_max > 0):
-        raise ValueError("d2 and v_eb_max must be positive")
-    params = TransistorSpec(a1, a3, d1, d2, d3)
+    V_n = (n pi / d2)^2 for n >= 1 inside [max(lo, 0), hi], squeezed at
+    (1,1) + (2,0) + (1,1), with the summed barrier strength per root."""
+    params, v_cb = _transistor(stack)
+    if not hi > 0:
+        raise ValueError(f"emitter voltages are positive, so hi must be > 0, got {hi!r}")
     roots = []
-    for v in _levels(1, d2, 1.0, 0.0, 0.0, v_eb_max):
+    for v in _levels(1, params.d2, 1.0, 0.0, max(lo, 0.0), hi):
         limit = transistor_delta_limit(params, v, v_cb)
-        stack = params.structure(v, v_cb, "delta")
-        roots.append(_root(limit.n, v, limit, stack, energy, theta=1.0))
+        tuned = _tuned(stack, -v, ((1.0, 1.0), (2.0, 0.0), (1.0, 1.0)))
+        roots.append(_root(limit.n, v, limit, tuned, energy, theta=1.0))
     return ResonanceSet(ResonanceEquation.EQ76_TRANSISTOR_DELTA, tuple(roots))
 
 
 def find_resonances_deltaprime_2layer(
-    a1: float,
-    a2: float,
-    d1: float,
-    d2: float,
-    b1_interval: tuple[float, float],
-    *,
-    b2: float = 0.0,
-    energy: float | None = None,
+    stack: StructureSpec, lo: float, hi: float, energy: float | None = None
 ) -> ResonanceSet:
     """Bias roots of the two-layer delta-prime condition
-    sqrt(a1) tanh(sqrt(a1) d1) = kappa2 tan(kappa2 d2), kappa2^2 = -(a2 + b1).
+    sqrt(a1) tanh(sqrt(a1) d1) = kappa2 tan(kappa2 d2), kappa2^2 = -(a2 + b1),
+    squeezed at (2,1) + (2,1).
 
     Only the well branch (a2 + b1 < 0) can resonate, so the interval is
     clipped at the branch boundary b1 = -a2.  The scan is pre-split at
     the tangent poles kappa2 d2 = (m + 1/2) pi.
     """
+    barrier, well = stack.layers
+    a1, a2, d1, d2 = barrier.a, well.a, barrier.d, well.d
     if not a1 > 0:
         raise ValueError("first layer must be a barrier (a1 > 0)")
-    lo, hi = b1_interval
     hi = min(hi, -a2 - 1e-12 * max(1.0, abs(a2)))
     if not hi > lo:
         return ResonanceSet(ResonanceEquation.EQ69_DELTAPRIME_2LAYER, ())
@@ -252,39 +266,31 @@ def find_resonances_deltaprime_2layer(
 
     roots = []
     for b in scan_and_bisect(f, lo, hi, poles=tuple(_levels(0.5, d2, -1.0, -a2, lo, hi))):
-        stack = StructureSpec((LayerSpec(a1, b, d1, 2.0, 1.0), LayerSpec(a2, b2, d2, 2.0, 1.0)))
-        limit = two_layer_limit_matrices(stack, TwoLayerMode.DELTA_PRIME)
+        tuned = _tuned(stack, b, ((2.0, 1.0), (2.0, 1.0)))
+        limit = two_layer_limit_matrices(tuned, TwoLayerMode.DELTA_PRIME)
         # a candidate that bisected into a tangent pole classifies as a wall
         if limit.kind is not LimitKind.OPAQUE_WALL:
             resid, scale = two_layer_resonance_residual(a1, a2 + b, d1, d2)
             residual = abs(resid) / max(scale, 1e-300)
-            roots.append(_root(len(roots) + 1, b, limit, stack, energy, residual=residual))
+            roots.append(_root(len(roots) + 1, b, limit, tuned, energy, residual=residual))
     return ResonanceSet(ResonanceEquation.EQ69_DELTAPRIME_2LAYER, tuple(roots))
 
 
 def find_resonances_transistor_deltaprime(
-    a1: float,
-    a3: float,
-    d1: float,
-    d2: float,
-    d3: float,
-    v_cb: float,
-    v_eb_interval: tuple[float, float],
-    *,
-    energy: float | None = None,
+    stack: StructureSpec, lo: float, hi: float, energy: float | None = None
 ) -> ResonanceSet:
-    """Emitter-voltage roots of the transistor delta-prime condition.
+    """Emitter-voltage roots of the transistor delta-prime condition,
+    squeezed at (2,1) + (2,0) + (2,1).
 
     The search domain is (0, a3) shrunk by a 1e-8 margin against the
     endpoint singularities; tangent poles of the base phase are split
     out analytically.  Each root is validated through the four-way theta
     cross-check before its limit data is attached.
     """
-    params = TransistorSpec(a1, a3, d1, d2, d3)
-    lo, hi = v_eb_interval
-    margin = 1e-8 * max(1.0, a3)
+    params, v_cb = _transistor(stack)
+    margin = 1e-8 * max(1.0, params.a3)
     lo = max(lo, margin)
-    hi = min(hi, a3 - margin)
+    hi = min(hi, params.a3 - margin)
     if not hi > lo:
         return ResonanceSet(ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, ())
 
@@ -292,13 +298,22 @@ def find_resonances_transistor_deltaprime(
         return transistor_resonance_residual(params, v)[0]
 
     roots = []
-    for v in scan_and_bisect(f, lo, hi, poles=tuple(_levels(0.5, d2, 1.0, 0.0, lo, hi))):
+    for v in scan_and_bisect(f, lo, hi, poles=tuple(_levels(0.5, params.d2, 1.0, 0.0, lo, hi))):
         try:
             limit = transistor_deltaprime_limit(params, v, v_cb)
         except NotAResonanceRootError:
             continue  # bisection converged onto a tangent pole, not a root
         resid, scale = transistor_resonance_residual(params, v)
         residual = abs(resid) / max(scale, 1e-300)
-        stack = params.structure(v, v_cb, "delta_prime")
-        roots.append(_root(len(roots) + 1, v, limit, stack, energy, residual=residual))
+        tuned = _tuned(stack, -v, ((2.0, 1.0), (2.0, 0.0), (2.0, 1.0)))
+        roots.append(_root(len(roots) + 1, v, limit, tuned, energy, residual=residual))
     return ResonanceSet(ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, tuple(roots))
+
+
+# equation -> its finder, all of the shape above
+FINDERS = {
+    ResonanceEquation.EQ73_DELTA_BARRIER_WELL: resonances_delta_barrier_well,
+    ResonanceEquation.EQ69_DELTAPRIME_2LAYER: find_resonances_deltaprime_2layer,
+    ResonanceEquation.EQ76_TRANSISTOR_DELTA: resonances_transistor_delta,
+    ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME: find_resonances_transistor_deltaprime,
+}

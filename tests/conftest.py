@@ -7,6 +7,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from airystack.limits import TransistorSpec
+from airystack.potential import LayerSpec, StructureSpec
 
 
 def ode_layer_matrix(v0, v1, width, energy, rtol=1e-12, atol=1e-14):
@@ -72,6 +73,23 @@ def transistor_resonance_residual_product_form(
     t2 = math.tan(k2 * params.d2)
     terms = ((q1 * q3 / k2) * t1 * t2 * t3, q1 * t1, q3 * t3, -k2 * t2)
     return math.fsum(terms), sum(abs(t) for t in terms)
+
+
+def barrier_well_stack(a1, d1, a2, d2, b2=0.0, v_left=0.0, v_right=None):
+    """Barrier a1/d1 then well a2/d2 with bias b2, as a resonance finder takes
+    it: the finder tunes layer 0's bias and sets the squeeze powers."""
+    layers = (LayerSpec(a1, 0.0, d1, 1.0, 1.0), LayerSpec(a2, b2, d2, 2.0, 1.0))
+    return StructureSpec(layers, v_left, v_right)
+
+
+def transistor_stack(a1, a3, d1, d2, d3, v_cb, v_left=0.0, v_right=None):
+    """Barrier a1/d1, flat unbiased base d2, barrier a3/d3 biased by -v_cb."""
+    layers = (
+        LayerSpec(a1, 0.0, d1, 1.0, 1.0),
+        LayerSpec(0.0, 0.0, d2, 2.0, 0.0),
+        LayerSpec(a3, -v_cb, d3, 1.0, 1.0),
+    )
+    return StructureSpec(layers, v_left, v_right)
 
 
 @pytest.fixture

@@ -40,7 +40,7 @@ from airystack.transfer import (
     structure_matrix,
 )
 
-from conftest import ode_layer_matrix
+from conftest import barrier_well_stack, ode_layer_matrix, transistor_stack
 
 EV = EV_TO_INVNM2
 SEED = 20260811
@@ -361,7 +361,7 @@ def test_c11_transcendental_root_finders():
         d2 = rng.uniform(3.0, 12.0)
         lo = -2.5
         hi = min(2.5, -a2 - 1e-12 * max(1.0, abs(a2)))
-        rset = find_resonances_deltaprime_2layer(a1, a2, d1, d2, (lo, 2.5))
+        rset = find_resonances_deltaprime_2layer(barrier_well_stack(a1, d1, a2, d2), lo, 2.5)
 
         def f(b1):
             return two_layer_resonance_residual(a1, a2 + b1, d1, d2)[0]
@@ -391,7 +391,7 @@ def test_c11_transcendental_root_finders():
         d2 = rng.uniform(4.0, 12.0)
         v_cb = rng.uniform(0.0, 0.8)
         rset = find_resonances_transistor_deltaprime(
-            a1, a3, d1, d2, d3, v_cb, (0.0, a3)
+            transistor_stack(a1, a3, d1, d2, d3, v_cb), 0.0, a3
         )
         params = TransistorSpec(a1, a3, d1, d2, d3)
 

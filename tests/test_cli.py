@@ -284,6 +284,16 @@ MALFORMED = {
         [(("layers", 0, "a"), -0.1)],
         ["resonances", "--equation", "EQ76", "--interval", "0.0", "0.4"],
     ),
+    "eq76-base-a": (
+        FIG6,
+        [(("layers", 1, "a"), -0.02)],
+        ["resonances", "--equation", "EQ76", "--interval", "0.0", "0.4"],
+    ),
+    "eq83-base-b": (
+        FIG6,
+        [(("layers", 1, "b"), -0.03)],
+        ["resonances", "--equation", "EQ83", "--interval", "0.001", "0.49"],
+    ),
     "eq76-negative-interval": (
         FIG6, [], ["resonances", "--equation", "EQ76", "--interval", "-0.4", "-0.1"]
     ),
@@ -293,6 +303,19 @@ MALFORMED = {
     ),
     "layer-a-overflow-scatter": (FIG4, [(("layers", 0, "a"), 1e308)], ["scatter"]),
     "layer-a-overflow-eq73": (FIG4, [(("layers", 0, "a"), 1e308)], EQ73),
+    "alpha-overflow-invnm2": (
+        FIG4, [(("units",), "invnm2"), (("layers", 0, "a"), 1e308)], EQ73
+    ),
+    "eq83-theta-overflow-invnm2": (
+        FIG6,
+        [(("units",), "invnm2"), (("layers", 0, "a"), 1e200)],
+        ["resonances", "--equation", "EQ83", "--interval", "0.001", "0.4"],
+    ),
+    "eq69-theta-overflow-invnm2": (
+        FIG4,
+        [(("units",), "invnm2"), (("layers", 0, "d"), 1e300)],
+        ["resonances", "--equation", "EQ69", "--interval", "-0.6", "0.0"],
+    ),
     "sweep-hi-overflow": (FIG4, [(("sweep", "hi"), 1e308)], SWEEP),
     "scatter-energy-overflow": (FIG4, [], ["scatter", "--energy", "1e308"]),
     "scatter-epsilon-tiny": (FIG4, [], ["scatter", "--epsilon", "1e-300"]),
@@ -314,6 +337,14 @@ def test_resonances_empty_interval_prints_header_only(capsys):
     cfg = str(REPO / "configs" / "fig4.json")
     assert main(EQ73[:1] + [cfg] + EQ73[1:-2] + ["-0.01", "-0.005"]) == 0
     assert capsys.readouterr().out == "n,value_eV,value_invnm2,theta,alpha,T_n,admissible\n"
+
+
+def test_resonances_evanescent_lead_at_root_exit_3(tmp_path, capsys):
+    # the n = 1 level at b1 ~ +0.062 eV puts the right lead above E = 0.01 eV
+    cfg = write_config(tmp_path, edited(FIG4, [(("energy",), 0.01)]))
+    assert main(EQ73[:1] + [cfg] + EQ73[1:-2] + ["-0.6", "0.1"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("physics error:")
 
 
 def sweep_json(tmp_path, doc):
@@ -351,5 +382,12 @@ def test_sweep_sign_flipped_fig6_reference_roots(tmp_path):
 
 def test_sweep_of_other_layer_has_no_reference_roots(tmp_path):
     doc = sweep_json(tmp_path, edited(FIG4, [(("sweep", "tuned_layer"), 1)]))
+    assert doc["reference_roots_invnm2"] == []
+    assert all(s["convergence_invnm2"] == [] for s in doc["sweeps"])
+
+
+def test_sweep_of_other_squeeze_has_no_reference_roots(tmp_path):
+    # EQ73's roots belong to the (1,1) + (2,1) squeeze, not to a (2,1) barrier
+    doc = sweep_json(tmp_path, edited(FIG4, [(("layers", 0, "mu"), 2)]))
     assert doc["reference_roots_invnm2"] == []
     assert all(s["convergence_invnm2"] == [] for s in doc["sweeps"])

@@ -29,7 +29,7 @@ from airystack.limits import (
 from airystack.potential import ConcreteLayer, LayerSpec, StructureSpec, realize
 from airystack.scattering import scatter
 from airystack.transfer import layer_matrix_constant, layer_matrix_linear, structure_matrix
-from conftest import transistor_resonance_residual_product_form
+from conftest import transistor_resonance_residual_product_form, transistor_stack
 
 
 def exact_matrix_from_z(z0, z1, sigma, energy=1.0):
@@ -410,6 +410,7 @@ def test_two_layer_power_validation():
 
 FIG6 = TransistorSpec(a1=1.31232, a3=1.31232, d1=2.0, d2=10.0, d3=2.0)
 VCB = 0.524928  # 0.2 eV
+FIG6_STACK = transistor_stack(FIG6.a1, FIG6.a3, FIG6.d1, FIG6.d2, FIG6.d3, VCB)
 
 
 def test_transistor_delta_resonance_values():
@@ -441,9 +442,7 @@ def test_transistor_delta_off_resonance_and_warnings():
 def test_transistor_deltaprime_root_cross_checks():
     from airystack.resonance import find_resonances_transistor_deltaprime
 
-    rset = find_resonances_transistor_deltaprime(
-        FIG6.a1, FIG6.a3, FIG6.d1, FIG6.d2, FIG6.d3, VCB, (1e-6, FIG6.a3 - 1e-6)
-    )
+    rset = find_resonances_transistor_deltaprime(FIG6_STACK, 1e-6, FIG6.a3 - 1e-6)
     assert rset.roots
     for root in rset.roots:
         v = root.value
@@ -491,9 +490,7 @@ def test_transistor_residual_forms_share_roots():
     # the explicit and product forms vanish together
     from airystack.resonance import find_resonances_transistor_deltaprime
 
-    rset = find_resonances_transistor_deltaprime(
-        FIG6.a1, FIG6.a3, FIG6.d1, FIG6.d2, FIG6.d3, VCB, (0.01, 1.2)
-    )
+    rset = find_resonances_transistor_deltaprime(FIG6_STACK, 0.01, 1.2)
     for root in rset.roots:
         r1, s1 = transistor_resonance_residual(FIG6, root.value)
         r2, s2 = transistor_resonance_residual_product_form(FIG6, root.value)

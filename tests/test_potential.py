@@ -1,4 +1,4 @@
-"""Structure realization, derived coefficients, region classification, units."""
+"""Structure realization, region classification, units."""
 
 
 import pytest
@@ -10,7 +10,6 @@ from airystack.potential import (
     RegionClass,
     StructureSpec,
     classify_region,
-    derived_coefficients,
     ev_to_invnm2,
     invnm2_to_ev,
     realize,
@@ -114,31 +113,6 @@ def test_lead_defaults_and_override():
     assert v_r == pytest.approx(0.2 - 0.4 + 0.1)
     spec2 = StructureSpec(spec.layers, 0.2, v_right_override=-1.0)
     assert spec2.lead_potentials()[1] == -1.0
-
-
-def test_derived_coefficients_alpha_example():
-    spec = StructureSpec((LayerSpec(1.31232, -0.524928, 2.0, 1.0, 1.0),))
-    dc = derived_coefficients(spec, 0)
-    assert dc.alpha == pytest.approx(2.099712, rel=1e-12)
-
-
-def test_derived_coefficients_bias_free():
-    spec = StructureSpec((LayerSpec(1.5, 0.0, 2.0, 1.0, 1.0),))
-    dc = derived_coefficients(spec, 0)
-    assert dc.alpha == pytest.approx(1.5 * 2.0)
-
-
-def test_derived_coefficients_kappa_branches():
-    spec = StructureSpec((LayerSpec(-1.0, 0.1, 2.0, 2.0, 1.0),))
-    dc = derived_coefficients(spec, 0)
-    assert not dc.kappa_is_imaginary
-    assert dc.kappa == pytest.approx(1.0)
-    assert dc.kappa_complex == pytest.approx(1.0 + 0j)
-    spec = StructureSpec((LayerSpec(4.0, 0.1, 2.0, 2.0, 1.0),))
-    dc = derived_coefficients(spec, 0)
-    assert dc.kappa_is_imaginary
-    assert dc.kappa == pytest.approx(2.0)
-    assert dc.kappa_complex == pytest.approx(2.0j)
 
 
 def test_named_points():

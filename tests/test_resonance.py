@@ -21,6 +21,7 @@ from airystack.resonance import (
 )
 from airystack.scattering import scatter
 from airystack.transfer import TransferMatrix
+from conftest import barrier_well_stack, transistor_stack
 
 EV = EV_TO_INVNM2
 
@@ -47,7 +48,7 @@ def dense_scan_roots(f, lo, hi, poles, n=10_000):
 
 def test_barrier_well_set_matches_figure_values():
     rset = resonances_delta_barrier_well(
-        -0.1 * EV, 10.0, (-0.6 * EV, 0.0), a1=0.5 * EV, d1=2.0, energy=0.1 * EV
+        barrier_well_stack(0.5 * EV, 2.0, -0.1 * EV, 10.0), -0.6 * EV, 0.0, energy=0.1 * EV
     )
     got = sorted((-r.value / EV for r in rset.roots))
     assert len(got) == 3
@@ -60,18 +61,18 @@ def test_barrier_well_set_matches_figure_values():
 
 def test_barrier_well_unbiased_root_at_zero():
     a2 = -((math.pi / 10.0) ** 2)
-    rset = resonances_delta_barrier_well(a2, 10.0, (-0.1, 0.1), a1=1.0, d1=2.0)
+    rset = resonances_delta_barrier_well(barrier_well_stack(1.0, 2.0, a2, 10.0), -0.1, 0.1)
     assert any(r.n == 1 and abs(r.value) < 1e-15 for r in rset.roots)
 
 
 def test_barrier_well_empty_range():
-    rset = resonances_delta_barrier_well(-0.25, 10.0, (0.5, 0.6), a1=1.0, d1=2.0)
+    rset = resonances_delta_barrier_well(barrier_well_stack(1.0, 2.0, -0.25, 10.0), 0.5, 0.6)
     assert rset.roots == ()
 
 
 def test_barrier_well_admissibility_flag():
     rset = resonances_delta_barrier_well(
-        -0.1 * EV, 10.0, (-0.6 * EV, 0.0), a1=0.5 * EV, d1=2.0
+        barrier_well_stack(0.5 * EV, 2.0, -0.1 * EV, 10.0), -0.6 * EV, 0.0
     )
     flags = {r.n: r.admissible for r in rset.roots}
     assert flags[2] and flags[3]
@@ -80,7 +81,7 @@ def test_barrier_well_admissibility_flag():
 
 def test_barrier_well_sorted_ascending():
     rset = resonances_delta_barrier_well(
-        -0.1 * EV, 10.0, (-0.6 * EV, 0.0), a1=0.5 * EV, d1=2.0
+        barrier_well_stack(0.5 * EV, 2.0, -0.1 * EV, 10.0), -0.6 * EV, 0.0
     )
     vals = rset.values()
     assert list(vals) == sorted(vals)
@@ -88,8 +89,8 @@ def test_barrier_well_sorted_ascending():
 
 def test_transistor_delta_set_matches_figure_values():
     rset = resonances_transistor_delta(
-        10.0, 0.4 * EV, a1=0.5 * EV, a3=0.5 * EV, d1=2.0, d3=2.0,
-        v_cb=0.2 * EV, energy=0.1 * EV,
+        transistor_stack(0.5 * EV, 0.5 * EV, 2.0, 10.0, 2.0, 0.2 * EV), 0.0, 0.4 * EV,
+        energy=0.1 * EV,
     )
     got = [r.value / EV for r in rset.roots]
     assert len(got) == 3
@@ -102,15 +103,14 @@ def test_transistor_delta_set_matches_figure_values():
 
 def test_transistor_delta_empty_below_first():
     rset = resonances_transistor_delta(
-        10.0, 0.5 * (math.pi / 10.0) ** 2, a1=1.0, a3=1.0, d1=2.0, d3=2.0, v_cb=0.0
+        transistor_stack(1.0, 1.0, 2.0, 10.0, 2.0, 0.0), 0.0, 0.5 * (math.pi / 10.0) ** 2
     )
     assert rset.roots == ()
 
 
 def test_transistor_delta_scaling_law():
-    kw = dict(a1=1.0, a3=1.0, d1=2.0, d3=2.0, v_cb=0.0)
-    small = resonances_transistor_delta(10.0, 1.0, **kw)
-    large = resonances_transistor_delta(20.0, 1.0, **kw)
+    small = resonances_transistor_delta(transistor_stack(1.0, 1.0, 2.0, 10.0, 2.0, 0.0), 0.0, 1.0)
+    large = resonances_transistor_delta(transistor_stack(1.0, 1.0, 2.0, 20.0, 2.0, 0.0), 0.0, 1.0)
     for r_small in small.roots:
         quartered = next(r for r in large.roots if r.n == r_small.n)
         assert quartered.value == pytest.approx(r_small.value / 4.0, rel=1e-12)
@@ -118,7 +118,9 @@ def test_transistor_delta_scaling_law():
 
 def test_closed_forms_agree_with_generic_scanner():
     a2, d2 = -0.1 * EV, 10.0
-    closed = resonances_delta_barrier_well(a2, d2, (-0.6 * EV, 0.0), a1=0.5 * EV, d1=2.0)
+    closed = resonances_delta_barrier_well(
+        barrier_well_stack(0.5 * EV, 2.0, a2, d2), -0.6 * EV, 0.0
+    )
 
     def f(b1):
         return math.sin(math.sqrt(-(a2 + b1)) * d2)
@@ -129,7 +131,7 @@ def test_closed_forms_agree_with_generic_scanner():
         assert x == pytest.approx(root, abs=1e-12)
 
     d2 = 10.0
-    closed = resonances_transistor_delta(d2, 1.2, a1=1.0, a3=1.0, d1=1.0, d3=1.0, v_cb=0.0)
+    closed = resonances_transistor_delta(transistor_stack(1.0, 1.0, 1.0, d2, 1.0, 0.0), 0.0, 1.2)
 
     def g(v):
         return math.sin(math.sqrt(v) * d2)
@@ -163,7 +165,7 @@ def test_2layer_roots_match_dense_scan(rng):
         a2 = rng.uniform(-1.0, 0.5)
         d2 = rng.uniform(3.0, 12.0)
         lo, hi = -2.5, min(2.5, -a2 - 1e-12 * max(1.0, abs(a2)))
-        rset = find_resonances_deltaprime_2layer(a1, a2, d1, d2, (lo, 2.5))
+        rset = find_resonances_deltaprime_2layer(barrier_well_stack(a1, d1, a2, d2), lo, 2.5)
 
         def f(b1):
             return two_layer_resonance_residual(a1, a2 + b1, d1, d2)[0]
@@ -175,7 +177,7 @@ def test_2layer_roots_match_dense_scan(rng):
 
 
 def test_2layer_residuals_small():
-    rset = find_resonances_deltaprime_2layer(1.0, -0.3, 2.0, 10.0, (-2.0, 0.29))
+    rset = find_resonances_deltaprime_2layer(barrier_well_stack(1.0, 2.0, -0.3, 10.0), -2.0, 0.29)
     assert rset.roots
     for root in rset.roots:
         assert root.residual < 1e-9
@@ -186,7 +188,7 @@ def test_2layer_residuals_small():
 def test_2layer_one_root_per_pole_branch():
     a1, a2, d1, d2 = 1.0, -0.2, 2.0, 10.0
     lo, hi = -3.0, -a2 - 1e-9
-    rset = find_resonances_deltaprime_2layer(a1, a2, d1, d2, (lo, hi))
+    rset = find_resonances_deltaprime_2layer(barrier_well_stack(a1, d1, a2, d2), lo, hi)
     poles = sorted(_poles_2layer(a2, d2, lo, hi))
     edges = [lo] + poles + [hi]
     for a, b in zip(edges, edges[1:]):
@@ -205,7 +207,7 @@ def test_2layer_roots_approach_poles_for_stiff_barrier():
     poles = sorted(_poles_2layer(a2, d2, lo, hi))
     dist = {}
     for a1 in (4.0, 400.0):
-        rset = find_resonances_deltaprime_2layer(a1, a2, d1, d2, (lo, hi))
+        rset = find_resonances_deltaprime_2layer(barrier_well_stack(a1, d1, a2, d2), lo, hi)
         dist[a1] = [min(abs(v - p) for p in poles) for v in rset.values()]
     assert len(dist[4.0]) == len(dist[400.0])
     for d_soft, d_stiff in zip(dist[4.0], dist[400.0]):
@@ -214,12 +216,12 @@ def test_2layer_roots_approach_poles_for_stiff_barrier():
 
 def test_2layer_interval_clipped_at_branch_boundary():
     # interval straddling b1 = -a2 only searches the well side
-    rset = find_resonances_deltaprime_2layer(1.0, -0.3, 2.0, 10.0, (-2.0, 5.0))
+    rset = find_resonances_deltaprime_2layer(barrier_well_stack(1.0, 2.0, -0.3, 10.0), -2.0, 5.0)
     assert all(v < 0.3 for v in rset.values())
 
 
 def test_2layer_determinism():
-    args = (1.0, -0.3, 2.0, 10.0, (-2.0, 0.29))
+    args = (barrier_well_stack(1.0, 2.0, -0.3, 10.0), -2.0, 0.29)
     r1 = find_resonances_deltaprime_2layer(*args)
     r2 = find_resonances_deltaprime_2layer(*args)
     assert r1.values() == r2.values()
@@ -228,13 +230,12 @@ def test_2layer_determinism():
 # --- transistor transcendental search ---------------------------------------
 
 FIG6 = dict(a1=0.5 * EV, a3=0.5 * EV, d1=2.0, d2=10.0, d3=2.0, v_cb=0.2 * EV)
+FIG6_STACK = transistor_stack(**FIG6)
 
 
 def test_transistor_deltaprime_fig6_count_matches_dense_scan():
     lo, hi = 1e-6, 0.5 * EV
-    rset = find_resonances_transistor_deltaprime(
-        FIG6["a1"], FIG6["a3"], FIG6["d1"], FIG6["d2"], FIG6["d3"], FIG6["v_cb"], (lo, hi)
-    )
+    rset = find_resonances_transistor_deltaprime(FIG6_STACK, lo, hi)
     params = TransistorSpec(FIG6["a1"], FIG6["a3"], FIG6["d1"], FIG6["d2"], FIG6["d3"])
 
     def f(v):
@@ -256,10 +257,7 @@ def test_transistor_deltaprime_fig6_count_matches_dense_scan():
 
 
 def test_transistor_deltaprime_residuals_and_thetas():
-    rset = find_resonances_transistor_deltaprime(
-        FIG6["a1"], FIG6["a3"], FIG6["d1"], FIG6["d2"], FIG6["d3"], FIG6["v_cb"],
-        (1e-6, 0.5 * EV), energy=0.1 * EV,
-    )
+    rset = find_resonances_transistor_deltaprime(FIG6_STACK, 1e-6, 0.5 * EV, energy=0.1 * EV)
     for root in rset.roots:
         assert root.residual < 1e-9
         assert root.theta is not None and abs(root.theta) > 1.0
@@ -273,12 +271,9 @@ def test_transistor_deltaprime_wide_base_approaches_delta_set():
     offsets = {}
     for d2 in (100.0, 400.0):
         vmax = (3.2 * math.pi / d2) ** 2
-        wide = find_resonances_transistor_deltaprime(
-            1.0, 1.0, 2.0, d2, 2.0, 0.2, (1e-7, vmax)
-        )
-        delta_set = resonances_transistor_delta(
-            d2, vmax, a1=1.0, a3=1.0, d1=2.0, d3=2.0, v_cb=0.2
-        )
+        stack = transistor_stack(1.0, 1.0, 2.0, d2, 2.0, 0.2)
+        wide = find_resonances_transistor_deltaprime(stack, 1e-7, vmax)
+        delta_set = resonances_transistor_delta(stack, 0.0, vmax)
         assert len(wide.roots) >= 3
         offsets[d2] = [
             abs(g - w) / w for g, w in zip(wide.values()[:3], delta_set.values()[:3])
@@ -292,8 +287,7 @@ def test_transistor_deltaprime_wide_base_approaches_delta_set():
 
 
 def test_transistor_deltaprime_determinism():
-    args = (FIG6["a1"], FIG6["a3"], FIG6["d1"], FIG6["d2"], FIG6["d3"], FIG6["v_cb"],
-            (1e-6, 0.5 * EV))
+    args = (FIG6_STACK, 1e-6, 0.5 * EV)
     assert (
         find_resonances_transistor_deltaprime(*args).values()
         == find_resonances_transistor_deltaprime(*args).values()
@@ -301,9 +295,9 @@ def test_transistor_deltaprime_determinism():
 
 
 def test_equation_tags():
-    rset = resonances_delta_barrier_well(-0.3, 10.0, (-1.0, 0.0), a1=1.0, d1=2.0)
+    rset = resonances_delta_barrier_well(barrier_well_stack(1.0, 2.0, -0.3, 10.0), -1.0, 0.0)
     assert rset.equation is ResonanceEquation.EQ73_DELTA_BARRIER_WELL
-    rset = resonances_transistor_delta(10.0, 1.0, a1=1.0, a3=1.0, d1=1.0, d3=1.0, v_cb=0.0)
+    rset = resonances_transistor_delta(transistor_stack(1.0, 1.0, 1.0, 10.0, 1.0, 0.0), 0.0, 1.0)
     assert rset.equation is ResonanceEquation.EQ76_TRANSISTOR_DELTA
 
 
@@ -313,42 +307,46 @@ FIG4 = dict(a1=0.5 * EV, a2=-0.1 * EV, d1=2.0, d2=10.0)
 ENERGY = 0.1 * EV
 
 
-def _limit_trans(theta, alpha, v_right):
-    return scatter(TransferMatrix(theta, 0.0, alpha, 1.0 / theta), 0.0, v_right, ENERGY).trans_prob
+# (v_left, pinned v_right or None): the default leads, a raised left lead
+# and a pinned right lead
+LEADS = ((0.0, None), (0.03 * EV, None), (0.02 * EV, -0.05 * EV))
+
+
+def _limit_trans(theta, alpha, v_left, v_right):
+    matrix = TransferMatrix(theta, 0.0, alpha, 1.0 / theta)
+    return scatter(matrix, v_left, v_right, ENERGY).trans_prob
 
 
 @pytest.mark.parametrize("b2", [0.0, -0.05 * EV])
 def test_barrier_well_trans_prob_is_limit_scattering(b2):
     a1, a2, d1, d2 = FIG4["a1"], FIG4["a2"], FIG4["d1"], FIG4["d2"]
-    delta = resonances_delta_barrier_well(
-        a2, d2, (-0.6 * EV, 0.0), a1=a1, d1=d1, energy=ENERGY
-    )
-    prime = find_resonances_deltaprime_2layer(
-        a1, a2, d1, d2, (-0.6 * EV, 0.0), b2=b2, energy=ENERGY
-    )
-    assert len(delta.roots) == 3 and len(prime.roots) >= 2
-    for root in delta.roots:
-        # the delta set's right lead sits at b1
-        want = _limit_trans(1.0, root.alpha, root.value)
-        assert root.trans_prob == pytest.approx(want, rel=1e-12)
-    for root in prime.roots:
-        want = _limit_trans(root.theta, root.alpha, root.value + b2)
-        assert root.theta != 1.0 and root.trans_prob == pytest.approx(want, rel=1e-12)
+    for v_left, v_right in LEADS:
+        stack = barrier_well_stack(a1, d1, a2, d2, b2, v_left, v_right)
+        delta = resonances_delta_barrier_well(stack, -0.6 * EV, 0.0, energy=ENERGY)
+        prime = find_resonances_deltaprime_2layer(stack, -0.6 * EV, 0.0, energy=ENERGY)
+        assert len(delta.roots) == 3 and len(prime.roots) >= 2
+        for root in delta.roots:
+            # the delta set's right lead sits at v_left + b1 unless pinned
+            lead = v_left + root.value if v_right is None else v_right
+            want = _limit_trans(1.0, root.alpha, v_left, lead)
+            assert root.trans_prob == pytest.approx(want, rel=1e-12)
+        for root in prime.roots:
+            lead = v_left + root.value + b2 if v_right is None else v_right
+            want = _limit_trans(root.theta, root.alpha, v_left, lead)
+            assert root.theta != 1.0 and root.trans_prob == pytest.approx(want, rel=1e-12)
 
 
 def test_transistor_trans_prob_is_limit_scattering():
     p = FIG6
-    delta = resonances_transistor_delta(
-        p["d2"], 0.45 * EV, a1=p["a1"], a3=p["a3"], d1=p["d1"], d3=p["d3"],
-        v_cb=p["v_cb"], energy=ENERGY,
-    )
-    prime = find_resonances_transistor_deltaprime(
-        p["a1"], p["a3"], p["d1"], p["d2"], p["d3"], p["v_cb"], (1e-6, 0.5 * EV), energy=ENERGY
-    )
-    assert len(delta.roots) == 3 and prime.roots
-    for root in delta.roots + prime.roots:
-        want = _limit_trans(root.theta, root.alpha, -(root.value + p["v_cb"]))
-        assert root.trans_prob == pytest.approx(want, rel=1e-12)
+    for v_left, v_right in LEADS:
+        stack = transistor_stack(**p, v_left=v_left, v_right=v_right)
+        delta = resonances_transistor_delta(stack, 0.0, 0.45 * EV, energy=ENERGY)
+        prime = find_resonances_transistor_deltaprime(stack, 1e-6, 0.5 * EV, energy=ENERGY)
+        assert len(delta.roots) == 3 and prime.roots
+        for root in delta.roots + prime.roots:
+            lead = v_left - (root.value + p["v_cb"]) if v_right is None else v_right
+            want = _limit_trans(root.theta, root.alpha, v_left, lead)
+            assert root.trans_prob == pytest.approx(want, rel=1e-12)
 
 
 def _alpha_barrier_well(a1, a2, b1, b2, d1, d2):
@@ -371,7 +369,7 @@ def test_2layer_alpha_against_real_barrier_well_form(rng):
                         rng.uniform(3.0, 12.0), rng.uniform(-0.5, 0.5)))
     checked = 0
     for a1, a2, d1, d2, b2 in devices:
-        rset = find_resonances_deltaprime_2layer(a1, a2, d1, d2, (-2.5, 2.5), b2=b2)
+        rset = find_resonances_deltaprime_2layer(barrier_well_stack(a1, d1, a2, d2, b2), -2.5, 2.5)
         for root in rset.roots:
             want, scale = _alpha_barrier_well(a1, a2, root.value, b2, d1, d2)
             assert abs(root.alpha - want) <= 1e-12 * scale
@@ -404,31 +402,46 @@ def test_closed_form_sets_match_direct_level_loop(rng):
             # interval ends exactly on levels, where round-off decides
             n_hi, n_lo = sorted(rng.integers(1, 300, 2))
             lo, hi = (-((n * math.pi / d2) ** 2) - a2 for n in (n_lo, n_hi))
-        rset = resonances_delta_barrier_well(a2, d2, (lo, hi), a1=a1, d1=2.0)
+        rset = resonances_delta_barrier_well(barrier_well_stack(a1, 2.0, a2, d2), lo, hi)
         assert list(rset.values()) == sorted(_naive_levels(1, d2, -1.0, -a2, lo, hi))
         v_max = rng.uniform(1e-3, 5.0) if i % 2 else (rng.integers(1, 300) * math.pi / d2) ** 2
-        rset = resonances_transistor_delta(d2, v_max, a1=1.0, a3=1.0, d1=1.0, d3=1.0, v_cb=0.0)
+        transistor = transistor_stack(1.0, 1.0, 1.0, d2, 1.0, 0.0)
+        rset = resonances_transistor_delta(transistor, 0.0, v_max)
         assert list(rset.values()) == _naive_levels(1, d2, 1.0, 0.0, 0.0, v_max)
         assert [r.n for r in rset.roots] == list(range(1, len(rset.roots) + 1))
 
 
+def test_transistor_delta_set_starts_at_lower_bound(rng):
+    # the finder itself keeps [lo, hi]: enumeration starts at max(lo, 0)
+    d2 = 10.0
+    transistor = transistor_stack(1.0, 1.0, 1.0, d2, 1.0, 0.0)
+    for _ in range(100):
+        lo = rng.uniform(-0.5, 3.0)
+        hi = max(lo, 0.0) + rng.uniform(1e-3, 3.0)
+        rset = resonances_transistor_delta(transistor, lo, hi)
+        levels = _naive_levels(1, d2, 1.0, 0.0, lo, hi)
+        assert list(rset.values()) == levels
+        assert [r.n for r in rset.roots] == [round(d2 * math.sqrt(v) / math.pi) for v in levels]
+
+
 def test_level_count_bounded_before_enumeration():
-    kw = dict(a1=1.0, a3=1.0, d1=1.0, d3=1.0, v_cb=0.0)
+    transistor = transistor_stack(1.0, 1.0, 1.0, 10.0, 1.0, 0.0)
+    barrier_well = barrier_well_stack(1.0, 2.0, -0.1, 10.0)
     with pytest.raises(ValueError, match="levels"):
-        resonances_transistor_delta(10.0, 1e300, **kw)
+        resonances_transistor_delta(transistor, 0.0, 1e300)
     with pytest.raises(ValueError, match="levels"):
-        resonances_delta_barrier_well(-0.1, 10.0, (-1e300, 0.0), a1=1.0, d1=2.0)
+        resonances_delta_barrier_well(barrier_well, -1e300, 0.0)
     with pytest.raises(ValueError, match="levels"):
-        find_resonances_deltaprime_2layer(1.0, -0.1, 2.0, 10.0, (-1e300, 0.0))
+        find_resonances_deltaprime_2layer(barrier_well, -1e300, 0.0)
     # just under the bound: (n pi / d2)^2 <= v_max for n <= MAX_LEVELS - 1
     v_max = ((MAX_LEVELS - 0.5) * math.pi / 10.0) ** 2
-    assert len(resonances_transistor_delta(10.0, v_max, **kw).roots) == MAX_LEVELS - 1
+    assert len(resonances_transistor_delta(transistor, 0.0, v_max).roots) == MAX_LEVELS - 1
 
 
 def test_closed_form_level_the_classifier_cannot_resolve_is_an_error():
     # a2 + b cancels to ~1e-9 relative at |a2| = 1e7, beyond the classifier's
     # on-set tolerance: the level is rejected, not returned without limit data
     with pytest.raises(ValueError, match="double precision"):
-        resonances_delta_barrier_well(-1e7, 10.0, (1e7 - 1.0, 1e7), a1=1.0, d1=2.0)
-    rset = resonances_delta_barrier_well(-1e6, 10.0, (1e6 - 1.0, 1e6), a1=1.0, d1=2.0)
+        resonances_delta_barrier_well(barrier_well_stack(1.0, 2.0, -1e7, 10.0), 1e7 - 1.0, 1e7)
+    rset = resonances_delta_barrier_well(barrier_well_stack(1.0, 2.0, -1e6, 10.0), 1e6 - 1.0, 1e6)
     assert len(rset.roots) == 3
