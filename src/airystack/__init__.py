@@ -43,6 +43,7 @@ from .potential import (
     ev_to_invnm2,
     invnm2_to_ev,
     realize,
+    stack_potentials,
 )
 from .resonance import (
     ResonanceEquation,
@@ -54,7 +55,7 @@ from .resonance import (
     resonances_transistor_delta,
     scan_and_bisect,
 )
-from .scattering import ScatteringResult, s_matrix, scatter
+from .scattering import ScatteringResult, scatter, trans_prob
 from .sweep import SweepRequest, SweepResult, detect_peaks, run_sweep
 from .transfer import (
     AiryLayerParams,
@@ -63,6 +64,8 @@ from .transfer import (
     layer_matrix,
     layer_matrix_constant,
     layer_matrix_linear,
+    layer_matrices,
+    structure_matrices,
     structure_matrix,
 )
 

@@ -4,8 +4,9 @@ Two evaluation regimes, selected by |z|:
 
 * |z| <= SERIES_RADIUS (9.0): one Taylor step of the Airy equation
   y'' = z y from the nearest node c = k/2, |z - c| <= 1/4, summed in
-  plain doubles.  The node values are built at import by the same step,
-  of length 1/2, from the exact Ai(0) and Ai'(0).  Each solution is
+  plain doubles by Horner over per-node coefficient tables.  The node
+  values are built on first use by the same step, of length 1/2, from
+  the exact Ai(0) and Ai'(0).  Each solution is
   stepped only in a direction where it does not decay, so step round-off
   never grows relative to it: Ai and Bi outward over z < 0, where both
   oscillate with the same amplitude; Bi upward over z > 0; Ai downward
@@ -15,9 +16,10 @@ Two evaluation regimes, selected by |z|:
   so nothing cancels: the error is below 1e-15 of the local amplitude
   (hypot(Ai, Bi) on the oscillatory side).
 
-* |z| > SERIES_RADIUS: Poincare asymptotic expansions, truncated at the
-  smallest term.  At the crossover zeta = 18 the optimally truncated
-  series is already below 1e-14 relative; accuracy improves further out.
+* |z| > SERIES_RADIUS: Poincare asymptotic expansions, each element
+  truncated at its own smallest term.  At the crossover zeta = 18 the
+  optimally truncated series is already below 1e-14 relative; accuracy
+  improves further out.
   A radius smaller than ~7 would not work: the asymptotic error at
   |z| = 5.5 is only ~2e-9, short of the 1e-10 target.
 
@@ -25,13 +27,20 @@ The scaled variants remove the exp(+-zeta) factors for z > 0 so that
 barrier-side evaluations never overflow: ai = ai_scaled * exp(-exponent),
 bi = bi_scaled * exp(+exponent).  For z <= 0 the exponent is zero and
 scaled equals unscaled.
+
+Every function takes an array of arguments and works elementwise; a float
+argument is a batch of one and gives floats back.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import sys
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "AiryQuad",
@@ -61,7 +70,8 @@ _TERMS = 24
 
 @dataclass(frozen=True)
 class AiryQuad:
-    """Ai, Bi, Ai', Bi' at a common real argument z."""
+    """Ai, Bi, Ai', Bi' at a common real argument z (floats, or arrays
+    shaped like z)."""
 
     ai: float
     bi: float
@@ -91,6 +101,18 @@ class ScaledAiryQuad:
     z: float
 
 
+def _libm(fn, x: np.ndarray, *consts: float) -> np.ndarray:
+    """fn(x, *consts) from the math module, element by element.
+
+    numpy's vectorised exp, power, cosh and sinh round differently from the
+    platform libm at a few per cent of arguments.  Transfer products over
+    long stacks magnify such ulps by 1e4 and more, so the kernels take these
+    functions from math and every element rounds as a float expression does.
+    """
+    values = map(fn, memoryview(np.ascontiguousarray(x).ravel()), *map(itertools.repeat, consts))
+    return np.fromiter(values, float, x.size).reshape(x.shape)
+
+
 def _uv_tables(n: int) -> tuple[list[float], list[float]]:
     u = [1.0]
     v = [1.0]
@@ -103,65 +125,76 @@ def _uv_tables(n: int) -> tuple[list[float], list[float]]:
 _U, _V = _uv_tables(40)
 
 
-def _asym_pos_scaled(z: float) -> tuple[float, float, float, float, float]:
-    """Scaled quad for z > SERIES_RADIUS; returns (*quad, zeta)."""
-    zeta = (2.0 / 3.0) * z * math.sqrt(z)
+def _asym_pos(z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Scaled (ai, aip, bi, bip) and zeta for z > SERIES_RADIUS.
+
+    Each element stops at its own smallest term, or once the term falls
+    below 1e-18 of the Bi sum: a term is added only while its element is live.
+    """
+    zeta = (2.0 / 3.0) * z * np.sqrt(z)
     t = 1.0 / zeta
-    sa = sb = sap = sbp = 0.0
-    tk = 1.0
-    prev = math.inf
+    sa, sb, sap, sbp = (np.zeros_like(z) for _ in range(4))
+    tk = np.ones_like(z)
+    prev = np.full_like(z, np.inf)
+    live = np.ones(z.shape, dtype=bool)
     for k in range(41):
         mag = _U[k] * tk
-        if abs(mag) > prev:
+        live &= mag <= prev
+        if not live.any():
             break
-        prev = abs(mag)
+        prev = mag
+        live_tk = np.where(live, tk, 0.0)  # a dead element adds zeros
+        term = _U[k] * live_tk
+        term_v = _V[k] * live_tk
         if k & 1:
-            sa -= _U[k] * tk
-            sap -= _V[k] * tk
+            sa -= term
+            sap -= term_v
         else:
-            sa += _U[k] * tk
-            sap += _V[k] * tk
-        sb += _U[k] * tk
-        sbp += _V[k] * tk
+            sa += term
+            sap += term_v
+        sb += term
+        sbp += term_v
         tk *= t
-        if mag < 1e-18 * sb:
-            break
-    z4 = z ** 0.25
+        live &= mag >= 1e-18 * sb
+    z4 = _libm(math.pow, z, 0.25)
     return (
         sa / (2.0 * _SQRT_PI * z4),
-        sb / (_SQRT_PI * z4),
         -z4 * sap / (2.0 * _SQRT_PI),
+        sb / (_SQRT_PI * z4),
         z4 * sbp / _SQRT_PI,
         zeta,
     )
 
 
-def _asym_neg(z: float) -> tuple[float, float, float, float]:
-    """Oscillatory expansion for z < -SERIES_RADIUS (values are O(1))."""
+def _asym_neg(z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Oscillatory expansion for z < -SERIES_RADIUS (values are O(1)):
+    (ai, aip, bi, bip), each element stopping at its own smallest term."""
     x = -z
-    zeta = (2.0 / 3.0) * x * math.sqrt(x)
+    zeta = (2.0 / 3.0) * x * np.sqrt(x)
+    x4 = _libm(math.pow, x, 0.25)
     t = 1.0 / zeta
     t2 = t * t
-    pe = po = re = ro = 0.0
-    tk = 1.0  # t^(2k)
-    prev = math.inf
+    pe, po, re, ro = (np.zeros_like(z) for _ in range(4))
+    tk = np.ones_like(z)  # t^(2k)
+    prev = np.full_like(z, np.inf)
+    live = np.ones(z.shape, dtype=bool)
     for k in range(0, 20):
         mag = _U[2 * k] * tk
-        if abs(mag) > prev:
+        live &= mag <= prev
+        if not live.any():
             break
-        prev = abs(mag)
+        prev = mag
         s = -1.0 if (k & 1) else 1.0
-        pe += s * _U[2 * k] * tk
-        po += s * _U[2 * k + 1] * tk * t
-        re += s * _V[2 * k] * tk
-        ro += s * _V[2 * k + 1] * tk * t
+        live_tk = np.where(live, tk, 0.0)  # a dead element adds zeros
+        pe += s * _U[2 * k] * live_tk
+        po += s * _U[2 * k + 1] * live_tk * t
+        re += s * _V[2 * k] * live_tk
+        ro += s * _V[2 * k + 1] * live_tk * t
         tk *= t2
-        if mag < 1e-18:
-            break
+        live &= mag >= 1e-18
     phi = zeta - 0.25 * math.pi
-    c = math.cos(phi)
-    s = math.sin(phi)
-    x4 = x ** 0.25
+    c = np.cos(phi)
+    s = np.sin(phi)
     ai = (c * pe + s * po) / (_SQRT_PI * x4)
     bi = (-s * pe + c * po) / (_SQRT_PI * x4)
     aip = (s * re - c * ro) * x4 / _SQRT_PI
@@ -169,27 +202,33 @@ def _asym_neg(z: float) -> tuple[float, float, float, float]:
     return ai, aip, bi, bip
 
 
-def _taylor(c: float, t: float, y: float, yp: float) -> tuple[float, float]:
-    """y(c + t) and y'(c + t) for the solution of y'' = z y with y(c) = y, y'(c) = yp.
-
-    y(c + t) = sum a_j t^j with a_0 = y, a_1 = yp and
-    (j+1)(j+2) a_{j+2} = c a_j + a_{j-1}, summed by Horner.
-    """
+def _coefficients(c, y, yp) -> list:
+    """Taylor coefficients a_0 .. a_{_TERMS-1} about c of the solution of
+    y'' = z y with y(c) = y, y'(c) = yp: (j+1)(j+2) a_{j+2} = c a_j + a_{j-1}.
+    Elementwise: c, y, yp may be floats or arrays."""
     a = [y, yp, 0.5 * c * y]
     for j in range(1, _TERMS - 2):
         a.append((c * a[j] + a[j - 1]) / ((j + 1) * (j + 2)))
-    val = der = 0.0
+    return a
+
+
+def _tail(row, t):
+    """Sum of row(j) t^(j-1) over j = 1 .. _TERMS-1, by Horner from the top.
+    Elementwise: row(j) and t may be floats or arrays."""
+    acc = 0.0
     for j in range(_TERMS - 1, 0, -1):
-        val = val * t + a[j]
-        der = der * t + j * a[j]
-    return val * t + a[0], der
+        acc *= t  # in place once acc is an array
+        acc += row(j)
+    return acc
 
 
 def _walk(c: float, step: float, count: int, y: float, yp: float) -> list[tuple[float, float]]:
     """(y, y') at c + i * step, i = 0 .. count, for the solution with y(c) = y, y'(c) = yp."""
     path = [(y, yp)]
     for i in range(count):
-        path.append(_taylor(c + i * step, step, *path[-1]))
+        a = _coefficients(c + i * step, *path[-1])
+        der = [j * aj for j, aj in enumerate(a)]
+        path.append((_tail(a.__getitem__, step) * step + a[0], _tail(der.__getitem__, step)))
     return path
 
 
@@ -199,7 +238,7 @@ def _build_nodes() -> list[tuple[float, float, float, float]]:
     bi0 = (math.sqrt(3.0) * _AI0, -math.sqrt(3.0) * _AIP0)
     bi = _walk(0.0, -0.5, n, *bi0)[::-1] + _walk(0.0, 0.5, n, *bi0)[1:]
     # any Bi admixture in the asymptotic start shrinks by e^-55 on the way down
-    ai_s, _, aip_s, _, _ = _asym_pos_scaled(12.0)
+    ai_s, aip_s = (float(x[0]) for x in _asym_pos(np.array([12.0]))[:2])
     down = _walk(12.0, -0.5, 24, ai_s, aip_s)[::-1]
     scale = _AI0 / down[0][0]
     ai = _walk(0.0, -0.5, n, _AI0, _AIP0)[::-1]
@@ -207,17 +246,40 @@ def _build_nodes() -> list[tuple[float, float, float, float]]:
     return [a + b for a, b in zip(ai, bi)]
 
 
-_NODES = _build_nodes()
+@functools.cache
+def _node_table() -> list[np.ndarray]:
+    """Row j, shape (2 _NODE_MAX + 1, 4): a_j of Ai and Bi at every node,
+    then j a_j of both (the derivative's coefficients), from the same
+    recursion the nodes were stepped by.  Built on first use, so that a
+    program that evaluates no Airy function does not pay for it."""
+    nodes = np.array(_build_nodes())
+    c = 0.5 * np.arange(-_NODE_MAX, _NODE_MAX + 1.0)[:, None]
+    a = _coefficients(c, nodes[:, 0::2], nodes[:, 1::2])
+    return [np.hstack([aj, j * aj]) for j, aj in enumerate(a)]
 
 
-def _series_quad(z: float) -> tuple[float, float, float, float]:
+def _series(z: np.ndarray) -> tuple[np.ndarray, ...]:
     """(Ai, Ai', Bi, Bi') by one Taylor step from the nearest node, |z| <= ~10."""
-    k = round(2.0 * z)
-    c = 0.5 * k
-    ai, aip, bi, bip = _NODES[k + _NODE_MAX]
-    ai, aip = _taylor(c, z - c, ai, aip)
-    bi, bip = _taylor(c, z - c, bi, bip)
-    return ai, aip, bi, bip
+    k = np.rint(2.0 * z)  # half to even, as round()
+    t = z - 0.5 * k
+    index = k.astype(np.intp) + _NODE_MAX
+    table = _node_table()
+
+    def row(j):
+        return table[j].take(index, axis=0)
+
+    acc = _tail(row, np.repeat(t[:, None], 4, axis=1))
+    ai, bi = acc[:, :2].T * t + row(0)[:, :2].T
+    return ai, acc[:, 2], bi, acc[:, 3]
+
+
+def _series_scaled(z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Scaled (ai, aip, bi, bip) and zeta for |z| <= SERIES_RADIUS."""
+    # zeta <= 18 on 0 < z <= SERIES_RADIUS: both factors representable
+    zeta = np.where(z > 0.0, (2.0 / 3.0) * z * np.sqrt(np.abs(z)), 0.0)
+    ep, em = _libm(math.exp, zeta), _libm(math.exp, -zeta)
+    ai, aip, bi, bip = _series(z)
+    return ai * ep, aip * ep, bi * em, bip * em, zeta
 
 
 def _find_overflow_argument() -> float:
@@ -233,43 +295,52 @@ def _find_overflow_argument() -> float:
 Z_OVERFLOW = _find_overflow_argument()
 
 
-def _scaled_quad(z: float) -> tuple[tuple[float, float, float, float], float]:
-    """Scaled (ai, aip, bi, bip) at finite z and the exponent removed from them."""
-    if not math.isfinite(z):
-        raise ValueError(f"Airy functions need finite z, got {z!r}")
-    if z > SERIES_RADIUS:
-        ai, bi, aip, bip, zeta = _asym_pos_scaled(z)
-        return (ai, aip, bi, bip), zeta
-    if z < -SERIES_RADIUS:
-        return _asym_neg(z), 0.0
-    ai, aip, bi, bip = _series_quad(z)
-    if z <= 0.0:
-        return (ai, aip, bi, bip), 0.0
-    # 0 < z <= SERIES_RADIUS: zeta <= 18, both factors representable
-    zeta = (2.0 / 3.0) * z * math.sqrt(z)
-    ep, em = math.exp(zeta), math.exp(-zeta)
-    return (ai * ep, aip * ep, bi * em, bip * em), zeta
+def _scaled_quad(z) -> list[np.ndarray]:
+    """Scaled (ai, aip, bi, bip) and the exponent removed from them, each
+    shaped like z; every z must be finite."""
+    z = np.asarray(z, dtype=float)
+    if not np.isfinite(z).all():
+        bad = z[~np.isfinite(z)].flat[0]
+        raise ValueError(f"Airy functions need finite z, got {float(bad)!r}")
+    flat = z.ravel()
+    quad = [np.zeros(flat.size) for _ in range(5)]
+    for where, kernel in (
+        (np.abs(flat) <= SERIES_RADIUS, _series_scaled),
+        (flat > SERIES_RADIUS, _asym_pos),
+        (flat < -SERIES_RADIUS, _asym_neg),
+    ):
+        if where.any():
+            for row, value in zip(quad, kernel(flat[where])):
+                row[where] = value
+    return [row.reshape(z.shape) for row in quad]
 
 
-def airy_eval(z: float) -> AiryQuad:
-    """Ai, Bi, Ai', Bi' at real z (unscaled).
+def _fields(rows: list[np.ndarray], z) -> list:
+    """Rows as floats for a float argument, as arrays shaped like z otherwise."""
+    return [row.item() for row in rows] if np.ndim(z) == 0 else rows
+
+
+def airy_eval(z) -> AiryQuad:
+    """Ai, Bi, Ai', Bi' at real z (unscaled), elementwise over an array z.
 
     Raises OverflowError for z > Z_OVERFLOW where unscaled Bi exceeds the
     float range; use airy_eval_scaled there instead.
     """
-    (ai, aip, bi, bip), zeta = _scaled_quad(z)
-    if z > Z_OVERFLOW:
+    ai, aip, bi, bip, zeta = _scaled_quad(z)
+    if np.any(np.asarray(z) > Z_OVERFLOW):
         raise OverflowError(
-            f"unscaled Airy values overflow for z = {z!r} > {Z_OVERFLOW:.2f}; "
+            f"unscaled Airy values overflow for z = {float(np.max(z))!r} > {Z_OVERFLOW:.2f}; "
             "use airy_eval_scaled"
         )
-    em, ep = math.exp(-zeta), math.exp(zeta)
-    return AiryQuad(ai=ai * em, bi=bi * ep, ai_prime=aip * em, bi_prime=bip * ep, z=z)
+    em, ep = _libm(math.exp, -zeta), _libm(math.exp, zeta)
+    ai, bi, aip, bip = _fields([ai * em, bi * ep, aip * em, bip * ep], z)
+    return AiryQuad(ai=ai, bi=bi, ai_prime=aip, bi_prime=bip, z=z)
 
 
-def airy_eval_scaled(z: float) -> ScaledAiryQuad:
-    """Scaled Airy quad, finite for every representable z."""
-    (ai, aip, bi, bip), zeta = _scaled_quad(z)
+def airy_eval_scaled(z) -> ScaledAiryQuad:
+    """Scaled Airy quad, finite for every representable z; elementwise over
+    an array z."""
+    ai, aip, bi, bip, zeta = _fields(_scaled_quad(z), z)
     return ScaledAiryQuad(ai, bi, aip, bip, zeta, z)
 
 
@@ -278,19 +349,13 @@ def wronskian_sweep(lo: float = -20.0, hi: float = 8.0, n: int = 2000):
 
     Returns (max_defect, {regime_name: max_defect}).
     """
-    worst = 0.0
-    per_regime = {"series": 0.0, "oscillatory": 0.0, "exponential": 0.0}
-    for i in range(n):
-        z = lo + (hi - lo) * i / (n - 1)
-        d = abs(airy_eval(z).wronskian_defect())
-        if abs(z) <= SERIES_RADIUS:
-            regime = "series"
-        elif z < 0:
-            regime = "oscillatory"
-        else:
-            regime = "exponential"
-        if d > per_regime[regime]:
-            per_regime[regime] = d
-        if d > worst:
-            worst = d
-    return worst, per_regime
+    z = lo + (hi - lo) * np.arange(n) / (n - 1)
+    defect = np.abs(airy_eval(z).wronskian_defect())
+    series = np.abs(z) <= SERIES_RADIUS
+    regimes = {
+        "series": series,
+        "oscillatory": ~series & (z < 0),
+        "exponential": ~series & (z >= 0),
+    }
+    per_regime = {name: float(defect[mask].max(initial=0.0)) for name, mask in regimes.items()}
+    return float(defect.max(initial=0.0)), per_regime

@@ -15,6 +15,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 __all__ = [
     "EV_TO_INVNM2",
     "ev_to_invnm2",
@@ -24,6 +26,7 @@ __all__ = [
     "ConcreteLayer",
     "RegionClass",
     "realize",
+    "stack_potentials",
     "classify_region",
 ]
 
@@ -78,18 +81,15 @@ class StructureSpec:
         if len(self.layers) < 1:
             raise ValueError("structure needs at least one layer")
 
-    def cumulative_bias(self, upto: int | None = None) -> float:
-        """Sum of b_j for j < upto (all layers when upto is None)."""
-        end = len(self.layers) if upto is None else upto
-        return math.fsum(layer.b for layer in self.layers[:end])
+    def right_lead(self, biases) -> float:
+        """Right lead potential when the layers carry these biases: the
+        override, else v_left plus their exactly rounded sum."""
+        if self.v_right_override is not None:
+            return self.v_right_override
+        return self.v_left + math.fsum(biases)
 
     def lead_potentials(self) -> tuple[float, float]:
-        v_right = (
-            self.v_right_override
-            if self.v_right_override is not None
-            else self.v_left + self.cumulative_bias()
-        )
-        return self.v_left, v_right
+        return self.v_left, self.right_lead(layer.b for layer in self.layers)
 
     def replace_bias(self, index: int, b: float) -> "StructureSpec":
         """Copy with layer `index` given bias b (used by parameter sweeps)."""
@@ -116,25 +116,52 @@ class ConcreteLayer:
         return (self.v_right_edge - self.v_left_edge) / self.width
 
 
+def stack_potentials(
+    spec: StructureSpec, epsilon: float, biases
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edge potentials at the given squeeze parameter for rows of layer biases.
+
+    Row p of biases, shape (P, L), gives every layer's bias b (a sweep
+    varies the tuned layer's and repeats the others).  Returns the left and
+    right edge potentials, shape (P, L), and the physical widths, shape
+    (L,); a potential that is not finite or a width that underflows to 0
+    is a ValueError.
+    """
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    biases = np.asarray(biases, dtype=float)
+    grow = []
+    for layer in spec.layers:
+        try:
+            grow.append((epsilon ** -layer.mu, epsilon ** -layer.nu))
+        except OverflowError:
+            grow.append((math.inf, math.inf))
+    grow_a, grow_b = np.array(grow).T
+    # each layer's upstream bias, summed left to right
+    shift = np.zeros_like(biases)
+    np.cumsum(biases[:, :-1], axis=1, out=shift[:, 1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_left = (np.array([layer.a for layer in spec.layers]) + shift) * grow_a
+        v_right = v_left + biases * grow_b
+    # v_right is not finite wherever v_left is not
+    if not np.isfinite(v_right).all():
+        raise ValueError(f"layer potential is not finite at epsilon = {epsilon!r}")
+    widths = np.array([epsilon * layer.d for layer in spec.layers])
+    if not (widths > 0).all():
+        raise ValueError(f"a layer width underflows at epsilon = {epsilon!r}")
+    return v_left, v_right, widths
+
+
 def realize(spec: StructureSpec, epsilon: float) -> list[ConcreteLayer]:
     """Concrete per-layer potentials at the given squeeze parameter; a
     potential that overflows is a ValueError."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
-    out = []
-    shift = 0.0
-    for layer in spec.layers:
-        try:
-            v_left = (layer.a + shift) * epsilon ** -layer.mu
-            v_right = v_left + layer.b * epsilon ** -layer.nu
-        except OverflowError:
-            v_right = math.inf
-        # v_right is not finite whenever v_left is not
-        if not math.isfinite(v_right):
-            raise ValueError(f"layer potential is not finite at epsilon = {epsilon!r}")
-        out.append(ConcreteLayer(v_left, v_right, epsilon * layer.d))
-        shift += layer.b
-    return out
+    v_left, v_right, widths = stack_potentials(
+        spec, epsilon, [[layer.b for layer in spec.layers]]
+    )
+    return [
+        ConcreteLayer(*edges)
+        for edges in zip(v_left[0].tolist(), v_right[0].tolist(), widths.tolist())
+    ]
 
 
 class RegionClass(Enum):

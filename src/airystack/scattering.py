@@ -4,11 +4,12 @@ Probabilities are computed from the real combinations p and q rather than
 from |amplitude|^2, which avoids catastrophic cancellation at near-total
 reflection; the complex amplitudes are reported alongside and agree with
 the probabilities by construction (conservation R + T = 1 is exact).
+`trans_prob` is the one definition of T, elementwise over arrays of
+matrices; `scatter` is a batch of one that adds the amplitudes.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import EvanescentLeadError
 from .transfer import TransferMatrix
 
-__all__ = ["ScatteringResult", "scatter", "s_matrix"]
+__all__ = ["ScatteringResult", "scatter", "trans_prob"]
 
 
 @dataclass(frozen=True)
@@ -35,6 +36,35 @@ class ScatteringResult:
     k_right: float
 
 
+def _probabilities(matrices, v_left, v_right, energy: float) -> tuple[np.ndarray, ...]:
+    """(R, T, p, q, k_left, k_right) elementwise over matrices (..., 2, 2)
+    and lead potentials that broadcast with them; R and T are NaN where a
+    lead does not propagate."""
+    m = np.asarray(matrices, dtype=float)
+    l11, l12, l21, l22 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    propagating = (energy > np.asarray(v_left)) & (energy > np.asarray(v_right))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        k_l = np.sqrt(energy - np.asarray(v_left, dtype=float))
+        k_r = np.sqrt(energy - np.asarray(v_right, dtype=float))
+        ratio = k_l / k_r
+        p = l11 - ratio * l22
+        q = k_l * l12 + l21 / k_r
+        four_r = 4.0 * ratio
+        denom = four_r + p * p + q * q
+        total = np.isinf(denom)  # total reflection
+        refl = np.where(total, 1.0, (p * p + q * q) / denom)
+        trans = np.where(total, 0.0, four_r / denom)
+    refl, trans = (np.where(propagating, x, math.nan) for x in (refl, trans))
+    return refl, trans, p, q, k_l, k_r
+
+
+def trans_prob(matrices, v_left, v_right, energy: float) -> np.ndarray:
+    """Transmission probability elementwise over matrices (..., 2, 2) and
+    lead potentials that broadcast with them; NaN where energy is not
+    strictly above both leads."""
+    return _probabilities(matrices, v_left, v_right, energy)[1]
+
+
 def scatter(
     matrix: TransferMatrix, v_left: float, v_right: float, energy: float
 ) -> ScatteringResult:
@@ -47,28 +77,17 @@ def scatter(
         raise EvanescentLeadError(
             f"energy {energy!r} not above lead potentials ({v_left!r}, {v_right!r})"
         )
-    k_l = math.sqrt(energy - v_left)
-    k_r = math.sqrt(energy - v_right)
+    l11, l12, l21, l22 = matrix.l11, matrix.l12, matrix.l21, matrix.l22
+    refl, trans, p, q, k_l, k_r = (
+        float(x) for x in _probabilities([[l11, l12], [l21, l22]], v_left, v_right, energy)
+    )
     ratio = k_l / k_r
-    p = matrix.l11 - ratio * matrix.l22
-    q = k_l * matrix.l12 + matrix.l21 / k_r
-    d = complex(matrix.l11 + ratio * matrix.l22, -(k_l * matrix.l12 - matrix.l21 / k_r))
-    r_left = -(p + 1j * q) / d
-    t_left = 2.0 * ratio / d
-    r_right = (p - 1j * q) / d
-    t_right = 2.0 / d
-    four_r = 4.0 * ratio
-    denom = four_r + p * p + q * q
-    if math.isinf(denom):
-        refl, trans = 1.0, 0.0
-    else:
-        refl = (p * p + q * q) / denom
-        trans = four_r / denom
+    d = complex(l11 + ratio * l22, -(k_l * l12 - l21 / k_r))
     return ScatteringResult(
-        r_left=r_left,
-        t_left=t_left,
-        r_right=r_right,
-        t_right=t_right,
+        r_left=-(p + 1j * q) / d,
+        t_left=2.0 * ratio / d,
+        r_right=(p - 1j * q) / d,
+        t_right=2.0 / d,
         refl_prob=refl,
         trans_prob=trans,
         p=p,
@@ -76,16 +95,4 @@ def scatter(
         d_denom=d,
         k_left=k_l,
         k_right=k_r,
-    )
-
-
-def s_matrix(result: ScatteringResult) -> np.ndarray:
-    """Unitary 2x2 scattering matrix built from the flux-normalized amplitudes."""
-    root = cmath.sqrt(result.k_left / result.k_right)
-    return np.array(
-        [
-            [result.r_left, root * result.t_right],
-            [result.t_left / root, result.r_right],
-        ],
-        dtype=complex,
     )

@@ -5,8 +5,10 @@ Airy-based transmission at each squeeze parameter in the schedule,
 detects and refines transmission peaks, and reports per-peak distances
 to an analytic resonance set when one is supplied.  Evanescent-lead
 grid points are recorded as gaps (NaN transmission), not failures.
-Evaluation is sequential and pure, so identical requests give identical
-results byte for byte.
+Evaluation is batched per epsilon: the whole grid goes through one array
+evaluation, and the peak refinement steps all brackets of one epsilon in
+lockstep.  Every step is elementwise and pure, so identical requests give
+identical results byte for byte.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .potential import StructureSpec, invnm2_to_ev, realize
-from .scattering import scatter
-from .errors import EvanescentLeadError
-from .transfer import structure_matrix
+import numpy as np
+
+from .potential import StructureSpec, invnm2_to_ev, stack_potentials
+from .scattering import trans_prob
+from .transfer import structure_matrices
 
 __all__ = [
     "SweepRequest",
@@ -62,25 +65,26 @@ class SweepRequest:
         if not 0 <= self.tuned_layer < len(self.structure.layers):
             raise ValueError("tuned_layer out of range")
         # potentials are affine in the tuned value: finite at both grid ends, finite throughout
-        for value in (self.grid_lo, self.grid_hi):
-            spec = self.structure.replace_bias(self.tuned_layer, self.tuned_sign * value)
-            for eps in self.epsilons:
-                realize(spec, eps)
+        ends = self._biases(np.array([self.grid_lo, self.grid_hi]))
+        for eps in self.epsilons:
+            stack_potentials(self.structure, eps, ends)
 
-    def transmission(self, value: float, epsilon: float) -> float:
-        """Exact transmission at one grid value; NaN for evanescent leads."""
-        spec = self.structure.replace_bias(self.tuned_layer, self.tuned_sign * value)
-        v_l, v_r = spec.lead_potentials()
-        try:
-            res = scatter(
-                structure_matrix(realize(spec, epsilon), self.energy),
-                v_l,
-                v_r,
-                self.energy,
-            )
-        except EvanescentLeadError:
-            return math.nan
-        return res.trans_prob
+    def _biases(self, values: np.ndarray) -> np.ndarray:
+        """Every layer's bias (rows) at each grid value."""
+        biases = np.tile([layer.b for layer in self.structure.layers], (values.size, 1))
+        biases[:, self.tuned_layer] = self.tuned_sign * values.ravel()
+        return biases
+
+    def transmission(self, value, epsilon: float):
+        """Exact transmission at grid values, elementwise over an array
+        (a float gives a float); NaN for evanescent leads."""
+        values = np.asarray(value, dtype=float)
+        spec = self.structure
+        biases = self._biases(values)
+        matrices = structure_matrices(*stack_potentials(spec, epsilon, biases), self.energy)
+        v_right = np.array([spec.right_lead(row) for row in biases.tolist()])
+        t = trans_prob(matrices, spec.v_left, v_right, self.energy)
+        return float(t[0]) if values.ndim == 0 else t.reshape(values.shape)
 
 
 @dataclass(frozen=True)
@@ -102,61 +106,65 @@ def detect_peaks(
     """Strict local maxima above the floor, golden-section refined.
 
     The curve must be sorted by value; NaN gaps split it.  When an
-    evaluator (continuous T(value)) is given, each grid maximum is
-    refined within its bracketing neighbours to rel_tol in position.
+    evaluator (continuous T(values), elementwise over an array) is given,
+    each grid maximum is refined within its bracketing neighbours to
+    rel_tol in position, all maxima in lockstep.
     """
-    n = len(curve)
-    out = []
-    for i in range(1, n - 1):
-        x0, t0 = curve[i - 1]
-        x1, t1 = curve[i]
-        x2, t2 = curve[i + 1]
-        if math.isnan(t0) or math.isnan(t1) or math.isnan(t2):
-            continue
-        if t1 > t0 and t1 > t2 and t1 > floor:
-            if evaluator is None:
-                out.append(x1)
-            else:
-                out.append(_golden_max(evaluator, x0, x2, rel_tol))
-    return out
+    if len(curve) < 3:
+        return []
+    x, t = np.array(curve, dtype=float).T
+    # a NaN neighbour fails the comparison, so maxima never border a gap
+    top = (t[1:-1] > t[:-2]) & (t[1:-1] > t[2:]) & (t[1:-1] > floor)
+    i = np.flatnonzero(top) + 1
+    if evaluator is None or not i.size:
+        return x[i].tolist()
+    return _golden_max(evaluator, x[i - 1], x[i + 1], rel_tol)
 
 
-def _golden_max(f, lo: float, hi: float, rel_tol: float) -> float:
+def _golden_max(f, lo: np.ndarray, hi: np.ndarray, rel_tol: float) -> list[float]:
+    """Golden-section maxima of f on the brackets [lo, hi], in lockstep.
+
+    Each bracket takes the steps it would take alone and stops at its own
+    tolerance; each step evaluates f once, on the brackets still open.
+    """
     g = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - g * (b - a)
     d = a + g * (b - a)
-    fc, fd = f(c), f(d)
-    tol = rel_tol * max(1.0, abs(lo), abs(hi))
-    while (b - a) > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - g * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + g * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+    fc, fd = np.split(np.asarray(f(np.concatenate([c, d])), dtype=float), 2)
+    tol = rel_tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    live = (b - a) > tol
+    while live.any():
+        left = live & (fc > fd)  # the maximum is left of d: drop (d, b]
+        right = live & ~left
+        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
+        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
+        x = np.where(left, b - g * (b - a), a + g * (b - a))
+        fx = np.zeros_like(x)
+        fx[live] = f(x[live])
+        c, fc = np.where(left, x, c), np.where(left, fx, fc)
+        d, fd = np.where(right, x, d), np.where(right, fx, fd)
+        live = (b - a) > tol
+    return (0.5 * (a + b)).tolist()
 
 
 def run_sweep(
     req: SweepRequest, reference_roots: tuple[float, ...] = ()
 ) -> SweepResult:
     """Execute the scenario over every epsilon in schedule order."""
-    values = [
-        req.grid_lo + (req.grid_hi - req.grid_lo) * i / (req.grid_points - 1)
-        for i in range(req.grid_points)
-    ]
+    grid = req.grid_lo + (req.grid_hi - req.grid_lo) * np.arange(req.grid_points) / (
+        req.grid_points - 1
+    )
+    values = grid.tolist()
     curves = []
     peaks = []
     convergence = []
     for eps in req.epsilons:
-        curve = tuple((v, req.transmission(v, eps)) for v in values)
+        curve = tuple(zip(values, req.transmission(grid, eps).tolist()))
         curves.append(curve)
         pk = tuple(
             detect_peaks(
-                list(curve), req.peak_floor, evaluator=lambda v: req.transmission(v, eps)
+                curve, req.peak_floor, evaluator=lambda v: req.transmission(v, eps)
             )
         )
         peaks.append(pk)
@@ -179,11 +187,13 @@ def run_sweep(
 def sweep_to_csv(result: SweepResult) -> str:
     """Locale-independent CSV: epsilon, tuned value (eV and nm^-2), T, R."""
     lines = ["epsilon,tuned_value_eV,tuned_value_invnm2,T,R"]
+    values = {}  # the curves share one grid: format each value once
     for eps, curve in zip(result.request.epsilons, result.curves):
         for v, t in curve:
-            r = "" if math.isnan(t) else repr(1.0 - t)
-            t_str = "" if math.isnan(t) else repr(t)
-            lines.append(f"{eps!r},{invnm2_to_ev(v)!r},{v!r},{t_str},{r}")
+            if v not in values:
+                values[v] = f"{invnm2_to_ev(v)!r},{v!r}"
+            t_and_r = "," if math.isnan(t) else f"{t!r},{1.0 - t!r}"
+            lines.append(f"{eps!r},{values[v]},{t_and_r}")
     return "\n".join(lines) + "\n"
 
 

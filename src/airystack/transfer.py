@@ -4,20 +4,29 @@ The matrix maps (psi, psi') at the left edge of a layer to the right
 edge; a structure's matrix is the right-to-left product over its layers.
 All matrices are real with unit determinant.  Evanescent regions go
 through the hyperbolic / Airy representations, never complex wavenumbers.
+
+One array path builds every matrix: `layer_matrices` takes edge
+potentials of any shape and gives a matrix per element, and
+`structure_matrices` multiplies them along the last (layer) axis.  The
+functions on single layers and TransferMatrix values are batches of one.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
-from .airy import airy_eval_scaled
+import numpy as np
+
+from .airy import _libm, airy_eval_scaled
 from .errors import DegenerateSlopeError
 from .potential import ConcreteLayer
 
 __all__ = [
     "TransferMatrix",
     "AiryLayerParams",
+    "layer_matrices",
+    "structure_matrices",
     "layer_matrix_constant",
     "layer_matrix_linear",
     "layer_matrix",
@@ -25,6 +34,19 @@ __all__ = [
     "structure_matrix",
     "slope_is_degenerate",
 ]
+
+
+def _product(a, b) -> tuple:
+    """a b for 2x2 matrices given as (l11, l12, l21, l22), elementwise over
+    floats or arrays."""
+    a11, a12, a21, a22 = a
+    b11, b12, b21, b22 = b
+    return (
+        a11 * b11 + a12 * b21,
+        a11 * b12 + a12 * b22,
+        a21 * b11 + a22 * b21,
+        a21 * b12 + a22 * b22,
+    )
 
 
 @dataclass(frozen=True)
@@ -40,12 +62,7 @@ class TransferMatrix:
         return self.l11 * self.l22 - self.l12 * self.l21
 
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(
-            self.l11 * other.l11 + self.l12 * other.l21,
-            self.l11 * other.l12 + self.l12 * other.l22,
-            self.l21 * other.l11 + self.l22 * other.l21,
-            self.l21 * other.l12 + self.l22 * other.l22,
-        )
+        return TransferMatrix(*_product(astuple(self), astuple(other)))
 
     @staticmethod
     def identity() -> "TransferMatrix":
@@ -69,6 +86,11 @@ class AiryLayerParams:
     k2_right: float
 
 
+def _degenerate(v_left, v_right, energy):
+    dv = np.abs(v_right - v_left)
+    return dv < 1e-9 * np.maximum(np.maximum(1.0, np.abs(v_left)), abs(energy))
+
+
 def slope_is_degenerate(layer: ConcreteLayer, energy: float) -> bool:
     """True when the tilt is too small for the Airy route to be stable.
 
@@ -76,24 +98,19 @@ def slope_is_degenerate(layer: ConcreteLayer, energy: float) -> bool:
     the limit matrix stops being finite, so below this threshold the
     constant-profile formula is the accurate branch.
     """
-    dv = abs(layer.v_right_edge - layer.v_left_edge)
-    return dv < 1e-9 * max(1.0, abs(layer.v_left_edge), abs(energy))
+    return bool(_degenerate(layer.v_left_edge, layer.v_right_edge, energy))
 
 
-def airy_layer_params(layer: ConcreteLayer, energy: float) -> AiryLayerParams:
-    if slope_is_degenerate(layer, energy):
-        raise DegenerateSlopeError(
-            f"slope {layer.slope!r} below threshold; use layer_matrix_constant"
-        )
-    eta = layer.slope
-    sigma = math.copysign(abs(eta) ** (1.0 / 3.0), eta)
+def _airy_geometry(v_left, v_right, width, energy) -> AiryLayerParams:
+    """AiryLayerParams elementwise over arrays of non-degenerate layers."""
+    eta = (v_right - v_left) / width
+    sigma = np.copysign(_libm(math.pow, np.abs(eta), 1.0 / 3.0), eta)
     s2 = sigma * sigma
-    k2_left = energy - layer.v_left_edge
-    k2_right = energy - layer.v_right_edge
-    s = layer.width + (energy - layer.v_right_edge) / eta
+    k2_left = energy - v_left
+    k2_right = energy - v_right
     return AiryLayerParams(
         sigma=sigma,
-        s=s,
+        s=width + k2_right / eta,
         z_left=-k2_left / s2,
         z_right=-k2_right / s2,
         k2_left=k2_left,
@@ -101,68 +118,153 @@ def airy_layer_params(layer: ConcreteLayer, energy: float) -> AiryLayerParams:
     )
 
 
-def layer_matrix_constant(v: float, width: float, energy: float) -> TransferMatrix:
-    """Flat-layer matrix: trig above the potential, hyperbolic below."""
-    if not width > 0:
-        raise ValueError("width must be positive")
-    k2 = energy - v
-    if k2 > 0.0:
-        k = math.sqrt(k2)
-        c = math.cos(k * width)
-        s = math.sin(k * width)
-        return TransferMatrix(c, s / k, -k * s, c)
-    if k2 < 0.0:
-        q = math.sqrt(-k2)
-        c = math.cosh(q * width)
-        s = math.sinh(q * width)
-        return TransferMatrix(c, s / q, q * s, c)
-    return TransferMatrix(1.0, width, 0.0, 1.0)
+def airy_layer_params(layer: ConcreteLayer, energy: float) -> AiryLayerParams:
+    if slope_is_degenerate(layer, energy):
+        raise DegenerateSlopeError(
+            f"slope {layer.slope!r} below threshold; use layer_matrix_constant"
+        )
+    p = _airy_geometry(
+        np.array([layer.v_left_edge]), np.array([layer.v_right_edge]), layer.width, energy
+    )
+    return AiryLayerParams(*(float(x[0]) for x in astuple(p)))
 
 
-def _combine(c_a: float, e_a: float, c_b: float, e_b: float) -> float:
-    # c_a * exp(e_a) - c_b * exp(e_b) with the common scale factored out,
-    # so barrier-side products never overflow before the result does.
-    m = e_a if e_a >= e_b else e_b
-    return (c_a * math.exp(e_a - m) - c_b * math.exp(e_b - m)) * math.exp(m)
+def _constant(v_left, v_right, width, energy) -> tuple:
+    """Flat-layer matrices at the mid potential: trig above it, hyperbolic below."""
+    k2 = energy - 0.5 * (v_left + v_right)
+    above, below = k2 > 0.0, k2 < 0.0
+    k = np.sqrt(np.abs(k2))
+    kw = k * width
+    c, s = np.cos(kw), np.sin(kw)
+    c[below], s[below] = _libm(math.cosh, kw[below]), _libm(math.sinh, kw[below])
+    c[~(above | below)] = 1.0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return (
+            c,
+            np.where(above | below, s / k, width),
+            np.where(above, -k * s, np.where(below, k * s, 0.0)),
+            c,
+        )
 
 
-def layer_matrix_linear(layer: ConcreteLayer, energy: float) -> TransferMatrix:
-    """Tilted-layer matrix from scaled Airy products.
+def _combine(c_a, w_a, c_b, w_b, w_m):
+    # c_a * exp(e_a) - c_b * exp(e_b) with the common scale exp(m) factored
+    # out, w = exp(e - m), so barrier-side products never overflow before
+    # the result does.
+    return (c_a * w_a - c_b * w_b) * w_m
+
+
+def _weights(za: np.ndarray, zb: np.ndarray) -> tuple[np.ndarray, ...]:
+    """exp(za - zb - m), exp(zb - za - m) and exp(m), m the larger of the
+    two exponents that every element combines."""
+    up, down = za - zb, zb - za
+    m = np.maximum(up, down)
+    return _libm(math.exp, up - m), _libm(math.exp, down - m), _libm(math.exp, m)
+
+
+def _airy_arguments(v_left, v_right, width, energy) -> tuple[np.ndarray, np.ndarray]:
+    """sigma of tilted layers and their Airy arguments, left edges then right."""
+    p = _airy_geometry(v_left, v_right, width, energy)
+    return p.sigma, np.concatenate([p.z_left, p.z_right])
+
+
+def _linear(sigma: np.ndarray, z: np.ndarray) -> tuple:
+    """Tilted-layer matrices from scaled Airy products, for the layers'
+    sigma and their Airy arguments z (see `_airy_arguments`).
 
     Each element is a pi-weighted difference of Ai/Bi cross products at
     the two edge arguments.  The exponents e^{\\pm zeta} are summed
     symbolically first: Ai-type factors contribute -zeta, Bi-type +zeta,
-    and only the combined exponent is ever exponentiated.
+    and only the combined exponent is ever exponentiated.  Both edges of
+    every layer go through one Airy call.
     """
-    p = airy_layer_params(layer, energy)
-    qa = airy_eval_scaled(p.z_left)
-    qb = airy_eval_scaled(p.z_right)
-    za, zb = qa.exponent, qb.exponent
+    n = sigma.size
+    q = airy_eval_scaled(z)
+    ai_a, ai_b = q.ai_scaled[:n], q.ai_scaled[n:]
+    bi_a, bi_b = q.bi_scaled[:n], q.bi_scaled[n:]
+    aip_a, aip_b = q.ai_prime_scaled[:n], q.ai_prime_scaled[n:]
+    bip_a, bip_b = q.bi_prime_scaled[:n], q.bi_prime_scaled[n:]
+    w_up, w_down, w_m = _weights(q.exponent[:n], q.exponent[n:])
     pi = math.pi
-    l11 = pi * _combine(qb.ai_scaled * qa.bi_prime_scaled, za - zb,
-                        qa.ai_prime_scaled * qb.bi_scaled, zb - za)
-    l12 = (pi / p.sigma) * _combine(qa.ai_scaled * qb.bi_scaled, zb - za,
-                                    qb.ai_scaled * qa.bi_scaled, za - zb)
-    l21 = p.sigma * pi * _combine(qb.ai_prime_scaled * qa.bi_prime_scaled, za - zb,
-                                  qa.ai_prime_scaled * qb.bi_prime_scaled, zb - za)
-    l22 = pi * _combine(qa.ai_scaled * qb.bi_prime_scaled, zb - za,
-                        qb.ai_prime_scaled * qa.bi_scaled, za - zb)
-    return TransferMatrix(l11, l12, l21, l22)
+    return (
+        pi * _combine(ai_b * bip_a, w_up, aip_a * bi_b, w_down, w_m),
+        (pi / sigma) * _combine(ai_a * bi_b, w_down, ai_b * bi_a, w_up, w_m),
+        sigma * pi * _combine(aip_b * bip_a, w_up, aip_a * bip_b, w_down, w_m),
+        pi * _combine(ai_a * bip_b, w_down, aip_b * bi_a, w_up, w_m),
+    )
+
+
+def _elements(v_left, v_right, width, energy: float) -> list[np.ndarray]:
+    """(l11, l12, l21, l22) of linear-profile layers, each shaped like the
+    broadcast edge potentials.  A layer whose tilt is degenerate takes the
+    flat formula at its mid potential; every other layer the Airy formula."""
+    v_left, v_right, width = np.broadcast_arrays(
+        np.asarray(v_left, dtype=float), np.asarray(v_right, dtype=float),
+        np.asarray(width, dtype=float),
+    )
+    shape = v_left.shape
+    v_left, v_right, width = v_left.ravel(), v_right.ravel(), width.ravel()
+    flat = _degenerate(v_left, v_right, energy)
+    parts = []
+    if not flat.all():  # first, so that no output is held while the Airy call runs
+        tilted = ~flat
+        sigma, z = _airy_arguments(v_left[tilted], v_right[tilted], width[tilted], energy)
+        parts.append((tilted, _linear(sigma, z)))
+        del sigma, z
+    if flat.any():
+        parts.append((flat, _constant(v_left[flat], v_right[flat], width[flat], energy)))
+    elements = [np.empty(v_left.size) for _ in range(4)]
+    for where, values in parts:
+        for element, value in zip(elements, values):
+            element[where] = value
+    return [element.reshape(shape) for element in elements]
+
+
+def layer_matrices(v_left, v_right, width, energy: float) -> np.ndarray:
+    """Transfer matrices of linear-profile layers, shape (..., 2, 2) for
+    edge potentials of shape (...) and widths that broadcast with them."""
+    elements = _elements(v_left, v_right, width, energy)
+    return np.stack(elements, axis=-1).reshape(elements[0].shape + (2, 2))
+
+
+def structure_matrices(v_left, v_right, width, energy: float) -> np.ndarray:
+    """Right-to-left products Lambda_N ... Lambda_1 along the last axis of
+    the edge potentials (the layers); shape (..., 2, 2)."""
+    elements = _elements(v_left, v_right, width, energy)
+    total = [element[..., 0] for element in elements]
+    for i in range(1, elements[0].shape[-1]):
+        total = _product([element[..., i] for element in elements], total)
+    return np.stack(total, axis=-1).reshape(elements[0].shape[:-1] + (2, 2))
+
+
+def _single(matrices: np.ndarray) -> TransferMatrix:
+    return TransferMatrix(*matrices.reshape(4).tolist())
+
+
+def layer_matrix_constant(v: float, width: float, energy: float) -> TransferMatrix:
+    """Flat-layer matrix: trig above the potential, hyperbolic below."""
+    if not width > 0:
+        raise ValueError("width must be positive")
+    return _single(layer_matrices(v, v, width, energy))
+
+
+def layer_matrix_linear(layer: ConcreteLayer, energy: float) -> TransferMatrix:
+    """Tilted-layer matrix from scaled Airy products (see `_linear`)."""
+    if slope_is_degenerate(layer, energy):
+        raise DegenerateSlopeError(
+            f"slope {layer.slope!r} below threshold; use layer_matrix_constant"
+        )
+    return layer_matrix(layer, energy)
 
 
 def layer_matrix(layer: ConcreteLayer, energy: float) -> TransferMatrix:
     """Per-layer dispatcher: constant formula when the tilt is degenerate."""
-    if slope_is_degenerate(layer, energy):
-        v_mid = 0.5 * (layer.v_left_edge + layer.v_right_edge)
-        return layer_matrix_constant(v_mid, layer.width, energy)
-    return layer_matrix_linear(layer, energy)
+    return _single(layer_matrices(layer.v_left_edge, layer.v_right_edge, layer.width, energy))
 
 
 def structure_matrix(layers: list[ConcreteLayer], energy: float) -> TransferMatrix:
     """Right-to-left product Lambda_N ... Lambda_1 over the stack."""
     if not layers:
         raise ValueError("structure_matrix needs at least one layer")
-    total = TransferMatrix.identity()
-    for layer in layers:
-        total = layer_matrix(layer, energy) @ total
-    return total
+    edges = [[layer.v_left_edge for layer in layers]], [[layer.v_right_edge for layer in layers]]
+    return _single(structure_matrices(*edges, [layer.width for layer in layers], energy))

@@ -1,5 +1,6 @@
 """Shared numerical oracles, all independent of the package's own code paths."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from airystack.limits import TransistorSpec
 from airystack.potential import LayerSpec, StructureSpec
+from airystack.scattering import ScatteringResult
 
 
 def ode_layer_matrix(v0, v1, width, energy, rtol=1e-12, atol=1e-14):
@@ -90,6 +92,57 @@ def transistor_stack(a1, a3, d1, d2, d3, v_cb, v_left=0.0, v_right=None):
         LayerSpec(a3, -v_cb, d3, 1.0, 1.0),
     )
     return StructureSpec(layers, v_left, v_right)
+
+
+def mixed_stack() -> tuple[StructureSpec, float, int]:
+    """A swept device, its energy and its tuned layer, whose Airy arguments
+    cover every evaluation case.  At eps = 1 every fixed tilted layer has
+    unit slope (sigma = 1), so the arguments before the tuned layer are
+    exact; the last layer's arguments move with the tuned bias through all
+    three regimes while the leads propagate (tuned bias below -3)."""
+    layers = (
+        LayerSpec(10.0, 1.0, 1.0, 0.0, 0.0),  # z = 9 -> 10: exactly on SERIES_RADIUS
+        LayerSpec(2.25, 1.0, 1.0, 0.0, 0.0),  # z = 2.25 -> 3.25: ties k/2 + 1/4
+        LayerSpec(-1.5, 0.0, 0.7, 0.0, 0.0),  # flat well (degenerate slope): cos
+        LayerSpec(0.5, 0.0, 0.3, 0.0, 0.0),  # flat barrier (degenerate slope): cosh
+        LayerSpec(-13.0, 1.0, 1.0, 0.0, 0.0),  # z = -12 -> -11: oscillatory expansion
+        LayerSpec(4.0, 0.0, 0.8, 0.0, 0.0),  # tuned; its bias moves the right lead
+        LayerSpec(18.0, 1.0, 1.0, 0.0, 0.0),  # z = 21 + tuned bias
+    )
+    return StructureSpec(layers), 1.0, 5
+
+
+def golden_max_per_bracket(f, lo: float, hi: float, rel_tol: float) -> float:
+    """Golden-section maximum of a scalar f on one bracket, one step at a
+    time: the reference for the lockstep refinement of all brackets."""
+    g = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c = b - g * (b - a)
+    d = a + g * (b - a)
+    fc, fd = f(c), f(d)
+    tol = rel_tol * max(1.0, abs(lo), abs(hi))
+    while (b - a) > tol:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - g * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + g * (b - a)
+            fd = f(d)
+    return 0.5 * (a + b)
+
+
+def s_matrix(result: ScatteringResult) -> np.ndarray:
+    """Unitary 2x2 scattering matrix built from the flux-normalized amplitudes."""
+    root = cmath.sqrt(result.k_left / result.k_right)
+    return np.array(
+        [
+            [result.r_left, root * result.t_right],
+            [result.t_left / root, result.r_right],
+        ],
+        dtype=complex,
+    )
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -100,8 +101,11 @@ def test_dense_grid_against_mpmath():
     # midpoint, where the step is longest.  For z < 0 the bound is relative
     # to the local amplitude, so zeros of Ai or Bi do not turn an absolute
     # accuracy into a meaningless relative one.
-    for i in range(-180, 181):
-        z = i / 20
+    # The same grid also goes through airy_eval_scaled as one array: its
+    # scaled values must meet the bound with the exponent it reports.
+    zs = np.arange(-180, 181) / 20
+    batch = airy_eval_scaled(zs)
+    for i, z in enumerate(zs.tolist()):
         q = airy_eval(z)
         refs = (mp.airyai(z), mp.airyai(z, 1), mp.airybi(z), mp.airybi(z, 1))
         if z < 0:
@@ -112,6 +116,13 @@ def test_dense_grid_against_mpmath():
         mine = (q.ai, q.ai_prime, q.bi, q.bi_prime)
         for name, value, ref, scale in zip(("Ai", "Ai'", "Bi", "Bi'"), mine, refs, scales):
             assert abs(value - ref) <= 1e-14 * scale, (name, z, float((value - ref) / scale))
+        e = mp.exp(mp.mpf(float(batch.exponent[i])))
+        scaled = (batch.ai_scaled[i], batch.ai_prime_scaled[i],
+                  batch.bi_scaled[i], batch.bi_prime_scaled[i])
+        for name, value, ref, scale, f in zip(
+            ("Ai", "Ai'", "Bi", "Bi'"), scaled, refs, scales, (e, e, 1 / e, 1 / e)
+        ):
+            assert abs(value - ref * f) <= 1e-14 * scale * f, (name, z, "scaled")
 
 
 def test_scaled_identity_below_zero():
@@ -176,17 +187,20 @@ def test_wronskian_sweep_grid():
 
 def test_regime_agreement_at_crossover():
     # the two representations agree where they hand over
-    from airystack.airy import _asym_neg, _asym_pos_scaled, _series_quad
+    from airystack.airy import _asym_neg, _asym_pos, _series
+
+    def at(kernel, z):
+        return [float(x[0]) for x in kernel(np.array([z]))]
 
     for z in (8.5, 8.8, 9.2, 9.5):
-        ai_s, bi_s, aip_s, bip_s, zeta = _asym_pos_scaled(z)
+        ai_s, aip_s, bi_s, bip_s, zeta = at(_asym_pos, z)
         em, ep = math.exp(-zeta), math.exp(zeta)
         asym = (ai_s * em, aip_s * em, bi_s * ep, bip_s * ep)
-        series = _series_quad(z)
+        series = at(_series, z)
         for a, b in zip(asym, series):
             assert a == pytest.approx(b, rel=1e-9)
     for z in (-8.5, -8.8, -9.2, -9.5):
-        for a, b in zip(_asym_neg(z), _series_quad(z)):
+        for a, b in zip(at(_asym_neg, z), at(_series, z)):
             assert a == pytest.approx(b, rel=1e-9)
 
 

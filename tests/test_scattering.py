@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airystack.errors import EvanescentLeadError
-from airystack.scattering import s_matrix, scatter
+from airystack.scattering import scatter
 from airystack.transfer import TransferMatrix, layer_matrix_constant
 
-from conftest import rect_barrier_transmission
+from conftest import rect_barrier_transmission, s_matrix
 
 
 def random_unimodular(rng):

@@ -1,9 +1,15 @@
 """Sweep engine: curves, peak detection/refinement, determinism, gaps."""
 
+import json
 import math
+import pathlib
 
+import numpy as np
 import pytest
 
+import airystack.transfer
+from airystack.airy import SERIES_RADIUS
+from airystack.cli import main
 from airystack.potential import LayerSpec, StructureSpec
 from airystack.sweep import (
     SweepRequest,
@@ -12,6 +18,8 @@ from airystack.sweep import (
     sweep_to_csv,
     sweep_to_json,
 )
+
+from conftest import golden_max_per_bracket, mixed_stack
 
 EV = 2.62464
 
@@ -174,3 +182,63 @@ def test_request_validation():
         SweepRequest(free_structure(), 0, 0.1, 0.2, 5, (0.25, 0.5), 1.0)  # ascending
     with pytest.raises(ValueError):
         SweepRequest(free_structure(), 3, 0.1, 0.2, 5, (0.5,), 1.0)  # bad layer
+
+
+def test_batched_curve_equals_batch_of_one(monkeypatch):
+    spec, energy, tuned = mixed_stack()
+    req = SweepRequest(spec, tuned, -40.0, 40.0, 161, (1.0, 0.5), energy, tuned_sign=1.0)
+    grid = np.linspace(-40.0, 40.0, 161)
+    seen = []
+    airy = airystack.transfer.airy_eval_scaled
+    monkeypatch.setattr(airystack.transfer, "airy_eval_scaled",
+                        lambda z: seen.append(np.array(z)) or airy(z))
+    batched = {eps: req.transmission(grid, eps) for eps in req.epsilons}
+    z = np.concatenate(seen)
+    # the device reaches every case the batched path masks
+    assert np.any(np.abs(z) <= SERIES_RADIUS)
+    assert np.any(z > SERIES_RADIUS) and np.any(z < -SERIES_RADIUS)
+    assert np.any(z == SERIES_RADIUS)
+    assert np.any(z == 2.25) and np.any(z == 3.25)  # k/2 + 1/4: rint rounds to even
+    for eps, curve in batched.items():
+        single = np.array([req.transmission(float(v), eps) for v in grid])
+        gaps = np.isnan(curve)
+        assert 0 < gaps.sum() < len(grid)
+        assert np.array_equal(gaps, np.isnan(single))
+        assert np.all(np.abs(curve[~gaps] - single[~gaps]) <= 1e-14 * np.abs(single[~gaps]))
+
+
+def test_lockstep_refinement_equals_per_bracket_golden_section():
+    centres = np.array([-3.1, -0.42, 0.05, 0.61, 2.37, 7.9])
+    widths = np.array([0.3, 0.01, 0.2, 0.004, 0.05, 0.5])
+
+    def t_of(x):
+        x = np.asarray(x, dtype=float)
+        d = (x[..., None] - centres) / widths
+        t = (1.0 / (1.0 + d * d)).sum(axis=-1)
+        return np.where((x > 4.0) & (x < 5.0), np.nan, t)  # a gap
+
+    xs = np.linspace(-5.0, 10.0, 301)
+    curve = list(zip(xs.tolist(), t_of(xs).tolist()))
+    peaks = detect_peaks(curve, 0.1, evaluator=t_of)
+    grid_peaks = detect_peaks(curve, 0.1)
+    assert len(peaks) == len(grid_peaks) >= 5
+    at = [xs.tolist().index(x) for x in grid_peaks]
+    expected = [
+        golden_max_per_bracket(lambda v: float(t_of(v)), xs[i - 1], xs[i + 1], 1e-6)
+        for i in at
+    ]
+    assert peaks == expected  # bit for bit
+
+
+def test_sweep_outputs_are_python_float_reprs(tmp_path):
+    prefix = tmp_path / "fig4"
+    config = pathlib.Path(__file__).parents[1] / "configs" / "fig4.json"
+    assert main(["sweep", str(config), "--out", str(prefix)]) == 0
+    lines = (tmp_path / "fig4.csv").read_text().splitlines()
+    assert len(lines) == 1 + 3 * 2001
+    for line in lines[1:]:
+        for field in line.split(","):
+            assert field == "" or field == repr(float(field)), line
+    text = (tmp_path / "fig4.json").read_text()
+    assert "np." not in text
+    assert all(isinstance(p, float) for s in json.loads(text)["sweeps"] for p in s["peaks_invnm2"])

@@ -8,17 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from airystack.errors import DegenerateSlopeError
-from airystack.potential import ConcreteLayer
+from airystack.potential import ConcreteLayer, stack_potentials
 from airystack.transfer import (
     TransferMatrix,
     airy_layer_params,
+    layer_matrices,
     layer_matrix,
     layer_matrix_constant,
     layer_matrix_linear,
+    structure_matrices,
     structure_matrix,
 )
 
-from conftest import ode_layer_matrix, ode_wronskian_route_matrix
+from conftest import mixed_stack, ode_layer_matrix, ode_wronskian_route_matrix
 
 
 def as_array(m: TransferMatrix) -> np.ndarray:
@@ -200,3 +202,23 @@ def test_det_one_property(v0, v1, width, energy):
 def test_structure_matrix_empty_rejected():
     with pytest.raises(ValueError):
         structure_matrix([], 1.0)
+
+
+def test_batched_matrices_equal_batch_of_one():
+    # the mixed stack's layers reach all three Airy regimes and both flat
+    # branches; the tuned bias runs through zero, where its tilt degenerates
+    spec, energy, tuned = mixed_stack()
+    biases = np.tile([layer.b for layer in spec.layers], (81, 1))
+    biases[:, tuned] = np.linspace(-40.0, 40.0, 81)
+    for eps in (1.0, 0.5):
+        v_left, v_right, widths = stack_potentials(spec, eps, biases)
+        layers = layer_matrices(v_left, v_right, widths, energy)
+        products = structure_matrices(v_left, v_right, widths, energy)
+        assert layers.shape == biases.shape + (2, 2) and products.shape == (81, 2, 2)
+        for p in range(len(biases)):
+            stack = [ConcreteLayer(*edge) for edge in zip(v_left[p], v_right[p], widths)]
+            for i, layer in enumerate(stack):
+                ref = as_array(layer_matrix(layer, energy))
+                assert np.all(np.abs(layers[p, i] - ref) <= 1e-14 * np.abs(ref))
+            ref = as_array(structure_matrix(stack, energy))
+            assert np.all(np.abs(products[p] - ref) <= 1e-14 * np.abs(ref))
