@@ -189,11 +189,11 @@ def sweep_to_csv(result: SweepResult) -> str:
     lines = ["epsilon,tuned_value_eV,tuned_value_invnm2,T,R"]
     values = {}  # the curves share one grid: format each value once
     for eps, curve in zip(result.request.epsilons, result.curves):
+        head = f"{eps!r},"
         for v, t in curve:
             if v not in values:
-                values[v] = f"{invnm2_to_ev(v)!r},{v!r}"
-            t_and_r = "," if math.isnan(t) else f"{t!r},{1.0 - t!r}"
-            lines.append(f"{eps!r},{values[v]},{t_and_r}")
+                values[v] = f"{invnm2_to_ev(v)!r},{v!r},"
+            lines.append(head + values[v] + ("," if math.isnan(t) else f"{t!r},{1.0 - t!r}"))
     return "\n".join(lines) + "\n"
 
 

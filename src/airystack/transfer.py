@@ -118,11 +118,15 @@ def _airy_geometry(v_left, v_right, width, energy) -> AiryLayerParams:
     )
 
 
-def airy_layer_params(layer: ConcreteLayer, energy: float) -> AiryLayerParams:
+def _require_tilt(layer: ConcreteLayer, energy: float) -> None:
     if slope_is_degenerate(layer, energy):
         raise DegenerateSlopeError(
             f"slope {layer.slope!r} below threshold; use layer_matrix_constant"
         )
+
+
+def airy_layer_params(layer: ConcreteLayer, energy: float) -> AiryLayerParams:
+    _require_tilt(layer, energy)
     p = _airy_geometry(
         np.array([layer.v_left_edge]), np.array([layer.v_right_edge]), layer.width, energy
     )
@@ -250,10 +254,7 @@ def layer_matrix_constant(v: float, width: float, energy: float) -> TransferMatr
 
 def layer_matrix_linear(layer: ConcreteLayer, energy: float) -> TransferMatrix:
     """Tilted-layer matrix from scaled Airy products (see `_linear`)."""
-    if slope_is_degenerate(layer, energy):
-        raise DegenerateSlopeError(
-            f"slope {layer.slope!r} below threshold; use layer_matrix_constant"
-        )
+    _require_tilt(layer, energy)
     return layer_matrix(layer, energy)
 
 
