@@ -22,27 +22,32 @@ from .potential import (
     ev_to_invnm2,
     invnm2_to_ev,
     realize,
+    stack_potentials,
 )
-from .resonance import FINDERS, ResonanceEquation
-from .scattering import scatter
+from .resonance import FINDERS, SQUEEZES, ResonanceEquation
+from .scattering import scatter, trans_prob
 from .sweep import SweepRequest, run_sweep, sweep_to_csv, sweep_to_json
-from .transfer import structure_matrix
+from .transfer import structure_matrices, structure_matrix
 
 
-# scenario -> (layer power template, sign s, equations).  Each equation's
-# variable is s * b1, b1 being layer 0's bias; the first equation is the
-# closed form a sweep of layer 0 is compared against.
+# scenario -> its equations.  The first is the closed form: its squeeze is
+# the scenario's layer power template, and a sweep of layer 0 is compared
+# against its roots.
 SCENARIOS = {
-    "fig3_barrier_well": (((1.0, 1.0), (2.0, 1.0)), 1.0, (
+    "fig3_barrier_well": (
         ResonanceEquation.EQ73_DELTA_BARRIER_WELL,
         ResonanceEquation.EQ69_DELTAPRIME_2LAYER,
-    )),
-    "fig5_transistor": (((1.0, 1.0), (2.0, 0.0), (1.0, 1.0)), -1.0, (
+    ),
+    "fig5_transistor": (
         ResonanceEquation.EQ76_TRANSISTOR_DELTA,
         ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME,
-    )),
-    "custom": (None, None, ()),
+    ),
+    "custom": (),
 }
+# Most grid points a sweep may ask for: each point costs a matrix per layer
+# and epsilon, so a typo such as 10**15 is rejected before any array is
+# built.  The bound is the one resonance sets have (resonance.MAX_LEVELS).
+MAX_POINTS = 100_000
 
 # JSON value types and the Python types that carry them; a bool never
 # counts as a number or an index, and a number must be finite
@@ -126,7 +131,8 @@ def load_config(path: str) -> DeviceConfig:
     layers_raw = raw["layers"]
     if not layers_raw:
         raise ConfigError("layers must be a non-empty list")
-    template = SCENARIOS[scenario][0]
+    equations = SCENARIOS[scenario]
+    template = SQUEEZES[equations[0]][0] if equations else None
     if template is not None and len(layers_raw) != len(template):
         raise ConfigError(f"scenario {scenario!r} needs exactly {len(template)} layers")
     layers = []
@@ -156,6 +162,8 @@ def load_config(path: str) -> DeviceConfig:
         _check(sweep, _SWEEP_KEYS, "sweep")
         if sweep.get("tuned_sign", -1.0) not in (1.0, -1.0):
             raise ConfigError(f"sweep.tuned_sign must be 1 or -1, got {sweep['tuned_sign']!r}")
+        if sweep.get("points", 0) > MAX_POINTS:
+            raise ConfigError(f"sweep.points must be at most {MAX_POINTS}, got {sweep['points']!r}")
         sweep = dict(sweep, lo=scaled(sweep["lo"], "sweep.lo"), hi=scaled(sweep["hi"], "sweep.hi"))
     return DeviceConfig(spec, scaled(raw["energy"], "energy"), scenario, sweep)
 
@@ -180,7 +188,7 @@ def cmd_scatter(args) -> int:
         layers = realize(cfg.spec, args.epsilon)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    matrix = structure_matrix(layers, energy)
+    matrix = _evaluated(structure_matrix, layers, energy)
     v_l, v_r = cfg.spec.lead_potentials()
     res = scatter(matrix, v_l, v_r, energy)
     doc = {
@@ -201,6 +209,15 @@ def cmd_scatter(args) -> int:
     return 0
 
 
+def _evaluated(fn, *args, **kwargs):
+    """fn(*args, **kwargs); a layer whose transfer matrix overflows a double
+    (q * w or an Airy exponent past ~709) is a config error."""
+    try:
+        return fn(*args, **kwargs)
+    except OverflowError as exc:
+        raise ConfigError(f"a layer's transfer matrix overflows a double ({exc})") from exc
+
+
 def _solve(eq: ResonanceEquation, stack: StructureSpec, lo: float, hi: float, energy):
     """The equation's roots on [lo, hi]; its finder's argument checks are
     config errors, an evanescent lead stays a physics error."""
@@ -219,7 +236,7 @@ def cmd_resonances(args) -> int:
     eq = _EQUATIONS.get(args.equation)
     if eq is None:
         raise ConfigError(f"unknown equation {args.equation!r}")
-    if eq not in SCENARIOS[cfg.scenario][2]:
+    if eq not in SCENARIOS[cfg.scenario]:
         raise ConfigError(f"equation {eq.value} does not apply to scenario {cfg.scenario!r}")
     scale = _UNITS[args.units]
     lo, hi = args.interval[0] * scale, args.interval[1] * scale
@@ -267,16 +284,17 @@ def cmd_sweep(args) -> int:
         print("note: epsilon < 0.02 drives Airy arguments to |z| ~ 1e4; "
               "scaled evaluation is in effect", file=sys.stderr)
     roots: tuple[float, ...] = ()
-    template, sign, equations = SCENARIOS[cfg.scenario]
-    # the closed form describes the template's squeeze only
-    squeeze = [(layer.mu, layer.nu) for layer in cfg.spec.layers]
-    if equations and req.tuned_layer == 0 and squeeze == list(template):
-        # grid value v sets b1 = tuned_sign * v, so the variable is k * v
-        k = sign * req.tuned_sign
-        lo, hi = sorted((k * req.grid_lo, k * req.grid_hi))
-        rset = _solve(equations[0], cfg.spec, lo, hi, None)
-        roots = tuple(sorted(k * r.value for r in rset.roots))
-    result = run_sweep(req, reference_roots=roots)
+    equations = SCENARIOS[cfg.scenario]
+    if equations and req.tuned_layer == 0:
+        template, sign = SQUEEZES[equations[0]]
+        # the closed form describes its own squeeze only
+        if tuple((layer.mu, layer.nu) for layer in cfg.spec.layers) == template:
+            # grid value v sets b1 = tuned_sign * v, so the variable is k * v
+            k = sign * req.tuned_sign
+            lo, hi = sorted((k * req.grid_lo, k * req.grid_hi))
+            rset = _solve(equations[0], cfg.spec, lo, hi, None)
+            roots = tuple(sorted(k * r.value for r in rset.roots))
+    result = _evaluated(run_sweep, req, reference_roots=roots)
     csv_text = sweep_to_csv(result)
     json_text = sweep_to_json(result)
     if args.out:
@@ -287,9 +305,7 @@ def cmd_sweep(args) -> int:
         print(f"wrote {args.out}.csv and {args.out}.json", file=sys.stderr)
     else:
         sys.stdout.write(csv_text)
-    for eps, pk, conv in zip(
-        req.epsilons, result.peaks, result.convergence or [()] * len(result.peaks)
-    ):
+    for eps, pk, conv in zip(req.epsilons, result.peaks, result.convergence):
         peaks_ev = ", ".join(f"{invnm2_to_ev(p):.6f}" for p in pk)
         errs = ", ".join(f"{invnm2_to_ev(c):.6f}" for c in conv)
         print(f"eps={eps}: peaks(eV) [{peaks_ev}] root-errors(eV) [{errs}]", file=sys.stderr)
@@ -297,22 +313,25 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_limit_check(args) -> int:
-    """Squeezing-convergence check for the delta-point limit."""
+    """Squeezing-convergence check for the delta-point limit: the exact T of
+    the squeezed layer at each epsilon against the T of its limit matrix."""
     layer = LayerSpec(
         a=ev_to_invnm2(0.3), b=ev_to_invnm2(-0.1), d=1.0, mu=1.0, nu=1.0
     )
+    spec = StructureSpec((layer,))
     energy = ev_to_invnm2(0.3)
-    epsilons = (0.5, 0.25, 0.1, 0.05)
-    limit = single_layer_limit(layer, epsilon_probe=epsilons, energy=energy)
+    limit = single_layer_limit(layer)
     if limit.kind is not LimitKind.DELTA:
         print(f"limit is {limit.kind.value}, expected DELTA", file=sys.stderr)
         return 1
-    k = math.sqrt(energy)
-    k_r = math.sqrt(energy - layer.b)
-    t_formula = delta_transmission(limit.alpha, k, k_r)
+    v_l, v_r = spec.lead_potentials()
+    t_lim = float(trans_prob([[1.0, 0.0], [limit.alpha, 1.0]], v_l, v_r, energy))
+    t_formula = delta_transmission(limit.alpha, math.sqrt(energy), math.sqrt(energy - layer.b))
     print("epsilon,T_exact,T_limit,abs_error")
     errors = []
-    for eps, t_eps, t_lim in limit.probe:
+    for eps in (0.5, 0.25, 0.1, 0.05):
+        matrices = structure_matrices(*stack_potentials(spec, eps, [[layer.b]]), energy)
+        t_eps = float(trans_prob(matrices, v_l, v_r, energy)[0])
         err = abs(t_eps - t_lim)
         errors.append(err)
         print(f"{eps!r},{t_eps!r},{t_lim!r},{err!r}")

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NoClosedFormLimitError, NotAResonanceRootError
-from .potential import LayerSpec, RegionClass, StructureSpec, classify_region, realize
-from .scattering import scatter
-from .transfer import TransferMatrix, structure_matrix
+from .potential import POWER_TOL, LayerSpec, RegionClass, StructureSpec, classify_region
+from .transfer import TransferMatrix
 
 __all__ = [
     "AsymptoticRegime",
@@ -46,6 +45,9 @@ __all__ = [
 # A candidate counts as a resonance root when its scaled residual is below
 # this; the four theta representations then agree to ~1e-7.
 RESIDUAL_RTOL = 1e-9
+
+# Resonant depths a (2, 1) well's classification lists, n = 1 .. N_DEPTHS.
+N_DEPTHS = 5
 
 
 class AsymptoticRegime(Enum):
@@ -169,7 +171,6 @@ class LimitClassification:
     n: int | None = None
     resonance_depths: tuple[float, ...] = ()
     warnings: tuple[str, ...] = ()
-    probe: tuple[tuple[float, float, float], ...] = field(default=(), repr=False)
 
     def matrix(self) -> TransferMatrix | None:
         if self.kind is LimitKind.TRANSPARENT:
@@ -203,34 +204,7 @@ def limit_transmission_on_resonance(
     return 4.0 * k * k_right / ((k / theta + k_right * theta) ** 2 + alpha * alpha)
 
 
-def _probe_convergence(
-    spec: StructureSpec,
-    limit: LimitClassification,
-    epsilons: tuple[float, ...],
-    energy: float,
-) -> tuple[tuple[float, float, float], ...]:
-    """Exact finite-eps transmission against the limit value, per epsilon."""
-    v_l, v_r = spec.lead_potentials()
-    lim_matrix = limit.matrix()
-    if lim_matrix is None:
-        t_limit = 0.0
-    else:
-        t_limit = scatter(lim_matrix, v_l, v_r, energy).trans_prob
-    rows = []
-    for eps in epsilons:
-        t_eps = scatter(
-            structure_matrix(realize(spec, eps), energy), v_l, v_r, energy
-        ).trans_prob
-        rows.append((eps, t_eps, t_limit))
-    return tuple(rows)
-
-
-def single_layer_limit(
-    layer: LayerSpec,
-    epsilon_probe: tuple[float, ...] = (),
-    energy: float | None = None,
-    n_depths: int = 5,
-) -> LimitClassification:
+def single_layer_limit(layer: LayerSpec) -> LimitClassification:
     """Zero-thickness limit of one squeezed layer.
 
     Supported squeezes: the shrinking-argument triangle and its boundary
@@ -239,51 +213,38 @@ def single_layer_limit(
     -(n pi / d)^2 and a barrier becomes an opaque wall.
     """
     region = classify_region(layer.mu, layer.nu)
-    tol = 1e-12
     if region is RegionClass.P21:
         if layer.a > 0.0:
-            result = LimitClassification(LimitKind.OPAQUE_WALL)
-        elif layer.a == 0.0:
-            result = LimitClassification(LimitKind.TRANSPARENT)
-        else:
-            depths = tuple(-((n * math.pi / layer.d) ** 2) for n in range(1, n_depths + 1))
-            kap_d = math.sqrt(-layer.a) * layer.d
-            n = round(kap_d / math.pi)
-            on_set = n >= 1 and abs(kap_d - n * math.pi) <= 1e-9 * max(1.0, kap_d)
-            # a well is classified by its resonant family; sign/n attach only
-            # when the depth itself lies on the discrete set
-            result = LimitClassification(
-                LimitKind.RESONANT_DELTA,
-                alpha=0.0,
-                sign=(-1) ** n if on_set else None,
-                n=n if on_set else None,
-                resonance_depths=depths,
-            )
-    elif region in (RegionClass.P11, RegionClass.L0_1, RegionClass.L0_2, RegionClass.S0):
-        if layer.mu < 1.0 - tol:
-            result = LimitClassification(LimitKind.TRANSPARENT)
-        elif abs(layer.mu - 1.0) <= tol:
-            # The bias adds b/2 to the strength only when it diverges at the
-            # same rate as the edge value (nu = mu = 1); slower-diverging
-            # bias contributes nothing in the limit.
-            bias_term = 0.5 * layer.b if abs(layer.nu - 1.0) <= tol else 0.0
-            result = LimitClassification(
-                LimitKind.DELTA, alpha=(layer.a + bias_term) * layer.d
-            )
-        else:
-            result = LimitClassification(LimitKind.OPAQUE_WALL)
-    else:
+            return LimitClassification(LimitKind.OPAQUE_WALL)
+        if layer.a == 0.0:
+            return LimitClassification(LimitKind.TRANSPARENT)
+        depths = tuple(-((n * math.pi / layer.d) ** 2) for n in range(1, N_DEPTHS + 1))
+        kap_d = math.sqrt(-layer.a) * layer.d
+        n = round(kap_d / math.pi)
+        on_set = n >= 1 and abs(kap_d - n * math.pi) <= 1e-9 * max(1.0, kap_d)
+        # a well is classified by its resonant family; sign/n attach only
+        # when the depth itself lies on the discrete set
+        return LimitClassification(
+            LimitKind.RESONANT_DELTA,
+            alpha=0.0,
+            sign=(-1) ** n if on_set else None,
+            n=n if on_set else None,
+            resonance_depths=depths,
+        )
+    if region not in (RegionClass.P11, RegionClass.L0_1, RegionClass.L0_2, RegionClass.S0):
         raise NoClosedFormLimitError(
             f"no closed-form zero-thickness limit for (mu, nu) = "
             f"({layer.mu!r}, {layer.nu!r}) [region {region.value}]"
         )
-    if epsilon_probe:
-        if energy is None:
-            raise ValueError("epsilon_probe requires an energy")
-        spec = StructureSpec((layer,))
-        probe = _probe_convergence(spec, result, tuple(epsilon_probe), energy)
-        result = replace(result, probe=probe)
-    return result
+    if layer.mu < 1.0 - POWER_TOL:
+        return LimitClassification(LimitKind.TRANSPARENT)
+    if abs(layer.mu - 1.0) > POWER_TOL:
+        return LimitClassification(LimitKind.OPAQUE_WALL)
+    # The bias adds b/2 to the strength only when it diverges at the same
+    # rate as the edge value (nu = mu = 1); slower-diverging bias
+    # contributes nothing in the limit.
+    bias_term = 0.5 * layer.b if abs(layer.nu - 1.0) <= POWER_TOL else 0.0
+    return LimitClassification(LimitKind.DELTA, alpha=(layer.a + bias_term) * layer.d)
 
 
 def _admissibility_warnings(name: str, value: float, lo: float, hi: float) -> tuple[str, ...]:
@@ -354,11 +315,10 @@ def two_layer_limit_matrices(
     if len(spec.layers) != 2:
         raise ValueError("two_layer_limit_matrices needs exactly 2 layers")
     l1, l2 = spec.layers
-    tol = 1e-12
     warnings = _admissibility_warnings("-b1", -l1.b, -math.inf, l1.a)
 
     def powers_are(la, mu, nu):
-        return abs(la.mu - mu) <= tol and abs(la.nu - nu) <= tol
+        return abs(la.mu - mu) <= POWER_TOL and abs(la.nu - nu) <= POWER_TOL
 
     if mode is TwoLayerMode.RESONANT_DELTA:
         if not (powers_are(l1, 1, 1) and powers_are(l2, 2, 1)):

@@ -28,9 +28,14 @@ __all__ = [
     "realize",
     "stack_potentials",
     "classify_region",
+    "POWER_TOL",
 ]
 
 EV_TO_INVNM2 = 2.62464  # 1 eV in nm^-2 for m* = 0.1 m_e
+
+# Two squeeze powers closer than this are the same power: the named lines
+# and points of the power plane, and the squeezes the limits are derived for.
+POWER_TOL = 1e-12
 
 
 def ev_to_invnm2(e: float) -> float:
@@ -92,7 +97,8 @@ class StructureSpec:
         return self.v_left, self.right_lead(layer.b for layer in self.layers)
 
     def replace_bias(self, index: int, b: float) -> "StructureSpec":
-        """Copy with layer `index` given bias b (used by parameter sweeps)."""
+        """Copy with layer `index` given bias b (perfbench/make_reference.py
+        probes a device's Airy arguments along its sweep with it)."""
         layers = list(self.layers)
         old = layers[index]
         layers[index] = LayerSpec(old.a, b, old.d, old.mu, old.nu)
@@ -185,13 +191,13 @@ class RegionClass(Enum):
     OUTSIDE = "OUTSIDE"
 
 
-def classify_region(mu: float, nu: float, tol: float = 1e-12) -> RegionClass:
+def classify_region(mu: float, nu: float) -> RegionClass:
     """Partition of the admissible power plane; points beat lines beat sets."""
 
     def eq(x, y):
-        return abs(x - y) <= tol
+        return abs(x - y) <= POWER_TOL
 
-    if not (mu > tol and -tol <= nu <= mu + tol and mu <= 2.0 + tol):
+    if not (mu > POWER_TOL and -POWER_TOL <= nu <= mu + POWER_TOL and mu <= 2.0 + POWER_TOL):
         return RegionClass.OUTSIDE
     if eq(mu, 1.0) and eq(nu, 1.0):
         return RegionClass.P11
@@ -203,7 +209,7 @@ def classify_region(mu: float, nu: float, tol: float = 1e-12) -> RegionClass:
         return RegionClass.L0_INF
     if eq(nu, 0.0) and mu < 2.0 / 3.0:
         return RegionClass.L0_1
-    if eq(nu, mu) and mu < 2.0 - tol:
+    if eq(nu, mu) and mu < 2.0 - POWER_TOL:
         return RegionClass.L0_2
     if eq(nu, 0.0) and mu > 2.0 / 3.0:
         return RegionClass.L_INF_1

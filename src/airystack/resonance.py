@@ -32,6 +32,7 @@ __all__ = [
     "ResonanceRoot",
     "ResonanceSet",
     "FINDERS",
+    "SQUEEZES",
     "scan_and_bisect",
     "resonances_delta_barrier_well",
     "resonances_transistor_delta",
@@ -43,12 +44,27 @@ __all__ = [
 # wider interval is rejected before any level is generated.
 MAX_LEVELS = 100_000
 
+# Uniform scan steps across [lo, hi], and the relative width at which
+# bisection stops, for the transcendental conditions.
+SCAN_STEPS = 2048
+ROOT_REL_TOL = 1e-12
+
 
 class ResonanceEquation(Enum):
     EQ69_DELTAPRIME_2LAYER = "EQ69_DELTAPRIME_2LAYER"
     EQ73_DELTA_BARRIER_WELL = "EQ73_DELTA_BARRIER_WELL"
     EQ76_TRANSISTOR_DELTA = "EQ76_TRANSISTOR_DELTA"
     EQ83_TRANSISTOR_DELTAPRIME = "EQ83_TRANSISTOR_DELTAPRIME"
+
+
+# equation -> (mu, nu) of each layer it is derived for, and the sign s that
+# makes its tuned variable s * b1, b1 being layer 0's bias
+SQUEEZES = {
+    ResonanceEquation.EQ73_DELTA_BARRIER_WELL: (((1.0, 1.0), (2.0, 1.0)), 1.0),
+    ResonanceEquation.EQ69_DELTAPRIME_2LAYER: (((2.0, 1.0), (2.0, 1.0)), 1.0),
+    ResonanceEquation.EQ76_TRANSISTOR_DELTA: (((1.0, 1.0), (2.0, 0.0), (1.0, 1.0)), -1.0),
+    ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME: (((2.0, 1.0), (2.0, 0.0), (2.0, 1.0)), -1.0),
+}
 
 
 @dataclass(frozen=True)
@@ -78,24 +94,18 @@ class ResonanceSet:
         return tuple(r.value for r in self.roots)
 
 
-def scan_and_bisect(
-    f,
-    lo: float,
-    hi: float,
-    n_scan: int = 2048,
-    poles: tuple[float, ...] = (),
-    rel_tol: float = 1e-12,
-) -> list[float]:
+def scan_and_bisect(f, lo: float, hi: float, poles: tuple[float, ...] = ()) -> list[float]:
     """All sign-change roots of f on [lo, hi].
 
     The interval is pre-split at the supplied pole locations (where f
     jumps sign without a root); each pole-free piece is scanned with a
-    uniform step of (hi - lo) / n_scan and sign changes are refined by
-    bisection.  Deterministic: identical inputs give identical outputs.
+    uniform step of (hi - lo) / SCAN_STEPS and sign changes are refined by
+    bisection to ROOT_REL_TOL.  Deterministic: identical inputs give
+    identical outputs.
     """
     if not hi > lo:
         return []
-    step = (hi - lo) / n_scan
+    step = (hi - lo) / SCAN_STEPS
     margin = 1e-10 * (hi - lo)
     cuts = sorted(p for p in poles if lo < p < hi)
     edges = [lo]
@@ -128,7 +138,7 @@ def scan_and_bisect(
                         x0, f0 = mid, fm
                     # true relative tolerance: small roots (steep residuals
                     # near poles) still need their full relative precision
-                    if (x1 - x0) <= rel_tol * max(abs(x0), abs(x1)):
+                    if (x1 - x0) <= ROOT_REL_TOL * max(abs(x0), abs(x1)):
                         break
                 roots.append(0.5 * (x0 + x1))
         if fs[-1] == 0.0:
@@ -154,8 +164,11 @@ def _levels(start, d: float, sign: float, offset: float, lo: float, hi: float) -
     return [v for v in values if lo <= v <= hi]
 
 
-def _tuned(stack: StructureSpec, b1: float, powers) -> StructureSpec:
-    """stack with layer 0's bias set to b1 and layer i squeezed at powers[i]."""
+def _tuned(stack: StructureSpec, eq: ResonanceEquation, value: float) -> StructureSpec:
+    """stack at the equation's tuned variable = value (layer 0's bias set to
+    b1 = s * value) with layer i squeezed at the equation's powers[i]."""
+    powers, sign = SQUEEZES[eq]
+    b1 = sign * value
     layers = tuple(
         LayerSpec(layer.a, layer.b if i else b1, layer.d, mu, nu)
         for i, (layer, (mu, nu)) in enumerate(zip(stack.layers, powers))
@@ -201,9 +214,8 @@ def _root(n: int, value: float, limit, stack: StructureSpec, energy, **fields) -
 
 # Every finder maps (stack, lo, hi, energy) to the resonance set on [lo, hi]
 # of the tuned variable.  It reads widths, coefficients, biases and leads
-# from the stack, tunes layer 0's bias (b1 for the barrier-well devices,
-# b1 = -v_eb for the transistor) and squeezes each layer at the powers its
-# equation is derived for; the stack's own powers play no part.
+# from the stack, and tunes layer 0's bias and squeezes each layer as its
+# equation's SQUEEZES entry gives; the stack's own powers play no part.
 
 
 def resonances_delta_barrier_well(
@@ -219,7 +231,7 @@ def resonances_delta_barrier_well(
     stack = replace(stack, layers=(barrier, replace(well, b=0.0)))
     roots = []
     for b in sorted(_levels(1, well.d, -1.0, -well.a, lo, hi)):
-        tuned = _tuned(stack, b, ((1.0, 1.0), (2.0, 1.0)))
+        tuned = _tuned(stack, ResonanceEquation.EQ73_DELTA_BARRIER_WELL, b)
         limit = two_layer_limit_matrices(tuned, TwoLayerMode.RESONANT_DELTA)
         roots.append(_root(limit.n, b, limit, tuned, energy))
     return ResonanceSet(ResonanceEquation.EQ73_DELTA_BARRIER_WELL, tuple(roots))
@@ -237,7 +249,7 @@ def resonances_transistor_delta(
     roots = []
     for v in _levels(1, params.d2, 1.0, 0.0, max(lo, 0.0), hi):
         limit = transistor_delta_limit(params, v, v_cb)
-        tuned = _tuned(stack, -v, ((1.0, 1.0), (2.0, 0.0), (1.0, 1.0)))
+        tuned = _tuned(stack, ResonanceEquation.EQ76_TRANSISTOR_DELTA, v)
         roots.append(_root(limit.n, v, limit, tuned, energy, theta=1.0))
     return ResonanceSet(ResonanceEquation.EQ76_TRANSISTOR_DELTA, tuple(roots))
 
@@ -266,7 +278,7 @@ def find_resonances_deltaprime_2layer(
 
     roots = []
     for b in scan_and_bisect(f, lo, hi, poles=tuple(_levels(0.5, d2, -1.0, -a2, lo, hi))):
-        tuned = _tuned(stack, b, ((2.0, 1.0), (2.0, 1.0)))
+        tuned = _tuned(stack, ResonanceEquation.EQ69_DELTAPRIME_2LAYER, b)
         limit = two_layer_limit_matrices(tuned, TwoLayerMode.DELTA_PRIME)
         # a candidate that bisected into a tangent pole classifies as a wall
         if limit.kind is not LimitKind.OPAQUE_WALL:
@@ -305,7 +317,7 @@ def find_resonances_transistor_deltaprime(
             continue  # bisection converged onto a tangent pole, not a root
         resid, scale = transistor_resonance_residual(params, v)
         residual = abs(resid) / max(scale, 1e-300)
-        tuned = _tuned(stack, -v, ((2.0, 1.0), (2.0, 0.0), (2.0, 1.0)))
+        tuned = _tuned(stack, ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, v)
         roots.append(_root(len(roots) + 1, v, limit, tuned, energy, residual=residual))
     return ResonanceSet(ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, tuple(roots))
 

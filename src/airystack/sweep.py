@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,9 @@ __all__ = [
     "sweep_to_csv",
     "sweep_to_json",
 ]
+
+# Golden-section refinement pins each peak to this relative position.
+PEAK_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -89,39 +92,36 @@ class SweepRequest:
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Curves on one grid: transmission[i] is T over grid at epsilons[i]
+    (NaN at evanescent-lead gaps); peaks[i] its refined peak values and
+    convergence[i] the distance from each reference root to the nearest
+    of them (inf when there is no peak)."""
+
     request: SweepRequest
-    curves: tuple[tuple[tuple[float, float], ...], ...]  # per eps: (value, T)
-    peaks: tuple[tuple[float, ...], ...]  # per eps: refined peak values
+    grid: np.ndarray
+    transmission: np.ndarray
+    peaks: tuple[tuple[float, ...], ...]
     reference_roots: tuple[float, ...]
-    convergence: tuple[tuple[float, ...], ...] = field(default=())
-    # per eps: |nearest peak - root| for each reference root
+    convergence: tuple[tuple[float, ...], ...]
 
 
-def detect_peaks(
-    curve: list[tuple[float, float]],
-    floor: float,
-    evaluator=None,
-    rel_tol: float = 1e-6,
-) -> list[float]:
-    """Strict local maxima above the floor, golden-section refined.
+def detect_peaks(values: np.ndarray, t: np.ndarray, floor: float, evaluator=None) -> list[float]:
+    """Strict local maxima of t above the floor, golden-section refined.
 
-    The curve must be sorted by value; NaN gaps split it.  When an
+    values must be ascending; NaN gaps in t split the curve.  When an
     evaluator (continuous T(values), elementwise over an array) is given,
     each grid maximum is refined within its bracketing neighbours to
-    rel_tol in position, all maxima in lockstep.
+    PEAK_REL_TOL in position, all maxima in lockstep.
     """
-    if len(curve) < 3:
-        return []
-    x, t = np.array(curve, dtype=float).T
     # a NaN neighbour fails the comparison, so maxima never border a gap
     top = (t[1:-1] > t[:-2]) & (t[1:-1] > t[2:]) & (t[1:-1] > floor)
     i = np.flatnonzero(top) + 1
     if evaluator is None or not i.size:
-        return x[i].tolist()
-    return _golden_max(evaluator, x[i - 1], x[i + 1], rel_tol)
+        return values[i].tolist()
+    return _golden_max(evaluator, values[i - 1], values[i + 1])
 
 
-def _golden_max(f, lo: np.ndarray, hi: np.ndarray, rel_tol: float) -> list[float]:
+def _golden_max(f, lo: np.ndarray, hi: np.ndarray) -> list[float]:
     """Golden-section maxima of f on the brackets [lo, hi], in lockstep.
 
     Each bracket takes the steps it would take alone and stops at its own
@@ -132,7 +132,7 @@ def _golden_max(f, lo: np.ndarray, hi: np.ndarray, rel_tol: float) -> list[float
     c = b - g * (b - a)
     d = a + g * (b - a)
     fc, fd = np.split(np.asarray(f(np.concatenate([c, d])), dtype=float), 2)
-    tol = rel_tol * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+    tol = PEAK_REL_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
     live = (b - a) > tol
     while live.any():
         left = live & (fc > fd)  # the maximum is left of d: drop (d, b]
@@ -155,29 +155,23 @@ def run_sweep(
     grid = req.grid_lo + (req.grid_hi - req.grid_lo) * np.arange(req.grid_points) / (
         req.grid_points - 1
     )
-    values = grid.tolist()
-    curves = []
+    rows = []
     peaks = []
     convergence = []
     for eps in req.epsilons:
-        curve = tuple(zip(values, req.transmission(grid, eps).tolist()))
-        curves.append(curve)
+        t = req.transmission(grid, eps)
+        rows.append(t)
         pk = tuple(
-            detect_peaks(
-                curve, req.peak_floor, evaluator=lambda v: req.transmission(v, eps)
-            )
+            detect_peaks(grid, t, req.peak_floor, evaluator=lambda v: req.transmission(v, eps))
         )
         peaks.append(pk)
-        if reference_roots:
-            convergence.append(
-                tuple(
-                    min(abs(p - r) for p in pk) if pk else math.inf
-                    for r in reference_roots
-                )
-            )
+        convergence.append(
+            tuple(min(abs(p - r) for p in pk) if pk else math.inf for r in reference_roots)
+        )
     return SweepResult(
         request=req,
-        curves=tuple(curves),
+        grid=grid,
+        transmission=np.array(rows),
         peaks=tuple(peaks),
         reference_roots=tuple(reference_roots),
         convergence=tuple(convergence),
@@ -187,13 +181,12 @@ def run_sweep(
 def sweep_to_csv(result: SweepResult) -> str:
     """Locale-independent CSV: epsilon, tuned value (eV and nm^-2), T, R."""
     lines = ["epsilon,tuned_value_eV,tuned_value_invnm2,T,R"]
-    values = {}  # the curves share one grid: format each value once
-    for eps, curve in zip(result.request.epsilons, result.curves):
+    values = [f"{invnm2_to_ev(v)!r},{v!r}," for v in result.grid.tolist()]
+    for eps, row in zip(result.request.epsilons, result.transmission.tolist()):
         head = f"{eps!r},"
-        for v, t in curve:
-            if v not in values:
-                values[v] = f"{invnm2_to_ev(v)!r},{v!r},"
-            lines.append(head + values[v] + ("," if math.isnan(t) else f"{t!r},{1.0 - t!r}"))
+        lines.extend(
+            head + v + ("," if math.isnan(t) else f"{t!r},{1.0 - t!r}") for v, t in zip(values, row)
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -214,13 +207,7 @@ def sweep_to_json(result: SweepResult) -> str:
                 # no peak above the floor: no distance to report
                 "convergence_invnm2": [c if math.isfinite(c) else None for c in conv],
             }
-            for eps, pk, conv in zip(
-                result.request.epsilons,
-                result.peaks,
-                result.convergence
-                if result.convergence
-                else [()] * len(result.peaks),
-            )
+            for eps, pk, conv in zip(result.request.epsilons, result.peaks, result.convergence)
         ],
     }
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"

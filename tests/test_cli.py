@@ -1,8 +1,11 @@
 """CLI subcommands: exit codes, output shapes, config validation."""
 
 import copy
+import importlib.util
 import json
+import math
 import pathlib
+import random
 
 import pytest
 
@@ -228,6 +231,15 @@ SWEEP = ["sweep"]
 EQ73 = ["resonances", "--equation", "EQ73_DELTA_BARRIER_WELL", "--interval", "-0.6", "0.0"]
 
 
+# one 1 nm layer of a = 1e6 nm^-2 at E = 0.5 nm^-2: q * w (flat) or the
+# Airy exponent (tilted) passes what exp/cosh can hold in a double
+STEEP = {
+    **BARRIER,
+    "layers": [{"a": 1e6, "b": 0.0, "d": 1.0, "mu": 0.0, "nu": 0.0}],
+    "sweep": {"tuned_layer": 0, "lo": 0.0, "hi": 1e-4, "points": 3, "epsilons": [1.0]},
+}
+
+
 def edited(base, changes):
     """Deep copy of a config with (key path, value) edits applied."""
     doc = copy.deepcopy(base)
@@ -320,6 +332,12 @@ MALFORMED = {
     "scatter-energy-overflow": (FIG4, [], ["scatter", "--energy", "1e308"]),
     "scatter-epsilon-tiny": (FIG4, [], ["scatter", "--epsilon", "1e-300"]),
     "epsilons-tiny-flag": (FIG4, [], SWEEP + ["--epsilons", "1e-300"]),
+    "points-huge": (FIG4, [(("sweep", "points"), 10**15)], SWEEP),
+    # layer matrices that overflow a double
+    "flat-layer-overflow-scatter": (STEEP, [], ["scatter"]),
+    "tilted-layer-overflow-scatter": (STEEP, [(("layers", 0, "b"), -1.0)], ["scatter"]),
+    "flat-layer-overflow-sweep": (STEEP, [], SWEEP),
+    "tilted-layer-overflow-sweep": (STEEP, [(("sweep", "lo"), 0.5), (("sweep", "hi"), 1.0)], SWEEP),
 }
 
 
@@ -391,3 +409,21 @@ def test_sweep_of_other_squeeze_has_no_reference_roots(tmp_path):
     doc = sweep_json(tmp_path, edited(FIG4, [(("layers", 0, "mu"), 2)]))
     assert doc["reference_roots_invnm2"] == []
     assert all(s["convergence_invnm2"] == [] for s in doc["sweeps"])
+
+
+def test_benchmark_reference_tool_runs(tmp_path, monkeypatch):
+    # perfbench/make_reference.py regenerates the benchmark references through
+    # names no sweep calls any more (realize, StructureSpec.replace_bias,
+    # slope_is_degenerate, airy_layer_params); this keeps them working for it
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
+        monkeypatch.setenv(name, "1")  # the tool sets both on import
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    spec = importlib.util.spec_from_file_location(
+        "make_reference", REPO / "perfbench" / "make_reference.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    path = tmp_path / "stack.json"
+    path.write_text(json.dumps(tool.stack_config(random.Random(1))))
+    per_point = tool.series_args_per_point(cli, path)
+    assert math.isfinite(per_point) and per_point > 0

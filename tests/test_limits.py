@@ -272,15 +272,6 @@ def test_single_layer_unsupported_powers():
         single_layer_limit(LayerSpec(1.0, 0.0, 1.0, 1.5, 0.0))  # divergent-side line
 
 
-def test_single_layer_probe_converges():
-    layer = LayerSpec(1.0, -0.3, 1.0, 1.0, 1.0)
-    energy = 0.8
-    lim = single_layer_limit(layer, epsilon_probe=(0.5, 0.25, 0.1, 0.05), energy=energy)
-    errs = [abs(t_eps - t_lim) for _, t_eps, t_lim in lim.probe]
-    assert errs == sorted(errs, reverse=True)
-    assert errs[-1] < 0.01
-
-
 # --- point transmission formulas --------------------------------------------
 
 

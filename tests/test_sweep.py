@@ -49,7 +49,7 @@ def test_flat_free_curve():
         tuned_sign=0.0,  # bias pinned to zero: genuinely free propagation
     )
     result = run_sweep(req)
-    assert all(t == pytest.approx(1.0) for _, t in result.curves[0])
+    assert all(t == pytest.approx(1.0) for t in result.transmission[0])
     assert result.peaks[0] == ()
 
 
@@ -64,20 +64,19 @@ def test_curve_values_in_unit_interval():
         energy=0.1 * EV,
     )
     result = run_sweep(req)
-    for curve in result.curves:
-        for _, t in curve:
+    for row in result.transmission:
+        for t in row:
             assert 0.0 <= t <= 1.0
 
 
 def test_detect_peaks_monotone_empty():
-    curve = [(float(i), 0.01 * i) for i in range(10)]
-    assert detect_peaks(curve, 0.001) == []
+    xs = np.arange(10.0)
+    assert detect_peaks(xs, 0.01 * xs, 0.001) == []
 
 
 def test_detect_peaks_triangular_bump():
-    xs = [0.1 * i for i in range(11)]
-    curve = [(x, 1.0 - abs(x - 0.52)) for x in xs]
-    peaks = detect_peaks(curve, 0.1)
+    xs = np.array([0.1 * i for i in range(11)])
+    peaks = detect_peaks(xs, 1.0 - np.abs(xs - 0.52), 0.1)
     assert len(peaks) == 1
     assert abs(peaks[0] - 0.5) <= 0.1  # within one grid step of the bump
 
@@ -88,17 +87,17 @@ def test_detect_peaks_refinement_against_evaluator():
     def t_of(v):
         return 1.0 / (1.0 + (v - true_peak) ** 2 * 40.0)
 
-    xs = [0.05 * i for i in range(21)]
-    curve = [(x, t_of(x)) for x in xs]
-    peaks = detect_peaks(curve, 0.1, evaluator=t_of)
+    xs = np.array([0.05 * i for i in range(21)])
+    peaks = detect_peaks(xs, t_of(xs), 0.1, evaluator=t_of)
     assert len(peaks) == 1
     assert peaks[0] == pytest.approx(true_peak, abs=2e-6)
 
 
 def test_detect_peaks_nan_gap_split():
-    curve = [(0.0, 0.2), (1.0, 0.9), (2.0, math.nan), (3.0, 0.8), (4.0, 0.3)]
+    xs = np.array([0.0, 1.0, 2.0, 3.0, 4.0])
+    ts = np.array([0.2, 0.9, math.nan, 0.8, 0.3])
     # the maximum at x=1 borders the gap and is skipped, not crashed on
-    assert detect_peaks(curve, 0.1) == []
+    assert detect_peaks(xs, ts, 0.1) == []
 
 
 def test_gap_recording_for_evanescent_leads():
@@ -114,7 +113,7 @@ def test_gap_recording_for_evanescent_leads():
         tuned_sign=1.0,
     )
     result = run_sweep(req)
-    ts = [t for _, t in result.curves[0]]
+    ts = result.transmission[0].tolist()
     assert any(math.isnan(t) for t in ts)
     assert any(not math.isnan(t) for t in ts)
 
@@ -218,9 +217,8 @@ def test_lockstep_refinement_equals_per_bracket_golden_section():
         return np.where((x > 4.0) & (x < 5.0), np.nan, t)  # a gap
 
     xs = np.linspace(-5.0, 10.0, 301)
-    curve = list(zip(xs.tolist(), t_of(xs).tolist()))
-    peaks = detect_peaks(curve, 0.1, evaluator=t_of)
-    grid_peaks = detect_peaks(curve, 0.1)
+    peaks = detect_peaks(xs, t_of(xs), 0.1, evaluator=t_of)
+    grid_peaks = detect_peaks(xs, t_of(xs), 0.1)
     assert len(peaks) == len(grid_peaks) >= 5
     at = [xs.tolist().index(x) for x in grid_peaks]
     expected = [
