@@ -14,7 +14,6 @@ from .errors import (
     DegenerateSlopeError,
     EvanescentLeadError,
     NoClosedFormLimitError,
-    NotAResonanceRootError,
 )
 from .limits import (
     AsymptoticMatrix,
@@ -22,16 +21,13 @@ from .limits import (
     LimitClassification,
     LimitKind,
     TransistorSpec,
-    TwoLayerMode,
     delta_transmission,
     lambda_k_form,
     lambda_large_z,
     lambda_small_z,
     limit_transmission_on_resonance,
     single_layer_limit,
-    transistor_delta_limit,
-    transistor_deltaprime_limit,
-    two_layer_limit_matrices,
+    squeezed_limit,
 )
 from .potential import (
     EV_TO_INVNM2,

@@ -14,7 +14,7 @@ import sys
 
 from .airy import wronskian_sweep
 from .errors import ConfigError, EvanescentLeadError
-from .limits import LimitKind, delta_transmission, single_layer_limit
+from .limits import LimitKind, delta_transmission, squeezed_limit
 from .potential import (
     EV_TO_INVNM2,
     LayerSpec,
@@ -107,10 +107,20 @@ def _check(obj, keys: dict, where: str) -> dict:
     return obj
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object; a key given twice is ambiguous and rejected."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"repeated key {key!r} in a config object")
+        obj[key] = value
+    return obj
+
+
 def load_config(path: str) -> DeviceConfig:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, object_pairs_hook=_object)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -320,7 +330,7 @@ def cmd_limit_check(args) -> int:
     )
     spec = StructureSpec((layer,))
     energy = ev_to_invnm2(0.3)
-    limit = single_layer_limit(layer)
+    limit = squeezed_limit(spec)
     if limit.kind is not LimitKind.DELTA:
         print(f"limit is {limit.kind.value}, expected DELTA", file=sys.stderr)
         return 1

@@ -17,9 +17,5 @@ class NoClosedFormLimitError(AirystackError, ValueError):
     """The requested (mu, nu) squeeze has no closed-form limit in scope."""
 
 
-class NotAResonanceRootError(AirystackError, ValueError):
-    """Supplied parameter does not satisfy the resonance condition."""
-
-
 class ConfigError(AirystackError, ValueError):
     """Malformed device configuration."""

@@ -5,7 +5,8 @@ Covers the single-layer asymptotic representations of the transfer matrix
 wavenumber form), the zero-thickness classifications reachable on the
 power plane (transparent, delta, delta-prime family, resonant delta,
 opaque wall), and the two-layer / three-layer (transistor) limit models
-with their bias-controlled resonance sets.
+with their bias-controlled resonance sets.  squeezed_limit(stack) picks
+the model from the layers' powers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import NoClosedFormLimitError, NotAResonanceRootError
+from .errors import NoClosedFormLimitError
 from .potential import POWER_TOL, LayerSpec, RegionClass, StructureSpec, classify_region
 from .transfer import TransferMatrix
 
@@ -28,13 +29,11 @@ __all__ = [
     "LimitKind",
     "LimitClassification",
     "single_layer_limit",
+    "squeezed_limit",
     "delta_transmission",
     "limit_transmission_on_resonance",
-    "TwoLayerMode",
-    "two_layer_limit_matrices",
     "TransistorSpec",
-    "transistor_delta_limit",
-    "transistor_deltaprime_limit",
+    "transistor_spec",
     "two_layer_resonance_residual",
     "transistor_resonance_residual",
     "transistor_theta_representations",
@@ -45,10 +44,6 @@ __all__ = [
 # A candidate counts as a resonance root when its scaled residual is below
 # this; the four theta representations then agree to ~1e-7.
 RESIDUAL_RTOL = 1e-9
-
-# Resonant depths a (2, 1) well's classification lists, n = 1 .. N_DEPTHS.
-N_DEPTHS = 5
-
 
 class AsymptoticRegime(Enum):
     SMALL_Z = "SMALL_Z"
@@ -160,8 +155,10 @@ class LimitClassification:
     """Zero-thickness limit of a squeezed structure.
 
     DELTA carries alpha; DELTA_PRIME_FAMILY carries theta != 0 and alpha;
-    RESONANT_DELTA carries the parity sign (-1)^n and alpha; OPAQUE_WALL
-    has no connection matrix (two-sided Dirichlet wall).
+    RESONANT_DELTA carries the parity sign (-1)^n, n and alpha; OPAQUE_WALL
+    has no connection matrix (two-sided Dirichlet wall).  admissible is
+    False when the tuned bias lets a barrier edge potential of the device
+    reach zero or below.
     """
 
     kind: LimitKind
@@ -169,8 +166,7 @@ class LimitClassification:
     theta: float | None = None
     sign: int | None = None
     n: int | None = None
-    resonance_depths: tuple[float, ...] = ()
-    warnings: tuple[str, ...] = ()
+    admissible: bool = True
 
     def matrix(self) -> TransferMatrix | None:
         if self.kind is LimitKind.TRANSPARENT:
@@ -180,10 +176,6 @@ class LimitClassification:
         if self.kind is LimitKind.DELTA_PRIME_FAMILY:
             return TransferMatrix(self.theta, 0.0, self.alpha, 1.0 / self.theta)
         if self.kind is LimitKind.RESONANT_DELTA:
-            if self.sign is None:
-                # resonant family described, but the given depth/bias is off
-                # the discrete set: the limit there is the opaque wall
-                return None
             s = float(self.sign)
             return TransferMatrix(s, 0.0, s * self.alpha, s)
         return None
@@ -204,33 +196,32 @@ def limit_transmission_on_resonance(
     return 4.0 * k * k_right / ((k / theta + k_right * theta) ** 2 + alpha * alpha)
 
 
+def _on_level(kappa_sq: float, d: float) -> int | None:
+    """n >= 1 when kappa d = n pi to 1e-9 relative, kappa = sqrt(kappa_sq);
+    None off the levels, and for kappa_sq < 0."""
+    if kappa_sq < 0.0:
+        return None
+    phase = math.sqrt(kappa_sq) * d
+    n = round(phase / math.pi)
+    return n if n >= 1 and abs(phase - n * math.pi) <= 1e-9 * max(1.0, phase) else None
+
+
 def single_layer_limit(layer: LayerSpec) -> LimitClassification:
     """Zero-thickness limit of one squeezed layer.
 
     Supported squeezes: the shrinking-argument triangle and its boundary
     lines (transparent below mu = 1, delta at mu = 1, wall above) and the
-    (2, 1) point, where a well becomes resonant at the discrete depth set
-    -(n pi / d)^2 and a barrier becomes an opaque wall.
+    (2, 1) point, where a well is a parity-signed resonant delta on the
+    depth set -(n pi / d)^2 and an opaque wall off it, as is a barrier.
     """
     region = classify_region(layer.mu, layer.nu)
     if region is RegionClass.P21:
-        if layer.a > 0.0:
-            return LimitClassification(LimitKind.OPAQUE_WALL)
         if layer.a == 0.0:
             return LimitClassification(LimitKind.TRANSPARENT)
-        depths = tuple(-((n * math.pi / layer.d) ** 2) for n in range(1, N_DEPTHS + 1))
-        kap_d = math.sqrt(-layer.a) * layer.d
-        n = round(kap_d / math.pi)
-        on_set = n >= 1 and abs(kap_d - n * math.pi) <= 1e-9 * max(1.0, kap_d)
-        # a well is classified by its resonant family; sign/n attach only
-        # when the depth itself lies on the discrete set
-        return LimitClassification(
-            LimitKind.RESONANT_DELTA,
-            alpha=0.0,
-            sign=(-1) ** n if on_set else None,
-            n=n if on_set else None,
-            resonance_depths=depths,
-        )
+        n = _on_level(-layer.a, layer.d)
+        if n is None:
+            return LimitClassification(LimitKind.OPAQUE_WALL)
+        return LimitClassification(LimitKind.RESONANT_DELTA, alpha=0.0, sign=(-1) ** n, n=n)
     if region not in (RegionClass.P11, RegionClass.L0_1, RegionClass.L0_2, RegionClass.S0):
         raise NoClosedFormLimitError(
             f"no closed-form zero-thickness limit for (mu, nu) = "
@@ -247,23 +238,7 @@ def single_layer_limit(layer: LayerSpec) -> LimitClassification:
     return LimitClassification(LimitKind.DELTA, alpha=(layer.a + bias_term) * layer.d)
 
 
-def _admissibility_warnings(name: str, value: float, lo: float, hi: float) -> tuple[str, ...]:
-    """A warning unless lo < value < hi, the range of the tuned bias in
-    which every barrier edge potential of the device stays positive."""
-    if lo < value < hi:
-        return ()
-    return (
-        f"{name} = {value!r} outside the admissible interval ({lo!r}, {hi!r}); "
-        "a barrier edge potential is not positive",
-    )
-
-
 # --- two-layer limits -----------------------------------------------------
-
-
-class TwoLayerMode(Enum):
-    DELTA_PRIME = "DELTA_PRIME"
-    RESONANT_DELTA = "RESONANT_DELTA"
 
 
 def _kappa_tan(shifted: float, d: float) -> float:
@@ -300,48 +275,30 @@ def _cos_branch(shifted: float, d: float) -> float:
     return math.cosh(math.sqrt(shifted) * d)
 
 
-def two_layer_limit_matrices(
-    spec: StructureSpec, mode: TwoLayerMode
-) -> LimitClassification:
-    """Squeezed limit of a two-layer stack at the supported power pairs.
+def _barrier_well_delta(stack: StructureSpec) -> LimitClassification:
+    """(1,1) barrier + (2,1) well: a parity-signed delta with the barrier's
+    strength where the shifted well a2 + b1 = -(n pi / d2)^2, n >= 1."""
+    barrier, well = stack.layers
+    admissible = -barrier.b < barrier.a
+    n = _on_level(-(well.a + barrier.b), well.d)
+    if n is None:
+        return LimitClassification(LimitKind.OPAQUE_WALL, admissible=admissible)
+    alpha = (barrier.a + 0.5 * barrier.b) * barrier.d
+    return LimitClassification(
+        LimitKind.RESONANT_DELTA, alpha=alpha, sign=(-1) ** n, n=n, admissible=admissible
+    )
 
-    DELTA_PRIME evaluates the stack at (2,1)+(2,1): on the resonance set
-    the limit is diag-dominant with theta != 1; RESONANT_DELTA evaluates
-    (1,1)+(2,1): on the set the limit is a parity-signed delta.  Anywhere
-    off the resonance set the classification is OPAQUE_WALL.  A first
-    layer whose right edge a1 + b1 is not positive is reported as a
-    warning, not an error.
-    """
-    if len(spec.layers) != 2:
-        raise ValueError("two_layer_limit_matrices needs exactly 2 layers")
-    l1, l2 = spec.layers
-    warnings = _admissibility_warnings("-b1", -l1.b, -math.inf, l1.a)
 
-    def powers_are(la, mu, nu):
-        return abs(la.mu - mu) <= POWER_TOL and abs(la.nu - nu) <= POWER_TOL
-
-    if mode is TwoLayerMode.RESONANT_DELTA:
-        if not (powers_are(l1, 1, 1) and powers_are(l2, 2, 1)):
-            raise ValueError("RESONANT_DELTA mode needs powers (1,1) + (2,1)")
-        shifted2 = l2.a + l1.b
-        if shifted2 > 0.0:
-            return LimitClassification(LimitKind.OPAQUE_WALL, warnings=warnings)
-        kap_d = math.sqrt(-shifted2) * l2.d
-        n = round(kap_d / math.pi)
-        if abs(kap_d - n * math.pi) > 1e-9 * max(1.0, kap_d):
-            return LimitClassification(LimitKind.OPAQUE_WALL, warnings=warnings)
-        alpha = (l1.a + 0.5 * l1.b) * l1.d
-        return LimitClassification(
-            LimitKind.RESONANT_DELTA, alpha=alpha, sign=(-1) ** n, n=n, warnings=warnings
-        )
-
-    if not (powers_are(l1, 2, 1) and powers_are(l2, 2, 1)):
-        raise ValueError("DELTA_PRIME mode needs powers (2,1) + (2,1)")
+def _deltaprime_pair(stack: StructureSpec) -> LimitClassification:
+    """(2,1) + (2,1): a delta-prime point with theta != 1 where the
+    two-layer residual vanishes."""
+    l1, l2 = stack.layers
+    admissible = -l1.b < l1.a
     shifted1 = l1.a
     shifted2 = l2.a + l1.b
     residual, scale = two_layer_resonance_residual(shifted1, shifted2, l1.d, l2.d)
     if abs(residual) > RESIDUAL_RTOL * max(scale, 1e-300):
-        return LimitClassification(LimitKind.OPAQUE_WALL, warnings=warnings)
+        return LimitClassification(LimitKind.OPAQUE_WALL, admissible=admissible)
     theta = _cos_branch(shifted1, l1.d) / _cos_branch(shifted2, l2.d)
     # every branch combination through the complex tilt coefficients
     k1c = cmath.sqrt(complex(-shifted1))
@@ -350,7 +307,7 @@ def two_layer_limit_matrices(
     g2 = l2.b / (4.0 * k2c**3 * l2.d)
     val = (k2c * g1 - k1c * g2) * cmath.sin(k1c * l1.d) * cmath.sin(k2c * l2.d)
     return LimitClassification(
-        LimitKind.DELTA_PRIME_FAMILY, alpha=val.real, theta=theta, warnings=warnings
+        LimitKind.DELTA_PRIME_FAMILY, alpha=val.real, theta=theta, admissible=admissible
     )
 
 
@@ -378,27 +335,35 @@ class TransistorSpec:
             raise ValueError("layer widths must be positive")
 
 
-def transistor_delta_limit(
-    params: TransistorSpec, v_eb: float, v_cb: float
-) -> LimitClassification:
-    """Delta-model squeeze of the double barrier (barriers at (1,1)).
+def transistor_spec(stack: StructureSpec) -> tuple[TransistorSpec, float]:
+    """Double-barrier parameters of a three-layer stack and v_cb = -b3; the
+    closed forms hold for a flat, unbiased base only."""
+    emitter, base, collector = stack.layers
+    if base.a != 0.0 or base.b != 0.0:
+        raise ValueError("the transistor base must be flat and unbiased (a = b = 0)")
+    return TransistorSpec(emitter.a, collector.a, emitter.d, base.d, collector.d), -collector.b
 
-    Resonant exactly at v_eb = (n pi / d2)^2: a parity-signed delta whose
-    strength sums both barrier contributions; opaque wall elsewhere.
-    Admissibility violations are reported as warnings, not errors.
-    """
-    if v_eb < 0.0:
-        raise ValueError("v_eb must be non-negative")
-    warnings = _admissibility_warnings("v_eb", v_eb, 0.0, min(params.a1, params.a3 - v_cb))
-    x = math.sqrt(v_eb) * params.d2
-    n = round(x / math.pi)
-    if n < 1 or abs(x - n * math.pi) > 1e-9 * max(1.0, x):
-        return LimitClassification(LimitKind.OPAQUE_WALL, warnings=warnings)
+
+def _tuned_transistor(stack: StructureSpec) -> tuple[TransistorSpec, float, float, bool]:
+    """transistor_spec, v_eb = -b1 and its admissibility: 0 < v_eb below
+    a1, a3 and a3 - v_cb, so every barrier edge potential stays positive."""
+    params, v_cb = transistor_spec(stack)
+    v_eb = -stack.layers[0].b
+    return params, v_eb, v_cb, 0.0 < v_eb < min(params.a1, params.a3, params.a3 - v_cb)
+
+
+def _transistor_delta(stack: StructureSpec) -> LimitClassification:
+    """(1,1) + (2,0) + (1,1): a parity-signed delta summing both barrier
+    strengths where v_eb = (n pi / d2)^2, n >= 1."""
+    params, v_eb, v_cb, admissible = _tuned_transistor(stack)
+    n = _on_level(v_eb, params.d2)
+    if n is None:
+        return LimitClassification(LimitKind.OPAQUE_WALL, admissible=admissible)
     alpha = (params.a1 - 0.5 * v_eb) * params.d1 + (
         params.a3 - v_eb - 0.5 * v_cb
     ) * params.d3
     return LimitClassification(
-        LimitKind.RESONANT_DELTA, alpha=alpha, sign=(-1) ** n, n=n, warnings=warnings
+        LimitKind.RESONANT_DELTA, alpha=alpha, sign=(-1) ** n, n=n, admissible=admissible
     )
 
 
@@ -465,29 +430,54 @@ def transistor_offdiag_strength(
     )
 
 
-def transistor_deltaprime_limit(
-    params: TransistorSpec, v_eb_root: float, v_cb: float
-) -> LimitClassification:
-    """Delta-prime-model squeeze of the double barrier (all mu = 2).
-
-    v_eb_root must already satisfy the resonance condition (scaled
-    residual below RESIDUAL_RTOL); the four theta representations are
-    cross-validated to 1e-7 before anything is returned.
-    """
-    residual, scale = transistor_resonance_residual(params, v_eb_root)
+def _transistor_deltaprime(stack: StructureSpec) -> LimitClassification:
+    """(2,1) + (2,0) + (2,1): a delta-prime point where v_eb in (0, a3) has
+    a scaled residual below RESIDUAL_RTOL and the four theta
+    representations agree to 1e-7."""
+    params, v_eb, v_cb, admissible = _tuned_transistor(stack)
+    wall = LimitClassification(LimitKind.OPAQUE_WALL, admissible=admissible)
+    if not 0.0 < v_eb < params.a3:
+        return wall
+    residual, scale = transistor_resonance_residual(params, v_eb)
     if abs(residual) > RESIDUAL_RTOL * max(scale, 1e-300):
-        raise NotAResonanceRootError(
-            f"scaled residual {abs(residual) / max(scale, 1e-300):.3e} too large"
-        )
-    reps = transistor_theta_representations(params, v_eb_root)
+        return wall
+    reps = transistor_theta_representations(params, v_eb)
     theta = reps[0]
-    spread = max(abs(r - theta) for r in reps[1:])
-    if spread > 1e-7 * abs(theta):
-        raise NotAResonanceRootError(
-            f"theta representations disagree by {spread:.3e} (not a root)"
-        )
-    alpha = transistor_offdiag_strength(params, v_eb_root, v_cb)
-    warnings = _admissibility_warnings("v_eb", v_eb_root, 0.0, min(params.a1, params.a3 - v_cb))
+    if max(abs(r - theta) for r in reps[1:]) > 1e-7 * abs(theta):
+        return wall
+    alpha = transistor_offdiag_strength(params, v_eb, v_cb)
     return LimitClassification(
-        LimitKind.DELTA_PRIME_FAMILY, alpha=alpha, theta=theta, warnings=warnings
+        LimitKind.DELTA_PRIME_FAMILY, alpha=alpha, theta=theta, admissible=admissible
     )
+
+
+# --- one entry point -------------------------------------------------------
+
+# power-plane points of a stack's layers -> the classifier of that squeeze;
+# each takes the tuned stack and returns OPAQUE_WALL off its resonance set
+_CLASSIFIERS = {
+    (RegionClass.P11, RegionClass.P21): _barrier_well_delta,
+    (RegionClass.P21, RegionClass.P21): _deltaprime_pair,
+    (RegionClass.P11, RegionClass.P20, RegionClass.P11): _transistor_delta,
+    (RegionClass.P21, RegionClass.P20, RegionClass.P21): _transistor_deltaprime,
+}
+
+
+def squeezed_limit(stack: StructureSpec) -> LimitClassification:
+    """Zero-thickness limit of a squeezed stack, chosen by the power-plane
+    point of each layer: one layer as single_layer_limit; the barrier-well
+    delta (1,1) + (2,1) and the delta-prime pair (2,1) + (2,1); the
+    transistor delta (1,1) + (2,0) + (1,1) and delta-prime
+    (2,1) + (2,0) + (2,1).  Layer 0's bias is the tuned variable (b1, or
+    b1 = -v_eb for the transistor).  Any other stack has no closed form
+    here: NoClosedFormLimitError."""
+    if len(stack.layers) == 1:
+        return single_layer_limit(stack.layers[0])
+    regions = tuple(classify_region(layer.mu, layer.nu) for layer in stack.layers)
+    classifier = _CLASSIFIERS.get(regions)
+    if classifier is None:
+        raise NoClosedFormLimitError(
+            "no closed-form zero-thickness limit for layer regions "
+            + " + ".join(r.value for r in regions)
+        )
+    return classifier(stack)

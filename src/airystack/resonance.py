@@ -4,7 +4,8 @@ Two of the four resonance conditions are solvable in closed form (the
 barrier-well delta set and the transistor delta set); the other two are
 transcendental and are found by a pole-aware uniform scan followed by
 bisection.  Roots are returned sorted ascending by the tuned value with
-the limit data (theta, alpha, on-resonance transmission) attached.
+the limit data (theta, alpha, on-resonance transmission) of
+limits.squeezed_limit of the tuned stack attached.
 """
 
 from __future__ import annotations
@@ -13,16 +14,13 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .errors import EvanescentLeadError, NotAResonanceRootError
+from .errors import EvanescentLeadError
 from .limits import (
     LimitKind,
-    TransistorSpec,
-    TwoLayerMode,
     limit_transmission_on_resonance,
-    transistor_delta_limit,
-    transistor_deltaprime_limit,
+    squeezed_limit,
     transistor_resonance_residual,
-    two_layer_limit_matrices,
+    transistor_spec,
     two_layer_resonance_residual,
 )
 from .potential import LayerSpec, StructureSpec
@@ -176,15 +174,6 @@ def _tuned(stack: StructureSpec, eq: ResonanceEquation, value: float) -> Structu
     return replace(stack, layers=layers)
 
 
-def _transistor(stack: StructureSpec) -> tuple[TransistorSpec, float]:
-    """Double-barrier parameters of a three-layer stack and v_cb = -b3; the
-    closed forms hold for a flat, unbiased base only."""
-    emitter, base, collector = stack.layers
-    if base.a != 0.0 or base.b != 0.0:
-        raise ValueError("the transistor base must be flat and unbiased (a = b = 0)")
-    return TransistorSpec(emitter.a, collector.a, emitter.d, base.d, collector.d), -collector.b
-
-
 def _root(n: int, value: float, limit, stack: StructureSpec, energy, **fields) -> ResonanceRoot:
     """Root at value carrying its limit's alpha, theta and admissibility; with
     an energy, T_n through the limit matrix between the stack's leads
@@ -208,8 +197,38 @@ def _root(n: int, value: float, limit, stack: StructureSpec, energy, **fields) -
         )
     if not (math.isfinite(limit.alpha) and (trans is None or math.isfinite(trans))):
         raise ValueError(f"alpha = {limit.alpha!r} or T_n = {trans!r} at {value!r} is not finite")
-    fields = {"theta": limit.theta, "admissible": not limit.warnings, **fields}
+    fields = {"theta": limit.theta, "admissible": limit.admissible, **fields}
     return ResonanceRoot(n, value, limit.alpha, trans_prob=trans, **fields)
+
+
+def _level_roots(
+    eq: ResonanceEquation, stack: StructureSpec, levels, energy, **fields
+) -> ResonanceSet:
+    """The roots at closed-form levels, ascending, each with the mode
+    number n and limit data of its tuned stack's squeezed_limit."""
+    roots = []
+    for value in sorted(levels):
+        tuned = _tuned(stack, eq, value)
+        limit = squeezed_limit(tuned)
+        roots.append(_root(limit.n, value, limit, tuned, energy, **fields))
+    return ResonanceSet(eq, tuple(roots))
+
+
+def _scanned_roots(
+    eq: ResonanceEquation, stack: StructureSpec, residual, lo, hi, poles, energy
+) -> ResonanceSet:
+    """Sign changes of residual(x)[0] on [lo, hi], split at the poles; a
+    candidate whose tuned stack's squeezed_limit is a wall bisected into a
+    tangent pole and is dropped.  Roots carry their scaled residual."""
+    roots = []
+    for value in scan_and_bisect(lambda x: residual(x)[0], lo, hi, poles):
+        tuned = _tuned(stack, eq, value)
+        limit = squeezed_limit(tuned)
+        if limit.kind is not LimitKind.OPAQUE_WALL:
+            resid, scale = residual(value)
+            scaled = abs(resid) / max(scale, 1e-300)
+            roots.append(_root(len(roots) + 1, value, limit, tuned, energy, residual=scaled))
+    return ResonanceSet(eq, tuple(roots))
 
 
 # Every finder maps (stack, lo, hi, energy) to the resonance set on [lo, hi]
@@ -229,12 +248,8 @@ def resonances_delta_barrier_well(
     # The well's bias b2 enters neither alpha nor the right lead yet (its
     # first-order terms are not derived): the set is the unbiased well's.
     stack = replace(stack, layers=(barrier, replace(well, b=0.0)))
-    roots = []
-    for b in sorted(_levels(1, well.d, -1.0, -well.a, lo, hi)):
-        tuned = _tuned(stack, ResonanceEquation.EQ73_DELTA_BARRIER_WELL, b)
-        limit = two_layer_limit_matrices(tuned, TwoLayerMode.RESONANT_DELTA)
-        roots.append(_root(limit.n, b, limit, tuned, energy))
-    return ResonanceSet(ResonanceEquation.EQ73_DELTA_BARRIER_WELL, tuple(roots))
+    levels = _levels(1, well.d, -1.0, -well.a, lo, hi)
+    return _level_roots(ResonanceEquation.EQ73_DELTA_BARRIER_WELL, stack, levels, energy)
 
 
 def resonances_transistor_delta(
@@ -243,15 +258,13 @@ def resonances_transistor_delta(
     """Closed-form emitter-voltage set of the transistor delta limit:
     V_n = (n pi / d2)^2 for n >= 1 inside [max(lo, 0), hi], squeezed at
     (1,1) + (2,0) + (1,1), with the summed barrier strength per root."""
-    params, v_cb = _transistor(stack)
+    params, _ = transistor_spec(stack)
     if not hi > 0:
         raise ValueError(f"emitter voltages are positive, so hi must be > 0, got {hi!r}")
-    roots = []
-    for v in _levels(1, params.d2, 1.0, 0.0, max(lo, 0.0), hi):
-        limit = transistor_delta_limit(params, v, v_cb)
-        tuned = _tuned(stack, ResonanceEquation.EQ76_TRANSISTOR_DELTA, v)
-        roots.append(_root(limit.n, v, limit, tuned, energy, theta=1.0))
-    return ResonanceSet(ResonanceEquation.EQ76_TRANSISTOR_DELTA, tuple(roots))
+    levels = _levels(1, params.d2, 1.0, 0.0, max(lo, 0.0), hi)
+    return _level_roots(
+        ResonanceEquation.EQ76_TRANSISTOR_DELTA, stack, levels, energy, theta=1.0
+    )
 
 
 def find_resonances_deltaprime_2layer(
@@ -273,19 +286,12 @@ def find_resonances_deltaprime_2layer(
     if not hi > lo:
         return ResonanceSet(ResonanceEquation.EQ69_DELTAPRIME_2LAYER, ())
 
-    def f(b1):
-        return two_layer_resonance_residual(a1, a2 + b1, d1, d2)[0]
+    def residual(b1):
+        return two_layer_resonance_residual(a1, a2 + b1, d1, d2)
 
-    roots = []
-    for b in scan_and_bisect(f, lo, hi, poles=tuple(_levels(0.5, d2, -1.0, -a2, lo, hi))):
-        tuned = _tuned(stack, ResonanceEquation.EQ69_DELTAPRIME_2LAYER, b)
-        limit = two_layer_limit_matrices(tuned, TwoLayerMode.DELTA_PRIME)
-        # a candidate that bisected into a tangent pole classifies as a wall
-        if limit.kind is not LimitKind.OPAQUE_WALL:
-            resid, scale = two_layer_resonance_residual(a1, a2 + b, d1, d2)
-            residual = abs(resid) / max(scale, 1e-300)
-            roots.append(_root(len(roots) + 1, b, limit, tuned, energy, residual=residual))
-    return ResonanceSet(ResonanceEquation.EQ69_DELTAPRIME_2LAYER, tuple(roots))
+    poles = tuple(_levels(0.5, d2, -1.0, -a2, lo, hi))
+    eq = ResonanceEquation.EQ69_DELTAPRIME_2LAYER
+    return _scanned_roots(eq, stack, residual, lo, hi, poles, energy)
 
 
 def find_resonances_transistor_deltaprime(
@@ -296,30 +302,22 @@ def find_resonances_transistor_deltaprime(
 
     The search domain is (0, a3) shrunk by a 1e-8 margin against the
     endpoint singularities; tangent poles of the base phase are split
-    out analytically.  Each root is validated through the four-way theta
-    cross-check before its limit data is attached.
+    out analytically.  A candidate whose limit fails the four-way theta
+    cross-check is a wall and is dropped.
     """
-    params, v_cb = _transistor(stack)
+    params, _ = transistor_spec(stack)
     margin = 1e-8 * max(1.0, params.a3)
     lo = max(lo, margin)
     hi = min(hi, params.a3 - margin)
     if not hi > lo:
         return ResonanceSet(ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, ())
 
-    def f(v):
-        return transistor_resonance_residual(params, v)[0]
+    def residual(v):
+        return transistor_resonance_residual(params, v)
 
-    roots = []
-    for v in scan_and_bisect(f, lo, hi, poles=tuple(_levels(0.5, params.d2, 1.0, 0.0, lo, hi))):
-        try:
-            limit = transistor_deltaprime_limit(params, v, v_cb)
-        except NotAResonanceRootError:
-            continue  # bisection converged onto a tangent pole, not a root
-        resid, scale = transistor_resonance_residual(params, v)
-        residual = abs(resid) / max(scale, 1e-300)
-        tuned = _tuned(stack, ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, v)
-        roots.append(_root(len(roots) + 1, v, limit, tuned, energy, residual=residual))
-    return ResonanceSet(ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, tuple(roots))
+    poles = tuple(_levels(0.5, params.d2, 1.0, 0.0, lo, hi))
+    eq = ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME
+    return _scanned_roots(eq, stack, residual, lo, hi, poles, energy)
 
 
 # equation -> its finder, all of the shape above

@@ -365,6 +365,33 @@ def test_resonances_evanescent_lead_at_root_exit_3(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and err.startswith("physics error:")
 
 
+def test_resonances_eq76_raised_collector_bounds_admissibility(tmp_path, capsys):
+    # b3 = +0.2 eV raises the collector (V_CB < 0): its left edge a3 - V_EB
+    # bounds the admissible V_EB at a3 = 0.3 eV, below the n = 3 level
+    changes = [(("energy",), 0.3), (("layers", 0, "a"), 1.0), (("layers", 2, "a"), 0.3),
+               (("layers", 2, "b"), 0.2)]
+    cfg = write_config(tmp_path, edited(FIG6, changes))
+    assert main(["resonances", cfg, "--equation", "EQ76", "--interval", "0", "0.9"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(row[0], row[-1]) for row in rows] == [("1", "1"), ("2", "1"), ("3", "0"), ("4", "0")]
+
+
+@pytest.mark.parametrize("where", ["config", "layer"])
+def test_repeated_key_exit_2(tmp_path, capsys, where):
+    # raw text, since a dict cannot hold a key twice
+    layer = '{"a": 1.0, "b": 0.0, "d": 1.0, "mu": 0, "nu": 0}'
+    units = '"units": "eV"'
+    if where == "config":
+        units += ', "units": "invnm2"'
+    else:
+        layer = layer.replace('"a": 1.0', '"a": 1.0, "a": 2.0')
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{{units}, "energy": 0.5, "layers": [{layer}]}}')
+    assert main(["scatter", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: repeated key")
+
+
 def sweep_json(tmp_path, doc):
     """Short sweep of doc; returns the emitted JSON document."""
     doc = edited(doc, [(("sweep", "points"), 21), (("sweep", "epsilons"), [0.5])])

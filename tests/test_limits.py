@@ -2,28 +2,25 @@
 
 import cmath
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
-from airystack.errors import NoClosedFormLimitError, NotAResonanceRootError
+from airystack.errors import NoClosedFormLimitError
 from airystack.limits import (
     AsymptoticRegime,
     LimitKind,
     TransistorSpec,
-    TwoLayerMode,
     delta_transmission,
     lambda_k_form,
     lambda_large_z,
     lambda_small_z,
     limit_transmission_on_resonance,
-    single_layer_limit,
-    transistor_delta_limit,
-    transistor_deltaprime_limit,
+    squeezed_limit,
     transistor_resonance_residual,
     transistor_theta_representations,
-    two_layer_limit_matrices,
     two_layer_resonance_residual,
 )
 from airystack.potential import ConcreteLayer, LayerSpec, StructureSpec, realize
@@ -215,8 +212,13 @@ def test_asymptotic_consistency_monotone():
 # --- single-layer limits ----------------------------------------------------
 
 
+def _squeezed_layer(layer):
+    """The squeezed limit of a one-layer stack."""
+    return squeezed_limit(StructureSpec((layer,)))
+
+
 def test_single_layer_delta_strength():
-    lim = single_layer_limit(LayerSpec(1.31232, -0.524928, 2.0, 1.0, 1.0))
+    lim = _squeezed_layer(LayerSpec(1.31232, -0.524928, 2.0, 1.0, 1.0))
     assert lim.kind is LimitKind.DELTA
     assert lim.alpha == pytest.approx(2.099712, rel=1e-12)
     m = lim.matrix()
@@ -226,34 +228,34 @@ def test_single_layer_delta_strength():
 
 def test_single_layer_transparent_below_one():
     for nu in (0.0, 0.25, 0.5):
-        lim = single_layer_limit(LayerSpec(3.0, 0.0, 1.0, 0.5, nu))
+        lim = _squeezed_layer(LayerSpec(3.0, 0.0, 1.0, 0.5, nu))
         assert lim.kind is LimitKind.TRANSPARENT
 
 
 def test_single_layer_interior_delta_drops_slow_bias():
-    lim = single_layer_limit(LayerSpec(2.0, 1.0, 1.5, 1.0, 0.8))
+    lim = _squeezed_layer(LayerSpec(2.0, 1.0, 1.5, 1.0, 0.8))
     assert lim.kind is LimitKind.DELTA
     assert lim.alpha == pytest.approx(2.0 * 1.5)
 
 
 def test_single_layer_wall_above_one():
-    lim = single_layer_limit(LayerSpec(1.0, 0.5, 1.0, 1.5, 1.5))
+    lim = _squeezed_layer(LayerSpec(1.0, 0.5, 1.0, 1.5, 1.5))
     assert lim.kind is LimitKind.OPAQUE_WALL
     assert lim.matrix() is None
 
 
 def test_single_layer_resonant_well_depths():
-    lim = single_layer_limit(LayerSpec(-1.0, 0.0, 10.0, 2.0, 1.0))
-    assert lim.kind is LimitKind.RESONANT_DELTA
-    assert lim.resonance_depths[0] == pytest.approx(-((math.pi / 10.0) ** 2), rel=1e-12)
-    assert lim.resonance_depths[1] == pytest.approx(-((2 * math.pi / 10.0) ** 2), rel=1e-12)
-    assert lim.sign is None  # depth -1.0 itself is off the discrete set
+    for n in (1, 2):
+        lim = _squeezed_layer(LayerSpec(-((n * math.pi / 10.0) ** 2), 0.0, 10.0, 2.0, 1.0))
+        assert lim.kind is LimitKind.RESONANT_DELTA and lim.n == n and lim.sign == (-1) ** n
+    lim = _squeezed_layer(LayerSpec(-1.0, 0.0, 10.0, 2.0, 1.0))
+    assert lim.kind is LimitKind.OPAQUE_WALL  # depth -1.0 itself is off the discrete set
     assert lim.matrix() is None
 
 
 def test_single_layer_resonant_well_on_set():
     depth = -((3 * math.pi / 10.0) ** 2)
-    lim = single_layer_limit(LayerSpec(depth, 0.0, 10.0, 2.0, 1.0))
+    lim = _squeezed_layer(LayerSpec(depth, 0.0, 10.0, 2.0, 1.0))
     assert lim.kind is LimitKind.RESONANT_DELTA
     assert lim.n == 3 and lim.sign == -1
     m = lim.matrix()
@@ -261,15 +263,15 @@ def test_single_layer_resonant_well_on_set():
 
 
 def test_single_layer_barrier_wall_at_21():
-    lim = single_layer_limit(LayerSpec(0.5, 0.0, 10.0, 2.0, 1.0))
+    lim = _squeezed_layer(LayerSpec(0.5, 0.0, 10.0, 2.0, 1.0))
     assert lim.kind is LimitKind.OPAQUE_WALL
 
 
 def test_single_layer_unsupported_powers():
     with pytest.raises(NoClosedFormLimitError):
-        single_layer_limit(LayerSpec(1.0, 0.0, 1.0, 2.0, 0.0))  # isolated (2,0) point
+        _squeezed_layer(LayerSpec(1.0, 0.0, 1.0, 2.0, 0.0))  # isolated (2,0) point
     with pytest.raises(NoClosedFormLimitError):
-        single_layer_limit(LayerSpec(1.0, 0.0, 1.0, 1.5, 0.0))  # divergent-side line
+        _squeezed_layer(LayerSpec(1.0, 0.0, 1.0, 1.5, 0.0))  # divergent-side line
 
 
 # --- point transmission formulas --------------------------------------------
@@ -323,7 +325,7 @@ def _fig4_spec(b1):
 def test_two_layer_resonant_delta_at_root():
     b1 = -((2 * math.pi / 10.0) ** 2) - (-0.262464)
     assert -b1 / 2.62464 == pytest.approx(0.050414, abs=1e-6)  # the eV value
-    lim = two_layer_limit_matrices(_fig4_spec(b1), TwoLayerMode.RESONANT_DELTA)
+    lim = squeezed_limit(_fig4_spec(b1))
     assert lim.kind is LimitKind.RESONANT_DELTA
     assert lim.n == 2 and lim.sign == 1
     assert lim.alpha == pytest.approx((1.31232 + 0.5 * b1) * 2.0, rel=1e-12)
@@ -333,14 +335,14 @@ def test_two_layer_admissibility_warning():
     # the barrier's right edge a1 + b1 = 1.31232 + b1 must stay positive
     for n, admissible in ((2, True), (4, False)):
         b1 = -((n * math.pi / 10.0) ** 2) + 0.262464
-        lim = two_layer_limit_matrices(_fig4_spec(b1), TwoLayerMode.RESONANT_DELTA)
+        lim = squeezed_limit(_fig4_spec(b1))
         assert lim.kind is LimitKind.RESONANT_DELTA and lim.n == n
-        assert (not lim.warnings) == admissible == (-b1 < 1.31232)
-    assert two_layer_limit_matrices(_fig4_spec(-2.0), TwoLayerMode.RESONANT_DELTA).warnings
+        assert lim.admissible == admissible == (-b1 < 1.31232)
+    assert not squeezed_limit(_fig4_spec(-2.0)).admissible
 
 
 def test_two_layer_resonant_delta_off_root():
-    lim = two_layer_limit_matrices(_fig4_spec(-0.2), TwoLayerMode.RESONANT_DELTA)
+    lim = squeezed_limit(_fig4_spec(-0.2))
     assert lim.kind is LimitKind.OPAQUE_WALL
 
 
@@ -352,7 +354,7 @@ def test_two_layer_resonant_delta_unbiased_persists():
             LayerSpec(-((2 * math.pi / 10.0) ** 2), 0.0, 10.0, 2.0, 1.0),
         )
     )
-    lim = two_layer_limit_matrices(spec, TwoLayerMode.RESONANT_DELTA)
+    lim = squeezed_limit(spec)
     assert lim.kind is LimitKind.RESONANT_DELTA
     assert lim.alpha == pytest.approx(2.0)
 
@@ -375,7 +377,7 @@ def test_two_layer_delta_prime_unbiased_symmetric():
     spec = StructureSpec(
         (LayerSpec(a1, 0.0, d1, 2.0, 1.0), LayerSpec(a2, 0.0, d2, 2.0, 1.0))
     )
-    lim = two_layer_limit_matrices(spec, TwoLayerMode.DELTA_PRIME)
+    lim = squeezed_limit(spec)
     assert lim.kind is LimitKind.DELTA_PRIME_FAMILY
     assert lim.alpha == pytest.approx(0.0, abs=1e-12)
     assert lim.theta == pytest.approx(
@@ -388,13 +390,8 @@ def test_two_layer_delta_prime_off_root():
     spec = StructureSpec(
         (LayerSpec(1.0, 0.0, 2.0, 2.0, 1.0), LayerSpec(-0.1, 0.0, 10.0, 2.0, 1.0))
     )
-    lim = two_layer_limit_matrices(spec, TwoLayerMode.DELTA_PRIME)
+    lim = squeezed_limit(spec)
     assert lim.kind is LimitKind.OPAQUE_WALL
-
-
-def test_two_layer_power_validation():
-    with pytest.raises(ValueError):
-        two_layer_limit_matrices(_fig4_spec(-0.2), TwoLayerMode.DELTA_PRIME)
 
 
 # --- transistor limits ------------------------------------------------------
@@ -404,30 +401,36 @@ VCB = 0.524928  # 0.2 eV
 FIG6_STACK = transistor_stack(FIG6.a1, FIG6.a3, FIG6.d1, FIG6.d2, FIG6.d3, VCB)
 
 
+def _fig6_at(v_eb, mu):
+    """FIG6_STACK at emitter voltage v_eb (b1 = -v_eb), barriers squeezed at (mu, 1)."""
+    emitter, base, collector = FIG6_STACK.layers
+    return StructureSpec((replace(emitter, b=-v_eb, mu=mu), base, replace(collector, mu=mu)))
+
+
 def test_transistor_delta_resonance_values():
     for n, ev in ((1, 0.037604), (2, 0.150415), (3, 0.338433)):
         v = (n * math.pi / 10.0) ** 2
         assert v / 2.62464 == pytest.approx(ev, abs=5e-7)
-        lim = transistor_delta_limit(FIG6, v, VCB)
+        lim = squeezed_limit(_fig6_at(v, 1.0))
         assert lim.kind is LimitKind.RESONANT_DELTA
         assert lim.n == n and lim.sign == (-1) ** n
 
 
 def test_transistor_delta_alpha_positive_for_fig6():
     v1 = (math.pi / 10.0) ** 2
-    lim = transistor_delta_limit(FIG6, v1, VCB)
+    lim = squeezed_limit(_fig6_at(v1, 1.0))
     want = (FIG6.a1 - 0.5 * v1) * FIG6.d1 + (FIG6.a3 - v1 - 0.5 * VCB) * FIG6.d3
     assert lim.alpha == pytest.approx(want, rel=1e-12)
     assert lim.alpha > 0
 
 
 def test_transistor_delta_off_resonance_and_warnings():
-    lim = transistor_delta_limit(FIG6, 0.123, VCB)
+    lim = squeezed_limit(_fig6_at(0.123, 1.0))
     assert lim.kind is LimitKind.OPAQUE_WALL
-    v3 = (3 * math.pi / 10.0) ** 2  # 0.3384 eV > min(a1, a3 - vcb) = 0.3 eV
-    lim = transistor_delta_limit(FIG6, v3, VCB)
+    v3 = (3 * math.pi / 10.0) ** 2  # 0.3384 eV > min(a1, a3, a3 - vcb) = 0.3 eV
+    lim = squeezed_limit(_fig6_at(v3, 1.0))
     assert lim.kind is LimitKind.RESONANT_DELTA  # kept, only flagged
-    assert lim.warnings
+    assert not lim.admissible
 
 
 def test_transistor_deltaprime_root_cross_checks():
@@ -437,7 +440,8 @@ def test_transistor_deltaprime_root_cross_checks():
     assert rset.roots
     for root in rset.roots:
         v = root.value
-        lim = transistor_deltaprime_limit(FIG6, v, VCB)
+        lim = squeezed_limit(_fig6_at(v, 2.0))
+        assert lim.kind is LimitKind.DELTA_PRIME_FAMILY
         reps = transistor_theta_representations(FIG6, v)
         spread = abs(reps[0] - reps[1]) + abs(1.0 / reps[2] - 1.0 / reps[3]) + abs(
             reps[0] / reps[2] - 1.0
@@ -472,9 +476,34 @@ def _alpha_expanded(params, v, vcb):
     return math.fsum(terms)
 
 
-def test_transistor_deltaprime_rejects_non_root():
-    with pytest.raises(NotAResonanceRootError):
-        transistor_deltaprime_limit(FIG6, 0.1234, VCB)
+# --- the entry point ----------------------------------------------------------
+
+
+def test_squeezed_limit_off_the_set_is_a_wall():
+    # each squeeze off its resonance set, including a transistor bias outside
+    # the domain of its condition
+    pair = StructureSpec(
+        (LayerSpec(1.0, 0.0, 2.0, 2.0, 1.0), LayerSpec(-0.1, 0.0, 10.0, 2.0, 1.0))
+    )
+    off = (
+        _fig4_spec(-0.2),
+        pair,
+        _fig6_at(0.123, 1.0),
+        _fig6_at(-0.1, 1.0),
+        _fig6_at(0.1234, 2.0),
+        _fig6_at(FIG6.a3, 2.0),
+    )
+    for stack in off:
+        lim = squeezed_limit(stack)
+        assert lim.kind is LimitKind.OPAQUE_WALL and lim.matrix() is None
+
+
+def test_squeezed_limit_without_closed_form():
+    barrier = LayerSpec(1.31232, -0.2, 2.0, 1.0, 1.0)
+    with pytest.raises(NoClosedFormLimitError):
+        squeezed_limit(StructureSpec((barrier, barrier)))  # (1,1) + (1,1)
+    with pytest.raises(NoClosedFormLimitError):
+        squeezed_limit(StructureSpec(FIG6_STACK.layers + (barrier,)))
 
 
 def test_transistor_residual_forms_share_roots():
@@ -497,7 +526,7 @@ def test_delta_limit_squeezing_convergence():
     spec = StructureSpec((layer,))
     energy = 0.7
     v_l, v_r = spec.lead_potentials()
-    lim = single_layer_limit(layer)
+    lim = _squeezed_layer(layer)
     t_limit = delta_transmission(lim.alpha, math.sqrt(energy), math.sqrt(energy - v_r))
     errs = []
     for eps in (0.5, 0.25, 0.1, 0.05):

@@ -5,14 +5,18 @@ import math
 import pytest
 
 from airystack.limits import (
+    LimitKind,
     TransistorSpec,
+    squeezed_limit,
     transistor_resonance_residual,
     two_layer_resonance_residual,
 )
 from airystack.potential import EV_TO_INVNM2
 from airystack.resonance import (
+    FINDERS,
     MAX_LEVELS,
     ResonanceEquation,
+    _tuned,
     find_resonances_deltaprime_2layer,
     find_resonances_transistor_deltaprime,
     resonances_delta_barrier_well,
@@ -375,6 +379,30 @@ def test_2layer_alpha_against_real_barrier_well_form(rng):
             assert abs(root.alpha - want) <= 1e-12 * scale
             checked += 1
     assert checked > 20
+
+
+def test_squeezed_limit_kind_matches_each_equation():
+    # resonance.SQUEEZES and the limits table agree: at every root a finder
+    # returns, the squeezed limit of its tuned stack is the equation's kind
+    fig4 = barrier_well_stack(FIG4["a1"], FIG4["d1"], FIG4["a2"], FIG4["d2"])
+    eq73, eq69, eq76, eq83 = (
+        ResonanceEquation.EQ73_DELTA_BARRIER_WELL,
+        ResonanceEquation.EQ69_DELTAPRIME_2LAYER,
+        ResonanceEquation.EQ76_TRANSISTOR_DELTA,
+        ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME,
+    )
+    cases = {
+        eq73: (fig4, -0.6 * EV, 0.0, LimitKind.RESONANT_DELTA),
+        eq69: (fig4, -0.6 * EV, 0.0, LimitKind.DELTA_PRIME_FAMILY),
+        eq76: (FIG6_STACK, 0.0, 0.45 * EV, LimitKind.RESONANT_DELTA),
+        eq83: (FIG6_STACK, 1e-6, 0.5 * EV, LimitKind.DELTA_PRIME_FAMILY),
+    }
+    assert set(cases) == set(ResonanceEquation)
+    for eq, (stack, lo, hi, kind) in cases.items():
+        rset = FINDERS[eq](stack, lo, hi)
+        assert len(rset.roots) >= 2
+        for root in rset.roots:
+            assert squeezed_limit(_tuned(stack, eq, root.value)).kind is kind
 
 
 # --- level enumeration --------------------------------------------------------
