@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .errors import NoClosedFormLimitError
 from .potential import POWER_TOL, LayerSpec, RegionClass, StructureSpec, classify_region
 from .transfer import TransferMatrix
@@ -241,31 +243,27 @@ def single_layer_limit(layer: LayerSpec) -> LimitClassification:
 # --- two-layer limits -----------------------------------------------------
 
 
-def _kappa_tan(shifted: float, d: float) -> float:
-    """kappa * tan(kappa * d) continued to the barrier branch.
+def _kappa_tan(shifted, d: float):
+    """kappa * tan(kappa * d) continued to the barrier branch, element by
+    element.
 
     For a well (shifted < 0) kappa is real; for a barrier the analytic
-    continuation gives -sqrt(shifted) * tanh(sqrt(shifted) d)."""
-    if shifted < 0.0:
-        kap = math.sqrt(-shifted)
-        return kap * math.tan(kap * d)
-    if shifted > 0.0:
-        q = math.sqrt(shifted)
-        return -q * math.tanh(q * d)
-    return 0.0
+    continuation gives -sqrt(shifted) * tanh(sqrt(shifted) d).  At
+    shifted = 0 the well branch is q tan(q d) = 0 exactly."""
+    q = np.sqrt(np.abs(shifted))
+    return np.where(shifted > 0.0, -q * np.tanh(q * d), q * np.tan(q * d))
 
 
-def two_layer_resonance_residual(
-    shifted1: float, shifted2: float, d1: float, d2: float
-) -> tuple[float, float]:
-    """Residual and scale of the two-layer diagonal-limit condition.
+def two_layer_resonance_residual(shifted1, shifted2, d1: float, d2: float):
+    """Residual and scale of the two-layer diagonal-limit condition, element
+    by element over array arguments.
 
     The divergent off-diagonal term of the squeezed product vanishes iff
     kappa1 tan(kappa1 d1) + kappa2 tan(kappa2 d2) = 0 (barrier branches
-    continued via tanh); returns (residual, sum of |terms|)."""
+    continued via tanh); returns (residual, sum of |terms|) as arrays."""
     t1 = _kappa_tan(shifted1, d1)
     t2 = _kappa_tan(shifted2, d2)
-    return t1 + t2, abs(t1) + abs(t2)
+    return t1 + t2, np.abs(t1) + np.abs(t2)
 
 
 def _cos_branch(shifted: float, d: float) -> float:
@@ -367,25 +365,25 @@ def _transistor_delta(stack: StructureSpec) -> LimitClassification:
     )
 
 
-def transistor_resonance_residual(
-    params: TransistorSpec, v_eb: float
-) -> tuple[float, float]:
-    """Explicit-form residual of the delta-prime resonance condition.
+def transistor_resonance_residual(params: TransistorSpec, v_eb):
+    """Explicit-form residual of the delta-prime resonance condition,
+    element by element over an array of emitter voltages.
 
     sqrt(a1/V) T1 + sqrt(a3/V - 1) T3
         = [1 - sqrt(a1/V) sqrt(a3/V - 1) T1 T3] tan(sqrt(V) d2)
     with T1 = tanh(sqrt(a1) d1), T3 = tanh(sqrt(a3 - V) d3).
-    Returns (lhs - rhs, |lhs| + |rhs|); domain 0 < V < a3.
+    Returns (lhs - rhs, |lhs| + |rhs|) as arrays; every V must lie in
+    0 < V < a3.
     """
-    if not 0.0 < v_eb < params.a3:
+    if not np.all((v_eb > 0.0) & (v_eb < params.a3)):
         raise ValueError("v_eb must lie strictly inside (0, a3)")
-    r1 = math.sqrt(params.a1 / v_eb)
-    r3 = math.sqrt(params.a3 / v_eb - 1.0)
+    r1 = np.sqrt(params.a1 / v_eb)
+    r3 = np.sqrt(params.a3 / v_eb - 1.0)
     t1 = math.tanh(math.sqrt(params.a1) * params.d1)
-    t3 = math.tanh(math.sqrt(params.a3 - v_eb) * params.d3)
+    t3 = np.tanh(np.sqrt(params.a3 - v_eb) * params.d3)
     lhs = r1 * t1 + r3 * t3
-    rhs = (1.0 - r1 * r3 * t1 * t3) * math.tan(math.sqrt(v_eb) * params.d2)
-    return lhs - rhs, abs(lhs) + abs(rhs)
+    rhs = (1.0 - r1 * r3 * t1 * t3) * np.tan(np.sqrt(v_eb) * params.d2)
+    return lhs - rhs, np.abs(lhs) + np.abs(rhs)
 
 
 def _transistor_factors(params: TransistorSpec, v_eb: float) -> tuple[float, ...]:

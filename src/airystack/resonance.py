@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 
+import numpy as np
+
 from .errors import EvanescentLeadError
 from .limits import (
     LimitKind,
@@ -42,10 +44,15 @@ __all__ = [
 # wider interval is rejected before any level is generated.
 MAX_LEVELS = 100_000
 
-# Uniform scan steps across [lo, hi], and the relative width at which
-# bisection stops, for the transcendental conditions.
+# Uniform scan steps across [lo, hi], the relative width at which
+# bisection stops and its most steps per bracket, for the transcendental
+# conditions.
 SCAN_STEPS = 2048
 ROOT_REL_TOL = 1e-12
+MAX_STEPS = 200
+# Bisection steps per call of the residual: a round evaluates 2**DEPTH - 1
+# points per bracket, of which a bracket's walk uses DEPTH.
+DEPTH = 6
 
 
 class ResonanceEquation(Enum):
@@ -95,11 +102,15 @@ class ResonanceSet:
 def scan_and_bisect(f, lo: float, hi: float, poles: tuple[float, ...] = ()) -> list[float]:
     """All sign-change roots of f on [lo, hi].
 
-    The interval is pre-split at the supplied pole locations (where f
-    jumps sign without a root); each pole-free piece is scanned with a
-    uniform step of (hi - lo) / SCAN_STEPS and sign changes are refined by
-    bisection to ROOT_REL_TOL.  Deterministic: identical inputs give
-    identical outputs.
+    f maps a 1-D array of points to the array of its values, element by
+    element.  The interval is pre-split at the supplied pole locations
+    (where f jumps sign without a root); each pole-free piece is scanned
+    with a uniform step of (hi - lo) / SCAN_STEPS, all pieces in one call
+    of f, and a grid point where f is 0 is a root.  A sign change between
+    two neighbours of one piece is bisected to ROOT_REL_TOL, at most
+    MAX_STEPS steps, DEPTH steps of every bracket per call of f (see
+    _bisect), so f is called at most 1 + ceil(MAX_STEPS / DEPTH) times.
+    Deterministic: identical inputs give identical outputs.
     """
     if not hi > lo:
         return []
@@ -110,38 +121,70 @@ def scan_and_bisect(f, lo: float, hi: float, poles: tuple[float, ...] = ()) -> l
     for p in cuts:
         edges.extend((p - margin, p + margin))
     edges.append(hi)
-    roots: list[float] = []
+    pieces = []
     for a, b in zip(edges[::2], edges[1::2]):
-        if not b > a:
-            continue
-        m = max(2, int(math.ceil((b - a) / step)) + 1)
-        xs = [a + (b - a) * i / (m - 1) for i in range(m)]
-        fs = [f(x) for x in xs]
-        for i in range(m - 1):
-            f0, f1 = fs[i], fs[i + 1]
-            if f0 == 0.0:
-                roots.append(xs[i])
-                continue
-            if f0 * f1 < 0.0:
-                x0, x1 = xs[i], xs[i + 1]
-                for _ in range(200):
-                    mid = 0.5 * (x0 + x1)
-                    fm = f(mid)
-                    if fm == 0.0:
-                        x0 = x1 = mid
-                        break
-                    if f0 * fm < 0.0:
-                        x1 = mid
-                    else:
-                        x0, f0 = mid, fm
-                    # true relative tolerance: small roots (steep residuals
-                    # near poles) still need their full relative precision
-                    if (x1 - x0) <= ROOT_REL_TOL * max(abs(x0), abs(x1)):
-                        break
-                roots.append(0.5 * (x0 + x1))
-        if fs[-1] == 0.0:
-            roots.append(xs[-1])
+        if b > a:
+            m = max(2, int(math.ceil((b - a) / step)) + 1)
+            pieces.append(a + (b - a) * np.arange(m) / (m - 1))
+    if not pieces:
+        return []
+    xs = np.concatenate(pieces)
+    fs = f(xs)
+    # neighbours (i, i + 1) in one piece: a pair across a pole cut is no bracket
+    inside = np.ones(xs.size - 1, dtype=bool)
+    inside[np.cumsum([p.size for p in pieces[:-1]], dtype=int) - 1] = False
+    i = np.flatnonzero(inside & (fs[:-1] * fs[1:] < 0.0))
+    roots = xs[fs == 0.0].tolist() + _bisect(f, xs[i].tolist(), xs[i + 1].tolist(), fs[i].tolist())
     return sorted(set(roots))
+
+
+def _bisect(f, x0s: list[float], x1s: list[float], f0s: list[float]) -> list[float]:
+    """The bisection root of each bracket [x0, x1] with f(x0) = f0 and a sign
+    change on it, to ROOT_REL_TOL or after MAX_STEPS steps.
+
+    Each round nests DEPTH levels of midpoints into every live bracket, the
+    2**DEPTH - 1 points its next DEPTH steps can reach, and evaluates them
+    all in one call of f.  A walk in Python floats then takes each
+    bracket's steps one at a time: its midpoints 0.5 * (x0 + x1) are the
+    nested points bit for bit, so every root is the one that one f call
+    per step would give.
+    """
+    n = 1 << DEPTH
+    brackets = [(x0, x1, f0, 0) for x0, x1, f0 in zip(x0s, x1s, f0s)]
+    roots = []
+    while brackets:
+        grid = np.array([b[:2] for b in brackets])
+        for _ in range(DEPTH):
+            finer = np.empty((len(grid), 2 * grid.shape[1] - 1))
+            finer[:, ::2] = grid
+            finer[:, 1::2] = 0.5 * (grid[:, :-1] + grid[:, 1:])
+            grid = finer
+        rows = f(grid[:, 1:-1].ravel()).reshape(len(grid), n - 1).tolist()
+        live = []
+        for (x0, x1, f0, steps), row in zip(brackets, rows):
+            # [x0, x1] spans grid[i0 : i1 + 1] of this bracket's row
+            i0, i1 = 0, n
+            while i1 - i0 > 1:
+                i = (i0 + i1) // 2
+                mid, fm = 0.5 * (x0 + x1), row[i - 1]
+                steps += 1
+                if fm == 0.0:
+                    x0 = x1 = mid
+                    break
+                if f0 * fm < 0.0:
+                    x1, i1 = mid, i
+                else:
+                    x0, f0, i0 = mid, fm, i
+                # true relative tolerance: small roots (steep residuals
+                # near poles) still need their full relative precision
+                if (x1 - x0) <= ROOT_REL_TOL * max(abs(x0), abs(x1)) or steps == MAX_STEPS:
+                    break
+            else:
+                live.append((x0, x1, f0, steps))
+                continue
+            roots.append(0.5 * (x0 + x1))
+        brackets = live
+    return roots
 
 
 def _levels(start, d: float, sign: float, offset: float, lo: float, hi: float) -> list[float]:
@@ -220,14 +263,15 @@ def _scanned_roots(
     """Sign changes of residual(x)[0] on [lo, hi], split at the poles; a
     candidate whose tuned stack's squeezed_limit is a wall bisected into a
     tangent pole and is dropped.  Roots carry their scaled residual."""
+    values = scan_and_bisect(lambda x: residual(x)[0], lo, hi, poles)
+    resid, scale = residual(np.array(values))
+    scaled = (np.abs(resid) / np.maximum(scale, 1e-300)).tolist()
     roots = []
-    for value in scan_and_bisect(lambda x: residual(x)[0], lo, hi, poles):
+    for value, value_scaled in zip(values, scaled):
         tuned = _tuned(stack, eq, value)
         limit = squeezed_limit(tuned)
         if limit.kind is not LimitKind.OPAQUE_WALL:
-            resid, scale = residual(value)
-            scaled = abs(resid) / max(scale, 1e-300)
-            roots.append(_root(len(roots) + 1, value, limit, tuned, energy, residual=scaled))
+            roots.append(_root(len(roots) + 1, value, limit, tuned, energy, residual=value_scaled))
     return ResonanceSet(eq, tuple(roots))
 
 

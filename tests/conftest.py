@@ -9,6 +9,7 @@ from scipy.integrate import solve_ivp
 
 from airystack.limits import TransistorSpec
 from airystack.potential import LayerSpec, StructureSpec
+from airystack.resonance import MAX_STEPS, ROOT_REL_TOL, SCAN_STEPS
 from airystack.scattering import ScatteringResult
 
 
@@ -75,6 +76,98 @@ def transistor_resonance_residual_product_form(
     t2 = math.tan(k2 * params.d2)
     terms = ((q1 * q3 / k2) * t1 * t2 * t3, q1 * t1, q3 * t3, -k2 * t2)
     return math.fsum(terms), sum(abs(t) for t in terms)
+
+
+def kappa_tan_math(shifted: float, d: float) -> float:
+    """kappa tan(kappa d), continued to -q tanh(q d) on the barrier branch,
+    for one float through the math module (reference for the array code)."""
+    if shifted < 0.0:
+        kap = math.sqrt(-shifted)
+        return kap * math.tan(kap * d)
+    if shifted > 0.0:
+        q = math.sqrt(shifted)
+        return -q * math.tanh(q * d)
+    return 0.0
+
+
+def two_layer_resonance_residual_math(shifted1, shifted2, d1, d2) -> tuple[float, float]:
+    """Two-layer delta-prime residual and scale of one point in math floats."""
+    t1 = kappa_tan_math(shifted1, d1)
+    t2 = kappa_tan_math(shifted2, d2)
+    return t1 + t2, abs(t1) + abs(t2)
+
+
+def transistor_resonance_residual_math(params: TransistorSpec, v_eb: float) -> tuple[float, float]:
+    """Explicit-form transistor delta-prime residual and scale of one point
+    in math floats."""
+    if not 0.0 < v_eb < params.a3:
+        raise ValueError("v_eb must lie strictly inside (0, a3)")
+    r1 = math.sqrt(params.a1 / v_eb)
+    r3 = math.sqrt(params.a3 / v_eb - 1.0)
+    t1 = math.tanh(math.sqrt(params.a1) * params.d1)
+    t3 = math.tanh(math.sqrt(params.a3 - v_eb) * params.d3)
+    lhs = r1 * t1 + r3 * t3
+    rhs = (1.0 - r1 * r3 * t1 * t3) * math.tan(math.sqrt(v_eb) * params.d2)
+    return lhs - rhs, abs(lhs) + abs(rhs)
+
+
+def scan_and_bisect_one_at_a_time(f, lo, hi, poles=()):
+    """The pole-split scan and bisection of resonance.scan_and_bisect, one
+    point and one bracket at a time: f takes one float.  The reference the
+    batched scanner must match bit for bit."""
+    if not hi > lo:
+        return []
+    step = (hi - lo) / SCAN_STEPS
+    margin = 1e-10 * (hi - lo)
+    cuts = sorted(p for p in poles if lo < p < hi)
+    edges = [lo]
+    for p in cuts:
+        edges.extend((p - margin, p + margin))
+    edges.append(hi)
+    roots = []
+    for a, b in zip(edges[::2], edges[1::2]):
+        if not b > a:
+            continue
+        m = max(2, int(math.ceil((b - a) / step)) + 1)
+        xs = [a + (b - a) * i / (m - 1) for i in range(m)]
+        fs = [f(x) for x in xs]
+        for i in range(m - 1):
+            f0, f1 = fs[i], fs[i + 1]
+            if f0 == 0.0:
+                roots.append(xs[i])
+                continue
+            if f0 * f1 < 0.0:
+                x0, x1 = xs[i], xs[i + 1]
+                for _ in range(MAX_STEPS):
+                    mid = 0.5 * (x0 + x1)
+                    fm = f(mid)
+                    if fm == 0.0:
+                        x0 = x1 = mid
+                        break
+                    if f0 * fm < 0.0:
+                        x1 = mid
+                    else:
+                        x0, f0 = mid, fm
+                    if (x1 - x0) <= ROOT_REL_TOL * max(abs(x0), abs(x1)):
+                        break
+                roots.append(0.5 * (x0 + x1))
+        if fs[-1] == 0.0:
+            roots.append(xs[-1])
+    return sorted(set(roots))
+
+
+def random_two_layer_device(rng) -> tuple[float, float, float, float]:
+    """(a1, d1, a2, d2) of a barrier-well device, drawn as C11 draws them."""
+    return (
+        rng.uniform(0.2, 2.0), rng.uniform(0.5, 3.0), rng.uniform(-1.0, 0.5), rng.uniform(3.0, 12.0)
+    )
+
+
+def random_transistor_device(rng) -> tuple[float, ...]:
+    """(a1, a3, d1, d2, d3, v_cb) of a transistor, drawn as C11 draws them."""
+    a1, a3 = rng.uniform(0.5, 2.5), rng.uniform(0.5, 2.5)
+    d1, d3 = rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)
+    return a1, a3, d1, rng.uniform(4.0, 12.0), d3, rng.uniform(0.0, 0.8)
 
 
 def barrier_well_stack(a1, d1, a2, d2, b2=0.0, v_left=0.0, v_right=None):

@@ -11,6 +11,7 @@ import pytest
 from airystack.errors import NoClosedFormLimitError
 from airystack.limits import (
     AsymptoticRegime,
+    _kappa_tan,
     LimitKind,
     TransistorSpec,
     delta_transmission,
@@ -26,7 +27,14 @@ from airystack.limits import (
 from airystack.potential import ConcreteLayer, LayerSpec, StructureSpec, realize
 from airystack.scattering import scatter
 from airystack.transfer import layer_matrix_constant, layer_matrix_linear, structure_matrix
-from conftest import transistor_resonance_residual_product_form, transistor_stack
+from conftest import (
+    barrier_well_stack,
+    kappa_tan_math,
+    transistor_resonance_residual_math,
+    transistor_resonance_residual_product_form,
+    transistor_stack,
+    two_layer_resonance_residual_math,
+)
 
 
 def exact_matrix_from_z(z0, z1, sigma, energy=1.0):
@@ -504,6 +512,66 @@ def test_squeezed_limit_without_closed_form():
         squeezed_limit(StructureSpec((barrier, barrier)))  # (1,1) + (1,1)
     with pytest.raises(NoClosedFormLimitError):
         squeezed_limit(StructureSpec(FIG6_STACK.layers + (barrier,)))
+
+
+def _assert_matches_math(got, want, scale):
+    """Each element of an array residual within 1e-14 of its math recoding,
+    relative to the element's scale."""
+    for g, w, sc in zip(got.tolist(), want, scale):
+        assert abs(g - w) <= 1e-14 * sc
+
+
+def test_kappa_tan_branches_match_math_recoding():
+    rng = np.random.default_rng(11)
+    # well, barrier and the shifted = 0 boundary, with tan and tanh arguments past 1
+    shifted = np.concatenate([rng.uniform(-3.0, 3.0, 400), [0.0, -1e-300, 1e-300, -2.4, 2.4]])
+    for d in (0.7, 10.0):
+        want = [kappa_tan_math(s, d) for s in shifted.tolist()]
+        _assert_matches_math(_kappa_tan(shifted, d), want, np.abs(want))
+    assert _kappa_tan(np.array([0.0]), 10.0).tolist() == [0.0]
+
+
+def test_array_residuals_match_math_recoding():
+    rng = np.random.default_rng(12)
+    s1 = np.concatenate([rng.uniform(-2.0, 2.0, 300), [0.0, 0.0, 1.5]])
+    s2 = np.concatenate([rng.uniform(-2.0, 2.0, 300), [0.0, -0.8, 0.0]])
+    resid, scale = two_layer_resonance_residual(s1, s2, 1.3, 9.0)
+    want = [two_layer_resonance_residual_math(a, b, 1.3, 9.0) for a, b in zip(s1.tolist(), s2.tolist())]
+    _assert_matches_math(resid, [w[0] for w in want], [w[1] for w in want])
+    _assert_matches_math(scale, [w[1] for w in want], [w[1] for w in want])
+
+    v = np.concatenate([rng.uniform(0.0, FIG6.a3, 300), [1e-8, FIG6.a3 * (1.0 - 1e-8)]])
+    resid, scale = transistor_resonance_residual(FIG6, v)
+    want = [transistor_resonance_residual_math(FIG6, x) for x in v.tolist()]
+    _assert_matches_math(resid, [w[0] for w in want], [w[1] for w in want])
+    _assert_matches_math(scale, [w[1] for w in want], [w[1] for w in want])
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, FIG6.a3, 2.0 * FIG6.a3, math.nan])
+def test_transistor_residual_rejects_any_element_outside_domain(bad):
+    v = np.array([0.1, 0.2, bad, 0.3])
+    with pytest.raises(ValueError, match="inside"):
+        transistor_resonance_residual(FIG6, v)
+
+
+def test_scanned_roots_carry_python_floats():
+    from airystack.resonance import (
+        find_resonances_deltaprime_2layer,
+        find_resonances_transistor_deltaprime,
+    )
+
+    sets = (
+        find_resonances_deltaprime_2layer(barrier_well_stack(1.31, 2.0, -0.26, 10.0), -2.6, 0.0, 0.26),
+        find_resonances_transistor_deltaprime(FIG6_STACK, 0.0, FIG6.a3, 0.26),
+    )
+    for rset in sets:
+        assert rset.roots
+        for root in rset.roots:
+            for field in (root.value, root.alpha, root.theta, root.trans_prob, root.residual):
+                assert type(field) is float
+    lim = squeezed_limit(_fig6_at(sets[1].roots[0].value, 2.0))
+    assert lim.kind is LimitKind.DELTA_PRIME_FAMILY
+    assert type(lim.alpha) is float and type(lim.theta) is float
 
 
 def test_transistor_residual_forms_share_roots():

@@ -1,7 +1,9 @@
 """Resonance sets: closed forms, transcendental search, dense-scan oracles."""
 
 import math
+import pathlib
 
+import numpy as np
 import pytest
 
 from airystack.limits import (
@@ -12,8 +14,12 @@ from airystack.limits import (
     two_layer_resonance_residual,
 )
 from airystack.potential import EV_TO_INVNM2
+from airystack import resonance
+from airystack.cli import load_config
 from airystack.resonance import (
+    DEPTH,
     FINDERS,
+    MAX_STEPS,
     MAX_LEVELS,
     ResonanceEquation,
     _tuned,
@@ -25,13 +31,21 @@ from airystack.resonance import (
 )
 from airystack.scattering import scatter
 from airystack.transfer import TransferMatrix
-from conftest import barrier_well_stack, transistor_stack
+from conftest import (
+    barrier_well_stack,
+    random_transistor_device,
+    random_two_layer_device,
+    scan_and_bisect_one_at_a_time,
+    transistor_stack,
+)
 
 EV = EV_TO_INVNM2
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def dense_scan_roots(f, lo, hi, poles, n=10_000):
-    """Sign-change counter oracle: n samples per pole-free piece."""
+    """Sign-change counter oracle: n samples per pole-free piece, f taking
+    the array of a piece's samples."""
     margin = 1e-10 * (hi - lo)
     edges = [lo]
     for p in sorted(p for p in poles if lo < p < hi):
@@ -40,7 +54,7 @@ def dense_scan_roots(f, lo, hi, poles, n=10_000):
     brackets = []
     for a, b in zip(edges[::2], edges[1::2]):
         xs = [a + (b - a) * i / n for i in range(n + 1)]
-        fs = [f(x) for x in xs]
+        fs = f(np.array(xs)).tolist()
         for i in range(n):
             if fs[i] == 0.0 or fs[i] * fs[i + 1] < 0.0:
                 brackets.append((xs[i], xs[i + 1]))
@@ -127,7 +141,7 @@ def test_closed_forms_agree_with_generic_scanner():
     )
 
     def f(b1):
-        return math.sin(math.sqrt(-(a2 + b1)) * d2)
+        return np.sin(np.sqrt(-(a2 + b1)) * d2)
 
     scanned = scan_and_bisect(f, -0.6 * EV, -1e-9)
     assert len(scanned) == len(closed.roots)
@@ -138,12 +152,139 @@ def test_closed_forms_agree_with_generic_scanner():
     closed = resonances_transistor_delta(transistor_stack(1.0, 1.0, 1.0, d2, 1.0, 0.0), 0.0, 1.2)
 
     def g(v):
-        return math.sin(math.sqrt(v) * d2)
+        return np.sin(np.sqrt(v) * d2)
 
     scanned = scan_and_bisect(g, 1e-9, 1.2)
     assert len(scanned) == len(closed.roots)
     for x, root in zip(scanned, closed.values()):
         assert x == pytest.approx(root, abs=1e-12)
+
+
+# --- batched scan and bisection ---------------------------------------------
+
+MAX_CALLS = 1 + math.ceil(MAX_STEPS / DEPTH)
+
+
+def _hex(values):
+    return [x.hex() for x in values]
+
+
+def _one_at_a_time(f):
+    """f of one float through the array contract of scan_and_bisect."""
+    return lambda x: float(f(np.array([x]))[0])
+
+
+def _counted(f, calls):
+    def counted(xs):
+        calls.append(xs.size)
+        return f(xs)
+
+    return counted
+
+
+def _check_against_reference(f, lo, hi, poles=()):
+    """scan_and_bisect(f, ...), asserting it equals the one-at-a-time
+    reference bit for bit and calls f at most MAX_CALLS times."""
+    calls = []
+    got = scan_and_bisect(_counted(f, calls), lo, hi, poles)
+    assert _hex(got) == _hex(scan_and_bisect_one_at_a_time(_one_at_a_time(f), lo, hi, poles))
+    assert len(calls) <= MAX_CALLS
+    return got
+
+
+def test_batched_scan_matches_reference_on_seeded_devices(monkeypatch):
+    # every scan the two scanned finders make, on C11's device draws
+    scans = []
+
+    def checked(f, lo, hi, poles=()):
+        scans.append(len(poles))
+        return _check_against_reference(f, lo, hi, poles)
+
+    monkeypatch.setattr(resonance, "scan_and_bisect", checked)
+    rng = np.random.default_rng(20260811)
+    n_roots = 0
+    for _ in range(50):
+        a1, d1, a2, d2 = random_two_layer_device(rng)
+        rset = find_resonances_deltaprime_2layer(barrier_well_stack(a1, d1, a2, d2), -2.5, 2.5)
+        n_roots += len(rset.roots)
+    for _ in range(50):
+        device = random_transistor_device(rng)
+        rset = find_resonances_transistor_deltaprime(transistor_stack(*device), 0.0, device[1])
+        n_roots += len(rset.roots)
+    assert len(scans) == 100 and sum(scans) > 100 and n_roots > 100
+
+
+def test_batched_scan_grid_zero_is_a_root():
+    # x = 0 is grid point 1024 of [-1, 1]; the other roots lie off the grid
+    roots = _check_against_reference(lambda x: x * (x - 0.3) * (x + 0.55), -1.0, 1.0)
+    assert 0.0 in roots and len(roots) == 3
+    assert roots == pytest.approx([-0.55, 0.0, 0.3], abs=1e-12)
+
+
+def test_batched_scan_midpoint_zero_ends_the_bracket():
+    # f vanishes exactly at the third midpoint of the bracket [xs[1000], xs[1001]]
+    a = -1.0 + 2.0 * 1000 / 2048
+    b = -1.0 + 2.0 * 1001 / 2048
+    m1 = 0.5 * (a + b)
+    m2 = 0.5 * (a + m1)
+    hit = 0.5 * (m2 + m1)
+    roots = _check_against_reference(lambda x: x - hit, -1.0, 1.0)
+    assert roots == [hit]
+
+
+def test_batched_scan_root_next_to_a_pole_cut():
+    # a pole at p (f jumps from + to - across it) and a root 2 margins to its
+    # right, inside the first step of the piece after the cut
+    lo, hi, p = 0.0, 1.0, 0.4
+    r = p + 2e-10
+    roots = _check_against_reference(lambda x: (x - r) / (x - p), lo, hi, (p,))
+    assert roots == pytest.approx([r], rel=1e-12)
+
+
+def test_batched_scan_root_off_grid_at_zero_takes_max_steps():
+    # f(0) != 0 and the root is exactly 0: the relative width never reaches
+    # ROOT_REL_TOL, so the bracket runs the full MAX_STEPS
+    def f(x):
+        return np.where(x > 0.0, 1.0, -1.0)
+
+    reference_calls = []
+
+    def counted(x):
+        reference_calls.append(x)
+        return f(x)
+
+    assert scan_and_bisect_one_at_a_time(counted, -0.3, 0.7) == pytest.approx([0.0], abs=1e-40)
+    assert len(reference_calls) == 2049 + MAX_STEPS
+    calls = []
+    assert _hex(scan_and_bisect(_counted(f, calls), -0.3, 0.7)) == _hex(
+        scan_and_bisect_one_at_a_time(f, -0.3, 0.7)
+    )
+    assert len(calls) == MAX_CALLS
+
+
+def test_batched_scan_calls_independent_of_bracket_count():
+    # 95 sign changes still take one scan call and one per DEPTH levels
+    roots = _check_against_reference(lambda x: np.sin(300.0 * x), 0.01, 1.0)
+    assert len(roots) == 95
+
+
+@pytest.mark.parametrize(
+    "config, equation, interval",
+    [
+        ("fig4", ResonanceEquation.EQ69_DELTAPRIME_2LAYER, (-1.0 * EV, 0.0)),
+        ("fig6", ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, (0.0, 0.5 * EV)),
+    ],
+)
+def test_figure_sets_take_few_residual_calls(monkeypatch, config, equation, interval):
+    calls = []
+    scan = resonance.scan_and_bisect
+    monkeypatch.setattr(
+        resonance, "scan_and_bisect", lambda f, *args: scan(_counted(f, calls), *args)
+    )
+    cfg = load_config(f"{ROOT}/configs/{config}.json")
+    rset = FINDERS[equation](cfg.spec, *interval, cfg.energy)
+    assert len(rset.roots) >= 3
+    assert len(calls) <= 10
 
 
 # --- two-layer transcendental search ----------------------------------------
