@@ -126,8 +126,6 @@ def scan_and_bisect(f, lo: float, hi: float, poles: tuple[float, ...] = ()) -> l
         if b > a:
             m = max(2, int(math.ceil((b - a) / step)) + 1)
             pieces.append(a + (b - a) * np.arange(m) / (m - 1))
-    if not pieces:
-        return []
     xs = np.concatenate(pieces)
     fs = f(xs)
     # neighbours (i, i + 1) in one piece: a pair across a pole cut is no bracket
@@ -179,7 +177,7 @@ def _bisect(f, x0s: list[float], x1s: list[float], f0s: list[float]) -> list[flo
                 # near poles) still need their full relative precision
                 if (x1 - x0) <= ROOT_REL_TOL * max(abs(x0), abs(x1)) or steps == MAX_STEPS:
                     break
-            else:
+            else:  # DEPTH steps and no stop: on to the next round
                 live.append((x0, x1, f0, steps))
                 continue
             roots.append(0.5 * (x0 + x1))

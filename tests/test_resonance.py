@@ -6,6 +6,8 @@ import pathlib
 import numpy as np
 import pytest
 
+from airystack import resonance
+from airystack.cli import load_config
 from airystack.limits import (
     LimitKind,
     TransistorSpec,
@@ -14,13 +16,11 @@ from airystack.limits import (
     two_layer_resonance_residual,
 )
 from airystack.potential import EV_TO_INVNM2
-from airystack import resonance
-from airystack.cli import load_config
 from airystack.resonance import (
     DEPTH,
     FINDERS,
-    MAX_STEPS,
     MAX_LEVELS,
+    MAX_STEPS,
     ResonanceEquation,
     _tuned,
     find_resonances_deltaprime_2layer,
