@@ -6,9 +6,12 @@ detects and refines transmission peaks, and reports per-peak distances
 to an analytic resonance set when one is supplied.  Evanescent-lead
 grid points are recorded as gaps (NaN transmission), not failures.
 Evaluation is batched per epsilon: the whole grid goes through one array
-evaluation, and the peak refinement steps all brackets of one epsilon in
-lockstep.  Every step is elementwise and pure, so identical requests give
-identical results byte for byte.
+evaluation, and the golden-section refinement of all peaks of one epsilon
+evaluates the next DEPTH levels of every bracket's decision tree in one
+call (see _golden_max), about five calls per epsilon.  Every step is
+elementwise and pure, and each peak walks its own steps in floats from
+those values, so identical requests give identical results byte for byte,
+the same as one transmission call per golden step would give.
 """
 
 from __future__ import annotations
@@ -32,8 +35,11 @@ __all__ = [
     "sweep_to_json",
 ]
 
-# Golden-section refinement pins each peak to this relative position.
+# Golden-section refinement pins each peak to this relative position, and
+# takes DEPTH steps of every bracket per call of the evaluator.
 PEAK_REL_TOL = 1e-6
+DEPTH = 4
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -111,7 +117,7 @@ def detect_peaks(values: np.ndarray, t: np.ndarray, floor: float, evaluator=None
     values must be ascending; NaN gaps in t split the curve.  When an
     evaluator (continuous T(values), elementwise over an array) is given,
     each grid maximum is refined within its bracketing neighbours to
-    PEAK_REL_TOL in position, all maxima in lockstep.
+    PEAK_REL_TOL in position, all maxima together (see _golden_max).
     """
     # a NaN neighbour fails the comparison, so maxima never border a gap
     top = (t[1:-1] > t[:-2]) & (t[1:-1] > t[2:]) & (t[1:-1] > floor)
@@ -122,30 +128,69 @@ def detect_peaks(values: np.ndarray, t: np.ndarray, floor: float, evaluator=None
 
 
 def _golden_max(f, lo: np.ndarray, hi: np.ndarray) -> list[float]:
-    """Golden-section maxima of f on the brackets [lo, hi], in lockstep.
+    """Golden-section maxima of f on the brackets [lo, hi].
 
-    Each bracket takes the steps it would take alone and stops at its own
-    tolerance; each step evaluates f once, on the brackets still open.
+    One call of f opens every bracket at its two golden points.  Each
+    round then plans the next DEPTH steps of every open bracket: the first
+    step's direction is known, every later one turns on the point just
+    added, so the planned points are the 2**DEPTH - 1 nodes of the
+    bracket's decision tree (fewer once a branch closes), and all of them
+    go through one call of f.  A walk in Python floats then takes each
+    bracket's steps one at a time from its own values: its new points are
+    the planned points bit for bit, so every maximum is the one that one
+    f call per step would give, and f is called at most
+    1 + ceil(steps / DEPTH) times.
     """
-    g = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - g * (b - a)
-    d = a + g * (b - a)
+    c = hi - _GOLDEN * (hi - lo)
+    d = lo + _GOLDEN * (hi - lo)
     fc, fd = np.split(np.asarray(f(np.concatenate([c, d])), dtype=float), 2)
     tol = PEAK_REL_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    live = (b - a) > tol
-    while live.any():
-        left = live & (fc > fd)  # the maximum is left of d: drop (d, b]
-        right = live & ~left
-        b, d, fd = np.where(left, d, b), np.where(left, c, d), np.where(left, fc, fd)
-        a, c, fc = np.where(right, c, a), np.where(right, d, c), np.where(right, fd, fc)
-        x = np.where(left, b - g * (b - a), a + g * (b - a))
-        fx = np.zeros_like(x)
-        fx[live] = f(x[live])
-        c, fc = np.where(left, x, c), np.where(left, fx, fc)
-        d, fd = np.where(right, x, d), np.where(right, fx, fd)
-        live = (b - a) > tol
-    return (0.5 * (a + b)).tolist()
+    brackets = [list(s) for s in zip(*(v.tolist() for v in (lo, hi, c, d, fc, fd, tol)))]
+    live = brackets
+    while live := [s for s in live if (s[1] - s[0]) > s[6]]:
+        plans = [
+            _golden_tree(a, b, c, d, tol, (fc > fd,), DEPTH) for a, b, c, d, fc, fd, tol in live
+        ]
+        # zip stops at the end of each plan: every bracket looks up its own values
+        values = iter(f(np.array([x for plan in plans for x in plan])).tolist())
+        for s, plan in zip(live, plans):
+            s[:6] = _golden_walk(*s, dict(zip(plan, values)))
+    return [0.5 * (s[0] + s[1]) for s in brackets]
+
+
+def _golden_step(a, b, c, d, left):
+    """The bracket (a, b) and its inner points (c, d) after one step; the
+    new point is c after a step left and d after a step right."""
+    if left:  # the maximum is left of d: drop (d, b]
+        return a, d, d - _GOLDEN * (d - a), c
+    return c, b, d, c + _GOLDEN * (b - c)
+
+
+def _golden_tree(a, b, c, d, tol, ways, depth) -> list[float]:
+    """New points of the next `depth` steps from [a, b], the first step
+    taking `ways`, every later one both ways, no step past closure."""
+    if depth == 0 or not (b - a) > tol:
+        return []
+    points = []
+    for left in ways:
+        step = _golden_step(a, b, c, d, left)
+        points.append(step[2] if left else step[3])
+        points.extend(_golden_tree(*step, tol, (True, False), depth - 1))
+    return points
+
+
+def _golden_walk(a, b, c, d, fc, fd, tol, values):
+    """Up to DEPTH steps of one bracket, f of each new point from values."""
+    for _ in range(DEPTH):
+        if not (b - a) > tol:
+            break
+        if fc > fd:
+            a, b, c, d = _golden_step(a, b, c, d, True)
+            fc, fd = values[c], fc
+        else:
+            a, b, c, d = _golden_step(a, b, c, d, False)
+            fc, fd = fd, values[d]
+    return [a, b, c, d, fc, fd]
 
 
 def run_sweep(

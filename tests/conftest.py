@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from airystack.limits import TransistorSpec
-from airystack.potential import LayerSpec, StructureSpec
+from airystack.potential import EV_TO_INVNM2, LayerSpec, StructureSpec
 from airystack.resonance import MAX_STEPS, ROOT_REL_TOL, SCAN_STEPS
 from airystack.scattering import ScatteringResult
 
@@ -205,9 +205,26 @@ def mixed_stack() -> tuple[StructureSpec, float, int]:
     return StructureSpec(layers), 1.0, 5
 
 
+def random_superlattice(rng) -> tuple[StructureSpec, float]:
+    """A biased superlattice and its energy in nm^-2: 16-24 layers, barriers
+    of 0.2-0.5 eV and 1-3 nm alternating with flat-bottom wells of 3-8 nm,
+    all tilted by one field of 4-11 meV/nm, powers (0, 0) so that eps = 1
+    is the device itself."""
+    field = rng.uniform(0.004, 0.011)
+    layers = []
+    for i in range(int(rng.integers(16, 25))):
+        if i % 2 == 0:
+            a, d = rng.uniform(0.2, 0.5), rng.uniform(1.0, 3.0)
+        else:
+            a, d = 0.0, rng.uniform(3.0, 8.0)
+        layers.append(LayerSpec(a * EV_TO_INVNM2, -field * d * EV_TO_INVNM2, d, 0.0, 0.0))
+    return StructureSpec(tuple(layers)), rng.uniform(0.05, 0.2) * EV_TO_INVNM2
+
+
 def golden_max_per_bracket(f, lo: float, hi: float, rel_tol: float) -> float:
-    """Golden-section maximum of a scalar f on one bracket, one step at a
-    time: the reference for the lockstep refinement of all brackets."""
+    """Golden-section maximum of a scalar f on one bracket, one step and one
+    call of f at a time: the reference for the batched refinement of all
+    brackets."""
     g = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - g * (b - a)

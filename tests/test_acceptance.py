@@ -344,7 +344,7 @@ def _dense_scan_brackets(f, lo, hi, poles, n=10_000):
     out = []
     for a, b in zip(edges[::2], edges[1::2]):
         xs = [a + (b - a) * i / n for i in range(n + 1)]
-        fs = [f(x) for x in xs]
+        fs = f(np.array(xs)).tolist()
         for i in range(n):
             if fs[i] == 0.0 or fs[i] * fs[i + 1] < 0.0:
                 out.append((xs[i], xs[i + 1]))

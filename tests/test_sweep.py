@@ -9,17 +9,20 @@ import pytest
 
 import airystack.transfer
 from airystack.airy import SERIES_RADIUS
-from airystack.cli import main
+from airystack.cli import load_config, main
 from airystack.potential import LayerSpec, StructureSpec
 from airystack.sweep import (
+    DEPTH,
+    PEAK_REL_TOL,
     SweepRequest,
+    _golden_max,
     detect_peaks,
     run_sweep,
     sweep_to_csv,
     sweep_to_json,
 )
 
-from conftest import golden_max_per_bracket, mixed_stack
+from conftest import golden_max_per_bracket, mixed_stack, random_superlattice
 
 EV = 2.62464
 
@@ -226,6 +229,134 @@ def test_lockstep_refinement_equals_per_bracket_golden_section():
         for i in at
     ]
     assert peaks == expected  # bit for bit
+
+
+def _counted(f):
+    """f and the list of the sizes of the calls made to it."""
+    sizes = []
+
+    def counted(x):
+        sizes.append(np.size(x))
+        return f(x)
+
+    return counted, sizes
+
+
+def _refine_as_reference(f, lo, hi):
+    """_golden_max of the array function f on the brackets [lo, hi], checked
+    bit for bit against one golden step and one call of f at a time, and
+    against 1 + ceil(steps / DEPTH) calls for the most steps any bracket
+    takes.  Returns the peaks, the sizes of the calls and each bracket's
+    steps."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    counted, sizes = _counted(f)
+    peaks = _golden_max(counted, lo, hi)
+    expected, steps = [], []
+    for a, b in zip(lo.tolist(), hi.tolist()):
+        one, one_sizes = _counted(lambda v: float(f(np.array([v]))[0]))
+        expected.append(golden_max_per_bracket(one, a, b, PEAK_REL_TOL))
+        steps.append(len(one_sizes) - 2)
+    assert peaks == expected  # bit for bit
+    assert len(sizes) <= 1 + math.ceil(max(steps) / DEPTH)
+    return peaks, sizes, steps
+
+
+def _figure_request(name):
+    cfg = load_config(str(pathlib.Path(__file__).parents[1] / "configs" / f"{name}.json"))
+    sweep = cfg.sweep
+    return SweepRequest(cfg.spec, sweep["tuned_layer"], sweep["lo"], sweep["hi"], sweep["points"],
+                        sweep["epsilons"], cfg.energy, sweep["tuned_sign"])
+
+
+@pytest.mark.parametrize("name", ["fig4", "fig6"])
+def test_figure_peaks_equal_per_bracket_golden_section(name):
+    req = _figure_request(name)
+    result = run_sweep(req)
+    grid = result.grid
+    for eps, t, swept in zip(req.epsilons, result.transmission, result.peaks):
+        at = np.flatnonzero(np.isin(grid, detect_peaks(grid, t, req.peak_floor)))
+        assert at.size == 3
+        peaks, _, _ = _refine_as_reference(lambda v: req.transmission(v, eps),
+                                           grid[at - 1], grid[at + 1])
+        assert swept == tuple(peaks)
+        counted, sizes = _counted(lambda v: req.transmission(v, eps))
+        assert detect_peaks(grid, t, req.peak_floor, evaluator=counted) == peaks
+        assert len(sizes) <= 8
+
+
+def test_superlattice_peaks_equal_per_bracket_golden_section():
+    rng = np.random.default_rng(20261018)
+    found = 0
+    for _ in range(8):
+        spec, energy = random_superlattice(rng)
+        req = SweepRequest(spec, 0, 0.0, 0.2 * EV, 200, (1.0,), energy)
+        result = run_sweep(req)
+        grid = result.grid
+        at = np.flatnonzero(np.isin(grid, detect_peaks(grid, result.transmission[0], 0.01)))
+        found += at.size
+        if at.size:
+            peaks, _, _ = _refine_as_reference(lambda v: req.transmission(v, 1.0),
+                                               grid[at - 1], grid[at + 1])
+            assert list(result.peaks[0]) == peaks
+    assert found >= 16
+
+
+def test_refinement_ties_and_nan_follow_the_per_bracket_walk():
+    def plateau(x):
+        # flat tops give fc == fd; the NaN band sits inside the bracket at 3
+        t = np.minimum(1.0, 2.0 - np.abs(x - np.round(x)) * 8.0)
+        return np.where((x > 3.02) & (x < 3.05), np.nan, t)
+
+    lo = [-0.3, 0.95, 1.6, 2.9, 2.99, 4.1]
+    hi = [0.3, 1.1, 2.2, 3.1, 3.2, 4.15]
+    assert plateau(np.array([0.5 * (lo[0] + hi[0])]))[0] == 1.0
+    _refine_as_reference(plateau, lo, hi)
+
+
+def test_closed_bracket_adds_no_evaluation():
+    def f(x):
+        return np.cos(x)
+
+    closed_lo, closed_hi = 0.5, 0.5 + 5e-7  # narrower than PEAK_REL_TOL
+    peaks, sizes, steps = _refine_as_reference(f, [closed_lo], [closed_hi])
+    assert peaks == [0.5 * (closed_lo + closed_hi)] and steps == [0] and sizes == [2]
+    _, alone, _ = _refine_as_reference(f, [-0.4], [0.3])
+    peaks, mixed, _ = _refine_as_reference(f, [-0.4, closed_lo], [0.3, closed_hi])
+    assert peaks[1] == 0.5 * (closed_lo + closed_hi)
+    assert mixed[0] == 4 and mixed[1:] == alone[1:]
+
+
+def test_brackets_closing_in_different_rounds():
+    centres = np.array([0.1, 0.3, 0.7, 1.3, 2.0, 2.9])
+    widths = np.array([3e-6, 1e-4, 1e-2, 0.3, 1.0, 30.0])
+
+    def f(x):
+        d = (np.asarray(x)[..., None] - centres) / np.maximum(widths, 1e-3)
+        return (1.0 / (1.0 + d * d)).sum(axis=-1)
+
+    lo, hi = centres - widths / 2.3, centres + widths / 1.7
+    # the first two brackets plan the same floats: both must get their own
+    peaks, sizes, steps = _refine_as_reference(f, np.r_[lo[1], lo], np.r_[hi[1], hi])
+    assert peaks[0] == peaks[2]
+    rounds = [math.ceil(s / DEPTH) for s in steps]
+    assert len(set(rounds)) >= 4
+    assert len(sizes) == 1 + max(rounds)
+    open_per_round = [sum(r > k for r in rounds) for k in range(max(rounds))]
+    assert all(s <= (2**DEPTH - 1) * n for s, n in zip(sizes[1:], open_per_round))
+
+
+def test_refinement_calls_do_not_grow_with_brackets():
+    def f(x):
+        return 0.5 + 0.5 * np.sin(7.3 * x) * np.cos(0.11 * x)
+
+    xs = np.linspace(0.0, 60.0, 1201)
+    grid_peaks = detect_peaks(xs, f(xs), 0.1)
+    assert len(grid_peaks) >= 50
+    at = np.flatnonzero(np.isin(xs, grid_peaks))
+    peaks, sizes, steps = _refine_as_reference(f, xs[at - 1], xs[at + 1])
+    counted, detect_sizes = _counted(f)
+    assert detect_peaks(xs, f(xs), 0.1, evaluator=counted) == peaks
+    assert len(detect_sizes) <= 1 + math.ceil(max(steps) / DEPTH)
 
 
 def test_sweep_outputs_are_python_float_reprs(tmp_path):
