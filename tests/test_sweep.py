@@ -261,16 +261,12 @@ def _refine_as_reference(f, lo, hi):
     return peaks, sizes, steps
 
 
-def _figure_request(name):
-    cfg = load_config(str(pathlib.Path(__file__).parents[1] / "configs" / f"{name}.json"))
-    sweep = cfg.sweep
-    return SweepRequest(cfg.spec, sweep["tuned_layer"], sweep["lo"], sweep["hi"], sweep["points"],
-                        sweep["epsilons"], cfg.energy, sweep["tuned_sign"])
-
-
 @pytest.mark.parametrize("name", ["fig4", "fig6"])
 def test_figure_peaks_equal_per_bracket_golden_section(name):
-    req = _figure_request(name)
+    cfg = load_config(str(pathlib.Path(__file__).parents[1] / "configs" / f"{name}.json"))
+    sweep = cfg.sweep
+    req = SweepRequest(cfg.spec, sweep["tuned_layer"], sweep["lo"], sweep["hi"], sweep["points"],
+                       sweep["epsilons"], cfg.energy, sweep["tuned_sign"])
     result = run_sweep(req)
     grid = result.grid
     for eps, t, swept in zip(req.epsilons, result.transmission, result.peaks):
