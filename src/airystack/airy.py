@@ -113,6 +113,16 @@ def _libm(fn, x: np.ndarray, *consts: float) -> np.ndarray:
     return np.fromiter(values, float, x.size).reshape(x.shape)
 
 
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp element by element, 1.0 without a call where x is zero:
+    math.exp(+-0.0) is exactly 1, so every element keeps its bits."""
+    out = np.ones(x.shape)
+    nonzero = x != 0.0
+    if nonzero.any():
+        out[nonzero] = _libm(math.exp, x[nonzero])
+    return out
+
+
 def _uv_tables(n: int) -> tuple[list[float], list[float]]:
     u = [1.0]
     v = [1.0]
@@ -277,7 +287,7 @@ def _series_scaled(z: np.ndarray) -> tuple[np.ndarray, ...]:
     """Scaled (ai, aip, bi, bip) and zeta for |z| <= SERIES_RADIUS."""
     # zeta <= 18 on 0 < z <= SERIES_RADIUS: both factors representable
     zeta = np.where(z > 0.0, (2.0 / 3.0) * z * np.sqrt(np.abs(z)), 0.0)
-    ep, em = _libm(math.exp, zeta), _libm(math.exp, -zeta)
+    ep, em = _exp(zeta), _exp(-zeta)
     ai, aip, bi, bip = _series(z)
     return ai * ep, aip * ep, bi * em, bip * em, zeta
 
@@ -332,7 +342,7 @@ def airy_eval(z) -> AiryQuad:
             f"unscaled Airy values overflow for z = {float(np.max(z))!r} > {Z_OVERFLOW:.2f}; "
             "use airy_eval_scaled"
         )
-    em, ep = _libm(math.exp, -zeta), _libm(math.exp, zeta)
+    em, ep = _exp(-zeta), _exp(zeta)
     ai, bi, aip, bip = _fields([ai * em, bi * ep, aip * em, bip * ep], z)
     return AiryQuad(ai=ai, bi=bi, ai_prime=aip, bi_prime=bip, z=z)
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 2 config/usage error, 3 physics-domain error
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -352,7 +353,9 @@ def cmd_limit_check(args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call only."""
     parser = argparse.ArgumentParser(
         prog="airystack",
         description="Quantum transmission through squeezed biased multilayers",
@@ -386,8 +389,11 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("limit-check", help="delta-limit squeezing convergence table")
     p.set_defaults(func=cmd_limit_check)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

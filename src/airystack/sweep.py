@@ -7,11 +7,13 @@ to an analytic resonance set when one is supplied.  Evanescent-lead
 grid points are recorded as gaps (NaN transmission), not failures.
 Evaluation is batched per epsilon: the whole grid goes through one array
 evaluation, and the golden-section refinement of all peaks of one epsilon
-evaluates the next DEPTH levels of every bracket's decision tree in one
-call (see _golden_max), about five calls per epsilon.  Every step is
-elementwise and pure, and each peak walks its own steps in floats from
-those values, so identical requests give identical results byte for byte,
-the same as one transmission call per golden step would give.
+evaluates, per round, each bracket's steps to closure along the path a
+parabola through its known points predicts, in one call (see
+_golden_max): two calls per epsilon on the shipped figures.  Every step
+is elementwise and pure, and each peak walks its own golden steps in
+floats from evaluated values only, so identical requests give identical
+results byte for byte, the same as one transmission call per golden step
+would give.
 """
 
 from __future__ import annotations
@@ -35,10 +37,11 @@ __all__ = [
     "sweep_to_json",
 ]
 
-# Golden-section refinement pins each peak to this relative position, and
-# takes DEPTH steps of every bracket per call of the evaluator.
+# Golden-section refinement pins each peak to this relative position; each
+# round of it branches both ways on the first DEPTH comparisons it cannot
+# yet decide (see _golden_max).
 PEAK_REL_TOL = 1e-6
-DEPTH = 4
+DEPTH = 1
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -124,37 +127,45 @@ def detect_peaks(values: np.ndarray, t: np.ndarray, floor: float, evaluator=None
     i = np.flatnonzero(top) + 1
     if evaluator is None or not i.size:
         return values[i].tolist()
-    return _golden_max(evaluator, values[i - 1], values[i + 1])
+    near = i[:, None] + np.arange(-1, 2)
+    return _golden_max(evaluator, values[near], t[near])
 
 
-def _golden_max(f, lo: np.ndarray, hi: np.ndarray) -> list[float]:
-    """Golden-section maxima of f on the brackets [lo, hi].
+def _golden_max(f, x: np.ndarray, fx: np.ndarray) -> list[float]:
+    """Golden-section maxima of f on the brackets [x[:, 0], x[:, 2]].
 
-    One call of f opens every bracket at its two golden points.  Each
-    round then plans the next DEPTH steps of every open bracket: the first
-    step's direction is known, every later one turns on the point just
-    added, so the planned points are the 2**DEPTH - 1 nodes of the
-    bracket's decision tree (fewer once a branch closes), and all of them
-    go through one call of f.  A walk in Python floats then takes each
-    bracket's steps one at a time from its own values: its new points are
-    the planned points bit for bit, so every maximum is the one that one
-    f call per step would give, and f is called at most
-    1 + ceil(steps / DEPTH) times.
+    x holds each bracket's ends and a point between them, fx the values of
+    f there (finite at the middle one); they only guide which points get
+    evaluated.  Each round plans, for every open bracket, its golden steps
+    to closure (_golden_path): a comparison of two evaluated values goes
+    the way the walk will go, any other towards the vertex of a parabola
+    through the bracket's best known point and its nearest known
+    neighbours, and the first DEPTH of those the other way too, as a
+    guard.  All planned points go through one call of f.  Each bracket then
+    walks the plain golden-section loop for as long as both values a step
+    compares have been evaluated, so each maximum is the one that one f
+    call per step would give, bit for bit, and a wrong prediction costs
+    another round, never another answer.  A round takes every open bracket
+    at least DEPTH + 1 steps, so f is called at most ceil(steps /
+    (DEPTH + 1)) times, and not at all for brackets closed from the start.
     """
+    lo, hi = x[:, 0], x[:, 2]
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
-    fc, fd = np.split(np.asarray(f(np.concatenate([c, d])), dtype=float), 2)
     tol = PEAK_REL_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    brackets = [list(s) for s in zip(*(v.tolist() for v in (lo, hi, c, d, fc, fd, tol)))]
+    # a, b, c, d, tol, f of the points evaluated so far, the (x, f) seeds
+    brackets = [
+        [*s[:5], {}, list(zip(*s[5:]))]
+        for s in zip(*(v.tolist() for v in (lo, hi, c, d, tol, x, fx)))
+    ]
     live = brackets
-    while live := [s for s in live if (s[1] - s[0]) > s[6]]:
-        plans = [
-            _golden_tree(a, b, c, d, tol, (fc > fd,), DEPTH) for a, b, c, d, fc, fd, tol in live
-        ]
-        # zip stops at the end of each plan: every bracket looks up its own values
-        values = iter(f(np.array([x for plan in plans for x in plan])).tolist())
+    while live := [s for s in live if (s[1] - s[0]) > s[4]]:
+        plans = [_golden_path(*s) for s in live]
+        # zip stops at the end of each plan: every bracket keeps its own values
+        values = iter(f(np.array([p for plan in plans for p in plan])).tolist())
         for s, plan in zip(live, plans):
-            s[:6] = _golden_walk(*s, dict(zip(plan, values)))
+            s[5].update(zip(plan, values))
+            s[:4] = _golden_walk(*s[:6])
     return [0.5 * (s[0] + s[1]) for s in brackets]
 
 
@@ -166,31 +177,58 @@ def _golden_step(a, b, c, d, left):
     return c, b, d, c + _GOLDEN * (b - c)
 
 
-def _golden_tree(a, b, c, d, tol, ways, depth) -> list[float]:
-    """New points of the next `depth` steps from [a, b], the first step
-    taking `ways`, every later one both ways, no step past closure."""
-    if depth == 0 or not (b - a) > tol:
+def _vertex(points) -> float:
+    """Vertex of the parabola through the best finite (x, f) point and its
+    nearest neighbours on either side; the best point itself when it has
+    no neighbour on one side or the three are collinear."""
+    points = sorted(p for p in points if not math.isnan(p[1]))
+    i = max(range(len(points)), key=lambda k: points[k][1])
+    if not 0 < i < len(points) - 1:
+        return points[i][0]
+    (x0, f0), (x1, f1), (x2, f2) = points[i - 1 : i + 2]
+    p, q = (x1 - x0) * (f1 - f2), (x1 - x2) * (f1 - f0)
+    return x1 - 0.5 * ((x1 - x0) * p - (x1 - x2) * q) / (p - q) if p != q else x1
+
+
+def _golden_path(a, b, c, d, tol, seen, seeds) -> list[float]:
+    """The points of one round of a bracket: its inner points not yet
+    evaluated, then the planned steps to closure (_golden_tree)."""
+    v = _vertex(seeds + list(seen.items()))
+    return [p for p in (c, d) if p not in seen] + _golden_tree(a, b, c, d, tol, seen, v, DEPTH)
+
+
+def _golden_tree(a, b, c, d, tol, seen, v, guard, ahead=True) -> list[float]:
+    """New points of the planned steps from [a, b], none already in seen
+    nor made by a closing step.  A comparison of two values in seen goes
+    the walk's way; any other goes left iff c is nearer than d to the
+    vertex v, and the first `guard` of them also the other way.  The path
+    that takes every first way runs to closure, a branch off it only for
+    the guard's remaining levels."""
+    if not (b - a) > tol or not (ahead or guard):
         return []
+    known = c in seen and d in seen
+    first = seen[c] > seen[d] if known else abs(c - v) < abs(d - v)
+    if known or not guard:
+        ways = (first,)
+    else:
+        ways, guard = (first, not first), guard - 1
     points = []
-    for left in ways:
+    for left, on_path in zip(ways, (ahead, False)):
         step = _golden_step(a, b, c, d, left)
-        points.append(step[2] if left else step[3])
-        points.extend(_golden_tree(*step, tol, (True, False), depth - 1))
+        new = step[2] if left else step[3]
+        if new not in seen and (step[1] - step[0]) > tol:
+            points.append(new)
+        points.extend(_golden_tree(*step, tol, seen, v, guard, on_path))
     return points
 
 
-def _golden_walk(a, b, c, d, fc, fd, tol, values):
-    """Up to DEPTH steps of one bracket, f of each new point from values."""
-    for _ in range(DEPTH):
-        if not (b - a) > tol:
-            break
-        if fc > fd:
-            a, b, c, d = _golden_step(a, b, c, d, True)
-            fc, fd = values[c], fc
-        else:
-            a, b, c, d = _golden_step(a, b, c, d, False)
-            fc, fd = fd, values[d]
-    return [a, b, c, d, fc, fd]
+def _golden_walk(a, b, c, d, tol, seen):
+    """Golden steps of one bracket, f from seen, for as long as both values
+    a step compares are there: fc > fd goes left, otherwise right (ties and
+    NaN included)."""
+    while (b - a) > tol and c in seen and d in seen:
+        a, b, c, d = _golden_step(a, b, c, d, seen[c] > seen[d])
+    return [a, b, c, d]
 
 
 def run_sweep(

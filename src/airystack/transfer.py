@@ -18,7 +18,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .airy import _libm, airy_eval_scaled
+from .airy import _exp, _libm, airy_eval_scaled
 from .errors import DegenerateSlopeError
 from .potential import ConcreteLayer
 
@@ -163,7 +163,7 @@ def _weights(za: np.ndarray, zb: np.ndarray) -> tuple[np.ndarray, ...]:
     two exponents that every element combines."""
     up, down = za - zb, zb - za
     m = np.maximum(up, down)
-    return _libm(math.exp, up - m), _libm(math.exp, down - m), _libm(math.exp, m)
+    return _exp(up - m), _exp(down - m), _exp(m)
 
 
 def _airy_arguments(v_left, v_right, width, energy) -> tuple[np.ndarray, np.ndarray]:

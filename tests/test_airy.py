@@ -227,3 +227,30 @@ def test_sign_pattern_positive_argument():
 def test_series_radius_constant():
     assert SERIES_RADIUS == 9.0
     assert 100.0 < Z_OVERFLOW < 110.0
+
+
+def _edges() -> np.ndarray:
+    """A dense z grid with +-0.0 and both sides of +-SERIES_RADIUS."""
+    r = SERIES_RADIUS
+    edges = [0.0, -0.0, 5e-324, -5e-324, r, -r, np.nextafter(r, 0.0), np.nextafter(r, 20.0)]
+    edges += [-e for e in edges[-2:]]
+    return np.r_[np.linspace(-20.0, 20.0, 40001), edges]
+
+
+def test_exp_keeps_the_bits_of_libm_exp():
+    from airystack.airy import _exp, _libm
+
+    z = _edges()
+    zeta = airy_eval_scaled(z).exponent
+    assert np.any(zeta == 0.0) and np.any(zeta > 0.0)
+    for x in (z, -z, zeta, -zeta, np.array(0.0), np.array(-0.0)):
+        assert np.array_equal(_exp(x).view(np.int64), _libm(math.exp, x).view(np.int64))
+    scaled, unscaled = airy_eval_scaled(z), airy_eval(z)
+    em, ep = _libm(math.exp, -zeta), _libm(math.exp, zeta)
+    for value, expected in (
+        (unscaled.ai, scaled.ai_scaled * em),
+        (unscaled.ai_prime, scaled.ai_prime_scaled * em),
+        (unscaled.bi, scaled.bi_scaled * ep),
+        (unscaled.bi_prime, scaled.bi_prime_scaled * ep),
+    ):
+        assert np.array_equal(value.view(np.int64), expected.view(np.int64))

@@ -243,21 +243,22 @@ def _counted(f):
 
 
 def _refine_as_reference(f, lo, hi):
-    """_golden_max of the array function f on the brackets [lo, hi], checked
-    bit for bit against one golden step and one call of f at a time, and
-    against 1 + ceil(steps / DEPTH) calls for the most steps any bracket
-    takes.  Returns the peaks, the sizes of the calls and each bracket's
-    steps."""
+    """_golden_max of the array function f on the brackets [lo, hi], seeded
+    with their midpoints, checked bit for bit against one golden step and
+    one call of f at a time, and against ceil(steps / (DEPTH + 1)) calls
+    for the most steps any bracket takes.  Returns the peaks, the sizes of
+    the calls and each bracket's steps."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    x = np.stack([lo, 0.5 * (lo + hi), hi], axis=1)
     counted, sizes = _counted(f)
-    peaks = _golden_max(counted, lo, hi)
+    peaks = _golden_max(counted, x, f(x))
     expected, steps = [], []
     for a, b in zip(lo.tolist(), hi.tolist()):
         one, one_sizes = _counted(lambda v: float(f(np.array([v]))[0]))
         expected.append(golden_max_per_bracket(one, a, b, PEAK_REL_TOL))
         steps.append(len(one_sizes) - 2)
     assert peaks == expected  # bit for bit
-    assert len(sizes) <= 1 + math.ceil(max(steps) / DEPTH)
+    assert len(sizes) <= math.ceil(max(steps) / (DEPTH + 1))
     return peaks, sizes, steps
 
 
@@ -277,24 +278,28 @@ def test_figure_peaks_equal_per_bracket_golden_section(name):
         assert swept == tuple(peaks)
         counted, sizes = _counted(lambda v: req.transmission(v, eps))
         assert detect_peaks(grid, t, req.peak_floor, evaluator=counted) == peaks
-        assert len(sizes) <= 8
+        assert len(sizes) <= 3
 
 
 def test_superlattice_peaks_equal_per_bracket_golden_section():
     rng = np.random.default_rng(20261018)
-    found = 0
+    found, calls = 0, 0
     for _ in range(8):
         spec, energy = random_superlattice(rng)
         req = SweepRequest(spec, 0, 0.0, 0.2 * EV, 200, (1.0,), energy)
         result = run_sweep(req)
-        grid = result.grid
-        at = np.flatnonzero(np.isin(grid, detect_peaks(grid, result.transmission[0], 0.01)))
+        grid, t = result.grid, result.transmission[0]
+        at = np.flatnonzero(np.isin(grid, detect_peaks(grid, t, 0.01)))
         found += at.size
         if at.size:
             peaks, _, _ = _refine_as_reference(lambda v: req.transmission(v, 1.0),
                                                grid[at - 1], grid[at + 1])
             assert list(result.peaks[0]) == peaks
+        counted, sizes = _counted(lambda v: req.transmission(v, 1.0))
+        assert detect_peaks(grid, t, 0.01, evaluator=counted) == list(result.peaks[0])
+        calls += len(sizes)
     assert found >= 16
+    assert calls <= 3 * 8  # a mean of at most three refinement calls per sweep
 
 
 def test_refinement_ties_and_nan_follow_the_per_bracket_walk():
@@ -309,17 +314,31 @@ def test_refinement_ties_and_nan_follow_the_per_bracket_walk():
     _refine_as_reference(plateau, lo, hi)
 
 
+@pytest.mark.parametrize(
+    "f",
+    [
+        lambda x: np.where(x < 0.3141, 1.0, 0.0),  # a step: ties, then a cliff
+        lambda x: -np.abs(x - 0.2718),  # a kink no parabola fits
+        lambda x: np.where(x < 0.1, np.exp((x - 0.1) / 1e-3), 1.0 / (1.0 + (x - 0.1) / 0.3)),
+    ],
+    ids=["step", "kink", "lopsided"],
+)
+def test_mispredicted_paths_take_more_rounds_not_other_peaks(f):
+    _, sizes, _ = _refine_as_reference(f, [-0.5, 0.0], [0.7, 0.55])
+    assert len(sizes) > 1
+
+
 def test_closed_bracket_adds_no_evaluation():
     def f(x):
         return np.cos(x)
 
     closed_lo, closed_hi = 0.5, 0.5 + 5e-7  # narrower than PEAK_REL_TOL
     peaks, sizes, steps = _refine_as_reference(f, [closed_lo], [closed_hi])
-    assert peaks == [0.5 * (closed_lo + closed_hi)] and steps == [0] and sizes == [2]
+    assert peaks == [0.5 * (closed_lo + closed_hi)] and steps == [0] and sizes == []
     _, alone, _ = _refine_as_reference(f, [-0.4], [0.3])
     peaks, mixed, _ = _refine_as_reference(f, [-0.4, closed_lo], [0.3, closed_hi])
     assert peaks[1] == 0.5 * (closed_lo + closed_hi)
-    assert mixed[0] == 4 and mixed[1:] == alone[1:]
+    assert mixed == alone
 
 
 def test_brackets_closing_in_different_rounds():
@@ -334,11 +353,7 @@ def test_brackets_closing_in_different_rounds():
     # the first two brackets plan the same floats: both must get their own
     peaks, sizes, steps = _refine_as_reference(f, np.r_[lo[1], lo], np.r_[hi[1], hi])
     assert peaks[0] == peaks[2]
-    rounds = [math.ceil(s / DEPTH) for s in steps]
-    assert len(set(rounds)) >= 4
-    assert len(sizes) == 1 + max(rounds)
-    open_per_round = [sum(r > k for r in rounds) for k in range(max(rounds))]
-    assert all(s <= (2**DEPTH - 1) * n for s, n in zip(sizes[1:], open_per_round))
+    assert len({math.ceil(s / (DEPTH + 1)) for s in steps}) >= 4
 
 
 def test_refinement_calls_do_not_grow_with_brackets():
@@ -352,7 +367,7 @@ def test_refinement_calls_do_not_grow_with_brackets():
     peaks, sizes, steps = _refine_as_reference(f, xs[at - 1], xs[at + 1])
     counted, detect_sizes = _counted(f)
     assert detect_peaks(xs, f(xs), 0.1, evaluator=counted) == peaks
-    assert len(detect_sizes) <= 1 + math.ceil(max(steps) / DEPTH)
+    assert len(detect_sizes) <= math.ceil(max(steps) / (DEPTH + 1))
 
 
 def test_sweep_outputs_are_python_float_reprs(tmp_path):

@@ -222,3 +222,18 @@ def test_batched_matrices_equal_batch_of_one():
                 assert np.all(np.abs(layers[p, i] - ref) <= 1e-14 * np.abs(ref))
             ref = as_array(structure_matrix(stack, energy))
             assert np.all(np.abs(products[p] - ref) <= 1e-14 * np.abs(ref))
+
+
+def test_weights_keep_the_bits_of_three_libm_exps():
+    from airystack.airy import SERIES_RADIUS, _libm, airy_eval_scaled
+    from airystack.transfer import _weights
+
+    r = SERIES_RADIUS
+    z = np.r_[np.linspace(-20.0, 20.0, 4001), 0.0, -0.0, r, -r, np.nextafter(r, 20.0)]
+    zeta = airy_eval_scaled(z).exponent
+    for za, zb in ((zeta, np.roll(zeta, 7)), (zeta, np.zeros_like(zeta)), (-0.0 * zeta, zeta)):
+        up, down = za - zb, zb - za
+        m = np.maximum(up, down)
+        expected = (_libm(math.exp, up - m), _libm(math.exp, down - m), _libm(math.exp, m))
+        for w, e in zip(_weights(za, zb), expected):
+            assert np.array_equal(w.view(np.int64), e.view(np.int64))
