@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 
 from .airy import wronskian_sweep
@@ -389,6 +390,9 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("limit-check", help="delta-limit squeezing convergence table")
     p.set_defaults(func=cmd_limit_check)
+    # a minus sign and any float literal is a number (argparse reads -1e-3 as an option)
+    for p in (parser, *sub.choices.values()):
+        p._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?$")
     return parser
 
 

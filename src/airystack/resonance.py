@@ -25,6 +25,7 @@ from .limits import (
     transistor_spec,
     two_layer_resonance_residual,
 )
+from .lockstep import refine
 from .potential import LayerSpec, StructureSpec
 
 __all__ = [
@@ -50,9 +51,6 @@ MAX_LEVELS = 100_000
 SCAN_STEPS = 2048
 ROOT_REL_TOL = 1e-12
 MAX_STEPS = 200
-# Bisection steps per call of the residual: a round evaluates 2**DEPTH - 1
-# points per bracket, of which a bracket's walk uses DEPTH.
-DEPTH = 6
 
 
 class ResonanceEquation(Enum):
@@ -107,10 +105,9 @@ def scan_and_bisect(f, lo: float, hi: float, poles: tuple[float, ...] = ()) -> l
     (where f jumps sign without a root); each pole-free piece is scanned
     with a uniform step of (hi - lo) / SCAN_STEPS, all pieces in one call
     of f, and a grid point where f is 0 is a root.  A sign change between
-    two neighbours of one piece is bisected to ROOT_REL_TOL, at most
-    MAX_STEPS steps, DEPTH steps of every bracket per call of f (see
-    _bisect), so f is called at most 1 + ceil(MAX_STEPS / DEPTH) times.
-    Deterministic: identical inputs give identical outputs.
+    two neighbours of one piece is bisected in lockstep (see _bisect_plan),
+    so f is called at most 1 + ceil(MAX_STEPS / 2) times.  Deterministic:
+    identical inputs give identical outputs.
     """
     if not hi > lo:
         return []
@@ -132,57 +129,52 @@ def scan_and_bisect(f, lo: float, hi: float, poles: tuple[float, ...] = ()) -> l
     inside = np.ones(xs.size - 1, dtype=bool)
     inside[np.cumsum([p.size for p in pieces[:-1]], dtype=int) - 1] = False
     i = np.flatnonzero(inside & (fs[:-1] * fs[1:] < 0.0))
-    roots = xs[fs == 0.0].tolist() + _bisect(f, xs[i].tolist(), xs[i + 1].tolist(), fs[i].tolist())
+    # f of the points evaluated so far, x0, x1, f0, f1, steps, closed
+    ends = (v.tolist() for v in (xs[i], xs[i + 1], fs[i], fs[i + 1]))
+    brackets = [[{}, *s, 0, False] for s in zip(*ends)]
+    refine(f, brackets, _bisect_plan)
+    roots = xs[fs == 0.0].tolist() + [0.5 * (s[1] + s[2]) for s in brackets]
     return sorted(set(roots))
 
 
-def _bisect(f, x0s: list[float], x1s: list[float], f0s: list[float]) -> list[float]:
-    """The bisection root of each bracket [x0, x1] with f(x0) = f0 and a sign
-    change on it, to ROOT_REL_TOL or after MAX_STEPS steps.
+def _bisect_plan(s) -> list[float]:
+    """One round of bisection on s = [seen, x0, x1, f0, f1, steps, closed],
+    f0 and f1 the values of f at x0 and x1, of opposite signs.
 
-    Each round nests DEPTH levels of midpoints into every live bracket, the
-    2**DEPTH - 1 points its next DEPTH steps can reach, and evaluates them
-    all in one call of f.  A walk in Python floats then takes each
-    bracket's steps one at a time: its midpoints 0.5 * (x0 + x1) are the
-    nested points bit for bit, so every root is the one that one f call
-    per step would give.
+    It walks the steps whose midpoint is in seen, at least one and at most
+    MAX_STEPS, to ROOT_REL_TOL, and stores where it stops.  An open bracket
+    lists the midpoint after the other way of its first step and those of
+    its path to closure, which heads for the secant root of its two ends.
     """
-    n = 1 << DEPTH
-    brackets = [(x0, x1, f0, 0) for x0, x1, f0 in zip(x0s, x1s, f0s)]
-    roots = []
-    while brackets:
-        grid = np.array([b[:2] for b in brackets])
-        for _ in range(DEPTH):
-            finer = np.empty((len(grid), 2 * grid.shape[1] - 1))
-            finer[:, ::2] = grid
-            finer[:, 1::2] = 0.5 * (grid[:, :-1] + grid[:, 1:])
-            grid = finer
-        rows = f(grid[:, 1:-1].ravel()).reshape(len(grid), n - 1).tolist()
-        live = []
-        for (x0, x1, f0, steps), row in zip(brackets, rows):
-            # [x0, x1] spans grid[i0 : i1 + 1] of this bracket's row
-            i0, i1 = 0, n
-            while i1 - i0 > 1:
-                i = (i0 + i1) // 2
-                mid, fm = 0.5 * (x0 + x1), row[i - 1]
-                steps += 1
-                if fm == 0.0:
-                    x0 = x1 = mid
-                    break
-                if f0 * fm < 0.0:
-                    x1, i1 = mid, i
-                else:
-                    x0, f0, i0 = mid, fm, i
-                # true relative tolerance: small roots (steep residuals
-                # near poles) still need their full relative precision
-                if (x1 - x0) <= ROOT_REL_TOL * max(abs(x0), abs(x1)) or steps == MAX_STEPS:
-                    break
-            else:  # DEPTH steps and no stop: on to the next round
-                live.append((x0, x1, f0, steps))
-                continue
-            roots.append(0.5 * (x0 + x1))
-        brackets = live
-    return roots
+    seen, x0, x1, f0, f1, steps, closed = s
+    while not closed and (mid := 0.5 * (x0 + x1)) in seen:
+        fm = seen[mid]
+        steps += 1
+        if fm == 0.0:
+            x0 = x1 = mid
+        elif f0 * fm < 0.0:
+            x1, f1 = mid, fm
+        else:
+            x0, f0 = mid, fm
+        # true relative tolerance: small roots (steep residuals near
+        # poles) still need their full relative precision
+        closed = (x1 - x0) <= ROOT_REL_TOL * max(abs(x0), abs(x1)) or steps == MAX_STEPS
+    s[1:] = x0, x1, f0, f1, steps, closed
+    if closed:
+        return []
+    r = x0 - f0 * (x1 - x0) / (f1 - f0)  # the secant root: left of mid, step left
+    mid = 0.5 * (x0 + x1)
+    points = [0.5 * (mid + x1) if r < mid else 0.5 * (x0 + mid)]  # the other way
+    while not closed:
+        mid = 0.5 * (x0 + x1)
+        points.append(mid)
+        if r < mid:
+            x1 = mid
+        else:
+            x0 = mid
+        steps += 1
+        closed = (x1 - x0) <= ROOT_REL_TOL * max(abs(x0), abs(x1)) or steps == MAX_STEPS
+    return points
 
 
 def _levels(start, d: float, sign: float, offset: float, lo: float, hi: float) -> list[float]:

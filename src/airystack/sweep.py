@@ -7,13 +7,9 @@ to an analytic resonance set when one is supplied.  Evanescent-lead
 grid points are recorded as gaps (NaN transmission), not failures.
 Evaluation is batched per epsilon: the whole grid goes through one array
 evaluation, and the golden-section refinement of all peaks of one epsilon
-evaluates, per round, each bracket's steps to closure along the path a
-parabola through its known points predicts, in one call (see
-_golden_max): two calls per epsilon on the shipped figures.  Every step
-is elementwise and pure, and each peak walks its own golden steps in
-floats from evaluated values only, so identical requests give identical
-results byte for byte, the same as one transmission call per golden step
-would give.
+runs in lockstep (lockstep.refine), two calls per epsilon on the shipped
+figures, each peak the one that one transmission call per golden step
+would give, byte for byte.
 """
 
 from __future__ import annotations
@@ -24,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lockstep import refine
 from .potential import StructureSpec, invnm2_to_ev, stack_potentials
 from .scattering import trans_prob
 from .transfer import structure_matrices
@@ -37,11 +34,8 @@ __all__ = [
     "sweep_to_json",
 ]
 
-# Golden-section refinement pins each peak to this relative position; each
-# round of it branches both ways on the first DEPTH comparisons it cannot
-# yet decide (see _golden_max).
+# Golden-section refinement pins each peak to this relative position.
 PEAK_REL_TOL = 1e-6
-DEPTH = 1
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -132,41 +126,25 @@ def detect_peaks(values: np.ndarray, t: np.ndarray, floor: float, evaluator=None
 
 
 def _golden_max(f, x: np.ndarray, fx: np.ndarray) -> list[float]:
-    """Golden-section maxima of f on the brackets [x[:, 0], x[:, 2]].
+    """Golden-section maxima of f on the brackets [x[:, 0], x[:, 2]], in
+    lockstep (see _golden_plan): f is called at most ceil(steps / 2) times,
+    and not at all for brackets closed from the start.
 
     x holds each bracket's ends and a point between them, fx the values of
     f there (finite at the middle one); they only guide which points get
-    evaluated.  Each round plans, for every open bracket, its golden steps
-    to closure (_golden_path): a comparison of two evaluated values goes
-    the way the walk will go, any other towards the vertex of a parabola
-    through the bracket's best known point and its nearest known
-    neighbours, and the first DEPTH of those the other way too, as a
-    guard.  All planned points go through one call of f.  Each bracket then
-    walks the plain golden-section loop for as long as both values a step
-    compares have been evaluated, so each maximum is the one that one f
-    call per step would give, bit for bit, and a wrong prediction costs
-    another round, never another answer.  A round takes every open bracket
-    at least DEPTH + 1 steps, so f is called at most ceil(steps /
-    (DEPTH + 1)) times, and not at all for brackets closed from the start.
+    evaluated.
     """
     lo, hi = x[:, 0], x[:, 2]
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     tol = PEAK_REL_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    # a, b, c, d, tol, f of the points evaluated so far, the (x, f) seeds
+    # f of the points evaluated so far, a, b, c, d, tol, the (x, f) seeds
     brackets = [
-        [*s[:5], {}, list(zip(*s[5:]))]
+        [{}, *s[:5], list(zip(*s[5:]))]
         for s in zip(*(v.tolist() for v in (lo, hi, c, d, tol, x, fx)))
     ]
-    live = brackets
-    while live := [s for s in live if (s[1] - s[0]) > s[4]]:
-        plans = [_golden_path(*s) for s in live]
-        # zip stops at the end of each plan: every bracket keeps its own values
-        values = iter(f(np.array([p for plan in plans for p in plan])).tolist())
-        for s, plan in zip(live, plans):
-            s[5].update(zip(plan, values))
-            s[:4] = _golden_walk(*s[:6])
-    return [0.5 * (s[0] + s[1]) for s in brackets]
+    refine(f, brackets, _golden_plan)
+    return [0.5 * (s[1] + s[2]) for s in brackets]
 
 
 def _golden_step(a, b, c, d, left):
@@ -190,45 +168,36 @@ def _vertex(points) -> float:
     return x1 - 0.5 * ((x1 - x0) * p - (x1 - x2) * q) / (p - q) if p != q else x1
 
 
-def _golden_path(a, b, c, d, tol, seen, seeds) -> list[float]:
-    """The points of one round of a bracket: its inner points not yet
-    evaluated, then the planned steps to closure (_golden_tree)."""
-    v = _vertex(seeds + list(seen.items()))
-    return [p for p in (c, d) if p not in seen] + _golden_tree(a, b, c, d, tol, seen, v, DEPTH)
+def _golden_plan(s) -> list[float]:
+    """One round of golden section on s = [seen, a, b, c, d, tol, seeds].
 
-
-def _golden_tree(a, b, c, d, tol, seen, v, guard, ahead=True) -> list[float]:
-    """New points of the planned steps from [a, b], none already in seen
-    nor made by a closing step.  A comparison of two values in seen goes
-    the walk's way; any other goes left iff c is nearer than d to the
-    vertex v, and the first `guard` of them also the other way.  The path
-    that takes every first way runs to closure, a branch off it only for
-    the guard's remaining levels."""
-    if not (b - a) > tol or not (ahead or guard):
-        return []
-    known = c in seen and d in seen
-    first = seen[c] > seen[d] if known else abs(c - v) < abs(d - v)
-    if known or not guard:
-        ways = (first,)
-    else:
-        ways, guard = (first, not first), guard - 1
-    points = []
-    for left, on_path in zip(ways, (ahead, False)):
-        step = _golden_step(a, b, c, d, left)
-        new = step[2] if left else step[3]
-        if new not in seen and (step[1] - step[0]) > tol:
-            points.append(new)
-        points.extend(_golden_tree(*step, tol, seen, v, guard, on_path))
-    return points
-
-
-def _golden_walk(a, b, c, d, tol, seen):
-    """Golden steps of one bracket, f from seen, for as long as both values
-    a step compares are there: fc > fd goes left, otherwise right (ties and
-    NaN included)."""
+    It walks the steps whose compared values are in seen (fc > fd goes
+    left, ties and NaN right) and stores where it stops.  An open bracket
+    lists its inner points not in seen, the new points of its path to
+    closure, and the new point of the other way of its first step.  On the
+    path, values in seen decide as in the walk, and otherwise a step goes
+    left iff c is nearer than d to the _vertex of the known points.
+    """
+    seen, a, b, c, d, tol, seeds = s
     while (b - a) > tol and c in seen and d in seen:
         a, b, c, d = _golden_step(a, b, c, d, seen[c] > seen[d])
-    return [a, b, c, d]
+    s[1:5] = a, b, c, d
+    if not (b - a) > tol:
+        return []
+    v = _vertex(seeds + list(seen.items()))
+    left = abs(c - v) < abs(d - v)
+    step = _golden_step(a, b, c, d, not left)
+    new = step[3] if left else step[2]
+    other = [new] if new not in seen and (step[1] - step[0]) > tol else []
+    points = [p for p in (c, d) if p not in seen]
+    while True:
+        a, b, c, d = _golden_step(a, b, c, d, left)
+        if not (b - a) > tol:
+            return points + other
+        new = c if left else d
+        if new not in seen:
+            points.append(new)
+        left = seen[c] > seen[d] if c in seen and d in seen else abs(c - v) < abs(d - v)
 
 
 def run_sweep(

@@ -61,9 +61,6 @@ class TransferMatrix:
     def det(self) -> float:
         return self.l11 * self.l22 - self.l12 * self.l21
 
-    def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return TransferMatrix(*_product(astuple(self), astuple(other)))
-
     @staticmethod
     def identity() -> "TransferMatrix":
         return TransferMatrix(1.0, 0.0, 0.0, 1.0)

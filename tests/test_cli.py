@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+import airystack.lockstep
 from airystack import cli
 from airystack.cli import load_config, main
 from airystack.errors import ConfigError
@@ -108,6 +109,15 @@ def test_resonances_fig5_eq76(capsys):
     got = [float(r.split(",")[1]) for r in lines[1:]]
     for val, want in zip(got, (0.037604, 0.150415, 0.338433)):
         assert val == pytest.approx(want, abs=1e-5)
+
+
+def test_resonances_interval_takes_negative_scientific_notation(capsys):
+    cfg = str(REPO / "configs" / "fig4.json")
+    outputs = []
+    for lo in ("-1", "-1e0"):
+        assert main(["resonances", cfg, "--equation", "EQ69", "--interval", lo, "0"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) >= 4
 
 
 def test_resonances_scenario_mismatch_exit_2(capsys):
@@ -436,6 +446,16 @@ def test_sweep_of_other_squeeze_has_no_reference_roots(tmp_path):
     doc = sweep_json(tmp_path, edited(FIG4, [(("layers", 0, "mu"), 2)]))
     assert doc["reference_roots_invnm2"] == []
     assert all(s["convergence_invnm2"] == [] for s in doc["sweeps"])
+
+
+def test_benchmark_tracer_wraps_nothing_in_lockstep(monkeypatch):
+    # the tracer wraps every public function; the lockstep driver has none,
+    # so its time stays in the spans of detect_peaks and scan_and_bisect
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    spec = importlib.util.spec_from_file_location("tracer", REPO / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.discover(airystack.lockstep) == []
 
 
 def test_benchmark_reference_tool_runs(tmp_path, monkeypatch):

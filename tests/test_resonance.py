@@ -17,7 +17,6 @@ from airystack.limits import (
 )
 from airystack.potential import EV_TO_INVNM2
 from airystack.resonance import (
-    DEPTH,
     FINDERS,
     MAX_LEVELS,
     MAX_STEPS,
@@ -162,7 +161,10 @@ def test_closed_forms_agree_with_generic_scanner():
 
 # --- batched scan and bisection ---------------------------------------------
 
-MAX_CALLS = 1 + math.ceil(MAX_STEPS / DEPTH)
+# Most residual calls one scan in these tests may take.  The lockstep
+# bisection guarantees only 1 + ceil(MAX_STEPS / 2) = 101 (two steps a
+# round); these scans all keep within 1 + ceil(MAX_STEPS / 6) = 35.
+MAX_CALLS = 35
 
 
 def _hex(values):
@@ -259,11 +261,25 @@ def test_batched_scan_root_off_grid_at_zero_takes_max_steps():
     assert _hex(scan_and_bisect(_counted(f, calls), -0.3, 0.7)) == _hex(
         scan_and_bisect_one_at_a_time(f, -0.3, 0.7)
     )
-    assert len(calls) == MAX_CALLS
+    # f is +-1, so each round's secant root is its bracket's midpoint: the
+    # predicted path holds for about four steps a round until the bracket is
+    # symmetric about 0 (42 steps), and from there (right at f(0) = -1, then
+    # left for good) for the last 158 steps in one round
+    assert len(calls) == 13
+
+
+def test_batched_scan_takes_a_first_step_inside_the_tolerance():
+    # every scan bracket is narrower than ROOT_REL_TOL * 1e6 from the start,
+    # yet each still takes one bisection step, as the reference does
+    def f(x):
+        return (x - 1e6) * 1e10 - 0.37
+
+    roots = _check_against_reference(f, 1e6, 1e6 + 3e-6)
+    assert _hex(roots) == ["0x1.e848000000003p+19"]
 
 
 def test_batched_scan_calls_independent_of_bracket_count():
-    # 95 sign changes still take one scan call and one per DEPTH levels
+    # 95 sign changes still take one scan call and a few lockstep rounds
     roots = _check_against_reference(lambda x: np.sin(300.0 * x), 0.01, 1.0)
     assert len(roots) == 95
 
@@ -284,7 +300,7 @@ def test_figure_sets_take_few_residual_calls(monkeypatch, config, equation, inte
     cfg = load_config(f"{ROOT}/configs/{config}.json")
     rset = FINDERS[equation](cfg.spec, *interval, cfg.energy)
     assert len(rset.roots) >= 3
-    assert len(calls) <= 10
+    assert len(calls) <= 5
 
 
 # --- two-layer transcendental search ----------------------------------------

@@ -12,7 +12,6 @@ from airystack.airy import SERIES_RADIUS
 from airystack.cli import load_config, main
 from airystack.potential import LayerSpec, StructureSpec
 from airystack.sweep import (
-    DEPTH,
     PEAK_REL_TOL,
     SweepRequest,
     _golden_max,
@@ -245,7 +244,7 @@ def _counted(f):
 def _refine_as_reference(f, lo, hi):
     """_golden_max of the array function f on the brackets [lo, hi], seeded
     with their midpoints, checked bit for bit against one golden step and
-    one call of f at a time, and against ceil(steps / (DEPTH + 1)) calls
+    one call of f at a time, and against ceil(steps / 2) calls
     for the most steps any bracket takes.  Returns the peaks, the sizes of
     the calls and each bracket's steps."""
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
@@ -258,7 +257,7 @@ def _refine_as_reference(f, lo, hi):
         expected.append(golden_max_per_bracket(one, a, b, PEAK_REL_TOL))
         steps.append(len(one_sizes) - 2)
     assert peaks == expected  # bit for bit
-    assert len(sizes) <= math.ceil(max(steps) / (DEPTH + 1))
+    assert len(sizes) <= math.ceil(max(steps) / 2)
     return peaks, sizes, steps
 
 
@@ -353,7 +352,7 @@ def test_brackets_closing_in_different_rounds():
     # the first two brackets plan the same floats: both must get their own
     peaks, sizes, steps = _refine_as_reference(f, np.r_[lo[1], lo], np.r_[hi[1], hi])
     assert peaks[0] == peaks[2]
-    assert len({math.ceil(s / (DEPTH + 1)) for s in steps}) >= 4
+    assert len({math.ceil(s / 2) for s in steps}) >= 4
 
 
 def test_refinement_calls_do_not_grow_with_brackets():
@@ -367,7 +366,7 @@ def test_refinement_calls_do_not_grow_with_brackets():
     peaks, sizes, steps = _refine_as_reference(f, xs[at - 1], xs[at + 1])
     counted, detect_sizes = _counted(f)
     assert detect_peaks(xs, f(xs), 0.1, evaluator=counted) == peaks
-    assert len(detect_sizes) <= math.ceil(max(steps) / (DEPTH + 1))
+    assert len(detect_sizes) <= math.ceil(max(steps) / 2)
 
 
 def test_sweep_outputs_are_python_float_reprs(tmp_path):

@@ -183,8 +183,7 @@ def test_composition_associativity(rng):
     full = structure_matrix(layers, e)
     left = structure_matrix(layers[:3], e)
     right = structure_matrix(layers[3:], e)
-    recomposed = right @ left
-    assert max_rel_err(full, as_array(recomposed)) < 1e-10
+    assert max_rel_err(full, as_array(right) @ as_array(left)) < 1e-10
 
 
 @settings(max_examples=150, deadline=None)
