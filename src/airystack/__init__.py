@@ -21,7 +21,6 @@ from .limits import (
     LimitClassification,
     LimitKind,
     TransistorSpec,
-    delta_transmission,
     lambda_k_form,
     lambda_large_z,
     lambda_small_z,
@@ -55,11 +54,7 @@ from .scattering import ScatteringResult, scatter, trans_prob
 from .sweep import SweepRequest, SweepResult, detect_peaks, run_sweep
 from .transfer import (
     AiryLayerParams,
-    TransferMatrix,
     airy_layer_params,
-    layer_matrix,
-    layer_matrix_constant,
-    layer_matrix_linear,
     layer_matrices,
     structure_matrices,
     structure_matrix,

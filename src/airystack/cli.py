@@ -16,7 +16,7 @@ import sys
 
 from .airy import wronskian_sweep
 from .errors import ConfigError, EvanescentLeadError
-from .limits import LimitKind, delta_transmission, squeezed_limit
+from .limits import LimitKind, limit_transmission_on_resonance, squeezed_limit
 from .potential import (
     EV_TO_INVNM2,
     LayerSpec,
@@ -121,12 +121,16 @@ def _object(pairs: list) -> dict:
 
 def load_config(path: str) -> DeviceConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh, object_pairs_hook=_object)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except ConfigError:
+        raise
+    except (ValueError, RecursionError) as exc:  # not UTF-8, a huge integer, deep nesting
+        raise ConfigError(f"undecodable config: {exc}") from exc
     _check(raw, _CONFIG_KEYS, "config")
     scale = _UNITS.get(raw["units"])
     if scale is None:
@@ -203,11 +207,12 @@ def cmd_scatter(args) -> int:
     matrix = _evaluated(structure_matrix, layers, energy)
     v_l, v_r = cfg.spec.lead_potentials()
     res = scatter(matrix, v_l, v_r, energy)
+    (l11, l12), (l21, l22) = rows = matrix.tolist()
     doc = {
         "energy_invnm2": energy,
         "epsilon": args.epsilon,
-        "lambda": [[matrix.l11, matrix.l12], [matrix.l21, matrix.l22]],
-        "det": matrix.det(),
+        "lambda": rows,
+        "det": l11 * l22 - l12 * l21,
         "R_L": [res.r_left.real, res.r_left.imag],
         "T_L": [res.t_left.real, res.t_left.imag],
         "R_R": [res.r_right.real, res.r_right.imag],
@@ -337,8 +342,10 @@ def cmd_limit_check(args) -> int:
         print(f"limit is {limit.kind.value}, expected DELTA", file=sys.stderr)
         return 1
     v_l, v_r = spec.lead_potentials()
-    t_lim = float(trans_prob([[1.0, 0.0], [limit.alpha, 1.0]], v_l, v_r, energy))
-    t_formula = delta_transmission(limit.alpha, math.sqrt(energy), math.sqrt(energy - layer.b))
+    t_lim = float(trans_prob(limit.matrix(), v_l, v_r, energy))
+    t_formula = limit_transmission_on_resonance(
+        1.0, limit.alpha, math.sqrt(energy), math.sqrt(energy - v_r)
+    )
     print("epsilon,T_exact,T_limit,abs_error")
     errors = []
     for eps in (0.5, 0.25, 0.1, 0.05):
@@ -354,10 +361,18 @@ def cmd_limit_check(args) -> int:
     return 0 if ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are usage errors of the one-line kind
+    (exit 2 through main), not argparse's usage block; subparsers inherit it."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call only."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="airystack",
         description="Quantum transmission through squeezed biased multilayers",
     )
@@ -397,8 +412,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import NoClosedFormLimitError
 from .potential import POWER_TOL, LayerSpec, RegionClass, StructureSpec, classify_region
-from .transfer import TransferMatrix
 
 __all__ = [
     "AsymptoticRegime",
@@ -32,7 +31,6 @@ __all__ = [
     "LimitClassification",
     "single_layer_limit",
     "squeezed_limit",
-    "delta_transmission",
     "limit_transmission_on_resonance",
     "TransistorSpec",
     "transistor_spec",
@@ -56,19 +54,15 @@ class AsymptoticRegime(Enum):
 
 @dataclass(frozen=True)
 class AsymptoticMatrix:
-    matrix: TransferMatrix
+    matrix: np.ndarray  # (2, 2)
     regime: AsymptoticRegime
     chi: float
 
 
 def lambda_small_z(z0: float, z1: float, sigma: float) -> AsymptoticMatrix:
     """Leading transfer matrix for both Airy arguments near zero."""
-    m = TransferMatrix(
-        1.0 - 0.5 * z0 * z0 * z1,
-        (z1 - z0) / sigma,
-        0.5 * sigma * (z1 * z1 - z0 * z0),
-        1.0 - 0.5 * z0 * z1 * z1,
-    )
+    m = np.array([[1.0 - 0.5 * z0 * z0 * z1, (z1 - z0) / sigma],
+                  [0.5 * sigma * (z1 * z1 - z0 * z0), 1.0 - 0.5 * z0 * z1 * z1]])
     return AsymptoticMatrix(m, AsymptoticRegime.SMALL_Z, 0.0)
 
 
@@ -85,26 +79,22 @@ def lambda_large_z(z0: float, z1: float, sigma: float) -> AsymptoticMatrix:
         chi = (2.0 / 3.0) * ((-z1) ** 1.5 - (-z0) ** 1.5)
         c, s = math.cos(chi), math.sin(chi)
         ab = a * b
-        m = TransferMatrix(
-            (a / b) * c - s / (4.0 * z0 * ab),
-            -s / (sigma * ab),
-            (sigma / (ab * ab))
-            * ((ab**3 + 1.0 / (16.0 * ab**3)) * s + 0.25 * ((a / b) ** 3 - (b / a) ** 3) * c),
-            (b / a) * c + s / (4.0 * z1 * ab),
+        l21 = (sigma / (ab * ab)) * (
+            (ab**3 + 1.0 / (16.0 * ab**3)) * s + 0.25 * ((a / b) ** 3 - (b / a) ** 3) * c
         )
+        m = np.array([[(a / b) * c - s / (4.0 * z0 * ab), -s / (sigma * ab)],
+                      [l21, (b / a) * c + s / (4.0 * z1 * ab)]])
         return AsymptoticMatrix(m, AsymptoticRegime.LARGE_Z_OSC, chi)
     p = z0**0.25
     q = z1**0.25
     chi = (2.0 / 3.0) * (z1**1.5 - z0**1.5)
     ch, sh = math.cosh(chi), math.sinh(chi)
     pq = p * q
-    m = TransferMatrix(
-        (p / q) * ch + sh / (4.0 * z0 * pq),
-        sh / (sigma * pq),
-        (sigma / (pq * pq))
-        * ((pq**3 - 1.0 / (16.0 * pq**3)) * sh + 0.25 * ((q / p) ** 3 - (p / q) ** 3) * ch),
-        (q / p) * ch - sh / (4.0 * z1 * pq),
+    l21 = (sigma / (pq * pq)) * (
+        (pq**3 - 1.0 / (16.0 * pq**3)) * sh + 0.25 * ((q / p) ** 3 - (p / q) ** 3) * ch
     )
+    m = np.array([[(p / q) * ch + sh / (4.0 * z0 * pq), sh / (sigma * pq)],
+                  [l21, (q / p) * ch - sh / (4.0 * z1 * pq)]])
     return AsymptoticMatrix(m, AsymptoticRegime.LARGE_Z_EXP, chi)
 
 
@@ -139,7 +129,7 @@ def lambda_k_form(k0_sq: float, k1_sq: float, width: float) -> AsymptoticMatrix:
     scale = max(abs(v) for v in vals)
     if max(abs(v.imag) for v in vals) > 1e-9 * scale:
         raise ValueError("k-form produced a non-real matrix; arguments out of range")
-    m = TransferMatrix(l11.real, l12.real, l21.real, l22.real)
+    m = np.array([[l11.real, l12.real], [l21.real, l22.real]])
     chi = arg.real if k0_sq > 0 else arg.imag
     return AsymptoticMatrix(m, AsymptoticRegime.K_FORM, chi)
 
@@ -170,22 +160,18 @@ class LimitClassification:
     n: int | None = None
     admissible: bool = True
 
-    def matrix(self) -> TransferMatrix | None:
+    def matrix(self) -> np.ndarray | None:
+        """The (2, 2) connection matrix; None for OPAQUE_WALL."""
         if self.kind is LimitKind.TRANSPARENT:
-            return TransferMatrix.identity()
+            return np.eye(2)
         if self.kind is LimitKind.DELTA:
-            return TransferMatrix(1.0, 0.0, self.alpha, 1.0)
+            return np.array([[1.0, 0.0], [self.alpha, 1.0]])
         if self.kind is LimitKind.DELTA_PRIME_FAMILY:
-            return TransferMatrix(self.theta, 0.0, self.alpha, 1.0 / self.theta)
+            return np.array([[self.theta, 0.0], [self.alpha, 1.0 / self.theta]])
         if self.kind is LimitKind.RESONANT_DELTA:
             s = float(self.sign)
-            return TransferMatrix(s, 0.0, s * self.alpha, s)
+            return np.array([[s, 0.0], [s * self.alpha, s]])
         return None
-
-
-def delta_transmission(alpha: float, k: float, k_right: float) -> float:
-    """Transmission probability through a delta point with unequal leads."""
-    return limit_transmission_on_resonance(1.0, alpha, k, k_right)
 
 
 def limit_transmission_on_resonance(

@@ -4,8 +4,9 @@ Probabilities are computed from the real combinations p and q rather than
 from |amplitude|^2, which avoids catastrophic cancellation at near-total
 reflection; the complex amplitudes are reported alongside and agree with
 the probabilities by construction (conservation R + T = 1 is exact).
-`trans_prob` is the one definition of T, elementwise over arrays of
-matrices; `scatter` is a batch of one that adds the amplitudes.
+`trans_prob` is the one definition of T, elementwise over (..., 2, 2)
+arrays of transfer matrices; `scatter` takes one (2, 2) matrix and adds
+the amplitudes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvanescentLeadError
-from .transfer import TransferMatrix
 
 __all__ = ["ScatteringResult", "scatter", "trans_prob"]
 
@@ -65,10 +65,9 @@ def trans_prob(matrices, v_left, v_right, energy: float) -> np.ndarray:
     return _probabilities(matrices, v_left, v_right, energy)[1]
 
 
-def scatter(
-    matrix: TransferMatrix, v_left: float, v_right: float, energy: float
-) -> ScatteringResult:
-    """Scatter a plane wave against the structure matrix.
+def scatter(matrix, v_left: float, v_right: float, energy: float) -> ScatteringResult:
+    """Scatter a plane wave against the structure matrix, any (2, 2)
+    array-like.
 
     Both leads must be propagating: energy strictly above each lead
     potential.  Bound states and evanescent leads are out of scope.
@@ -77,9 +76,9 @@ def scatter(
         raise EvanescentLeadError(
             f"energy {energy!r} not above lead potentials ({v_left!r}, {v_right!r})"
         )
-    l11, l12, l21, l22 = matrix.l11, matrix.l12, matrix.l21, matrix.l22
+    (l11, l12), (l21, l22) = np.asarray(matrix, dtype=float).tolist()
     refl, trans, p, q, k_l, k_r = (
-        float(x) for x in _probabilities([[l11, l12], [l21, l22]], v_left, v_right, energy)
+        float(x) for x in _probabilities(matrix, v_left, v_right, energy)
     )
     ratio = k_l / k_r
     d = complex(l11 + ratio * l22, -(k_l * l12 - l21 / k_r))

@@ -5,10 +5,11 @@ edge; a structure's matrix is the right-to-left product over its layers.
 All matrices are real with unit determinant.  Evanescent regions go
 through the hyperbolic / Airy representations, never complex wavenumbers.
 
-One array path builds every matrix: `layer_matrices` takes edge
-potentials of any shape and gives a matrix per element, and
-`structure_matrices` multiplies them along the last (layer) axis.  The
-functions on single layers and TransferMatrix values are batches of one.
+A transfer matrix is a float array of shape (..., 2, 2).  One array path
+builds every matrix: `layer_matrices` takes edge potentials of any shape
+and gives a matrix per element (called on floats, it gives one (2, 2)
+matrix), and `structure_matrices` multiplies them along the last (layer)
+axis.  `structure_matrix` is that product for one stack of ConcreteLayers.
 """
 
 from __future__ import annotations
@@ -23,13 +24,9 @@ from .errors import DegenerateSlopeError
 from .potential import ConcreteLayer
 
 __all__ = [
-    "TransferMatrix",
     "AiryLayerParams",
     "layer_matrices",
     "structure_matrices",
-    "layer_matrix_constant",
-    "layer_matrix_linear",
-    "layer_matrix",
     "airy_layer_params",
     "structure_matrix",
     "slope_is_degenerate",
@@ -47,23 +44,6 @@ def _product(a, b) -> tuple:
         a21 * b11 + a22 * b21,
         a21 * b12 + a22 * b22,
     )
-
-
-@dataclass(frozen=True)
-class TransferMatrix:
-    """Real 2x2 connection matrix; l12 carries nm, l21 carries nm^-1."""
-
-    l11: float
-    l12: float
-    l21: float
-    l22: float
-
-    def det(self) -> float:
-        return self.l11 * self.l22 - self.l12 * self.l21
-
-    @staticmethod
-    def identity() -> "TransferMatrix":
-        return TransferMatrix(1.0, 0.0, 0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -99,8 +79,12 @@ def slope_is_degenerate(layer: ConcreteLayer, energy: float) -> bool:
 
 
 def _airy_geometry(v_left, v_right, width, energy) -> AiryLayerParams:
-    """AiryLayerParams elementwise over arrays of non-degenerate layers."""
-    eta = (v_right - v_left) / width
+    """AiryLayerParams elementwise over arrays of non-degenerate layers;
+    OverflowError when a slope does not fit in a double."""
+    with np.errstate(over="ignore"):
+        eta = (v_right - v_left) / width
+    if not np.isfinite(eta).all():
+        raise OverflowError("slope past the largest double")
     sigma = np.copysign(_libm(math.pow, np.abs(eta), 1.0 / 3.0), eta)
     s2 = sigma * sigma
     k2_left = energy - v_left
@@ -115,15 +99,11 @@ def _airy_geometry(v_left, v_right, width, energy) -> AiryLayerParams:
     )
 
 
-def _require_tilt(layer: ConcreteLayer, energy: float) -> None:
-    if slope_is_degenerate(layer, energy):
-        raise DegenerateSlopeError(
-            f"slope {layer.slope!r} below threshold; use layer_matrix_constant"
-        )
-
-
 def airy_layer_params(layer: ConcreteLayer, energy: float) -> AiryLayerParams:
-    _require_tilt(layer, energy)
+    """Airy geometry of one tilted layer; DegenerateSlopeError when its tilt
+    is too small for the Airy route (see `slope_is_degenerate`)."""
+    if slope_is_degenerate(layer, energy):
+        raise DegenerateSlopeError(f"slope {layer.slope!r} below threshold")
     p = _airy_geometry(
         np.array([layer.v_left_edge]), np.array([layer.v_right_edge]), layer.width, energy
     )
@@ -238,31 +218,9 @@ def structure_matrices(v_left, v_right, width, energy: float) -> np.ndarray:
     return np.stack(total, axis=-1).reshape(elements[0].shape[:-1] + (2, 2))
 
 
-def _single(matrices: np.ndarray) -> TransferMatrix:
-    return TransferMatrix(*matrices.reshape(4).tolist())
-
-
-def layer_matrix_constant(v: float, width: float, energy: float) -> TransferMatrix:
-    """Flat-layer matrix: trig above the potential, hyperbolic below."""
-    if not width > 0:
-        raise ValueError("width must be positive")
-    return _single(layer_matrices(v, v, width, energy))
-
-
-def layer_matrix_linear(layer: ConcreteLayer, energy: float) -> TransferMatrix:
-    """Tilted-layer matrix from scaled Airy products (see `_linear`)."""
-    _require_tilt(layer, energy)
-    return layer_matrix(layer, energy)
-
-
-def layer_matrix(layer: ConcreteLayer, energy: float) -> TransferMatrix:
-    """Per-layer dispatcher: constant formula when the tilt is degenerate."""
-    return _single(layer_matrices(layer.v_left_edge, layer.v_right_edge, layer.width, energy))
-
-
-def structure_matrix(layers: list[ConcreteLayer], energy: float) -> TransferMatrix:
-    """Right-to-left product Lambda_N ... Lambda_1 over the stack."""
+def structure_matrix(layers: list[ConcreteLayer], energy: float) -> np.ndarray:
+    """Right-to-left product Lambda_N ... Lambda_1 over the stack, shape (2, 2)."""
     if not layers:
         raise ValueError("structure_matrix needs at least one layer")
     edges = [[layer.v_left_edge for layer in layers]], [[layer.v_right_edge for layer in layers]]
-    return _single(structure_matrices(*edges, [layer.width for layer in layers], energy))
+    return structure_matrices(*edges, [layer.width for layer in layers], energy)[0]

@@ -13,7 +13,7 @@ from airystack.resonance import MAX_STEPS, ROOT_REL_TOL, SCAN_STEPS
 from airystack.scattering import ScatteringResult
 
 
-def ode_layer_matrix(v0, v1, width, energy, rtol=1e-12, atol=1e-14):
+def ode_transfer_matrix(v0, v1, width, energy, rtol=1e-12, atol=1e-14):
     """Transfer matrix of a linear-profile layer by direct integration of the
     wave equation with canonical initial conditions (independent oracle)."""
     eta = (v1 - v0) / width
@@ -27,6 +27,13 @@ def ode_layer_matrix(v0, v1, width, energy, rtol=1e-12, atol=1e-14):
         assert sol.success
         cols.append([sol.y[0, -1], sol.y[1, -1]])
     return np.array(cols).T
+
+
+def det(m):
+    """l11 l22 - l12 l21 of (..., 2, 2) matrices, the formula `airystack
+    scatter` reports."""
+    m = np.asarray(m)
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
 def ode_wronskian_route_matrix(v0, v1, width, energy):

@@ -1,14 +1,18 @@
 """CLI subcommands: exit codes, output shapes, config validation."""
 
+import ast
 import copy
+import importlib
 import importlib.util
 import json
 import math
 import pathlib
+import pkgutil
 import random
 
 import pytest
 
+import airystack
 import airystack.lockstep
 from airystack import cli
 from airystack.cli import load_config, main
@@ -250,6 +254,9 @@ STEEP = {
 }
 
 
+THIN = {"a": 1.0, "b": 0.2, "d": 1e-320, "mu": 0.0, "nu": 0.0}
+
+
 def edited(base, changes):
     """Deep copy of a config with (key path, value) edits applied."""
     doc = copy.deepcopy(base)
@@ -348,6 +355,9 @@ MALFORMED = {
     "tilted-layer-overflow-scatter": (STEEP, [(("layers", 0, "b"), -1.0)], ["scatter"]),
     "flat-layer-overflow-sweep": (STEEP, [], SWEEP),
     "tilted-layer-overflow-sweep": (STEEP, [(("sweep", "lo"), 0.5), (("sweep", "hi"), 1.0)], SWEEP),
+    # a layer slope b / d past the largest double (d subnormal)
+    "slope-overflow-scatter": (STEEP, [(("layers", 0), THIN)], ["scatter"]),
+    "slope-overflow-sweep": (STEEP, [(("layers", 0), THIN)], SWEEP),
 }
 
 
@@ -359,6 +369,88 @@ def test_malformed_input_exit_2(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
     assert "Traceback" not in err
+
+
+# config files json cannot decode: bytes that are not UTF-8, an integer
+# literal past the 4,300-digit conversion limit, arrays nested past the
+# recursion limit
+UNDECODABLE = {
+    "not-utf8": b'{"units": "eV\xff"}',
+    "huge-integer": b'{"energy": 1' + b"0" * 5000 + b"}",
+    "deep-nesting": b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNDECODABLE))
+def test_undecodable_config_exit_2(tmp_path, capsys, name):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(UNDECODABLE[name])
+    assert main(["scatter", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
+
+
+FIG4_PATH = str(REPO / "configs" / "fig4.json")
+ARGUMENT_ERRORS = {
+    "interval-option-like": ["resonances", FIG4_PATH, "--equation", "EQ69", "--interval", "-x", "0"],
+    "interval-not-a-number": ["resonances", FIG4_PATH, "--equation", "EQ69", "--interval", "1", "z"],
+    "unknown-subcommand": ["no-such-command"],
+    "no-subcommand": [],
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARGUMENT_ERRORS))
+def test_argument_error_exit_2_one_line(capsys, name):
+    assert main(ARGUMENT_ERRORS[name]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error:")
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["resonances", "--help"])
+    assert exc.value.code == 0
+    assert "--interval" in capsys.readouterr().out
+
+
+# the bits of the matrix outputs: `scatter configs/barrier.json --epsilon 0.5`
+# (lambda, det, transmission as float.hex) and the whole limit-check table
+BARRIER_LAMBDA_HEX = [
+    ["0x1.102ad8478db9bp+0", "0x1.055de4612a783p-1"],
+    ["0x1.055de4612a783p-2", "0x1.102ad8478db9bp+0"],
+]
+LIMIT_CHECK_TABLE = """epsilon,T_exact,T_limit,abs_error
+0.5,0.8655911444841123,0.8900224545259869,0.0244313100418746
+0.25,0.8762040512545545,0.8900224545259869,0.013818403271432467
+0.1,0.8841726360318141,0.8900224545259869,0.005849818494172876
+0.05,0.8870495271947435,0.8900224545259869,0.0029729273312434357
+"""
+
+
+def test_matrix_outputs_keep_their_bits(capsys):
+    assert main(["scatter", str(REPO / "configs" / "barrier.json"), "--epsilon", "0.5"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [[x.hex() for x in row] for row in doc["lambda"]] == BARRIER_LAMBDA_HEX
+    assert doc["det"].hex() == "0x1.0000000000001p+0"
+    assert doc["transmission"].hex() == "0x1.c4fa8d7e72e78p-1"
+    assert main(["limit-check"]) == 0
+    assert capsys.readouterr().out == LIMIT_CHECK_TABLE
+
+
+def test_every_export_resolves():
+    # perfbench/tracer.py skips a name it cannot find, so a stale export
+    # would otherwise go unnoticed
+    for info in pkgutil.iter_modules(airystack.__path__):
+        module = importlib.import_module(f"airystack.{info.name}")
+        missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        assert not missing, f"airystack.{info.name}.__all__ names {missing}"
+    tree = ast.parse(pathlib.Path(airystack.__file__).read_text())
+    imported = [
+        alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert imported and [n for n in imported if not hasattr(airystack, n)] == []
 
 
 def test_resonances_empty_interval_prints_header_only(capsys):

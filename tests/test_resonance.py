@@ -29,7 +29,6 @@ from airystack.resonance import (
     scan_and_bisect,
 )
 from airystack.scattering import scatter
-from airystack.transfer import TransferMatrix
 from conftest import (
     barrier_well_stack,
     random_transistor_device,
@@ -474,7 +473,7 @@ LEADS = ((0.0, None), (0.03 * EV, None), (0.02 * EV, -0.05 * EV))
 
 
 def _limit_trans(theta, alpha, v_left, v_right):
-    matrix = TransferMatrix(theta, 0.0, alpha, 1.0 / theta)
+    matrix = [[theta, 0.0], [alpha, 1.0 / theta]]
     return scatter(matrix, v_left, v_right, ENERGY).trans_prob
 
 

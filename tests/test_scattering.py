@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from airystack.errors import EvanescentLeadError
 from airystack.scattering import scatter
-from airystack.transfer import TransferMatrix, layer_matrix_constant
+from airystack.transfer import layer_matrices
 
 from conftest import rect_barrier_transmission, s_matrix
 
@@ -18,11 +18,11 @@ def random_unimodular(rng):
     l12 = rng.uniform(-2.0, 2.0)
     l21 = rng.uniform(-2.0, 2.0)
     l22 = (1.0 + l12 * l21) / l11
-    return TransferMatrix(l11, l12, l21, l22)
+    return np.array([[l11, l12], [l21, l22]])
 
 
 def test_identity_full_transmission():
-    res = scatter(TransferMatrix.identity(), 0.0, 0.0, 1.0)
+    res = scatter(np.eye(2), 0.0, 0.0, 1.0)
     assert res.trans_prob == pytest.approx(1.0)
     assert res.refl_prob == pytest.approx(0.0, abs=1e-15)
     assert res.r_left == pytest.approx(0.0)
@@ -31,13 +31,13 @@ def test_identity_full_transmission():
 
 def test_point_kick_half_transmission():
     # lower-triangular kick of strength 2 at k = 1: T = 1/(1 + (alpha/2k)^2)
-    res = scatter(TransferMatrix(1.0, 0.0, 2.0, 1.0), 0.0, 0.0, 1.0)
+    res = scatter([[1.0, 0.0], [2.0, 1.0]], 0.0, 0.0, 1.0)
     assert res.trans_prob == pytest.approx(0.5, rel=1e-12)
 
 
 def test_rectangular_barrier_against_closed_form():
     v, width, energy = 1.0, 1.0, 0.5
-    m = layer_matrix_constant(v, width, energy)
+    m = layer_matrices(v, v, width, energy)
     res = scatter(m, 0.0, 0.0, energy)
     oracle = rect_barrier_transmission(v, width, energy)
     assert res.trans_prob == pytest.approx(oracle, rel=1e-12)
@@ -81,7 +81,7 @@ def test_time_reversal_equal_leads(rng):
 
 
 def test_evanescent_lead_errors():
-    m = TransferMatrix.identity()
+    m = np.eye(2)
     with pytest.raises(EvanescentLeadError):
         scatter(m, 0.0, 2.0, 1.0)
     with pytest.raises(EvanescentLeadError):
@@ -89,7 +89,7 @@ def test_evanescent_lead_errors():
 
 
 def test_s_matrix_identity_case():
-    res = scatter(TransferMatrix.identity(), 0.0, 0.0, 1.0)
+    res = scatter(np.eye(2), 0.0, 0.0, 1.0)
     s = s_matrix(res)
     assert s[0, 0] == pytest.approx(0.0)
     assert s[0, 1] == pytest.approx(1.0)
@@ -98,7 +98,7 @@ def test_s_matrix_identity_case():
 
 
 def test_s_matrix_point_kick_entry():
-    res = scatter(TransferMatrix(1.0, 0.0, 2.0, 1.0), 0.0, 0.0, 1.0)
+    res = scatter([[1.0, 0.0], [2.0, 1.0]], 0.0, 0.0, 1.0)
     s = s_matrix(res)
     assert abs(s[0, 1]) ** 2 == pytest.approx(0.5, rel=1e-12)
 
@@ -122,7 +122,7 @@ def test_s_matrix_unitarity(rng):
     st.floats(min_value=0.1, max_value=3.0),
 )
 def test_conservation_property(l11, l12, l21, v_l, v_r, de):
-    m = TransferMatrix(l11, l12, l21, (1.0 + l12 * l21) / l11)
+    m = [[l11, l12], [l21, (1.0 + l12 * l21) / l11]]
     res = scatter(m, v_l, v_r, max(v_l, v_r) + de)
     assert res.refl_prob + res.trans_prob == pytest.approx(1.0, abs=1e-9)
     assert 0.0 <= res.trans_prob <= 1.0

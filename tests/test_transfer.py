@@ -10,55 +10,49 @@ from hypothesis import strategies as st
 from airystack.errors import DegenerateSlopeError
 from airystack.potential import ConcreteLayer, stack_potentials
 from airystack.transfer import (
-    TransferMatrix,
     airy_layer_params,
     layer_matrices,
-    layer_matrix,
-    layer_matrix_constant,
-    layer_matrix_linear,
+    slope_is_degenerate,
     structure_matrices,
     structure_matrix,
 )
 
-from conftest import mixed_stack, ode_layer_matrix, ode_wronskian_route_matrix
+from conftest import det, mixed_stack, ode_transfer_matrix, ode_wronskian_route_matrix
 
 
-def as_array(m: TransferMatrix) -> np.ndarray:
-    return np.array([[m.l11, m.l12], [m.l21, m.l22]])
-
-
-def max_rel_err(m: TransferMatrix, ref: np.ndarray) -> float:
-    return float(np.max(np.abs(as_array(m) - ref) / np.maximum(1.0, np.abs(ref))))
+def max_rel_err(m: np.ndarray, ref: np.ndarray) -> float:
+    return float(np.max(np.abs(m - ref) / np.maximum(1.0, np.abs(ref))))
 
 
 def test_constant_half_period():
-    m = layer_matrix_constant(0.0, math.pi, 1.0)
-    assert m.l11 == pytest.approx(-1.0, abs=1e-12)
-    assert m.l22 == pytest.approx(-1.0, abs=1e-12)
-    assert abs(m.l12) < 1e-12 and abs(m.l21) < 1e-12
+    m = layer_matrices(0.0, 0.0, math.pi, 1.0)
+    assert m.shape == (2, 2)
+    assert m[0, 0] == pytest.approx(-1.0, abs=1e-12)
+    assert m[1, 1] == pytest.approx(-1.0, abs=1e-12)
+    assert abs(m[0, 1]) < 1e-12 and abs(m[1, 0]) < 1e-12
 
 
 def test_constant_zero_width_limit():
-    m = layer_matrix_constant(0.0, 1e-12, 1.0)
-    assert m.l11 == pytest.approx(1.0)
-    assert m.l12 == pytest.approx(1e-12, rel=1e-9)
-    assert m.l21 == pytest.approx(0.0, abs=1e-10)
+    m = layer_matrices(0.0, 0.0, 1e-12, 1.0)
+    assert m[0, 0] == pytest.approx(1.0)
+    assert m[0, 1] == pytest.approx(1e-12, rel=1e-9)
+    assert m[1, 0] == pytest.approx(0.0, abs=1e-10)
 
 
 def test_constant_hyperbolic_branch():
     # oracle: cosh/sinh of sqrt(0.5); frozen values below
-    m = layer_matrix_constant(1.0, 1.0, 0.5)
+    m = layer_matrices(1.0, 1.0, 1.0, 0.5)
     q = math.sqrt(0.5)
-    assert m.l11 == pytest.approx(math.cosh(q), rel=1e-14)
-    assert m.l21 == pytest.approx(q * math.sinh(q), rel=1e-14)
-    assert m.l11 == pytest.approx(1.2605918365213562, rel=1e-12)
-    assert m.l21 == pytest.approx(0.5427208206363036, rel=1e-12)
-    assert m.det() == pytest.approx(1.0, rel=1e-12)
+    assert m[0, 0] == pytest.approx(math.cosh(q), rel=1e-14)
+    assert m[1, 0] == pytest.approx(q * math.sinh(q), rel=1e-14)
+    assert m[0, 0] == pytest.approx(1.2605918365213562, rel=1e-12)
+    assert m[1, 0] == pytest.approx(0.5427208206363036, rel=1e-12)
+    assert det(m) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_constant_at_energy_equal_potential():
-    m = layer_matrix_constant(0.7, 2.0, 0.7)
-    assert (m.l11, m.l12, m.l21, m.l22) == (1.0, 2.0, 0.0, 1.0)
+    m = layer_matrices(0.7, 0.7, 2.0, 0.7)
+    assert m.tolist() == [[1.0, 2.0], [0.0, 1.0]]
 
 
 def test_airy_layer_params_geometry():
@@ -89,10 +83,11 @@ def test_airy_layer_params_negative_slope_sign():
 def test_linear_matches_ode_oracle_sample():
     # frozen spot check: 0.5 eV down to 0.3 eV across 2 nm at 0.1 eV
     v0, v1, width, energy = 1.31232, 0.787392, 2.0, 0.262464
-    m = layer_matrix_linear(ConcreteLayer(v0, v1, width), energy)
-    ref = ode_layer_matrix(v0, v1, width, energy)
+    assert not slope_is_degenerate(ConcreteLayer(v0, v1, width), energy)
+    m = layer_matrices(v0, v1, width, energy)
+    ref = ode_transfer_matrix(v0, v1, width, energy)
     assert max_rel_err(m, ref) < 1e-7
-    assert m.det() == pytest.approx(1.0, rel=1e-9)
+    assert det(m) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_linear_matches_ode_oracle_random(rng):
@@ -102,28 +97,30 @@ def test_linear_matches_ode_oracle_random(rng):
         v1 = v0 + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
         width = rng.uniform(0.3, 1.5)
         energy = rng.uniform(0.2, 4.0)
-        m = layer_matrix_linear(ConcreteLayer(v0, v1, width), energy)
-        ref = ode_layer_matrix(v0, v1, width, energy)
+        assert not slope_is_degenerate(ConcreteLayer(v0, v1, width), energy)
+        m = layer_matrices(v0, v1, width, energy)
+        ref = ode_transfer_matrix(v0, v1, width, energy)
         worst = max(worst, max_rel_err(m, ref))
     assert worst < 1e-7
 
 
 def test_linear_scaled_path_huge_arguments():
     # unscaled Bi overflows at these arguments; the assembly must not
-    layer = ConcreteLayer(1.0e4, 1.0001e4, 0.01)
-    m = layer_matrix_linear(layer, 1.0)
-    ref = ode_layer_matrix(1.0e4, 1.0001e4, 0.01, 1.0)
+    assert not slope_is_degenerate(ConcreteLayer(1.0e4, 1.0001e4, 0.01), 1.0)
+    m = layer_matrices(1.0e4, 1.0001e4, 0.01, 1.0)
+    ref = ode_transfer_matrix(1.0e4, 1.0001e4, 0.01, 1.0)
     assert max_rel_err(m, ref) < 1e-9
-    assert m.det() == pytest.approx(1.0, rel=1e-9)
+    assert det(m) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_degenerate_slope_raises_and_dispatcher_falls_back():
     layer = ConcreteLayer(0.5, 0.5 + 1e-12, 1.0)
+    assert slope_is_degenerate(layer, 1.0)
     with pytest.raises(DegenerateSlopeError):
-        layer_matrix_linear(layer, 1.0)
-    m = layer_matrix(layer, 1.0)
-    ref = layer_matrix_constant(0.5, 1.0, 1.0)
-    assert max_rel_err(m, as_array(ref)) < 1e-9
+        airy_layer_params(layer, 1.0)
+    m = layer_matrices(0.5, 0.5 + 1e-12, 1.0, 1.0)
+    ref = layer_matrices(0.5, 0.5, 1.0, 1.0)
+    assert max_rel_err(m, ref) < 1e-9
 
 
 def test_constant_profile_limit_small_slope():
@@ -131,9 +128,11 @@ def test_constant_profile_limit_small_slope():
     for energy, v0 in ((1.0, 0.5), (0.3, 0.8), (2.0, -1.0)):
         width = 1.0
         layer = ConcreteLayer(v0, v0 + 1e-8 * width, width)
-        m = layer_matrix_linear(layer, energy)
-        ref = layer_matrix_constant(v0 + 0.5e-8 * width, width, energy)
-        assert max_rel_err(m, as_array(ref)) < 1e-6
+        assert not slope_is_degenerate(layer, energy)
+        m = layer_matrices(layer.v_left_edge, layer.v_right_edge, width, energy)
+        v_mid = v0 + 0.5e-8 * width
+        ref = layer_matrices(v_mid, v_mid, width, energy)
+        assert max_rel_err(m, ref) < 1e-6
 
 
 def test_continuity_across_degeneracy_threshold(rng):
@@ -144,15 +143,15 @@ def test_continuity_across_degeneracy_threshold(rng):
         energy = rng.uniform(0.2, 3.0)
         dv = 1.001e-9 * max(1.0, abs(v0), energy)
         for sign in (+1.0, -1.0):
-            layer = ConcreteLayer(v0, v0 + sign * dv, width)
-            m = layer_matrix(layer, energy)
-            ref = layer_matrix_constant(v0 + 0.5 * sign * dv, width, energy)
-            assert max_rel_err(m, as_array(ref)) < 1e-6
+            m = layer_matrices(v0, v0 + sign * dv, width, energy)
+            v_mid = v0 + 0.5 * sign * dv
+            ref = layer_matrices(v_mid, v_mid, width, energy)
+            assert max_rel_err(m, ref) < 1e-6
 
 
 def test_single_layer_structure_equals_layer():
     layer = ConcreteLayer(0.3, 1.1, 0.7)
-    assert structure_matrix([layer], 2.0) == layer_matrix(layer, 2.0)
+    assert np.array_equal(structure_matrix([layer], 2.0), layer_matrices(0.3, 1.1, 0.7, 2.0))
 
 
 def test_free_propagation_composition():
@@ -160,8 +159,8 @@ def test_free_propagation_composition():
     l1 = ConcreteLayer(0.0, 0.0, 0.6)
     l2 = ConcreteLayer(0.0, 0.0, 1.1)
     combined = structure_matrix([l1, l2], e)
-    single = layer_matrix_constant(0.0, 1.7, e)
-    assert max_rel_err(combined, as_array(single)) < 1e-12
+    single = layer_matrices(0.0, 0.0, 1.7, e)
+    assert max_rel_err(combined, single) < 1e-12
 
 
 def test_barrier_well_product_against_wronskian_route():
@@ -171,7 +170,7 @@ def test_barrier_well_product_against_wronskian_route():
     ref = ode_wronskian_route_matrix(1.0, 1.0, 1.0, e)
     ref = ode_wronskian_route_matrix(-1.0, -1.0, 1.0, e) @ ref
     assert max_rel_err(m, ref) < 1e-8
-    assert m.det() == pytest.approx(1.0, rel=1e-9)
+    assert det(m) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_composition_associativity(rng):
@@ -183,7 +182,7 @@ def test_composition_associativity(rng):
     full = structure_matrix(layers, e)
     left = structure_matrix(layers[:3], e)
     right = structure_matrix(layers[3:], e)
-    assert max_rel_err(full, as_array(right) @ as_array(left)) < 1e-10
+    assert max_rel_err(full, right @ left) < 1e-10
 
 
 @settings(max_examples=150, deadline=None)
@@ -194,8 +193,8 @@ def test_composition_associativity(rng):
     st.floats(min_value=0.1, max_value=6.0, allow_nan=False),
 )
 def test_det_one_property(v0, v1, width, energy):
-    m = layer_matrix(ConcreteLayer(v0, v1, width), energy)
-    assert m.det() == pytest.approx(1.0, rel=1e-9)
+    m = layer_matrices(v0, v1, width, energy)
+    assert det(m) == pytest.approx(1.0, rel=1e-9)
 
 
 def test_structure_matrix_empty_rejected():
@@ -217,9 +216,9 @@ def test_batched_matrices_equal_batch_of_one():
         for p in range(len(biases)):
             stack = [ConcreteLayer(*edge) for edge in zip(v_left[p], v_right[p], widths)]
             for i, layer in enumerate(stack):
-                ref = as_array(layer_matrix(layer, energy))
+                ref = layer_matrices(layer.v_left_edge, layer.v_right_edge, layer.width, energy)
                 assert np.all(np.abs(layers[p, i] - ref) <= 1e-14 * np.abs(ref))
-            ref = as_array(structure_matrix(stack, energy))
+            ref = structure_matrix(stack, energy)
             assert np.all(np.abs(products[p] - ref) <= 1e-14 * np.abs(ref))
 
 
