@@ -7,7 +7,7 @@ zero-thickness limits and their resonance sets (limits, resonance,
 sweep).
 """
 
-from .airy import AiryQuad, ScaledAiryQuad, airy_eval, airy_eval_scaled
+from .airy import ScaledAiryQuad, airy_eval_scaled
 from .errors import (
     AirystackError,
     ConfigError,
@@ -16,14 +16,9 @@ from .errors import (
     NoClosedFormLimitError,
 )
 from .limits import (
-    AsymptoticMatrix,
-    AsymptoticRegime,
     LimitClassification,
     LimitKind,
     TransistorSpec,
-    lambda_k_form,
-    lambda_large_z,
-    lambda_small_z,
     limit_transmission_on_resonance,
     single_layer_limit,
     squeezed_limit,

@@ -23,10 +23,12 @@ Two evaluation regimes, selected by |z|:
   A radius smaller than ~7 would not work: the asymptotic error at
   |z| = 5.5 is only ~2e-9, short of the 1e-10 target.
 
-The scaled variants remove the exp(+-zeta) factors for z > 0 so that
-barrier-side evaluations never overflow: ai = ai_scaled * exp(-exponent),
-bi = bi_scaled * exp(+exponent).  For z <= 0 the exponent is zero and
-scaled equals unscaled.
+The one entry point, airy_eval_scaled, removes the exp(+-zeta) factors
+for z > 0 so that barrier-side evaluations never overflow:
+ai = ai_scaled * exp(-exponent), bi = bi_scaled * exp(+exponent).  For
+z <= 0 the exponent is zero and the scaled values are Ai, Bi themselves.
+The transfer matrices use the scaled quad only, and wronskian_sweep checks
+Ai Bi' - Ai' Bi = 1/pi on it directly, where the factors cancel exactly.
 
 Every function takes an array of arguments and works elementwise; a float
 argument is a batch of one and gives floats back.
@@ -37,19 +39,15 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "AiryQuad",
     "ScaledAiryQuad",
-    "airy_eval",
     "airy_eval_scaled",
     "wronskian_sweep",
     "SERIES_RADIUS",
-    "Z_OVERFLOW",
 ]
 
 SERIES_RADIUS = 9.0
@@ -66,22 +64,6 @@ _AIP0 = -0.2588194037928068
 # largest one by j = _TERMS.
 _NODE_MAX = 20
 _TERMS = 24
-
-
-@dataclass(frozen=True)
-class AiryQuad:
-    """Ai, Bi, Ai', Bi' at a common real argument z (floats, or arrays
-    shaped like z)."""
-
-    ai: float
-    bi: float
-    ai_prime: float
-    bi_prime: float
-    z: float
-
-    def wronskian_defect(self) -> float:
-        """Ai*Bi' - Ai'*Bi minus the exact value 1/pi."""
-        return self.ai * self.bi_prime - self.ai_prime * self.bi - 1.0 / math.pi
 
 
 @dataclass(frozen=True)
@@ -292,27 +274,14 @@ def _series_scaled(z: np.ndarray) -> tuple[np.ndarray, ...]:
     return ai * ep, aip * ep, bi * em, bip * em, zeta
 
 
-def _find_overflow_argument() -> float:
-    # Largest z for which unscaled Bi(z) ~ e^zeta / (sqrt(pi) z^(1/4)) is
-    # representable; solved at import from the float range, not hardcoded.
-    log_max = math.log(sys.float_info.max)
-    z = 100.0
-    for _ in range(6):
-        z = (1.5 * (log_max + math.log(_SQRT_PI) + 0.25 * math.log(z))) ** (2.0 / 3.0)
-    return z
-
-
-Z_OVERFLOW = _find_overflow_argument()
-
-
-def _scaled_quad(z) -> list[np.ndarray]:
-    """Scaled (ai, aip, bi, bip) and the exponent removed from them, each
-    shaped like z; every z must be finite."""
-    z = np.asarray(z, dtype=float)
-    if not np.isfinite(z).all():
-        bad = z[~np.isfinite(z)].flat[0]
+def airy_eval_scaled(z) -> ScaledAiryQuad:
+    """Scaled Airy quad, finite for every representable z; elementwise over
+    an array z (floats for a float z).  Every z must be finite."""
+    z_arr = np.asarray(z, dtype=float)
+    if not np.isfinite(z_arr).all():
+        bad = z_arr[~np.isfinite(z_arr)].flat[0]
         raise ValueError(f"Airy functions need finite z, got {float(bad)!r}")
-    flat = z.ravel()
+    flat = z_arr.ravel()
     quad = [np.zeros(flat.size) for _ in range(5)]
     for where, kernel in (
         (np.abs(flat) <= SERIES_RADIUS, _series_scaled),
@@ -322,45 +291,25 @@ def _scaled_quad(z) -> list[np.ndarray]:
         if where.any():
             for row, value in zip(quad, kernel(flat[where])):
                 row[where] = value
-    return [row.reshape(z.shape) for row in quad]
-
-
-def _fields(rows: list[np.ndarray], z) -> list:
-    """Rows as floats for a float argument, as arrays shaped like z otherwise."""
-    return [row.item() for row in rows] if np.ndim(z) == 0 else rows
-
-
-def airy_eval(z) -> AiryQuad:
-    """Ai, Bi, Ai', Bi' at real z (unscaled), elementwise over an array z.
-
-    Raises OverflowError for z > Z_OVERFLOW where unscaled Bi exceeds the
-    float range; use airy_eval_scaled there instead.
-    """
-    ai, aip, bi, bip, zeta = _scaled_quad(z)
-    if np.any(np.asarray(z) > Z_OVERFLOW):
-        raise OverflowError(
-            f"unscaled Airy values overflow for z = {float(np.max(z))!r} > {Z_OVERFLOW:.2f}; "
-            "use airy_eval_scaled"
-        )
-    em, ep = _exp(-zeta), _exp(zeta)
-    ai, bi, aip, bip = _fields([ai * em, bi * ep, aip * em, bip * ep], z)
-    return AiryQuad(ai=ai, bi=bi, ai_prime=aip, bi_prime=bip, z=z)
-
-
-def airy_eval_scaled(z) -> ScaledAiryQuad:
-    """Scaled Airy quad, finite for every representable z; elementwise over
-    an array z."""
-    ai, aip, bi, bip, zeta = _fields(_scaled_quad(z), z)
+    if z_arr.ndim == 0:
+        ai, aip, bi, bip, zeta = (row.item() for row in quad)
+    else:
+        ai, aip, bi, bip, zeta = (row.reshape(z_arr.shape) for row in quad)
     return ScaledAiryQuad(ai, bi, aip, bip, zeta, z)
 
 
-def wronskian_sweep(lo: float = -20.0, hi: float = 8.0, n: int = 2000):
-    """Max |Ai*Bi' - Ai'*Bi - 1/pi| over a uniform grid, plus per-regime maxima.
+def wronskian_sweep(lo: float = -20.0, hi: float = 20.0, n: int = 4001):
+    """Max |Ai*Bi' - Ai'*Bi - 1/pi| over a uniform grid, plus per-regime maxima
+    (0.0 for a regime the grid misses).  The default grid reaches into all
+    three regimes.
 
     Returns (max_defect, {regime_name: max_defect}).
     """
     z = lo + (hi - lo) * np.arange(n) / (n - 1)
-    defect = np.abs(airy_eval(z).wronskian_defect())
+    # the e^-zeta of Ai, Ai' and the e^+zeta of Bi, Bi' cancel in each product
+    q = airy_eval_scaled(z)
+    wronskian = q.ai_scaled * q.bi_prime_scaled - q.ai_prime_scaled * q.bi_scaled
+    defect = np.abs(wronskian - 1.0 / math.pi)
     series = np.abs(z) <= SERIES_RADIUS
     regimes = {
         "series": series,

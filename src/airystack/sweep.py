@@ -2,9 +2,11 @@
 
 A sweep varies one layer's bias over a grid, computes the exact
 Airy-based transmission at each squeeze parameter in the schedule,
-detects and refines transmission peaks, and reports per-peak distances
-to an analytic resonance set when one is supplied.  Evanescent-lead
-grid points are recorded as gaps (NaN transmission), not failures.
+detects and refines transmission peaks, and reports the distance from
+each root of an analytic resonance set, when one is supplied, to the
+nearest peak in the root's cell (the values nearer to it than to any
+other root).  Evanescent-lead grid points are recorded as gaps (NaN
+transmission), not failures.
 Evaluation is batched per epsilon: the whole grid goes through one array
 evaluation, and the golden-section refinement of all peaks of one epsilon
 runs in lockstep (lockstep.refine), two calls per epsilon on the shipped
@@ -14,6 +16,7 @@ would give, byte for byte.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 from dataclasses import dataclass
@@ -98,7 +101,9 @@ class SweepResult:
     """Curves on one grid: transmission[i] is T over grid at epsilons[i]
     (NaN at evanescent-lead gaps); peaks[i] its refined peak values and
     convergence[i] the distance from each reference root to the nearest
-    of them (inf when there is no peak)."""
+    of them in the root's cell, [midpoint to the root below, midpoint to
+    the root above), open at the outer ends (inf when the cell holds no
+    peak)."""
 
     request: SweepRequest
     grid: np.ndarray
@@ -210,6 +215,12 @@ def run_sweep(
     rows = []
     peaks = []
     convergence = []
+    roots = sorted(reference_roots)
+    mids = [0.5 * (a + b) for a, b in zip(roots, roots[1:])]
+
+    def cell(x):  # the number of root midpoints at or below x
+        return bisect.bisect_right(mids, x)
+
     for eps in req.epsilons:
         t = req.transmission(grid, eps)
         rows.append(t)
@@ -217,9 +228,10 @@ def run_sweep(
             detect_peaks(grid, t, req.peak_floor, evaluator=lambda v: req.transmission(v, eps))
         )
         peaks.append(pk)
-        convergence.append(
-            tuple(min(abs(p - r) for p in pk) if pk else math.inf for r in reference_roots)
-        )
+        convergence.append(tuple(
+            min((abs(p - r) for p in pk if cell(p) == cell(r)), default=math.inf)
+            for r in reference_roots
+        ))
     return SweepResult(
         request=req,
         grid=grid,
@@ -256,7 +268,7 @@ def sweep_to_json(result: SweepResult) -> str:
                 "epsilon": eps,
                 "peaks_invnm2": list(pk),
                 "peaks_eV": [invnm2_to_ev(p) for p in pk],
-                # no peak above the floor: no distance to report
+                # no peak in the root's cell: no distance to report
                 "convergence_invnm2": [c if math.isfinite(c) else None for c in conv],
             }
             for eps, pk, conv in zip(result.request.epsilons, result.peaks, result.convergence)

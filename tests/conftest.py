@@ -1,16 +1,35 @@
-"""Shared numerical oracles, all independent of the package's own code paths."""
+"""Shared numerical oracles, all independent of the package's own code paths,
+and test helpers."""
 
 import cmath
 import math
+from dataclasses import dataclass
+from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from airystack.airy import _exp, airy_eval_scaled
 from airystack.limits import TransistorSpec
 from airystack.potential import EV_TO_INVNM2, LayerSpec, StructureSpec
 from airystack.resonance import MAX_STEPS, ROOT_REL_TOL, SCAN_STEPS
 from airystack.scattering import ScatteringResult
+
+
+def airy_unscaled(z) -> SimpleNamespace:
+    """Ai, Bi, Ai', Bi' at z (floats for a float z): the scaled quad times
+    exp(-+exponent), taken with the package's own libm exp, so each value has
+    the bits of Ai(z) etc. as the scaled values define them.  exp(exponent)
+    overflows, and raises OverflowError, for z above about 104."""
+    q = airy_eval_scaled(z)
+    zeta = np.asarray(q.exponent)
+    em, ep = _exp(-zeta), _exp(zeta)
+    values = (q.ai_scaled * em, q.bi_scaled * ep, q.ai_prime_scaled * em, q.bi_prime_scaled * ep)
+    if np.ndim(z) == 0:
+        values = tuple(float(v) for v in values)
+    return SimpleNamespace(**dict(zip(("ai", "bi", "ai_prime", "bi_prime"), values)))
 
 
 def ode_transfer_matrix(v0, v1, width, energy, rtol=1e-12, atol=1e-14):
@@ -66,6 +85,98 @@ def rect_barrier_transmission(v, width, energy):
     q = math.sqrt(q2)
     s = math.sinh(q * width)
     return 1.0 / (1.0 + ((k2 + q2) ** 2 / (4.0 * k2 * q2)) * s * s)
+
+
+# --- single-layer asymptotic forms of the transfer matrix ---------------------
+
+
+class AsymptoticRegime(Enum):
+    SMALL_Z = "SMALL_Z"
+    LARGE_Z_OSC = "LARGE_Z_OSC"
+    LARGE_Z_EXP = "LARGE_Z_EXP"
+    K_FORM = "K_FORM"
+
+
+@dataclass(frozen=True)
+class AsymptoticMatrix:
+    matrix: np.ndarray  # (2, 2)
+    regime: AsymptoticRegime
+    chi: float
+
+
+def lambda_small_z(z0: float, z1: float, sigma: float) -> AsymptoticMatrix:
+    """Leading transfer matrix for both Airy arguments near zero."""
+    m = np.array([[1.0 - 0.5 * z0 * z0 * z1, (z1 - z0) / sigma],
+                  [0.5 * sigma * (z1 * z1 - z0 * z0), 1.0 - 0.5 * z0 * z1 * z1]])
+    return AsymptoticMatrix(m, AsymptoticRegime.SMALL_Z, 0.0)
+
+
+def lambda_large_z(z0: float, z1: float, sigma: float) -> AsymptoticMatrix:
+    """Large-|z| transfer matrix: oscillatory for negative arguments,
+    exponential for positive.  Mixed signs have no single-phase form."""
+    if abs(z0) <= 1.0 or abs(z1) <= 1.0:
+        raise ValueError("lambda_large_z needs |z0|, |z1| > 1")
+    if (z0 > 0) != (z1 > 0):
+        raise ValueError("lambda_large_z needs z0, z1 of the same sign")
+    if z0 < 0:
+        a = (-z0) ** 0.25
+        b = (-z1) ** 0.25
+        chi = (2.0 / 3.0) * ((-z1) ** 1.5 - (-z0) ** 1.5)
+        c, s = math.cos(chi), math.sin(chi)
+        ab = a * b
+        l21 = (sigma / (ab * ab)) * (
+            (ab**3 + 1.0 / (16.0 * ab**3)) * s + 0.25 * ((a / b) ** 3 - (b / a) ** 3) * c
+        )
+        m = np.array([[(a / b) * c - s / (4.0 * z0 * ab), -s / (sigma * ab)],
+                      [l21, (b / a) * c + s / (4.0 * z1 * ab)]])
+        return AsymptoticMatrix(m, AsymptoticRegime.LARGE_Z_OSC, chi)
+    p = z0**0.25
+    q = z1**0.25
+    chi = (2.0 / 3.0) * (z1**1.5 - z0**1.5)
+    ch, sh = math.cosh(chi), math.sinh(chi)
+    pq = p * q
+    l21 = (sigma / (pq * pq)) * (
+        (pq**3 - 1.0 / (16.0 * pq**3)) * sh + 0.25 * ((q / p) ** 3 - (p / q) ** 3) * ch
+    )
+    m = np.array([[(p / q) * ch + sh / (4.0 * z0 * pq), sh / (sigma * pq)],
+                  [l21, (q / p) * ch - sh / (4.0 * z1 * pq)]])
+    return AsymptoticMatrix(m, AsymptoticRegime.LARGE_Z_EXP, chi)
+
+
+def lambda_k_form(k0_sq: float, k1_sq: float, width: float) -> AsymptoticMatrix:
+    """Large-|z| matrix in terms of the (signed) squared edge wavenumbers.
+
+    Arguments are k^2 = E - V at the two edges, so both-negative values
+    select the evanescent branch.  The diagonal cosines take the averaged
+    argument k10 * width; with that reading det = 1 holds identically and
+    the equal-wavenumber case reduces to the flat-layer matrix.
+    """
+    if k0_sq == 0.0 or k1_sq == 0.0:
+        raise ValueError("grazing energy: k^2 = 0 makes the prefactors singular")
+    if (k0_sq > 0) != (k1_sq > 0):
+        raise ValueError("lambda_k_form needs k0^2, k1^2 of the same sign")
+    if not width > 0:
+        raise ValueError("width must be positive")
+    k0 = cmath.sqrt(complex(k0_sq))
+    k1 = cmath.sqrt(complex(k1_sq))
+    k10 = 2.0 * (k0_sq + k1_sq + k0 * k1) / (3.0 * (k0 + k1))
+    arg = k10 * width
+    c = cmath.cos(arg)
+    s = cmath.sin(arg)
+    dk = k1_sq - k0_sq
+    l11 = cmath.sqrt(k0 / k1) * c + dk / (4.0 * width) * k0**-2.5 * k1**-0.5 * s
+    l12 = s / cmath.sqrt(k0 * k1)
+    l21 = 3.0 * dk**2 * k10 / (8.0 * width * (k0 * k1) ** 2.5) * c - cmath.sqrt(k0 * k1) * (
+        1.0 + (dk / (4.0 * width)) ** 2 / (k0 * k1) ** 3
+    ) * s
+    l22 = cmath.sqrt(k1 / k0) * c + (-dk) / (4.0 * width) * k0**-0.5 * k1**-2.5 * s
+    vals = (l11, l12, l21, l22)
+    scale = max(abs(v) for v in vals)
+    if max(abs(v.imag) for v in vals) > 1e-9 * scale:
+        raise ValueError("k-form produced a non-real matrix; arguments out of range")
+    m = np.array([[l11.real, l12.real], [l21.real, l22.real]])
+    chi = arg.real if k0_sq > 0 else arg.imag
+    return AsymptoticMatrix(m, AsymptoticRegime.K_FORM, chi)
 
 
 def transistor_resonance_residual_product_form(

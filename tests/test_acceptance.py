@@ -13,8 +13,6 @@ import numpy as np
 from airystack import (
     LayerSpec,
     StructureSpec,
-    lambda_k_form,
-    lambda_large_z,
     limit_transmission_on_resonance,
     realize,
     scatter,
@@ -35,7 +33,14 @@ from airystack.resonance import (
 from airystack.sweep import SweepRequest, run_sweep
 from airystack.transfer import layer_matrices, slope_is_degenerate, structure_matrix
 
-from conftest import barrier_well_stack, det, ode_transfer_matrix, transistor_stack
+from conftest import (
+    barrier_well_stack,
+    det,
+    lambda_k_form,
+    lambda_large_z,
+    ode_transfer_matrix,
+    transistor_stack,
+)
 
 EV = EV_TO_INVNM2
 SEED = 20260811

@@ -9,13 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from airystack.airy import (
-    SERIES_RADIUS,
-    Z_OVERFLOW,
-    airy_eval,
-    airy_eval_scaled,
-    wronskian_sweep,
-)
+from airystack.airy import SERIES_RADIUS, airy_eval_scaled, wronskian_sweep
+
+from conftest import airy_unscaled
 
 mp.mp.dps = 40
 
@@ -51,7 +47,7 @@ def series_oracle(z, terms=40):
 
 
 def test_values_at_zero():
-    q = airy_eval(0.0)
+    q = airy_unscaled(0.0)
     ai, bi, aip, bip = series_oracle(0.0)
     assert q.ai == pytest.approx(ai, rel=1e-14)
     assert q.bi == pytest.approx(bi, rel=1e-14)
@@ -65,12 +61,12 @@ def test_values_at_zero():
 
 
 def test_wronskian_at_zero():
-    q = airy_eval(0.0)
+    q = airy_unscaled(0.0)
     assert q.ai * q.bi_prime - q.ai_prime * q.bi == pytest.approx(1.0 / math.pi, abs=1e-14)
 
 
 def test_values_at_one_against_series_oracle():
-    q = airy_eval(1.0)
+    q = airy_unscaled(1.0)
     ai, bi, _, _ = series_oracle(1.0)
     assert q.ai == pytest.approx(ai, rel=1e-13)
     assert q.bi == pytest.approx(bi, rel=1e-13)
@@ -81,7 +77,7 @@ def test_values_at_one_against_series_oracle():
 @pytest.mark.parametrize("z", [-40.0, -20.0, -9.5, -9.0, -5.5, -2.0, -0.3, 0.0,
                                0.7, 3.0, 5.5, 8.0, 9.0, 9.5, 15.0, 30.0, 80.0, 104.0])
 def test_against_scipy_and_mpmath(z):
-    q = airy_eval(z)
+    q = airy_unscaled(z)
     sai, saip, sbi, sbip = special.airy(z)
     # scipy's own error is a few ulp o(1e-14); mpmath referees disagreements.
     # scipy loses Bi to overflow slightly before the true representable limit.
@@ -106,7 +102,7 @@ def test_dense_grid_against_mpmath():
     zs = np.arange(-180, 181) / 20
     batch = airy_eval_scaled(zs)
     for i, z in enumerate(zs.tolist()):
-        q = airy_eval(z)
+        q = airy_unscaled(z)
         refs = (mp.airyai(z), mp.airyai(z, 1), mp.airybi(z), mp.airybi(z, 1))
         if z < 0:
             amp, amp_prime = mp.hypot(refs[0], refs[2]), mp.hypot(refs[1], refs[3])
@@ -127,23 +123,7 @@ def test_dense_grid_against_mpmath():
 
 def test_scaled_identity_below_zero():
     for z in (-7.3, -0.1, 0.0):
-        q = airy_eval(z)
-        s = airy_eval_scaled(z)
-        assert s.exponent == 0.0
-        assert s.ai_scaled == q.ai
-        assert s.bi_scaled == q.bi
-        assert s.ai_prime_scaled == q.ai_prime
-        assert s.bi_prime_scaled == q.bi_prime
-
-
-def test_scaled_reconstruction_overlap():
-    # exponents cancel in the product; reconstruction matches unscaled values
-    for z in (2.0, 9.0, 25.0, 60.0, 100.0):
-        q = airy_eval(z)
-        s = airy_eval_scaled(z)
-        assert s.ai_scaled * math.exp(-s.exponent) == pytest.approx(q.ai, rel=1e-10)
-        assert s.bi_scaled * math.exp(s.exponent) == pytest.approx(q.bi, rel=1e-10)
-        assert s.ai_scaled * s.bi_scaled == pytest.approx(q.ai * q.bi, rel=1e-10)
+        assert airy_eval_scaled(z).exponent == 0.0
 
 
 def test_scaled_product_leading_order_at_100():
@@ -158,17 +138,9 @@ def test_scaled_finite_for_huge_argument():
     assert s.exponent == pytest.approx((2.0 / 3.0) * 1e12, rel=1e-12)
 
 
-def test_overflow_guard():
-    with pytest.raises(OverflowError):
-        airy_eval(Z_OVERFLOW + 1.0)
-    # just below the limit still yields finite values
-    q = airy_eval(Z_OVERFLOW - 0.5)
-    assert math.isfinite(q.bi)
-
-
 def test_rejects_non_finite():
     with pytest.raises(ValueError):
-        airy_eval(math.nan)
+        airy_eval_scaled(math.nan)
     with pytest.raises(ValueError):
         airy_eval_scaled(math.inf)
 
@@ -176,13 +148,19 @@ def test_rejects_non_finite():
 @settings(max_examples=300, deadline=None)
 @given(st.floats(min_value=-20.0, max_value=8.0, allow_nan=False))
 def test_wronskian_property(z):
-    assert abs(airy_eval(z).wronskian_defect()) < 1e-10
+    q = airy_unscaled(z)
+    assert abs(q.ai * q.bi_prime - q.ai_prime * q.bi - 1.0 / math.pi) < 1e-10
 
 
 def test_wronskian_sweep_grid():
     worst, per_regime = wronskian_sweep(-20.0, 8.0, 2000)
     assert worst < 1e-10
     assert set(per_regime) == {"series", "oscillatory", "exponential"}
+    # the default grid (airy-check's) checks every regime; an empty one reads 0.0
+    worst, per_regime = wronskian_sweep()
+    assert worst < 1e-10
+    assert all(defect < 1e-10 for defect in per_regime.values())
+    assert per_regime["exponential"] > 0.0
 
 
 def test_regime_agreement_at_crossover():
@@ -207,9 +185,9 @@ def test_regime_agreement_at_crossover():
 @pytest.mark.parametrize("z", [-10.0, -6.0, -3.0, -1.0, 0.5, 2.0, 5.0])
 def test_derivative_consistency(z):
     h = 1e-5
-    plus = airy_eval(z + h)
-    minus = airy_eval(z - h)
-    q = airy_eval(z)
+    plus = airy_unscaled(z + h)
+    minus = airy_unscaled(z - h)
+    q = airy_unscaled(z)
     fd_ai = (plus.ai - minus.ai) / (2.0 * h)
     fd_bi = (plus.bi - minus.bi) / (2.0 * h)
     # central difference error is O(h^2 * |z| * value)
@@ -220,13 +198,12 @@ def test_derivative_consistency(z):
 
 def test_sign_pattern_positive_argument():
     for z in (0.5, 3.0, 9.5, 40.0):
-        q = airy_eval(z)
+        q = airy_unscaled(z)
         assert q.ai > 0 and q.bi > 0 and q.ai_prime < 0 and q.bi_prime > 0
 
 
 def test_series_radius_constant():
     assert SERIES_RADIUS == 9.0
-    assert 100.0 < Z_OVERFLOW < 110.0
 
 
 def _edges() -> np.ndarray:
@@ -245,12 +222,3 @@ def test_exp_keeps_the_bits_of_libm_exp():
     assert np.any(zeta == 0.0) and np.any(zeta > 0.0)
     for x in (z, -z, zeta, -zeta, np.array(0.0), np.array(-0.0)):
         assert np.array_equal(_exp(x).view(np.int64), _libm(math.exp, x).view(np.int64))
-    scaled, unscaled = airy_eval_scaled(z), airy_eval(z)
-    em, ep = _libm(math.exp, -zeta), _libm(math.exp, zeta)
-    for value, expected in (
-        (unscaled.ai, scaled.ai_scaled * em),
-        (unscaled.ai_prime, scaled.ai_prime_scaled * em),
-        (unscaled.bi, scaled.bi_scaled * ep),
-        (unscaled.bi_prime, scaled.bi_prime_scaled * ep),
-    ):
-        assert np.array_equal(value.view(np.int64), expected.view(np.int64))

@@ -517,6 +517,23 @@ def test_sweep_json_without_peaks_is_strict_json(tmp_path):
     assert parsed["sweeps"][0]["convergence_invnm2"] == [None, None, None]
 
 
+@pytest.mark.parametrize("doc, eps, lost", [(FIG4, 1e-4, 0), (FIG6, 3e-5, 1)], ids=["fig4", "fig6"])
+def test_sweep_root_matches_only_a_peak_in_its_cell(tmp_path, doc, eps, lost):
+    # at this eps the 2001-point grid misses root `lost`'s narrow peak; the
+    # root must report no distance, not the one to a neighbouring root's peak
+    prefix = str(tmp_path / "run")
+    config = write_config(tmp_path, doc)
+    assert main(["sweep", config, "--epsilons", str(eps), "--out", prefix]) == 0
+    parsed = json.loads(pathlib.Path(prefix + ".json").read_text())
+    roots, sweep = parsed["reference_roots_invnm2"], parsed["sweeps"][0]
+    assert len(roots) == 3 and len(sweep["peaks_invnm2"]) == 2
+    for i, (root, distance) in enumerate(zip(roots, sweep["convergence_invnm2"])):
+        if i == lost:
+            assert distance is None
+        else:
+            assert distance == min(abs(p - root) for p in sweep["peaks_invnm2"]) < 1e-4
+
+
 def test_sweep_sign_flipped_fig6_reference_roots(tmp_path):
     shipped = sweep_json(tmp_path, FIG6)["reference_roots_invnm2"]
     flipped = edited(FIG6, [

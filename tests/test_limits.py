@@ -10,13 +10,9 @@ import pytest
 
 from airystack.errors import NoClosedFormLimitError
 from airystack.limits import (
-    AsymptoticRegime,
     _kappa_tan,
     LimitKind,
     TransistorSpec,
-    lambda_k_form,
-    lambda_large_z,
-    lambda_small_z,
     limit_transmission_on_resonance,
     squeezed_limit,
     transistor_resonance_residual,
@@ -27,9 +23,13 @@ from airystack.potential import ConcreteLayer, LayerSpec, StructureSpec, realize
 from airystack.scattering import scatter
 from airystack.transfer import layer_matrices, slope_is_degenerate, structure_matrix
 from conftest import (
+    AsymptoticRegime,
     barrier_well_stack,
     det,
     kappa_tan_math,
+    lambda_k_form,
+    lambda_large_z,
+    lambda_small_z,
     transistor_resonance_residual_math,
     transistor_resonance_residual_product_form,
     transistor_stack,
