@@ -80,7 +80,6 @@ class ScaledAiryQuad:
     ai_prime_scaled: float
     bi_prime_scaled: float
     exponent: float
-    z: float
 
 
 def _libm(fn, x: np.ndarray, *consts: float) -> np.ndarray:
@@ -117,13 +116,28 @@ def _uv_tables(n: int) -> tuple[list[float], list[float]]:
 _U, _V = _uv_tables(40)
 
 
-def _asym_pos(z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Scaled (ai, aip, bi, bip) and zeta for z > SERIES_RADIUS.
+def _zeta(z: np.ndarray) -> np.ndarray:
+    """zeta = (2/3) |z|^(3/2), the phase or exponent of the expansions."""
+    size = np.abs(z)
+    return (2.0 / 3.0) * size * np.sqrt(size)
+
+
+def _regimes(z: np.ndarray) -> dict[str, np.ndarray]:
+    """Masks of the series (|z| <= SERIES_RADIUS), oscillatory and exponential
+    regimes over z, in that order."""
+    return {
+        "series": np.abs(z) <= SERIES_RADIUS,
+        "oscillatory": z < -SERIES_RADIUS,
+        "exponential": z > SERIES_RADIUS,
+    }
+
+
+def _asym_pos(z: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Scaled (ai, aip, bi, bip) for z > SERIES_RADIUS, zeta = _zeta(z).
 
     Each element stops at its own smallest term, or once the term falls
     below 1e-18 of the Bi sum: a term is added only while its element is live.
     """
-    zeta = (2.0 / 3.0) * z * np.sqrt(z)
     t = 1.0 / zeta
     sa, sb, sap, sbp = (np.zeros_like(z) for _ in range(4))
     tk = np.ones_like(z)
@@ -154,16 +168,14 @@ def _asym_pos(z: np.ndarray) -> tuple[np.ndarray, ...]:
         -z4 * sap / (2.0 * _SQRT_PI),
         sb / (_SQRT_PI * z4),
         z4 * sbp / _SQRT_PI,
-        zeta,
     )
 
 
-def _asym_neg(z: np.ndarray) -> tuple[np.ndarray, ...]:
+def _asym_neg(z: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, ...]:
     """Oscillatory expansion for z < -SERIES_RADIUS (values are O(1)):
-    (ai, aip, bi, bip), each element stopping at its own smallest term."""
-    x = -z
-    zeta = (2.0 / 3.0) * x * np.sqrt(x)
-    x4 = _libm(math.pow, x, 0.25)
+    (ai, aip, bi, bip), each element stopping at its own smallest term;
+    zeta = _zeta(z)."""
+    x4 = _libm(math.pow, -z, 0.25)
     t = 1.0 / zeta
     t2 = t * t
     pe, po, re, ro = (np.zeros_like(z) for _ in range(4))
@@ -230,7 +242,8 @@ def _build_nodes() -> list[tuple[float, float, float, float]]:
     bi0 = (math.sqrt(3.0) * _AI0, -math.sqrt(3.0) * _AIP0)
     bi = _walk(0.0, -0.5, n, *bi0)[::-1] + _walk(0.0, 0.5, n, *bi0)[1:]
     # any Bi admixture in the asymptotic start shrinks by e^-55 on the way down
-    ai_s, aip_s = (float(x[0]) for x in _asym_pos(np.array([12.0]))[:2])
+    start = np.array([12.0])
+    ai_s, aip_s = (float(x[0]) for x in _asym_pos(start, _zeta(start))[:2])
     down = _walk(12.0, -0.5, 24, ai_s, aip_s)[::-1]
     scale = _AI0 / down[0][0]
     ai = _walk(0.0, -0.5, n, _AI0, _AIP0)[::-1]
@@ -265,13 +278,13 @@ def _series(z: np.ndarray) -> tuple[np.ndarray, ...]:
     return ai, acc[:, 2], bi, acc[:, 3]
 
 
-def _series_scaled(z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Scaled (ai, aip, bi, bip) and zeta for |z| <= SERIES_RADIUS."""
-    # zeta <= 18 on 0 < z <= SERIES_RADIUS: both factors representable
-    zeta = np.where(z > 0.0, (2.0 / 3.0) * z * np.sqrt(np.abs(z)), 0.0)
-    ep, em = _exp(zeta), _exp(-zeta)
+def _series_scaled(z: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Scaled (ai, aip, bi, bip) for |z| <= SERIES_RADIUS, given the exponent
+    row (zeta where z > 0, else 0)."""
+    # exponent <= 18 on 0 < z <= SERIES_RADIUS: both factors representable
+    ep, em = _exp(exponent), _exp(-exponent)
     ai, aip, bi, bip = _series(z)
-    return ai * ep, aip * ep, bi * em, bip * em, zeta
+    return ai * ep, aip * ep, bi * em, bip * em
 
 
 def airy_eval_scaled(z) -> ScaledAiryQuad:
@@ -282,20 +295,19 @@ def airy_eval_scaled(z) -> ScaledAiryQuad:
         bad = z_arr[~np.isfinite(z_arr)].flat[0]
         raise ValueError(f"Airy functions need finite z, got {float(bad)!r}")
     flat = z_arr.ravel()
-    quad = [np.zeros(flat.size) for _ in range(5)]
-    for where, kernel in (
-        (np.abs(flat) <= SERIES_RADIUS, _series_scaled),
-        (flat > SERIES_RADIUS, _asym_pos),
-        (flat < -SERIES_RADIUS, _asym_neg),
-    ):
+    zeta = _zeta(flat)
+    exponent = np.where(flat > 0.0, zeta, 0.0)
+    quad = [np.zeros(flat.size) for _ in range(4)] + [exponent]
+    kernels = (_series_scaled, exponent), (_asym_neg, zeta), (_asym_pos, zeta)
+    for where, (kernel, phase) in zip(_regimes(flat).values(), kernels):
         if where.any():
-            for row, value in zip(quad, kernel(flat[where])):
+            for row, value in zip(quad, kernel(flat[where], phase[where])):
                 row[where] = value
     if z_arr.ndim == 0:
-        ai, aip, bi, bip, zeta = (row.item() for row in quad)
+        ai, aip, bi, bip, exponent = (row.item() for row in quad)
     else:
-        ai, aip, bi, bip, zeta = (row.reshape(z_arr.shape) for row in quad)
-    return ScaledAiryQuad(ai, bi, aip, bip, zeta, z)
+        ai, aip, bi, bip, exponent = (row.reshape(z_arr.shape) for row in quad)
+    return ScaledAiryQuad(ai, bi, aip, bip, exponent)
 
 
 def wronskian_sweep(lo: float = -20.0, hi: float = 20.0, n: int = 4001):
@@ -310,11 +322,5 @@ def wronskian_sweep(lo: float = -20.0, hi: float = 20.0, n: int = 4001):
     q = airy_eval_scaled(z)
     wronskian = q.ai_scaled * q.bi_prime_scaled - q.ai_prime_scaled * q.bi_scaled
     defect = np.abs(wronskian - 1.0 / math.pi)
-    series = np.abs(z) <= SERIES_RADIUS
-    regimes = {
-        "series": series,
-        "oscillatory": ~series & (z < 0),
-        "exponential": ~series & (z >= 0),
-    }
-    per_regime = {name: float(defect[mask].max(initial=0.0)) for name, mask in regimes.items()}
+    per_regime = {name: float(defect[mask].max(initial=0.0)) for name, mask in _regimes(z).items()}
     return float(defect.max(initial=0.0)), per_regime

@@ -315,10 +315,12 @@ def cmd_sweep(args) -> int:
     csv_text = sweep_to_csv(result)
     json_text = sweep_to_json(result)
     if args.out:
-        with open(args.out + ".csv", "w") as fh:
-            fh.write(csv_text)
-        with open(args.out + ".json", "w") as fh:
-            fh.write(json_text)
+        try:
+            for suffix, text in ((".csv", csv_text), (".json", json_text)):
+                with open(args.out + suffix, "w") as fh:
+                    fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output: {exc}") from exc
         print(f"wrote {args.out}.csv and {args.out}.json", file=sys.stderr)
     else:
         sys.stdout.write(csv_text)

@@ -48,19 +48,13 @@ def _product(a, b) -> tuple:
 
 @dataclass(frozen=True)
 class AiryLayerParams:
-    """Airy-variable geometry of one linear layer.
-
-    z(x) = sigma * (x - s) with s measured from the layer's left edge;
-    sigma is the sign-carrying cube root of the slope, so z_left/z_right
-    equal -k^2 / sigma^2 at the respective edges.
-    """
+    """Airy-variable geometry of one linear layer: sigma is the sign-carrying
+    cube root of the slope, and z = -(E - V) / sigma^2 at either edge, so that
+    z_right - z_left = sigma * width."""
 
     sigma: float
-    s: float
     z_left: float
     z_right: float
-    k2_left: float
-    k2_right: float
 
 
 def _degenerate(v_left, v_right, energy):
@@ -87,15 +81,8 @@ def _airy_geometry(v_left, v_right, width, energy) -> AiryLayerParams:
         raise OverflowError("slope past the largest double")
     sigma = np.copysign(_libm(math.pow, np.abs(eta), 1.0 / 3.0), eta)
     s2 = sigma * sigma
-    k2_left = energy - v_left
-    k2_right = energy - v_right
     return AiryLayerParams(
-        sigma=sigma,
-        s=width + k2_right / eta,
-        z_left=-k2_left / s2,
-        z_right=-k2_right / s2,
-        k2_left=k2_left,
-        k2_right=k2_right,
+        sigma=sigma, z_left=-(energy - v_left) / s2, z_right=-(energy - v_right) / s2
     )
 
 
@@ -143,15 +130,9 @@ def _weights(za: np.ndarray, zb: np.ndarray) -> tuple[np.ndarray, ...]:
     return _exp(up - m), _exp(down - m), _exp(m)
 
 
-def _airy_arguments(v_left, v_right, width, energy) -> tuple[np.ndarray, np.ndarray]:
-    """sigma of tilted layers and their Airy arguments, left edges then right."""
-    p = _airy_geometry(v_left, v_right, width, energy)
-    return p.sigma, np.concatenate([p.z_left, p.z_right])
-
-
 def _linear(sigma: np.ndarray, z: np.ndarray) -> tuple:
     """Tilted-layer matrices from scaled Airy products, for the layers'
-    sigma and their Airy arguments z (see `_airy_arguments`).
+    sigma and their Airy arguments z, left edges then right.
 
     Each element is a pi-weighted difference of Ai/Bi cross products at
     the two edge arguments.  The exponents e^{\\pm zeta} are summed
@@ -189,9 +170,9 @@ def _elements(v_left, v_right, width, energy: float) -> list[np.ndarray]:
     parts = []
     if not flat.all():  # first, so that no output is held while the Airy call runs
         tilted = ~flat
-        sigma, z = _airy_arguments(v_left[tilted], v_right[tilted], width[tilted], energy)
-        parts.append((tilted, _linear(sigma, z)))
-        del sigma, z
+        p = _airy_geometry(v_left[tilted], v_right[tilted], width[tilted], energy)
+        parts.append((tilted, _linear(p.sigma, np.concatenate([p.z_left, p.z_right]))))
+        del p
     if flat.any():
         parts.append((flat, _constant(v_left[flat], v_right[flat], width[flat], energy)))
     elements = [np.empty(v_left.size) for _ in range(4)]

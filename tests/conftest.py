@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
@@ -46,6 +47,45 @@ def ode_transfer_matrix(v0, v1, width, energy, rtol=1e-12, atol=1e-14):
         assert sol.success
         cols.append([sol.y[0, -1], sol.y[1, -1]])
     return np.array(cols).T
+
+
+def mp_structure_matrix(v_left, v_right, widths, energy, dps=60):
+    """Right-to-left product of the layers' transfer matrices in dps-digit
+    arithmetic (an mpmath 2x2 matrix), independent of the package: a tilted
+    layer is F(z_right) F(z_left)^-1 with F = [[Ai, Bi], [sigma Ai', sigma Bi']]
+    from mpmath's Airy functions, sigma the real cube root of the slope and
+    z = (v - E) / sigma^2; a flat layer is cos/sin above its potential,
+    cosh/sinh below.  The float inputs are taken exactly."""
+    with mpmath.workdps(dps):
+        e = mpmath.mpf(energy)
+        total = mpmath.eye(2)
+        for v0, v1, w in zip(v_left, v_right, widths):
+            v0, v1, w = mpmath.mpf(v0), mpmath.mpf(v1), mpmath.mpf(w)
+            if v0 == v1:
+                k2 = e - v0
+                k = mpmath.sqrt(abs(k2))
+                if k2 > 0:
+                    c, s = mpmath.cos(k * w), mpmath.sin(k * w)
+                    m = mpmath.matrix([[c, s / k], [-k * s, c]])
+                elif k2 < 0:
+                    c, s = mpmath.cosh(k * w), mpmath.sinh(k * w)
+                    m = mpmath.matrix([[c, s / k], [k * s, c]])
+                else:
+                    m = mpmath.matrix([[1, w], [0, 1]])
+            else:
+                eta = (v1 - v0) / w
+                sigma = mpmath.sign(eta) * mpmath.cbrt(abs(eta))
+
+                def fundamental(v):
+                    z = (v - e) / sigma**2
+                    return mpmath.matrix([
+                        [mpmath.airyai(z), mpmath.airybi(z)],
+                        [sigma * mpmath.airyai(z, 1), sigma * mpmath.airybi(z, 1)],
+                    ])
+
+                m = fundamental(v1) * mpmath.inverse(fundamental(v0))
+            total = m * total
+        return total
 
 
 def det(m):

@@ -1,5 +1,6 @@
 """Airy evaluator against independent oracles (scipy, mpmath, raw series)."""
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -165,20 +166,21 @@ def test_wronskian_sweep_grid():
 
 def test_regime_agreement_at_crossover():
     # the two representations agree where they hand over
-    from airystack.airy import _asym_neg, _asym_pos, _series
+    from airystack.airy import _asym_neg, _asym_pos, _series, _zeta
 
-    def at(kernel, z):
-        return [float(x[0]) for x in kernel(np.array([z]))]
+    def at(kernel, z, *zeta):
+        return [float(x[0]) for x in kernel(np.array([z]), *zeta)]
 
     for z in (8.5, 8.8, 9.2, 9.5):
-        ai_s, aip_s, bi_s, bip_s, zeta = at(_asym_pos, z)
-        em, ep = math.exp(-zeta), math.exp(zeta)
+        zeta = _zeta(np.array([z]))
+        ai_s, aip_s, bi_s, bip_s = at(_asym_pos, z, zeta)
+        em, ep = math.exp(-zeta[0]), math.exp(zeta[0])
         asym = (ai_s * em, aip_s * em, bi_s * ep, bip_s * ep)
         series = at(_series, z)
         for a, b in zip(asym, series):
             assert a == pytest.approx(b, rel=1e-9)
     for z in (-8.5, -8.8, -9.2, -9.5):
-        for a, b in zip(at(_asym_neg, z), at(_series, z)):
+        for a, b in zip(at(_asym_neg, z, _zeta(np.array([z]))), at(_series, z)):
             assert a == pytest.approx(b, rel=1e-9)
 
 
@@ -222,3 +224,43 @@ def test_exp_keeps_the_bits_of_libm_exp():
     assert np.any(zeta == 0.0) and np.any(zeta > 0.0)
     for x in (z, -z, zeta, -zeta, np.array(0.0), np.array(-0.0)):
         assert np.array_equal(_exp(x).view(np.int64), _libm(math.exp, x).view(np.int64))
+
+
+# Bits of the scaled quad as this numpy and this platform's libm give them
+# (math.exp and math.pow element by element; numpy's sqrt, cos and sin):
+# a refactor of the evaluator must leave every value as it was.  The grid
+# spans all three regimes and the float neighbours of both crossovers.
+QUAD_GRID_SHA256 = "d36043ff9171f1412c1fc2d88c8c8c21b6bb48097bf1f2c8469f527fb3790396"
+QUAD_HEX = {  # z: (ai, bi, ai', bi', exponent), all scaled
+    -25.0: ("0x1.4ee705e0d3ea3p-3", "-0x1.8984450b5d98fp-3", "0x1.ecbcebba24f09p-1",
+            "0x1.a1a603bbbcae3p-1", "0x0.0p+0"),
+    -9.000000000000002: ("-0x1.6aa38e8bd05fcp-6", "0x1.4cbefdbca6ec8p-2", "-0x1.f38a3ab3ed728p-1",
+                         "-0x1.d6399a376d98dp-5", "0x0.0p+0"),
+    -9.0: ("-0x1.6aa38e8bd0860p-6", "0x1.4cbefdbca6ec3p-2", "-0x1.f38a3ab3ed722p-1",
+           "-0x1.d6399a376dcd0p-5", "0x0.0p+0"),
+    0.5: ("0x1.2c50d8fc81f53p-2", "0x1.598b7f841ed50p-1", "-0x1.2386147a949c9p-2",
+          "0x1.b88bd7fe298a2p-2", "0x1.e2b7dddfefa66p-3"),
+    9.0: ("0x1.4c4d50ce9b6cdp-3", "0x1.4ee14ef245a7ap-2", "-0x1.f6f78b6c00013p-2",
+          "0x1.f18e09532637dp-1", "0x1.2000000000000p+4"),
+    9.000000000000002: ("0x1.4c4d50ce9b6cbp-3", "0x1.4ee14ef245a77p-2", "-0x1.f6f78b6c00011p-2",
+                        "0x1.f18e09532637ep-1", "0x1.2000000000002p+4"),
+    25.0: ("0x1.0227a2cc20734p-3", "0x1.0295e1c7fc5efp-2", "-0x1.4355f2986cf38p-1",
+           "0x1.42950528a859ap+0", "0x1.4d55555555554p+6"),
+}
+
+
+def _quad_rows(q):
+    return q.ai_scaled, q.bi_scaled, q.ai_prime_scaled, q.bi_prime_scaled, q.exponent
+
+
+def test_scaled_quad_keeps_its_bits():
+    r = SERIES_RADIUS
+    crossovers = [np.nextafter(-r, -10.0), -r, np.nextafter(-r, 0.0), np.nextafter(r, 0.0), r,
+                  np.nextafter(r, 10.0)]
+    z = np.concatenate([np.linspace(-30.0, 30.0, 1201), crossovers])
+    digest = hashlib.sha256()
+    for row in _quad_rows(airy_eval_scaled(z)):
+        digest.update(row.tobytes())
+    for x, expected in QUAD_HEX.items():
+        assert tuple(v.hex() for v in _quad_rows(airy_eval_scaled(x))) == expected, x
+    assert digest.hexdigest() == QUAD_GRID_SHA256

@@ -297,6 +297,9 @@ MALFORMED = {
     "scatter-epsilon-inf": (FIG4, [], ["scatter", "--epsilon", "inf"]),
     "scatter-energy-inf": (FIG4, [], ["scatter", "--energy", "inf"]),
     "scatter-energy-nan": (FIG4, [], ["scatter", "--energy", "nan"]),
+    # output prefixes that cannot be written: a missing directory, a file as a directory
+    "out-missing-directory": (FIG4, [], SWEEP + ["--out", str(REPO / "configs" / "missing" / "f")]),
+    "out-under-a-file": (FIG4, [], SWEEP + ["--out", str(REPO / "configs" / "fig4.json" / "f")]),
     # solver argument checks
     "eq69-well-first": (
         FIG4,

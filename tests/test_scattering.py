@@ -1,16 +1,24 @@
-"""Scattering amplitudes, probabilities, conservation, S-matrix unitarity."""
+"""Scattering amplitudes, probabilities, conservation, S-matrix unitarity,
+and T against a 60-digit mpmath product."""
 
+import math
+import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from airystack.cli import load_config
 from airystack.errors import EvanescentLeadError
-from airystack.scattering import scatter
-from airystack.transfer import layer_matrices
+from airystack.potential import ev_to_invnm2, realize
+from airystack.scattering import scatter, trans_prob
+from airystack.transfer import layer_matrices, structure_matrix
 
-from conftest import rect_barrier_transmission, s_matrix
+from conftest import mp_structure_matrix, random_superlattice, rect_barrier_transmission, s_matrix
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 
 def random_unimodular(rng):
@@ -126,3 +134,70 @@ def test_conservation_property(l11, l12, l21, v_l, v_r, de):
     res = scatter(m, v_l, v_r, max(v_l, v_r) + de)
     assert res.refl_prob + res.trans_prob == pytest.approx(1.0, abs=1e-9)
     assert 0.0 <= res.trans_prob <= 1.0
+
+
+# T against mp_structure_matrix.  The bound follows from the problem alone,
+# fixed before any error was looked at: each layer matrix is taken as exact
+# to C * EPS normwise (EPS = 1e-13, the accuracy airy states for Ai and Bi;
+# C = 4 for the difference of two products of quad values in each element),
+# so an n-layer product is exact to n * C * EPS * kappa, with
+# kappa = prod |M_i| / |prod M_i| (Frobenius norms), and T to tau times
+# that, tau = |P| sum |dT/dP_ij| / T being T's first-order condition on the
+# matrix P.
+ORACLE_C, ORACLE_EPS = 4.0, 1e-13
+
+
+def _superlattice(seed):
+    spec, energy = random_superlattice(np.random.default_rng(seed))
+    return spec, energy, 1.0
+
+
+def _config(name, epsilon, bias_ev=None):
+    """A shipped config at epsilon, with layer 0's bias set to bias_ev (a
+    point of its sweep) unless None."""
+    cfg = load_config(str(REPO / "configs" / f"{name}.json"))
+    spec = cfg.spec if bias_ev is None else cfg.spec.replace_bias(0, ev_to_invnm2(bias_ev))
+    return spec, cfg.energy, epsilon
+
+
+ORACLE_CASES = {f"superlattice-{seed}": (_superlattice, seed) for seed in range(4)}
+for _eps in (1.0, 0.5, 0.1):
+    for _name in ("barrier", "fig4", "fig6"):
+        ORACLE_CASES[f"{_name}-eps{_eps}"] = (_config, _name, _eps)
+    # layer 0 tilted, as at a point of each figure's sweep
+    ORACLE_CASES[f"fig4-b1-eps{_eps}"] = (_config, "fig4", _eps, -0.3)
+    ORACLE_CASES[f"fig6-b1-eps{_eps}"] = (_config, "fig6", _eps, -0.2)
+
+
+def transmission_error(case):
+    """(relative error of P, its bound, relative error of T, its bound)."""
+    make, *args = ORACLE_CASES[case]
+    spec, energy, epsilon = make(*args)
+    layers = realize(spec, epsilon)
+    product = structure_matrix(layers, energy)
+    v_l, v_r = spec.lead_potentials()
+    t = float(trans_prob(product, v_l, v_r, energy))
+    edges = [[layer.v_left_edge, layer.v_right_edge, layer.width] for layer in layers]
+    with mpmath.workdps(60):
+        exact = mp_structure_matrix(*zip(*edges), energy)
+        k_l, k_r = mpmath.sqrt(energy - mpmath.mpf(v_l)), mpmath.sqrt(energy - mpmath.mpf(v_r))
+        ratio = k_l / k_r
+        p = exact[0, 0] - ratio * exact[1, 1]
+        q = k_l * exact[0, 1] + exact[1, 0] / k_r
+        t_exact = 4 * ratio / (4 * ratio + p * p + q * q)
+        # |dT/dP_ij|: dT = -T^2 / (4 ratio) (2 p dp + 2 q dq)
+        slope = t_exact**2 / (2 * ratio) * (abs(p) * (1 + ratio) + abs(q) * (k_l + 1 / k_r))
+        norm = mpmath.mnorm(exact, "f")
+        p_err = float(mpmath.mnorm(mpmath.matrix(product.tolist()) - exact, "f") / norm)
+        t_err = float(abs(t - t_exact) / t_exact)
+        tau = float(norm * slope / t_exact)
+    kappa = math.prod(np.linalg.norm(layer_matrices(*edge, energy)) for edge in edges) / float(norm)
+    p_bound = len(layers) * ORACLE_C * ORACLE_EPS * kappa
+    return p_err, p_bound, t_err, p_bound * tau
+
+
+@pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+def test_transmission_against_mpmath(case):
+    p_err, p_bound, t_err, t_bound = transmission_error(case)
+    assert p_err <= p_bound
+    assert t_err <= t_bound

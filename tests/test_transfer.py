@@ -59,12 +59,11 @@ def test_airy_layer_params_geometry():
     layer = ConcreteLayer(0.5, 1.5, 2.0)  # slope 0.5, sigma = 0.5^(1/3)
     p = airy_layer_params(layer, 1.0)
     assert p.sigma == pytest.approx(0.5 ** (1.0 / 3.0))
-    # z(x) = sigma (x - s) at both edges, s measured from the left edge
-    assert p.z_left == pytest.approx(p.sigma * (0.0 - p.s), rel=1e-12)
-    assert p.z_right == pytest.approx(p.sigma * (layer.width - p.s), rel=1e-12)
-    # z = -k^2 / sigma^2 reconstruction
-    assert p.z_left == pytest.approx(-p.k2_left / p.sigma**2, rel=1e-12)
-    assert p.z_right == pytest.approx(-p.k2_right / p.sigma**2, rel=1e-12)
+    # z(x) is linear in x with slope sigma across the layer
+    assert p.z_right - p.z_left == pytest.approx(p.sigma * layer.width, rel=1e-12)
+    # z = -(E - v) / sigma^2 at each edge
+    assert p.z_left == pytest.approx(-(1.0 - layer.v_left_edge) / p.sigma**2, rel=1e-12)
+    assert p.z_right == pytest.approx(-(1.0 - layer.v_right_edge) / p.sigma**2, rel=1e-12)
 
 
 def test_airy_layer_params_zero_left_wavenumber():
@@ -235,3 +234,23 @@ def test_weights_keep_the_bits_of_three_libm_exps():
         expected = (_libm(math.exp, up - m), _libm(math.exp, down - m), _libm(math.exp, m))
         for w, e in zip(_weights(za, zb), expected):
             assert np.array_equal(w.view(np.int64), e.view(np.int64))
+
+
+# layer_matrices of one tilted layer per Airy regime, (v_left, v_right,
+# width, energy) -> float.hex of the matrix, as this numpy and this
+# platform's libm give them: both edges in the series (z = -0.5 -> 0.5),
+# oscillatory (z = -15 -> -14) and exponential (z = 19.5 -> 20.5) regime.
+TILTED_HEX = {
+    (0.0, 1.0, 1.0, 0.5): (("0x1.d4faac494f497p-1", "0x1.fff2ff3365da0p-1"),
+                           ("-0x1.1110041276b61p-7", "0x1.1527a457d270ep+0")),
+    (0.0, 1.0, 1.0, 15.0): (("-0x1.981afc44c39e4p-1", "-0x1.4c8167ba710f7p-3"),
+                            ("0x1.2d02f773bf7e1p+1", "-0x1.8d17edbbde9d0p-1")),
+    (20.0, 21.0, 1.0, 0.5): (("0x1.5acd185a4632cp+5", "0x1.3927d0d510336p+3"),
+                             ("0x1.8762c4e45f62fp+7", "0x1.6199697b5080fp+5")),
+}
+
+
+@pytest.mark.parametrize("layer", sorted(TILTED_HEX))
+def test_tilted_layer_matrix_keeps_its_bits(layer):
+    m = layer_matrices(*layer)
+    assert tuple(tuple(v.hex() for v in row) for row in m.tolist()) == TILTED_HEX[layer]
