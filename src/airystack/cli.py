@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import re
 import sys
 
@@ -121,8 +122,11 @@ def _object(pairs: list) -> dict:
 
 def load_config(path: str) -> DeviceConfig:
     try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh, object_pairs_hook=_object)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:  # the newline translation of a text-mode read
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        raw = json.loads(text, object_pairs_hook=_object)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -297,6 +301,9 @@ def cmd_sweep(args) -> int:
         )
     except ValueError as exc:
         raise ConfigError(f"sweep: {exc}") from exc
+    if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
+        # fails as the write after the sweep would, before the sweep runs
+        _write(args.out, ".csv", "")
     if min(req.epsilons) < 0.02:
         print("note: epsilon < 0.02 drives Airy arguments to |z| ~ 1e4; "
               "scaled evaluation is in effect", file=sys.stderr)
@@ -315,12 +322,8 @@ def cmd_sweep(args) -> int:
     csv_text = sweep_to_csv(result)
     json_text = sweep_to_json(result)
     if args.out:
-        try:
-            for suffix, text in ((".csv", csv_text), (".json", json_text)):
-                with open(args.out + suffix, "w") as fh:
-                    fh.write(text)
-        except OSError as exc:
-            raise ConfigError(f"cannot write output: {exc}") from exc
+        _write(args.out, ".csv", csv_text)
+        _write(args.out, ".json", json_text)
         print(f"wrote {args.out}.csv and {args.out}.json", file=sys.stderr)
     else:
         sys.stdout.write(csv_text)
@@ -329,6 +332,16 @@ def cmd_sweep(args) -> int:
         errs = ", ".join(f"{invnm2_to_ev(c):.6f}" for c in conv)
         print(f"eps={eps}: peaks(eV) [{peaks_ev}] root-errors(eV) [{errs}]", file=sys.stderr)
     return 0
+
+
+def _write(prefix: str, suffix: str, text: str) -> None:
+    """text written to prefix + suffix; a path that cannot be written is a
+    config error."""
+    try:
+        with open(prefix + suffix, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"cannot write output: {exc}") from exc
 
 
 def cmd_limit_check(args) -> int:

@@ -129,8 +129,15 @@ def scan_and_bisect(f, lo: float, hi: float, poles: tuple[float, ...] = ()) -> l
     inside = np.ones(xs.size - 1, dtype=bool)
     inside[np.cumsum([p.size for p in pieces[:-1]], dtype=int) - 1] = False
     i = np.flatnonzero(inside & (fs[:-1] * fs[1:] < 0.0))
-    # f of the points evaluated so far, x0, x1, f0, f1, steps, closed
-    ends = (v.tolist() for v in (xs[i], xs[i + 1], fs[i], fs[i + 1]))
+    # each bracket's third point: the scan neighbour left of it in its
+    # piece, else the one right of it, else its own left end (no third point)
+    left = np.zeros(inside.size, dtype=bool)
+    left[1:] = inside[:-1]
+    right = np.zeros(inside.size, dtype=bool)
+    right[:-1] = inside[1:]
+    j = np.where(left[i], i - 1, np.where(right[i], i + 2, i))
+    # f of the points evaluated so far, x0, x1, f0, f1, x2, f2, steps, closed
+    ends = (v.tolist() for v in (xs[i], xs[i + 1], fs[i], fs[i + 1], xs[j], fs[j]))
     brackets = [[{}, *s, 0, False] for s in zip(*ends)]
     refine(f, brackets, _bisect_plan)
     roots = xs[fs == 0.0].tolist() + [0.5 * (s[1] + s[2]) for s in brackets]
@@ -138,31 +145,38 @@ def scan_and_bisect(f, lo: float, hi: float, poles: tuple[float, ...] = ()) -> l
 
 
 def _bisect_plan(s) -> list[float]:
-    """One round of bisection on s = [seen, x0, x1, f0, f1, steps, closed],
-    f0 and f1 the values of f at x0 and x1, of opposite signs.
+    """One round of bisection on s = [seen, x0, x1, f0, f1, x2, f2, steps,
+    closed], f0 and f1 the values of f at x0 and x1, of opposite signs, and
+    (x2, f2) a third point of f: a scan neighbour at first, then the end
+    that the last step replaced.
 
     It walks the steps whose midpoint is in seen, at least one and at most
     MAX_STEPS, to ROOT_REL_TOL, and stores where it stops.  An open bracket
     lists the midpoint after the other way of its first step and those of
-    its path to closure, which heads for the secant root of its two ends.
+    its path to closure, which heads for the predicted root (_predicted).
     """
-    seen, x0, x1, f0, f1, steps, closed = s
-    while not closed and (mid := 0.5 * (x0 + x1)) in seen:
-        fm = seen[mid]
+    seen, x0, x1, f0, f1, x2, f2, steps, closed = s
+    while not closed:
+        mid = 0.5 * (x0 + x1)
+        fm = seen.get(mid)
+        if fm is None:
+            break
         steps += 1
         if fm == 0.0:
             x0 = x1 = mid
         elif f0 * fm < 0.0:
-            x1, f1 = mid, fm
+            x2, f2, x1, f1 = x1, f1, mid, fm
         else:
-            x0, f0 = mid, fm
+            x2, f2, x0, f0 = x0, f0, mid, fm
         # true relative tolerance: small roots (steep residuals near
         # poles) still need their full relative precision
-        closed = (x1 - x0) <= ROOT_REL_TOL * max(abs(x0), abs(x1)) or steps == MAX_STEPS
-    s[1:] = x0, x1, f0, f1, steps, closed
+        a0 = x0 if x0 >= 0.0 else -x0
+        a1 = x1 if x1 >= 0.0 else -x1
+        closed = (x1 - x0) <= ROOT_REL_TOL * (a0 if a0 > a1 else a1) or steps == MAX_STEPS
+    s[1:] = x0, x1, f0, f1, x2, f2, steps, closed
     if closed:
         return []
-    r = x0 - f0 * (x1 - x0) / (f1 - f0)  # the secant root: left of mid, step left
+    r = _predicted(x0, x1, f0, f1, x2, f2)  # left of mid: step left
     mid = 0.5 * (x0 + x1)
     points = [0.5 * (mid + x1) if r < mid else 0.5 * (x0 + mid)]  # the other way
     while not closed:
@@ -173,8 +187,27 @@ def _bisect_plan(s) -> list[float]:
         else:
             x0 = mid
         steps += 1
-        closed = (x1 - x0) <= ROOT_REL_TOL * max(abs(x0), abs(x1)) or steps == MAX_STEPS
+        a0 = x0 if x0 >= 0.0 else -x0
+        a1 = x1 if x1 >= 0.0 else -x1
+        closed = (x1 - x0) <= ROOT_REL_TOL * (a0 if a0 > a1 else a1) or steps == MAX_STEPS
     return points
+
+
+def _predicted(x0, x1, f0, f1, x2, f2) -> float:
+    """Where the root of f in (x0, x1) is predicted: the inverse quadratic
+    interpolation of the three points (Brent) when their values are
+    pairwise distinct and it falls strictly inside, else the secant root
+    of the two ends.  It only chooses the points a round evaluates."""
+    if f0 != f1 and f0 != f2 and f1 != f2:
+        # Lagrange form of x(f) at f = 0, one difference per divisor
+        r = (
+            x0 * (f1 / (f0 - f1)) * (f2 / (f0 - f2))
+            + x1 * (f0 / (f1 - f0)) * (f2 / (f1 - f2))
+            + x2 * (f0 / (f2 - f0)) * (f1 / (f2 - f1))
+        )
+        if x0 < r < x1:
+            return r
+    return x0 - f0 * (x1 - x0) / (f1 - f0)
 
 
 def _levels(start, d: float, sign: float, offset: float, lo: float, hi: float) -> list[float]:
@@ -199,12 +232,14 @@ def _tuned(stack: StructureSpec, eq: ResonanceEquation, value: float) -> Structu
     """stack at the equation's tuned variable = value (layer 0's bias set to
     b1 = s * value) with layer i squeezed at the equation's powers[i]."""
     powers, sign = SQUEEZES[eq]
-    b1 = sign * value
-    layers = tuple(
-        LayerSpec(layer.a, layer.b if i else b1, layer.d, mu, nu)
-        for i, (layer, (mu, nu)) in enumerate(zip(stack.layers, powers))
-    )
-    return replace(stack, layers=layers)
+    layers = []
+    for layer, (mu, nu) in zip(stack.layers, powers):
+        if not layers:
+            layer = LayerSpec(layer.a, sign * value, layer.d, mu, nu)
+        elif not (layer.mu == mu and layer.nu == nu):  # a layer at its powers is kept
+            layer = LayerSpec(layer.a, layer.b, layer.d, mu, nu)
+        layers.append(layer)
+    return StructureSpec(tuple(layers), stack.v_left, stack.v_right_override)
 
 
 def _root(n: int, value: float, limit, stack: StructureSpec, energy, **fields) -> ResonanceRoot:

@@ -269,6 +269,55 @@ def transistor_resonance_residual_math(params: TransistorSpec, v_eb: float) -> t
     return lhs - rhs, abs(lhs) + abs(rhs)
 
 
+def mp_kappa_tan(shifted, d):
+    """kappa tan(kappa d), continued to -q tanh(q d) on the barrier branch,
+    in mpmath at the working precision."""
+    if shifted < 0:
+        kap = mpmath.sqrt(-shifted)
+        return kap * mpmath.tan(kap * d)
+    q = mpmath.sqrt(shifted)
+    return -q * mpmath.tanh(q * d)
+
+
+def mp_two_layer_residual(a1, a2, d1, d2):
+    """The EQ69 residual of the tuned bias b1 in mpmath at the working
+    precision: b1 -> (kappa1 tan(kappa1 d1) + kappa2 tan(kappa2 d2), sum of
+    the terms' moduli), with shifted coefficients a1 and a2 + b1."""
+
+    def residual(b1):
+        t1, t2 = mp_kappa_tan(mpmath.mpf(a1), d1), mp_kappa_tan(a2 + b1, d2)
+        return t1 + t2, abs(t1) + abs(t2)
+
+    return residual
+
+
+def mp_transistor_residual(params: TransistorSpec):
+    """The EQ83 residual of the emitter voltage V in mpmath at the working
+    precision, in the explicit form of limits.transistor_resonance_residual:
+    V -> (lhs - rhs, |lhs| + |rhs|)."""
+
+    def residual(v):
+        r1 = mpmath.sqrt(params.a1 / v)
+        r3 = mpmath.sqrt(params.a3 / v - 1)
+        t1 = mpmath.tanh(mpmath.sqrt(params.a1) * params.d1)
+        t3 = mpmath.tanh(mpmath.sqrt(params.a3 - v) * params.d3)
+        lhs = r1 * t1 + r3 * t3
+        rhs = (1 - r1 * r3 * t1 * t3) * mpmath.tan(mpmath.sqrt(v) * params.d2)
+        return lhs - rhs, abs(lhs) + abs(rhs)
+
+    return residual
+
+
+def mp_root(residual, x: float, dps: int = 50):
+    """The root of residual(t)[0] that mpmath.findroot reaches from x in
+    dps-digit arithmetic (an mpf), and its condition scale / |root f'(root)|
+    as a float, scale being residual(root)[1]."""
+    with mpmath.workdps(dps):
+        root = mpmath.findroot(lambda t: residual(t)[0], mpmath.mpf(x))
+        slope = mpmath.diff(lambda t: residual(t)[0], root)
+        return root, float(residual(root)[1] / abs(root * slope))
+
+
 def scan_and_bisect_one_at_a_time(f, lo, hi, poles=()):
     """The pole-split scan and bisection of resonance.scan_and_bisect, one
     point and one bracket at a time: f takes one float.  The reference the

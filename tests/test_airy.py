@@ -14,9 +14,12 @@ from airystack.airy import SERIES_RADIUS, airy_eval_scaled, wronskian_sweep
 
 from conftest import airy_unscaled
 
-mp.mp.dps = 40
+# mpmath precision of every oracle here, set per use so it never leaks
+# into other modules' tests
+DPS = 40
 
 
+@mp.workdps(DPS)
 def series_oracle(z, terms=40):
     """Maclaurin f/g series summed in 40-digit arithmetic; independent of the
     package's Taylor-step path."""
@@ -82,11 +85,10 @@ def test_against_scipy_and_mpmath(z):
     sai, saip, sbi, sbip = special.airy(z)
     # scipy's own error is a few ulp o(1e-14); mpmath referees disagreements.
     # scipy loses Bi to overflow slightly before the true representable limit.
-    for mine, ref, mref in (
-        (q.ai, sai, mp.airyai(z)),
-        (q.ai_prime, saip, mp.airyai(z, 1)),
-        (q.bi, sbi, mp.airybi(z)),
-        (q.bi_prime, sbip, mp.airybi(z, 1)),
+    with mp.workdps(DPS):
+        mrefs = (mp.airyai(z), mp.airyai(z, 1), mp.airybi(z), mp.airybi(z, 1))
+    for mine, ref, mref in zip(
+        (q.ai, q.ai_prime, q.bi, q.bi_prime), (sai, saip, sbi, sbip), mrefs
     ):
         assert mine == pytest.approx(float(mref), rel=5e-13)
         if math.isfinite(ref):
@@ -102,24 +104,25 @@ def test_dense_grid_against_mpmath():
     # scaled values must meet the bound with the exponent it reports.
     zs = np.arange(-180, 181) / 20
     batch = airy_eval_scaled(zs)
-    for i, z in enumerate(zs.tolist()):
-        q = airy_unscaled(z)
-        refs = (mp.airyai(z), mp.airyai(z, 1), mp.airybi(z), mp.airybi(z, 1))
-        if z < 0:
-            amp, amp_prime = mp.hypot(refs[0], refs[2]), mp.hypot(refs[1], refs[3])
-            scales = (amp, amp_prime, amp, amp_prime)
-        else:
-            scales = tuple(abs(r) for r in refs)
-        mine = (q.ai, q.ai_prime, q.bi, q.bi_prime)
-        for name, value, ref, scale in zip(("Ai", "Ai'", "Bi", "Bi'"), mine, refs, scales):
-            assert abs(value - ref) <= 1e-14 * scale, (name, z, float((value - ref) / scale))
-        e = mp.exp(mp.mpf(float(batch.exponent[i])))
-        scaled = (batch.ai_scaled[i], batch.ai_prime_scaled[i],
-                  batch.bi_scaled[i], batch.bi_prime_scaled[i])
-        for name, value, ref, scale, f in zip(
-            ("Ai", "Ai'", "Bi", "Bi'"), scaled, refs, scales, (e, e, 1 / e, 1 / e)
-        ):
-            assert abs(value - ref * f) <= 1e-14 * scale * f, (name, z, "scaled")
+    with mp.workdps(DPS):
+        for i, z in enumerate(zs.tolist()):
+            q = airy_unscaled(z)
+            refs = (mp.airyai(z), mp.airyai(z, 1), mp.airybi(z), mp.airybi(z, 1))
+            if z < 0:
+                amp, amp_prime = mp.hypot(refs[0], refs[2]), mp.hypot(refs[1], refs[3])
+                scales = (amp, amp_prime, amp, amp_prime)
+            else:
+                scales = tuple(abs(r) for r in refs)
+            mine = (q.ai, q.ai_prime, q.bi, q.bi_prime)
+            for name, value, ref, scale in zip(("Ai", "Ai'", "Bi", "Bi'"), mine, refs, scales):
+                assert abs(value - ref) <= 1e-14 * scale, (name, z, float((value - ref) / scale))
+            e = mp.exp(mp.mpf(float(batch.exponent[i])))
+            scaled = (batch.ai_scaled[i], batch.ai_prime_scaled[i],
+                      batch.bi_scaled[i], batch.bi_prime_scaled[i])
+            for name, value, ref, scale, f in zip(
+                ("Ai", "Ai'", "Bi", "Bi'"), scaled, refs, scales, (e, e, 1 / e, 1 / e)
+            ):
+                assert abs(value - ref * f) <= 1e-14 * scale * f, (name, z, "scaled")
 
 
 def test_scaled_identity_below_zero():

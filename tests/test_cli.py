@@ -374,6 +374,49 @@ def test_malformed_input_exit_2(tmp_path, capsys, name):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["out-missing-directory", "out-under-a-file"])
+def test_unwritable_out_prefix_fails_before_the_sweep(tmp_path, monkeypatch, capsys, name):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before the output prefix was checked")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    base, changes, command = MALFORMED[name]
+    cfg = write_config(tmp_path, edited(base, changes))
+    assert main([command[0], cfg, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot write output: ") and err.count("\n") == 1
+
+
+# line ends: "\n", "\r\n" and a lone "\r", as a text-mode read translates them
+LINE_ENDS = ("\n", "\r\n", "\r")
+
+
+def test_config_line_ends_load_alike(tmp_path):
+    text = json.dumps(FIG4, indent=1)
+    specs = []
+    for k, end in enumerate(LINE_ENDS):
+        path = tmp_path / f"cfg{k}.json"
+        path.write_bytes(text.replace("\n", end).encode())
+        cfg = load_config(str(path))
+        specs.append((cfg.spec, cfg.energy, cfg.scenario, cfg.sweep))
+    assert specs[1:] == specs[:1] * 2
+
+
+@pytest.mark.parametrize("end", LINE_ENDS, ids=("lf", "crlf", "cr"))
+def test_config_syntax_error_line_for_each_line_end(tmp_path, end):
+    # a missing comma after line 3 of the indented document
+    lines = json.dumps(FIG4, indent=1).split("\n")
+    lines[2] = lines[2].rstrip(",")
+    path = tmp_path / "cfg.json"
+    path.write_bytes(end.join(lines).encode())
+    with open(path, encoding="utf-8") as fh:  # the line text mode reports
+        with pytest.raises(json.JSONDecodeError) as text_mode:
+            json.load(fh)
+    assert text_mode.value.lineno == 4
+    with pytest.raises(ConfigError, match=r"^invalid JSON at line 4: "):
+        load_config(str(path))
+
+
 # config files json cannot decode: bytes that are not UTF-8, an integer
 # literal past the 4,300-digit conversion limit, arrays nested past the
 # recursion limit

@@ -112,18 +112,18 @@ def test_large_z_exponential_det_identity_high_precision():
     # At chi ~ 74 (z0=50 -> z1=60) the determinant cancellation exceeds double
     # range, so the algebraic det = 1 identity is checked with 120-digit
     # arithmetic on the same expressions.
-    mp.mp.dps = 120
-    z0, z1 = mp.mpf(50), mp.mpf(60)
-    chi = mp.mpf(2) / 3 * (z1**mp.mpf(1.5) - z0**mp.mpf(1.5))
-    ch, sh = mp.cosh(chi), mp.sinh(chi)
-    p, q = z0 ** mp.mpf(0.25), z1 ** mp.mpf(0.25)
-    pq = p * q
-    sigma = mp.mpf(1)
-    l11 = (p / q) * ch + sh / (4 * z0 * pq)
-    l12 = sh / (sigma * pq)
-    l21 = (sigma / pq**2) * ((pq**3 - 1 / (16 * pq**3)) * sh + (1 / mp.mpf(4)) * ((q / p) ** 3 - (p / q) ** 3) * ch)
-    l22 = (q / p) * ch - sh / (4 * z1 * pq)
-    assert abs(l11 * l22 - l12 * l21 - 1) < mp.mpf("1e-30")
+    with mp.workdps(120):
+        z0, z1 = mp.mpf(50), mp.mpf(60)
+        chi = mp.mpf(2) / 3 * (z1**mp.mpf(1.5) - z0**mp.mpf(1.5))
+        ch, sh = mp.cosh(chi), mp.sinh(chi)
+        p, q = z0 ** mp.mpf(0.25), z1 ** mp.mpf(0.25)
+        pq = p * q
+        sigma = mp.mpf(1)
+        l11 = (p / q) * ch + sh / (4 * z0 * pq)
+        l12 = sh / (sigma * pq)
+        l21 = (sigma / pq**2) * ((pq**3 - 1 / (16 * pq**3)) * sh + (1 / mp.mpf(4)) * ((q / p) ** 3 - (p / q) ** 3) * ch)
+        l22 = (q / p) * ch - sh / (4 * z1 * pq)
+        assert abs(l11 * l22 - l12 * l21 - 1) < mp.mpf("1e-30")
 
 
 def test_large_z_rejects_mixed_and_small():

@@ -13,6 +13,7 @@ from airystack.limits import (
     TransistorSpec,
     squeezed_limit,
     transistor_resonance_residual,
+    transistor_spec,
     two_layer_resonance_residual,
 )
 from airystack.potential import EV_TO_INVNM2
@@ -20,6 +21,7 @@ from airystack.resonance import (
     FINDERS,
     MAX_LEVELS,
     MAX_STEPS,
+    ROOT_REL_TOL,
     ResonanceEquation,
     _tuned,
     find_resonances_deltaprime_2layer,
@@ -31,6 +33,9 @@ from airystack.resonance import (
 from airystack.scattering import scatter
 from conftest import (
     barrier_well_stack,
+    mp_root,
+    mp_transistor_residual,
+    mp_two_layer_residual,
     random_transistor_device,
     random_two_layer_device,
     scan_and_bisect_one_at_a_time,
@@ -242,6 +247,43 @@ def test_batched_scan_root_next_to_a_pole_cut():
     assert roots == pytest.approx([r], rel=1e-12)
 
 
+def test_batched_scan_root_where_the_interpolation_leaves_the_bracket():
+    # tan(x) - 1e4 has its root 1e-4 left of the pole at pi/2, inside the
+    # last bracket of the piece before the cut; tan's curvature puts the
+    # inverse quadratic root through that bracket and its left neighbour
+    # outside the bracket, so the first round heads for the secant root
+    p = math.pi / 2
+
+    def f(x):
+        return np.tan(x) - 1e4
+
+    step, margin = 3.0 / resonance.SCAN_STEPS, 1e-10 * 3.0
+    m = max(2, int(math.ceil((p - margin) / step)) + 1)
+    x2, x0, x1 = ((p - margin) * np.arange(m - 3, m) / (m - 1)).tolist()
+    f2, f0, f1 = f(np.array([x2, x0, x1])).tolist()
+    r = (
+        x0 * f1 * f2 / ((f0 - f1) * (f0 - f2))
+        + x1 * f0 * f2 / ((f1 - f0) * (f1 - f2))
+        + x2 * f0 * f1 / ((f2 - f0) * (f2 - f1))
+    )
+    assert f0 * f1 < 0.0 and not x0 < r < x1
+    roots = _check_against_reference(f, 0.0, 3.0, (p,))
+    assert roots == pytest.approx([math.atan(1e4)], rel=1e-12)
+
+
+def test_batched_scan_piece_of_two_points():
+    # two poles closer than one scan step leave a two-point piece between
+    # them: its bracket has no scan neighbour in its piece, so no third point
+    p1, p2 = 0.5, 0.5 + 0.3 / resonance.SCAN_STEPS
+    r = 0.5 + 0.1 / resonance.SCAN_STEPS
+
+    def f(x):
+        return (x - r) / ((x - p1) * (p2 - x))
+
+    roots = _check_against_reference(f, 0.0, 1.0, (p1, p2))
+    assert roots == pytest.approx([r], rel=1e-12)
+
+
 def test_batched_scan_root_off_grid_at_zero_takes_max_steps():
     # f(0) != 0 and the root is exactly 0: the relative width never reaches
     # ROOT_REL_TOL, so the bracket runs the full MAX_STEPS
@@ -260,8 +302,8 @@ def test_batched_scan_root_off_grid_at_zero_takes_max_steps():
     assert _hex(scan_and_bisect(_counted(f, calls), -0.3, 0.7)) == _hex(
         scan_and_bisect_one_at_a_time(f, -0.3, 0.7)
     )
-    # f is +-1, so each round's secant root is its bracket's midpoint: the
-    # predicted path holds for about four steps a round until the bracket is
+    # f is +-1, so no three values are distinct and each round's prediction
+    # is the secant root, its bracket's midpoint: the predicted path holds for about four steps a round until the bracket is
     # symmetric about 0 (42 steps), and from there (right at f(0) = -1, then
     # left for good) for the last 158 steps in one round
     assert len(calls) == 13
@@ -299,7 +341,59 @@ def test_figure_sets_take_few_residual_calls(monkeypatch, config, equation, inte
     cfg = load_config(f"{ROOT}/configs/{config}.json")
     rset = FINDERS[equation](cfg.spec, *interval, cfg.energy)
     assert len(rset.roots) >= 3
-    assert len(calls) <= 5
+    # the scan, a round on the interpolated paths and one that closes the
+    # brackets whose path broke
+    assert len(calls) <= 3
+
+
+# --- scanned roots against mpmath --------------------------------------------
+
+# A scanned root's error bound, fixed before any error was looked at: the
+# bisection's closure width plus the residual's round-off, 1e-15 of its
+# scale, carried to the root by its condition kappa = scale / |root f'|.
+ORACLE_ROUNDOFF = 1e-15
+
+
+def _figure_case(name, equation, interval):
+    cfg = load_config(f"{ROOT}/configs/{name}.json")
+    return cfg.spec, equation, interval[0] * EV, interval[1] * EV
+
+
+def _seeded_case(kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "two-layer":
+        a1, d1, a2, d2 = random_two_layer_device(rng)
+        eq = ResonanceEquation.EQ69_DELTAPRIME_2LAYER
+        return barrier_well_stack(a1, d1, a2, d2), eq, -2.5, 2.5
+    device = random_transistor_device(rng)
+    eq = ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME
+    return transistor_stack(*device), eq, 0.0, device[1]
+
+
+ROOT_ORACLE_CASES = {
+    "fig4-EQ69": (_figure_case, "fig4", ResonanceEquation.EQ69_DELTAPRIME_2LAYER, (-1.0, 0.0)),
+    "fig6-EQ83": (_figure_case, "fig6", ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, (0.0, 0.5)),
+    **{f"{kind}-{seed}": (_seeded_case, kind, seed)
+       for kind in ("two-layer", "transistor") for seed in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_ORACLE_CASES))
+def test_scanned_roots_against_mpmath(case):
+    make, *args = ROOT_ORACLE_CASES[case]
+    stack, eq, lo, hi = make(*args)
+    if eq is ResonanceEquation.EQ69_DELTAPRIME_2LAYER:
+        barrier, well = stack.layers
+        residual = mp_two_layer_residual(barrier.a, well.a, barrier.d, well.d)
+    else:
+        residual = mp_transistor_residual(transistor_spec(stack)[0])
+    roots = FINDERS[eq](stack, lo, hi).values()
+    assert len(roots) >= 2
+    for root in roots:
+        exact, kappa = mp_root(residual, root)
+        error = float(abs(root - exact))
+        bound = (ROOT_REL_TOL + kappa * ORACLE_ROUNDOFF) * abs(root)
+        assert error <= bound, (root, error / abs(root), kappa)
 
 
 # --- two-layer transcendental search ----------------------------------------
