@@ -52,7 +52,6 @@ from .transfer import (
     airy_layer_params,
     layer_matrices,
     structure_matrices,
-    structure_matrix,
 )
 
 __version__ = "0.1.0"

@@ -24,13 +24,12 @@ from .potential import (
     StructureSpec,
     ev_to_invnm2,
     invnm2_to_ev,
-    realize,
     stack_potentials,
 )
 from .resonance import FINDERS, SQUEEZES, ResonanceEquation
 from .scattering import scatter, trans_prob
 from .sweep import SweepRequest, run_sweep, sweep_to_csv, sweep_to_json
-from .transfer import structure_matrices, structure_matrix
+from .transfer import structure_matrices
 
 
 # scenario -> its equations.  The first is the closed form: its squeeze is
@@ -205,10 +204,10 @@ def cmd_scatter(args) -> int:
     if not math.isfinite(energy):
         raise ConfigError(f"--energy must be finite in nm^-2, got {args.energy!r}")
     try:
-        layers = realize(cfg.spec, args.epsilon)
+        potentials = stack_potentials(cfg.spec, args.epsilon, [[x.b for x in cfg.spec.layers]])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    matrix = _evaluated(structure_matrix, layers, energy)
+    matrix = _evaluated(structure_matrices, *potentials, energy)[0]
     v_l, v_r = cfg.spec.lead_potentials()
     res = scatter(matrix, v_l, v_r, energy)
     (l11, l12), (l21, l22) = rows = matrix.tolist()

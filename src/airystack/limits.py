@@ -100,22 +100,38 @@ def _on_level(kappa_sq: float, d: float) -> int | None:
     return n if n >= 1 and abs(phase - n * math.pi) <= 1e-9 * max(1.0, phase) else None
 
 
+def _strength(shifted: float, b: float, d: float) -> float:
+    """(a + u + b/2) d, the delta strength of a (1,1) layer; shifted = a + u."""
+    return (shifted + 0.5 * b) * d
+
+
+def _resonant_delta(shifted, b, d, alpha, admissible=True) -> LimitClassification:
+    """The delta rule of a squeezed well of shifted coefficient a + u: on
+    a + u = -(n pi / d)^2, n >= 1, a parity-signed delta of strength alpha
+    plus the well's ramp term b d / 4 (b its bias at nu = 1); else a wall."""
+    n = _on_level(-shifted, d)
+    if n is None:
+        return LimitClassification(LimitKind.OPAQUE_WALL, admissible=admissible)
+    kind, alpha = LimitKind.RESONANT_DELTA, alpha + 0.25 * b * d
+    return LimitClassification(kind, alpha, sign=(-1) ** n, n=n, admissible=admissible)
+
+
 def single_layer_limit(layer: LayerSpec) -> LimitClassification:
     """Zero-thickness limit of one squeezed layer.
 
     Supported squeezes: the shrinking-argument triangle and its boundary
     lines (transparent below mu = 1, delta at mu = 1, wall above) and the
     (2, 1) point, where a well is a parity-signed resonant delta on the
-    depth set -(n pi / d)^2 and an opaque wall off it, as is a barrier.
+    depth set -(n pi / d)^2 and an opaque wall off it, as is a barrier;
+    at a = 0 its ramp alone leaves a delta of strength b d / 2.
     """
     region = classify_region(layer.mu, layer.nu)
     if region is RegionClass.P21:
-        if layer.a == 0.0:
+        if layer.a != 0.0:
+            return _resonant_delta(layer.a, layer.b, layer.d, 0.0)
+        if layer.b == 0.0:
             return LimitClassification(LimitKind.TRANSPARENT)
-        n = _on_level(-layer.a, layer.d)
-        if n is None:
-            return LimitClassification(LimitKind.OPAQUE_WALL)
-        return LimitClassification(LimitKind.RESONANT_DELTA, alpha=0.0, sign=(-1) ** n, n=n)
+        return LimitClassification(LimitKind.DELTA, alpha=_strength(layer.a, layer.b, layer.d))
     if region not in (RegionClass.P11, RegionClass.L0_1, RegionClass.L0_2, RegionClass.S0):
         raise NoClosedFormLimitError(
             f"no closed-form zero-thickness limit for (mu, nu) = "
@@ -128,8 +144,8 @@ def single_layer_limit(layer: LayerSpec) -> LimitClassification:
     # The bias adds b/2 to the strength only when it diverges at the same
     # rate as the edge value (nu = mu = 1); slower-diverging bias
     # contributes nothing in the limit.
-    bias_term = 0.5 * layer.b if abs(layer.nu - 1.0) <= POWER_TOL else 0.0
-    return LimitClassification(LimitKind.DELTA, alpha=(layer.a + bias_term) * layer.d)
+    bias = layer.b if abs(layer.nu - 1.0) <= POWER_TOL else 0.0
+    return LimitClassification(LimitKind.DELTA, alpha=_strength(layer.a, bias, layer.d))
 
 
 # --- two-layer limits -----------------------------------------------------
@@ -166,17 +182,11 @@ def _cos_branch(shifted: float, d: float) -> float:
 
 
 def _barrier_well_delta(stack: StructureSpec) -> LimitClassification:
-    """(1,1) barrier + (2,1) well: a parity-signed delta with the barrier's
-    strength where the shifted well a2 + b1 = -(n pi / d2)^2, n >= 1."""
+    """(1,1) barrier + (2,1) well: the delta rule of the well shifted by b1,
+    with the barrier's strength."""
     barrier, well = stack.layers
-    admissible = -barrier.b < barrier.a
-    n = _on_level(-(well.a + barrier.b), well.d)
-    if n is None:
-        return LimitClassification(LimitKind.OPAQUE_WALL, admissible=admissible)
-    alpha = (barrier.a + 0.5 * barrier.b) * barrier.d
-    return LimitClassification(
-        LimitKind.RESONANT_DELTA, alpha=alpha, sign=(-1) ** n, n=n, admissible=admissible
-    )
+    alpha = _strength(barrier.a, barrier.b, barrier.d)
+    return _resonant_delta(well.a + barrier.b, well.b, well.d, alpha, -barrier.b < barrier.a)
 
 
 def _deltaprime_pair(stack: StructureSpec) -> LimitClassification:
@@ -243,18 +253,12 @@ def _tuned_transistor(stack: StructureSpec) -> tuple[TransistorSpec, float, floa
 
 
 def _transistor_delta(stack: StructureSpec) -> LimitClassification:
-    """(1,1) + (2,0) + (1,1): a parity-signed delta summing both barrier
-    strengths where v_eb = (n pi / d2)^2, n >= 1."""
-    params, v_eb, v_cb, admissible = _tuned_transistor(stack)
-    n = _on_level(v_eb, params.d2)
-    if n is None:
-        return LimitClassification(LimitKind.OPAQUE_WALL, admissible=admissible)
-    alpha = (params.a1 - 0.5 * v_eb) * params.d1 + (
-        params.a3 - v_eb - 0.5 * v_cb
-    ) * params.d3
-    return LimitClassification(
-        LimitKind.RESONANT_DELTA, alpha=alpha, sign=(-1) ** n, n=n, admissible=admissible
-    )
+    """(1,1) + (2,0) + (1,1): the delta rule of the flat base shifted by
+    b1 = -v_eb, with both barrier strengths summed."""
+    *_, admissible = _tuned_transistor(stack)
+    e, base, c = stack.layers
+    alpha = _strength(e.a, e.b, e.d) + _strength(c.a + e.b, c.b, c.d)
+    return _resonant_delta(base.a + e.b, 0.0, base.d, alpha, admissible)
 
 
 def transistor_resonance_residual(params: TransistorSpec, v_eb):

@@ -107,7 +107,8 @@ class StructureSpec:
 
 @dataclass(frozen=True)
 class ConcreteLayer:
-    """Realized layer at a fixed eps: edge potentials and physical width."""
+    """Realized layer at a fixed eps: edge potentials and physical width
+    (for perfbench/make_reference.py; matrices come from stack_potentials)."""
 
     v_left_edge: float
     v_right_edge: float
@@ -159,8 +160,8 @@ def stack_potentials(
 
 
 def realize(spec: StructureSpec, epsilon: float) -> list[ConcreteLayer]:
-    """Concrete per-layer potentials at the given squeeze parameter; a
-    potential that overflows is a ValueError."""
+    """Concrete per-layer potentials at the given squeeze parameter, for
+    perfbench/make_reference.py; a potential that overflows is a ValueError."""
     v_left, v_right, widths = stack_potentials(
         spec, epsilon, [[layer.b for layer in spec.layers]]
     )

@@ -104,14 +104,16 @@ def scan_and_bisect(f, lo: float, hi: float, poles: tuple[float, ...] = ()) -> l
     element.  The interval is pre-split at the supplied pole locations
     (where f jumps sign without a root); each pole-free piece is scanned
     with a uniform step of (hi - lo) / SCAN_STEPS, all pieces in one call
-    of f, and a grid point where f is 0 is a root.  A sign change between
-    two neighbours of one piece is bisected in lockstep (see _bisect_plan),
-    so f is called at most 1 + ceil(MAX_STEPS / 2) times.  Deterministic:
-    identical inputs give identical outputs.
+    of f (a step that underflows to 0 is a ValueError), and a grid point
+    where f is 0 is a root.  A sign change between two neighbours of one
+    piece is bisected in lockstep (see _bisect_plan), so f is called at
+    most 1 + ceil(MAX_STEPS / 2) times.  Deterministic.
     """
     if not hi > lo:
         return []
     step = (hi - lo) / SCAN_STEPS
+    if step == 0.0:
+        raise ValueError(f"interval [{lo!r}, {hi!r}] is too narrow to scan in double precision")
     margin = 1e-10 * (hi - lo)
     cuts = sorted(p for p in poles if lo < p < hi)
     edges = [lo]
@@ -128,7 +130,8 @@ def scan_and_bisect(f, lo: float, hi: float, poles: tuple[float, ...] = ()) -> l
     # neighbours (i, i + 1) in one piece: a pair across a pole cut is no bracket
     inside = np.ones(xs.size - 1, dtype=bool)
     inside[np.cumsum([p.size for p in pieces[:-1]], dtype=int) - 1] = False
-    i = np.flatnonzero(inside & (fs[:-1] * fs[1:] < 0.0))
+    # opposite signs; f0 * f1 itself would underflow to 0 for tiny values
+    i = np.flatnonzero(inside & (np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0))
     # each bracket's third point: the scan neighbour left of it in its
     # piece, else the one right of it, else its own left end (no third point)
     left = np.zeros(inside.size, dtype=bool)
@@ -164,7 +167,7 @@ def _bisect_plan(s) -> list[float]:
         steps += 1
         if fm == 0.0:
             x0 = x1 = mid
-        elif f0 * fm < 0.0:
+        elif f0 < 0.0 < fm or fm < 0.0 < f0:
             x2, f2, x1, f1 = x1, f1, mid, fm
         else:
             x2, f2, x0, f0 = x0, f0, mid, fm
@@ -314,8 +317,9 @@ def resonances_delta_barrier_well(
     (1,1) + (2,1).  Each root carries the barrier's delta strength; with an
     energy the on-resonance transmission between the leads is attached."""
     barrier, well = stack.layers
-    # The well's bias b2 enters neither alpha nor the right lead yet (its
-    # first-order terms are not derived): the set is the unbiased well's.
+    # b2 is zeroed, so alpha and T_n are the unbiased well's (squeezed_limit
+    # would add b2 d2 / 4, the lead v_left + b1 + b2), as perfbench/reference
+    # records them until the references are regenerated.
     stack = replace(stack, layers=(barrier, replace(well, b=0.0)))
     levels = _levels(1, well.d, -1.0, -well.a, lo, hi)
     return _level_roots(ResonanceEquation.EQ73_DELTA_BARRIER_WELL, stack, levels, energy)

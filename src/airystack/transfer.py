@@ -9,7 +9,7 @@ A transfer matrix is a float array of shape (..., 2, 2).  One array path
 builds every matrix: `layer_matrices` takes edge potentials of any shape
 and gives a matrix per element (called on floats, it gives one (2, 2)
 matrix), and `structure_matrices` multiplies them along the last (layer)
-axis.  `structure_matrix` is that product for one stack of ConcreteLayers.
+axis.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "layer_matrices",
     "structure_matrices",
     "airy_layer_params",
-    "structure_matrix",
     "slope_is_degenerate",
 ]
 
@@ -67,7 +66,7 @@ def slope_is_degenerate(layer: ConcreteLayer, energy: float) -> bool:
 
     sigma -> 0 makes the Airy elements 0*inf-indeterminate well before
     the limit matrix stops being finite, so below this threshold the
-    constant-profile formula is the accurate branch.
+    constant-profile formula is the accurate branch (for perfbench/make_reference.py).
     """
     return bool(_degenerate(layer.v_left_edge, layer.v_right_edge, energy))
 
@@ -87,8 +86,8 @@ def _airy_geometry(v_left, v_right, width, energy) -> AiryLayerParams:
 
 
 def airy_layer_params(layer: ConcreteLayer, energy: float) -> AiryLayerParams:
-    """Airy geometry of one tilted layer; DegenerateSlopeError when its tilt
-    is too small for the Airy route (see `slope_is_degenerate`)."""
+    """Airy geometry of one tilted layer, for perfbench/make_reference.py;
+    DegenerateSlopeError when its tilt is too small (`slope_is_degenerate`)."""
     if slope_is_degenerate(layer, energy):
         raise DegenerateSlopeError(f"slope {layer.slope!r} below threshold")
     p = _airy_geometry(
@@ -198,10 +197,3 @@ def structure_matrices(v_left, v_right, width, energy: float) -> np.ndarray:
         total = _product([element[..., i] for element in elements], total)
     return np.stack(total, axis=-1).reshape(elements[0].shape[:-1] + (2, 2))
 
-
-def structure_matrix(layers: list[ConcreteLayer], energy: float) -> np.ndarray:
-    """Right-to-left product Lambda_N ... Lambda_1 over the stack, shape (2, 2)."""
-    if not layers:
-        raise ValueError("structure_matrix needs at least one layer")
-    edges = [[layer.v_left_edge for layer in layers]], [[layer.v_right_edge for layer in layers]]
-    return structure_matrices(*edges, [layer.width for layer in layers], energy)[0]

@@ -14,9 +14,10 @@ from scipy.integrate import solve_ivp
 
 from airystack.airy import _exp, airy_eval_scaled
 from airystack.limits import TransistorSpec
-from airystack.potential import EV_TO_INVNM2, LayerSpec, StructureSpec
+from airystack.potential import EV_TO_INVNM2, LayerSpec, StructureSpec, stack_potentials
 from airystack.resonance import MAX_STEPS, ROOT_REL_TOL, SCAN_STEPS
 from airystack.scattering import ScatteringResult
+from airystack.transfer import structure_matrices
 
 
 def airy_unscaled(z) -> SimpleNamespace:
@@ -86,6 +87,24 @@ def mp_structure_matrix(v_left, v_right, widths, energy, dps=60):
                 m = fundamental(v1) * mpmath.inverse(fundamental(v0))
             total = m * total
         return total
+
+
+def structure_matrix(layers, energy):
+    """The (2, 2) right-to-left product over a list of ConcreteLayers."""
+    v_left, v_right, widths = zip(*((x.v_left_edge, x.v_right_edge, x.width) for x in layers))
+    return structure_matrices([v_left], [v_right], widths, energy)[0]
+
+
+def richardson_limit(stack: StructureSpec, energy: float = 0.1) -> np.ndarray:
+    """The zero-thickness limit of the exact stack's transfer matrix,
+    2 Lambda(5e-5) - Lambda(1e-4), Lambda(eps) the matrix of the stack
+    realized at eps: the O(eps) error (where the energy enters) cancels.
+    Below eps ~ 1e-6, round-off in Lambda21 = M21 / eps takes over."""
+    biases = [[layer.b for layer in stack.layers]]
+    coarse, fine = (
+        structure_matrices(*stack_potentials(stack, eps, biases), energy)[0] for eps in (1e-4, 5e-5)
+    )
+    return 2.0 * fine - coarse
 
 
 def det(m):
@@ -343,7 +362,7 @@ def scan_and_bisect_one_at_a_time(f, lo, hi, poles=()):
             if f0 == 0.0:
                 roots.append(xs[i])
                 continue
-            if f0 * f1 < 0.0:
+            if f0 < 0.0 < f1 or f1 < 0.0 < f0:
                 x0, x1 = xs[i], xs[i + 1]
                 for _ in range(MAX_STEPS):
                     mid = 0.5 * (x0 + x1)
@@ -351,7 +370,7 @@ def scan_and_bisect_one_at_a_time(f, lo, hi, poles=()):
                     if fm == 0.0:
                         x0 = x1 = mid
                         break
-                    if f0 * fm < 0.0:
+                    if f0 < 0.0 < fm or fm < 0.0 < f0:
                         x1 = mid
                     else:
                         x0, f0 = mid, fm

@@ -31,7 +31,7 @@ from airystack.resonance import (
     find_resonances_transistor_deltaprime,
 )
 from airystack.sweep import SweepRequest, run_sweep
-from airystack.transfer import layer_matrices, slope_is_degenerate, structure_matrix
+from airystack.transfer import layer_matrices, slope_is_degenerate
 
 from conftest import (
     barrier_well_stack,
@@ -39,6 +39,7 @@ from conftest import (
     lambda_k_form,
     lambda_large_z,
     ode_transfer_matrix,
+    structure_matrix,
     transistor_stack,
 )
 

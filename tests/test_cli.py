@@ -326,6 +326,11 @@ MALFORMED = {
         [(("layers", 1, "b"), -0.03)],
         ["resonances", "--equation", "EQ83", "--interval", "0.001", "0.49"],
     ),
+    "eq69-interval-below-scan-step": (
+        FIG4,
+        [],
+        ["resonances", "--equation", "EQ69", "--interval", "-1e-322", "0", "--units", "invnm2"],
+    ),
     "eq76-negative-interval": (
         FIG6, [], ["resonances", "--equation", "EQ76", "--interval", "-0.4", "-0.1"]
     ),

@@ -21,7 +21,7 @@ from airystack.limits import (
 )
 from airystack.potential import ConcreteLayer, LayerSpec, StructureSpec, realize
 from airystack.scattering import scatter
-from airystack.transfer import layer_matrices, slope_is_degenerate, structure_matrix
+from airystack.transfer import layer_matrices, slope_is_degenerate
 from conftest import (
     AsymptoticRegime,
     barrier_well_stack,
@@ -30,6 +30,10 @@ from conftest import (
     lambda_k_form,
     lambda_large_z,
     lambda_small_z,
+    random_transistor_device,
+    random_two_layer_device,
+    richardson_limit,
+    structure_matrix,
     transistor_resonance_residual_math,
     transistor_resonance_residual_product_form,
     transistor_stack,
@@ -618,3 +622,60 @@ def test_resonant_wall_dichotomy():
             structure_matrix(realize(spec, 0.01), energy), 0.0, 0.0, energy
         ).trans_prob
         assert check(t)
+
+
+# --- the delta family against the exact stack's limit -------------------------
+
+
+def _delta_family_cases() -> dict:
+    """Seeded delta-family stacks on their resonance sets (and the a = 0
+    layer), every (2, 1) layer biased."""
+    rng = np.random.default_rng(73)
+    cases = {}
+    for n in (1, 2, 3):
+        for k in range(2):
+            d, b = rng.uniform(3.0, 12.0), rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.5)
+            well = LayerSpec(-((n * math.pi / d) ** 2), b, d, 2.0, 1.0)
+            cases[f"well-n{n}-{k}"] = StructureSpec((well,))
+    for k, (b, d) in enumerate(((0.3, 4.0), (-0.2, 7.5))):
+        cases[f"flat-21-{k}"] = StructureSpec((LayerSpec(0.0, b, d, 2.0, 1.0),))
+    for k in range(4):
+        a1, d1, a2, d2 = random_two_layer_device(rng)
+        n = k % 3 + 1
+        b1 = -((n * math.pi / d2) ** 2) - a2
+        b2 = rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 0.5)
+        layers = (LayerSpec(a1, b1, d1, 1.0, 1.0), LayerSpec(a2, b2, d2, 2.0, 1.0))
+        cases[f"barrier-well-{k}"] = StructureSpec(layers)
+    for k in range(4):
+        a1, a3, d1, d2, d3, v_cb = random_transistor_device(rng)
+        v_eb = ((k % 3 + 1) * math.pi / d2) ** 2
+        emitter, base, collector = transistor_stack(a1, a3, d1, d2, d3, v_cb).layers
+        cases[f"transistor-{k}"] = StructureSpec((replace(emitter, b=-v_eb), base, collector))
+    return cases
+
+
+DELTA_FAMILY = _delta_family_cases()
+
+
+@pytest.mark.parametrize("case", sorted(DELTA_FAMILY))
+def test_delta_family_is_the_exact_stacks_limit(case):
+    # a (2, 1) well's own ramp adds b d / 4 to its delta; the a = 0 layer
+    # is a delta of strength b d / 2
+    stack = DELTA_FAMILY[case]
+    lim = squeezed_limit(stack)
+    assert lim.kind is (LimitKind.DELTA if case.startswith("flat") else LimitKind.RESONANT_DELTA)
+    want = richardson_limit(stack)
+    assert np.all(np.abs(lim.matrix() - want) <= 1e-3 * max(1.0, abs(want[1, 0])))
+
+
+def test_biased_well_ramp_terms():
+    d, b = 4.0, 0.3
+    well = squeezed_limit(StructureSpec((LayerSpec(-((math.pi / d) ** 2), b, d, 2.0, 1.0),)))
+    assert (well.kind, well.sign, well.alpha) == (LimitKind.RESONANT_DELTA, -1, 0.25 * b * d)
+    flat = squeezed_limit(StructureSpec((LayerSpec(0.0, b, d, 2.0, 1.0),)))
+    assert (flat.kind, flat.alpha) == (LimitKind.DELTA, 0.5 * b * d)
+    flat = squeezed_limit(StructureSpec((LayerSpec(0.0, 0.0, d, 2.0, 1.0),)))
+    assert flat.kind is LimitKind.TRANSPARENT
+    # a barrier-well stack whose well sits at k = 0 stays a wall
+    pair = StructureSpec((LayerSpec(1.0, 0.2, 2.0, 1.0, 1.0), LayerSpec(-0.2, b, d, 2.0, 1.0)))
+    assert squeezed_limit(pair).kind is LimitKind.OPAQUE_WALL

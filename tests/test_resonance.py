@@ -3,6 +3,7 @@
 import math
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -325,6 +326,25 @@ def test_batched_scan_calls_independent_of_bracket_count():
     assert len(roots) == 95
 
 
+def test_batched_scan_sign_test_does_not_underflow():
+    # |f0 f1| < ~5e-324 would read as no sign change in a product test
+    def sine(x):
+        return np.sin(20.0 * x)
+
+    c = 1e-170
+    roots = _check_against_reference(lambda x: c * sine(x), 0.01, 1.0)
+    assert len(roots) == 6
+    assert _hex(roots) == _hex(scan_and_bisect(sine, 0.01, 1.0))
+    roots = _check_against_reference(lambda x: c * (x - 0.3), 0.0, 1.0)
+    assert roots == pytest.approx([0.3], rel=1e-12)
+
+
+def test_scan_of_an_interval_narrower_than_its_steps_is_an_error():
+    with pytest.raises(ValueError, match="too narrow"):
+        scan_and_bisect(lambda x: x, -1e-322, 0.0)
+    assert scan_and_bisect(lambda x: x + 5e-321, -1e-320, 0.0)
+
+
 @pytest.mark.parametrize(
     "config, equation, interval",
     [
@@ -394,6 +414,95 @@ def test_scanned_roots_against_mpmath(case):
         error = float(abs(root - exact))
         bound = (ROOT_REL_TOL + kappa * ORACLE_ROUNDOFF) * abs(root)
         assert error <= bound, (root, error / abs(root), kappa)
+
+
+# --- closed-form levels, alpha and theta against mpmath ----------------------
+
+# Each bound below was fixed, from its expression's condition, before any
+# error was looked at.  u = 2^-53 is the unit round-off; every libm call
+# is taken as correct to one ulp, and a phase phi = sqrt(.) d carries at
+# most 3u relative error, which a factor f(phi) turns into
+# phi |f'(phi) / f(phi)| relative error of f.
+# - level -(n pi / d)^2 + offset: pi, n pi, / d and the square give at most
+#   6u of the term, the sum u of the result: 8u (term + |offset|).
+# - alpha = sum over barriers of (a + u + b / 2) d: three roundings per
+#   barrier and one for the sum: 4u sum (|a| + |u| + |b| / 2) d.
+# - EQ69 theta = cosh(phi1) / cos(phi2): 8u (1 + phi1 + phi2 |tan phi2|).
+# - EQ83 theta = I1 = N / cosh(phi3), N = cosh(phi1) cos(phi2)
+#   + (q1 / k2) sinh(phi1) sin(phi2): N's terms each err by at most
+#   8u (1 + phi1 + phi2) of their moduli, and N can cancel, so
+#   8u ((1 + phi1 + phi2) (cosh(phi1) + (q1 / k2) sinh(phi1)) / |N| + 1 + phi3).
+U = 2.0**-53
+CLOSED_FORM = {
+    ResonanceEquation.EQ69_DELTAPRIME_2LAYER: ResonanceEquation.EQ73_DELTA_BARRIER_WELL,
+    ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME: ResonanceEquation.EQ76_TRANSISTOR_DELTA,
+}
+
+
+def _mp_levels_and_alpha(stack, eq, root):
+    """The root's level, its error bound, the barriers' summed strength and
+    its bound, in 50-digit arithmetic from the stack's float values."""
+    n, b1 = mpmath.mpf(root.n), root.value
+    if eq is ResonanceEquation.EQ73_DELTA_BARRIER_WELL:
+        barrier, well = stack.layers
+        offset = -mpmath.mpf(well.a)
+        barriers = ((barrier.a, 0.0, b1, barrier.d),)
+    else:
+        b1 = -root.value
+        emitter, base, collector = stack.layers
+        offset = mpmath.mpf(0)
+        barriers = ((emitter.a, 0.0, b1, emitter.d), (collector.a, b1, collector.b, collector.d))
+    term = (n * mpmath.pi / stack.layers[1].d) ** 2
+    level = (-term if eq is ResonanceEquation.EQ73_DELTA_BARRIER_WELL else term) + offset
+    alpha = mpmath.fsum((mpmath.mpf(a) + u + mpmath.mpf(b) / 2) * d for a, u, b, d in barriers)
+    alpha_bound = 4 * U * sum((abs(a) + abs(u) + abs(b) / 2) * d for a, u, b, d in barriers)
+    return level, 8 * U * (term + abs(offset)), alpha, alpha_bound
+
+
+def _mp_theta(stack, eq, value):
+    """theta of the scanned set at the float root value, and its error
+    bound relative to theta, in 50-digit arithmetic."""
+    if eq is ResonanceEquation.EQ69_DELTAPRIME_2LAYER:
+        barrier, well = stack.layers
+        phi1 = mpmath.sqrt(barrier.a) * barrier.d
+        phi2 = mpmath.sqrt(-(mpmath.mpf(well.a) + value)) * well.d
+        theta = mpmath.cosh(phi1) / mpmath.cos(phi2)
+        return theta, 8 * U * (1 + phi1 + phi2 * abs(mpmath.tan(phi2)))
+    params = transistor_spec(stack)[0]
+    q1, k2 = mpmath.sqrt(params.a1), mpmath.sqrt(value)
+    phi1, phi2 = q1 * params.d1, k2 * params.d2
+    phi3 = mpmath.sqrt(params.a3 - mpmath.mpf(value)) * params.d3
+    c1h, s1h = mpmath.cosh(phi1), mpmath.sinh(phi1)
+    numerator = c1h * mpmath.cos(phi2) + (q1 / k2) * s1h * mpmath.sin(phi2)
+    theta = numerator / mpmath.cosh(phi3)
+    spread = (1 + phi1 + phi2) * (c1h + (q1 / k2) * s1h) / abs(numerator)
+    return theta, 8 * U * (spread + 1 + phi3)
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_ORACLE_CASES))
+def test_closed_form_levels_and_alpha_against_mpmath(case):
+    make, *args = ROOT_ORACLE_CASES[case]
+    stack, scanned, lo, hi = make(*args)
+    eq = CLOSED_FORM[scanned]
+    roots = FINDERS[eq](stack, lo, hi).roots
+    assert roots
+    with mpmath.workdps(50):
+        for root in roots:
+            level, level_bound, alpha, alpha_bound = _mp_levels_and_alpha(stack, eq, root)
+            assert abs(root.value - level) <= level_bound, (root.n, root.value, level)
+            assert abs(root.alpha - alpha) <= alpha_bound, (root.n, root.alpha, alpha)
+
+
+@pytest.mark.parametrize("case", sorted(ROOT_ORACLE_CASES))
+def test_scanned_theta_against_mpmath(case):
+    make, *args = ROOT_ORACLE_CASES[case]
+    stack, eq, lo, hi = make(*args)
+    roots = FINDERS[eq](stack, lo, hi).roots
+    assert len(roots) >= 2
+    with mpmath.workdps(50):
+        for root in roots:
+            theta, bound = _mp_theta(stack, eq, root.value)
+            assert abs(root.theta - theta) <= bound * abs(theta), (root.value, root.theta, theta)
 
 
 # --- two-layer transcendental search ----------------------------------------

@@ -14,9 +14,15 @@ from airystack.cli import load_config
 from airystack.errors import EvanescentLeadError
 from airystack.potential import ev_to_invnm2, realize
 from airystack.scattering import scatter, trans_prob
-from airystack.transfer import layer_matrices, structure_matrix
+from airystack.transfer import layer_matrices
 
-from conftest import mp_structure_matrix, random_superlattice, rect_barrier_transmission, s_matrix
+from conftest import (
+    mp_structure_matrix,
+    random_superlattice,
+    rect_barrier_transmission,
+    s_matrix,
+    structure_matrix,
+)
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 

@@ -14,10 +14,15 @@ from airystack.transfer import (
     layer_matrices,
     slope_is_degenerate,
     structure_matrices,
-    structure_matrix,
 )
 
-from conftest import det, mixed_stack, ode_transfer_matrix, ode_wronskian_route_matrix
+from conftest import (
+    det,
+    mixed_stack,
+    ode_transfer_matrix,
+    ode_wronskian_route_matrix,
+    structure_matrix,
+)
 
 
 def max_rel_err(m: np.ndarray, ref: np.ndarray) -> float:
@@ -194,11 +199,6 @@ def test_composition_associativity(rng):
 def test_det_one_property(v0, v1, width, energy):
     m = layer_matrices(v0, v1, width, energy)
     assert det(m) == pytest.approx(1.0, rel=1e-9)
-
-
-def test_structure_matrix_empty_rejected():
-    with pytest.raises(ValueError):
-        structure_matrix([], 1.0)
 
 
 def test_batched_matrices_equal_batch_of_one():
