@@ -7,29 +7,25 @@ Exit codes: 0 success, 2 config/usage error, 3 physics-domain error
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import os
-import re
 import sys
 
-from .airy import wronskian_sweep
+# Each command imports the modules it computes with when it runs, so that
+# start-up loads only the config schema (see README, "Start-up").
 from .errors import ConfigError, EvanescentLeadError
-from .limits import LimitKind, limit_transmission_on_resonance, squeezed_limit
 from .potential import (
     EV_TO_INVNM2,
+    SQUEEZES,
     LayerSpec,
+    ResonanceEquation,
     StructureSpec,
     ev_to_invnm2,
     invnm2_to_ev,
     stack_potentials,
 )
-from .resonance import FINDERS, SQUEEZES, ResonanceEquation
-from .scattering import scatter, trans_prob
-from .sweep import SweepRequest, run_sweep, sweep_to_csv, sweep_to_json
-from .transfer import structure_matrices
 
 
 # scenario -> its equations.  The first is the closed form: its squeeze is
@@ -188,6 +184,8 @@ def load_config(path: str) -> DeviceConfig:
 
 
 def cmd_airy_check(args) -> int:
+    from .airy import wronskian_sweep
+
     worst, per_regime = wronskian_sweep()
     if args.verbose:
         for name in sorted(per_regime):
@@ -197,6 +195,9 @@ def cmd_airy_check(args) -> int:
 
 
 def cmd_scatter(args) -> int:
+    from .scattering import scatter
+    from .transfer import structure_matrices
+
     if not (math.isfinite(args.epsilon) and args.epsilon > 0.0):
         raise ConfigError(f"--epsilon must be a finite number > 0, got {args.epsilon!r}")
     cfg = load_config(args.config)
@@ -241,6 +242,8 @@ def _evaluated(fn, *args, **kwargs):
 def _solve(eq: ResonanceEquation, stack: StructureSpec, lo: float, hi: float, energy):
     """The equation's roots on [lo, hi]; its finder's argument checks are
     config errors, an evanescent lead stays a physics error."""
+    from .resonance import FINDERS
+
     try:
         return FINDERS[eq](stack, lo, hi, energy)
     except EvanescentLeadError:
@@ -275,6 +278,8 @@ def cmd_resonances(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .sweep import SweepRequest, run_sweep, sweep_to_csv, sweep_to_json
+
     cfg = load_config(args.config)
     if cfg.sweep is None:
         raise ConfigError("config has no sweep block")
@@ -346,6 +351,10 @@ def _write(prefix: str, suffix: str, text: str) -> None:
 def cmd_limit_check(args) -> int:
     """Squeezing-convergence check for the delta-point limit: the exact T of
     the squeezed layer at each epsilon against the T of its limit matrix."""
+    from .limits import LimitKind, limit_transmission_on_resonance, squeezed_limit
+    from .scattering import trans_prob
+    from .transfer import structure_matrices
+
     layer = LayerSpec(
         a=ev_to_invnm2(0.3), b=ev_to_invnm2(-0.1), d=1.0, mu=1.0, nu=1.0
     )
@@ -375,17 +384,20 @@ def cmd_limit_check(args) -> int:
     return 0 if ok else 1
 
 
-class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors are usage errors of the one-line kind
-    (exit 2 through main), not argparse's usage block; subparsers inherit it."""
-
-    def error(self, message):
-        raise ConfigError(message)
-
-
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
+def _parser():
     """The command-line parser, built on the first call only."""
+    import argparse
+    import re
+
+    class _Parser(argparse.ArgumentParser):
+        """An argument parser whose errors are usage errors of the one-line
+        kind (exit 2 through main), not argparse's usage block; subparsers
+        inherit it."""
+
+        def error(self, message):
+            raise ConfigError(message)
+
     parser = _Parser(
         prog="airystack",
         description="Quantum transmission through squeezed biased multilayers",

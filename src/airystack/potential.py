@@ -7,6 +7,10 @@ that value plus b * eps^-nu.  At eps = 1 these are the raw device values.
 
 Energies and potentials are nm^-2 throughout (hbar^2 / 2m* = 1 with
 m* = 0.1 m_e); eV appears only at the config/CLI boundary.
+
+The classes of the (mu, nu) power plane sit here, and so do the resonance
+equations with the squeezes they are derived for, so that a config is
+checked without loading the limits.
 """
 
 from __future__ import annotations
@@ -29,6 +33,8 @@ __all__ = [
     "stack_potentials",
     "classify_region",
     "POWER_TOL",
+    "ResonanceEquation",
+    "SQUEEZES",
 ]
 
 EV_TO_INVNM2 = 2.62464  # 1 eV in nm^-2 for m* = 0.1 m_e
@@ -222,3 +228,20 @@ def classify_region(mu: float, nu: float) -> RegionClass:
     if exponent < 0:
         return RegionClass.S_INF
     return RegionClass.L0_INF
+
+
+class ResonanceEquation(Enum):
+    EQ69_DELTAPRIME_2LAYER = "EQ69_DELTAPRIME_2LAYER"
+    EQ73_DELTA_BARRIER_WELL = "EQ73_DELTA_BARRIER_WELL"
+    EQ76_TRANSISTOR_DELTA = "EQ76_TRANSISTOR_DELTA"
+    EQ83_TRANSISTOR_DELTAPRIME = "EQ83_TRANSISTOR_DELTAPRIME"
+
+
+# equation -> (mu, nu) of each layer it is derived for, and the sign s that
+# makes its tuned variable s * b1, b1 being layer 0's bias
+SQUEEZES = {
+    ResonanceEquation.EQ73_DELTA_BARRIER_WELL: (((1.0, 1.0), (2.0, 1.0)), 1.0),
+    ResonanceEquation.EQ69_DELTAPRIME_2LAYER: (((2.0, 1.0), (2.0, 1.0)), 1.0),
+    ResonanceEquation.EQ76_TRANSISTOR_DELTA: (((1.0, 1.0), (2.0, 0.0), (1.0, 1.0)), -1.0),
+    ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME: (((2.0, 1.0), (2.0, 0.0), (2.0, 1.0)), -1.0),
+}

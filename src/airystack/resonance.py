@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
@@ -26,7 +25,7 @@ from .limits import (
     two_layer_resonance_residual,
 )
 from .lockstep import refine
-from .potential import LayerSpec, StructureSpec
+from .potential import SQUEEZES, LayerSpec, ResonanceEquation, StructureSpec
 
 __all__ = [
     "ResonanceEquation",
@@ -51,23 +50,6 @@ MAX_LEVELS = 100_000
 SCAN_STEPS = 2048
 ROOT_REL_TOL = 1e-12
 MAX_STEPS = 200
-
-
-class ResonanceEquation(Enum):
-    EQ69_DELTAPRIME_2LAYER = "EQ69_DELTAPRIME_2LAYER"
-    EQ73_DELTA_BARRIER_WELL = "EQ73_DELTA_BARRIER_WELL"
-    EQ76_TRANSISTOR_DELTA = "EQ76_TRANSISTOR_DELTA"
-    EQ83_TRANSISTOR_DELTAPRIME = "EQ83_TRANSISTOR_DELTAPRIME"
-
-
-# equation -> (mu, nu) of each layer it is derived for, and the sign s that
-# makes its tuned variable s * b1, b1 being layer 0's bias
-SQUEEZES = {
-    ResonanceEquation.EQ73_DELTA_BARRIER_WELL: (((1.0, 1.0), (2.0, 1.0)), 1.0),
-    ResonanceEquation.EQ69_DELTAPRIME_2LAYER: (((2.0, 1.0), (2.0, 1.0)), 1.0),
-    ResonanceEquation.EQ76_TRANSISTOR_DELTA: (((1.0, 1.0), (2.0, 0.0), (1.0, 1.0)), -1.0),
-    ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME: (((2.0, 1.0), (2.0, 0.0), (2.0, 1.0)), -1.0),
-}
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,6 @@ import numpy as np
 
 from .lockstep import refine
 from .potential import StructureSpec, invnm2_to_ev, stack_potentials
-from .scattering import trans_prob
-from .transfer import structure_matrices
 
 __all__ = [
     "SweepRequest",
@@ -87,6 +85,10 @@ class SweepRequest:
     def transmission(self, value, epsilon: float):
         """Exact transmission at grid values, elementwise over an array
         (a float gives a float); NaN for evanescent leads."""
+        # imported here, so that building a request loads no Airy code
+        from .scattering import trans_prob
+        from .transfer import structure_matrices
+
         values = np.asarray(value, dtype=float)
         spec = self.structure
         biases = self._biases(values)

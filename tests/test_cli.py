@@ -1,14 +1,16 @@
 """CLI subcommands: exit codes, output shapes, config validation."""
 
-import ast
 import copy
 import importlib
 import importlib.util
 import json
 import math
+import os
 import pathlib
 import pkgutil
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -45,7 +47,7 @@ def test_airy_check_ok(capsys):
 
 
 def test_airy_check_injected_fault(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "wronskian_sweep", lambda: (1e-6, {}))
+    monkeypatch.setattr("airystack.airy.wronskian_sweep", lambda: (1e-6, {}))
     assert main(["airy-check"]) == 1
 
 
@@ -384,7 +386,7 @@ def test_unwritable_out_prefix_fails_before_the_sweep(tmp_path, monkeypatch, cap
     def no_sweep(*args, **kwargs):
         raise AssertionError("the sweep ran before the output prefix was checked")
 
-    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    monkeypatch.setattr("airystack.sweep.run_sweep", no_sweep)
     base, changes, command = MALFORMED[name]
     cfg = write_config(tmp_path, edited(base, changes))
     assert main([command[0], cfg, *command[1:]]) == 2
@@ -491,17 +493,74 @@ def test_matrix_outputs_keep_their_bits(capsys):
 def test_every_export_resolves():
     # perfbench/tracer.py skips a name it cannot find, so a stale export
     # would otherwise go unnoticed
-    for info in pkgutil.iter_modules(airystack.__path__):
-        module = importlib.import_module(f"airystack.{info.name}")
+    names = {info.name for info in pkgutil.iter_modules(airystack.__path__)}
+    for name in names:
+        module = importlib.import_module(f"airystack.{name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
-        assert not missing, f"airystack.{info.name}.__all__ names {missing}"
-    tree = ast.parse(pathlib.Path(airystack.__file__).read_text())
-    imported = [
-        alias.name
-        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    ]
-    assert imported and [n for n in imported if not hasattr(airystack, n)] == []
+        assert not missing, f"airystack.{name}.__all__ names {missing}"
+    # the lazy table: every submodule, and each name from the module that
+    # exports it
+    assert airystack._SUBMODULES == names
+    assert airystack.__all__ == sorted(airystack._SOURCE)
+    for name, source in airystack._SOURCE.items():
+        module = importlib.import_module(f"airystack.{source}")
+        assert name in getattr(module, "__all__", vars(module))
+        assert getattr(airystack, name) is getattr(module, name)
+    with pytest.raises(AttributeError):
+        airystack.no_such_name
+
+
+def _fresh(code: str) -> set[str]:
+    """The modules loaded after code runs in a fresh interpreter, with
+    fig4 as FIG4_PATH."""
+    script = (
+        f"FIG4_PATH = {str(REPO / 'configs' / 'fig4.json')!r}\n{code}\n"
+        "import sys\nprint('loaded:', *sorted(sys.modules))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")}, check=True,
+    )
+    return set(done.stdout.splitlines()[-1].split()[1:])
+
+
+@pytest.mark.parametrize("code, needed, unloaded", [
+    (
+        "from airystack import SweepRequest\nfrom airystack.cli import load_config\n"
+        "cfg = load_config(FIG4_PATH)\n"
+        "SweepRequest(cfg.spec, 0, cfg.sweep['lo'], cfg.sweep['hi'], 11, (0.5,), cfg.energy)",
+        {"airystack.sweep"},
+        {"airystack.airy", "airystack.transfer", "airystack.scattering", "airystack.limits",
+         "airystack.resonance", "argparse"},
+    ),
+    (
+        "from airystack.cli import main\n"
+        "main(['resonances', FIG4_PATH, '--equation', 'EQ69', '--interval', '-0.6', '0'])",
+        {"airystack.resonance", "argparse"},
+        {"airystack.airy", "airystack.transfer", "airystack.sweep", "airystack.scattering"},
+    ),
+    (
+        "from airystack.cli import main\nmain(['airy-check'])",
+        {"airystack.airy"},
+        {"airystack.limits", "airystack.resonance"},
+    ),
+], ids=["setup", "resonances", "airy-check"])
+def test_each_command_loads_only_its_modules(code, needed, unloaded):
+    loaded = _fresh(code)
+    assert needed <= loaded and not unloaded & loaded
+
+
+def test_package_names_resolve_on_first_access():
+    # perfbench/layers.py reads package.airy.SERIES_RADIUS right after
+    # `import airystack`, before anything imports the submodules
+    code = (
+        "import airystack\n"
+        "assert airystack.airy.SERIES_RADIUS > 0\n"
+        "assert set(airystack.__all__) | airystack._SUBMODULES <= set(dir(airystack))\n"
+        "for name in airystack.__all__:\n"
+        "    getattr(airystack, name)"
+    )
+    assert "airystack.airy" in _fresh(code)
 
 
 def test_resonances_empty_interval_prints_header_only(capsys):
