@@ -1,0 +1,153 @@
+#!/usr/bin/env python3
+"""Check that two source trees give byte-identical command outputs.
+
+    python3 scripts/compare_outputs.py TREE_A TREE_B
+
+Each tree runs in its own fresh interpreter with only TREE/src on the
+path, and both run the same commands on the same inputs:
+
+- `sweep` on configs/fig4.json and configs/fig6.json, and on the 48
+  devices of the `stack` benchmark pool;
+- `resonances` on the 384 sets of the `resonances` benchmark pool (96
+  barrier-well devices through EQ73 and EQ69, 96 transistors through EQ76
+  and EQ83), plus fig4 EQ73/EQ69 on [-1, 0] eV and fig6 EQ76/EQ83 on
+  [0, 0.5] eV;
+- `scatter` on every configs/*.json at epsilon 1, 0.5, 0.1 and 0.01;
+- `limit-check` and `airy-check --verbose`.
+
+The inputs are this checkout's configs/ and perfbench/reference/ files.
+Every output is hashed (sha256): each command's stdout, stderr and exit
+code, and a sweep's CSV and JSON files.  The script lists each output
+that differs and exits 1 on any difference, 0 when all are identical.
+Neither tree is written to (no bytecode is cached).
+"""
+
+import gzip
+import hashlib
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import tempfile
+
+HERE = pathlib.Path(__file__).resolve().parent.parent
+FIGURE_SETS = (
+    ("fig4", "EQ73", ("-1", "0")),
+    ("fig4", "EQ69", ("-1", "0")),
+    ("fig6", "EQ76", ("0", "0.5")),
+    ("fig6", "EQ83", ("0", "0.5")),
+)
+EPSILONS = ("1", "0.5", "0.1", "0.01")
+
+# Run inside each tree's interpreter: the jobs arrive as JSON on stdin, the
+# digests leave as JSON on stdout.
+CHILD = r"""
+import contextlib, hashlib, io, json, pathlib, sys
+
+tree_src, jobs = json.load(sys.stdin)
+from airystack import cli
+
+if not pathlib.Path(cli.__file__).resolve().is_relative_to(tree_src):
+    sys.exit(f"airystack loaded from {cli.__file__}, not from {tree_src}")
+
+def digest(data):
+    return hashlib.sha256(data).hexdigest()
+
+out = {}
+for name, argv, files in jobs:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out[name + " stdout"] = digest(stdout.getvalue().encode())
+    out[name + " stderr"] = digest(stderr.getvalue().encode())
+    out[name + " exit"] = str(code)
+    for path in files:
+        p = pathlib.Path(path)
+        out[f"{name} {p.suffix}"] = digest(p.read_bytes()) if p.exists() else "missing"
+        if p.exists():
+            p.unlink()
+json.dump(out, sys.stdout)
+"""
+
+
+def _write(path: pathlib.Path, config: dict) -> str:
+    path.write_text(json.dumps(config, indent=1))
+    return str(path)
+
+
+def jobs(workdir: pathlib.Path) -> list:
+    """(name, argv, output files) of every command, inputs written to workdir."""
+    configs = {p.stem: str(p) for p in sorted((HERE / "configs").glob("*.json"))}
+    prefix = str(workdir / "out")
+    files = [prefix + ".csv", prefix + ".json"]
+    out = []
+    for name in ("fig4", "fig6"):
+        out.append((f"sweep {name}", ["sweep", configs[name], "--out", prefix], files))
+
+    def reference(workload):
+        with gzip.open(HERE / "perfbench" / "reference" / f"{workload}.json.gz", "rt") as fh:
+            return json.load(fh)
+
+    for i, device in enumerate(reference("stack")["devices"]):
+        path = _write(workdir / f"stack-{i}.json", device["config"])
+        out.append((f"sweep stack-{i}", ["sweep", path, "--out", prefix], files))
+    pool = reference("resonances")
+    for kind in ("barrier_well", "transistor"):
+        for i, device in enumerate(pool[kind]):
+            path = _write(workdir / f"{kind}-{i}.json", device["config"])
+            for s in device["sets"]:
+                lo, hi = (repr(float(x)) for x in s["interval"])
+                argv = ["resonances", path, "--equation", s["equation"], "--interval", lo, hi]
+                out.append((f"resonances {kind}-{i} {s['equation']}", argv, []))
+    for name, eq, (lo, hi) in FIGURE_SETS:
+        argv = ["resonances", configs[name], "--equation", eq, "--interval", lo, hi]
+        out.append((f"resonances {name} {eq}", argv, []))
+    for name, path in configs.items():
+        for eps in EPSILONS:
+            out.append((f"scatter {name} eps={eps}", ["scatter", path, "--epsilon", eps], []))
+    out.append(("limit-check", ["limit-check"], []))
+    out.append(("airy-check", ["airy-check", "--verbose"], []))
+    return out
+
+
+def run_tree(tree: pathlib.Path, job_list: list, workdir: pathlib.Path) -> dict:
+    """Digest of every output of job_list, run in a fresh interpreter on tree."""
+    src = (tree / "src").resolve()
+    env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
+    env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-s", "-c", CHILD],
+        input=json.dumps([str(src), job_list]),
+        capture_output=True, text=True, env=env, cwd=workdir,
+    )
+    if proc.returncode != 0:
+        sys.exit(f"{tree}: the run failed ({proc.returncode}):\n{proc.stderr}")
+    return json.loads(proc.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: compare_outputs.py TREE_A TREE_B", file=sys.stderr)
+        return 2
+    trees = [pathlib.Path(a) for a in argv]
+    for tree in trees:
+        if not (tree / "src" / "airystack").is_dir():
+            print(f"{tree} has no src/airystack", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = pathlib.Path(tmp)
+        job_list = jobs(workdir)
+        a, b = (run_tree(tree, job_list, workdir) for tree in trees)
+    differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    for key in differ:
+        print(f"differs: {key}")
+    print(f"{len(job_list)} commands, {len(a)} outputs, {len(differ)} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -19,7 +19,7 @@ _EXPORTS = {
     "airy": "ScaledAiryQuad airy_eval_scaled",
     "errors": "AirystackError ConfigError DegenerateSlopeError EvanescentLeadError "
               "NoClosedFormLimitError",
-    "limits": "LimitClassification LimitKind TransistorSpec limit_transmission_on_resonance "
+    "limits": "LimitClassification LimitKind limit_transmission_on_resonance "
               "single_layer_limit squeezed_limit",
     "potential": "EV_TO_INVNM2 ConcreteLayer LayerSpec RegionClass ResonanceEquation "
                  "StructureSpec classify_region ev_to_invnm2 invnm2_to_ev realize stack_potentials",
@@ -28,7 +28,7 @@ _EXPORTS = {
                  "resonances_transistor_delta scan_and_bisect",
     "scattering": "ScatteringResult scatter trans_prob",
     "sweep": "SweepRequest SweepResult detect_peaks run_sweep",
-    "transfer": "AiryLayerParams airy_layer_params layer_matrices structure_matrices",
+    "transfer": "AiryLayerParams airy_layer_params structure_matrices",
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _SUBMODULES = frozenset(_EXPORTS) | {"cli", "lockstep"}

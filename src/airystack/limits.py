@@ -26,8 +26,6 @@ __all__ = [
     "single_layer_limit",
     "squeezed_limit",
     "limit_transmission_on_resonance",
-    "TransistorSpec",
-    "transistor_spec",
     "two_layer_resonance_residual",
     "transistor_resonance_residual",
     "transistor_theta_representations",
@@ -214,56 +212,36 @@ def _deltaprime_pair(stack: StructureSpec) -> LimitClassification:
 # --- transistor (three-layer) limits ---------------------------------------
 
 
-@dataclass(frozen=True)
-class TransistorSpec:
-    """Double-barrier stack: barrier a1/d1, flat base d2, barrier a3/d3.
-
-    The base coefficient is zero and carries no tilt; the two external
-    voltages enter as bias b1 = -v_eb and b3 = -v_cb.
-    """
-
-    a1: float
-    a3: float
-    d1: float
-    d2: float
-    d3: float
-
-    def __post_init__(self):
-        if not (self.a1 > 0 and self.a3 > 0):
-            raise ValueError("barrier coefficients a1, a3 must be positive")
-        if not (self.d1 > 0 and self.d2 > 0 and self.d3 > 0):
-            raise ValueError("layer widths must be positive")
-
-
-def transistor_spec(stack: StructureSpec) -> tuple[TransistorSpec, float]:
-    """Double-barrier parameters of a three-layer stack and v_cb = -b3; the
-    closed forms hold for a flat, unbiased base only."""
+def _transistor(stack: StructureSpec) -> tuple[LayerSpec, LayerSpec, LayerSpec]:
+    """Emitter barrier a1/d1, base d2 and collector barrier a3/d3 of a
+    three-layer stack; the external voltages enter as b1 = -v_eb and
+    b3 = -v_cb.  The closed forms hold for a flat, unbiased base and
+    positive barrier coefficients only: ValueError otherwise."""
     emitter, base, collector = stack.layers
     if base.a != 0.0 or base.b != 0.0:
         raise ValueError("the transistor base must be flat and unbiased (a = b = 0)")
-    return TransistorSpec(emitter.a, collector.a, emitter.d, base.d, collector.d), -collector.b
+    if not (emitter.a > 0 and collector.a > 0):
+        raise ValueError("barrier coefficients a1, a3 must be positive")
+    return emitter, base, collector
 
 
-def _tuned_transistor(stack: StructureSpec) -> tuple[TransistorSpec, float, float, bool]:
-    """transistor_spec, v_eb = -b1 and its admissibility: 0 < v_eb below
-    a1, a3 and a3 - v_cb, so every barrier edge potential stays positive."""
-    params, v_cb = transistor_spec(stack)
-    v_eb = -stack.layers[0].b
-    return params, v_eb, v_cb, 0.0 < v_eb < min(params.a1, params.a3, params.a3 - v_cb)
+def _transistor_admissible(emitter: LayerSpec, collector: LayerSpec) -> bool:
+    """0 < v_eb = -b1 below a1, a3 and a3 + b3 (= a3 - v_cb), so every
+    barrier edge potential stays positive."""
+    return 0.0 < -emitter.b < min(emitter.a, collector.a, collector.a + collector.b)
 
 
 def _transistor_delta(stack: StructureSpec) -> LimitClassification:
     """(1,1) + (2,0) + (1,1): the delta rule of the flat base shifted by
     b1 = -v_eb, with both barrier strengths summed."""
-    *_, admissible = _tuned_transistor(stack)
-    e, base, c = stack.layers
+    e, base, c = _transistor(stack)
     alpha = _strength(e.a, e.b, e.d) + _strength(c.a + e.b, c.b, c.d)
-    return _resonant_delta(base.a + e.b, 0.0, base.d, alpha, admissible)
+    return _resonant_delta(base.a + e.b, 0.0, base.d, alpha, _transistor_admissible(e, c))
 
 
-def transistor_resonance_residual(params: TransistorSpec, v_eb):
-    """Explicit-form residual of the delta-prime resonance condition,
-    element by element over an array of emitter voltages.
+def transistor_resonance_residual(stack: StructureSpec, v_eb):
+    """Explicit-form residual of the delta-prime resonance condition of a
+    transistor stack, element by element over an array of emitter voltages.
 
     sqrt(a1/V) T1 + sqrt(a3/V - 1) T3
         = [1 - sqrt(a1/V) sqrt(a3/V - 1) T1 T3] tan(sqrt(V) d2)
@@ -271,39 +249,43 @@ def transistor_resonance_residual(params: TransistorSpec, v_eb):
     Returns (lhs - rhs, |lhs| + |rhs|) as arrays; every V must lie in
     0 < V < a3.
     """
-    if not np.all((v_eb > 0.0) & (v_eb < params.a3)):
+    e, base, c = stack.layers
+    a1, d1, d2, a3, d3 = e.a, e.d, base.d, c.a, c.d
+    if not np.all((v_eb > 0.0) & (v_eb < a3)):
         raise ValueError("v_eb must lie strictly inside (0, a3)")
-    r1 = np.sqrt(params.a1 / v_eb)
-    r3 = np.sqrt(params.a3 / v_eb - 1.0)
-    t1 = math.tanh(math.sqrt(params.a1) * params.d1)
-    t3 = np.tanh(np.sqrt(params.a3 - v_eb) * params.d3)
+    r1 = np.sqrt(a1 / v_eb)
+    r3 = np.sqrt(a3 / v_eb - 1.0)
+    t1 = math.tanh(math.sqrt(a1) * d1)
+    t3 = np.tanh(np.sqrt(a3 - v_eb) * d3)
     lhs = r1 * t1 + r3 * t3
-    rhs = (1.0 - r1 * r3 * t1 * t3) * np.tan(np.sqrt(v_eb) * params.d2)
+    rhs = (1.0 - r1 * r3 * t1 * t3) * np.tan(np.sqrt(v_eb) * d2)
     return lhs - rhs, np.abs(lhs) + np.abs(rhs)
 
 
-def _transistor_factors(params: TransistorSpec, v_eb: float) -> tuple[float, ...]:
+def _transistor_factors(stack: StructureSpec, v_eb: float) -> tuple[float, ...]:
     """q1, q3, k2 and cosh/sinh(q1 d1), cosh/sinh(q3 d3), cos/sin(k2 d2)."""
-    q1 = math.sqrt(params.a1)
-    q3 = math.sqrt(params.a3 - v_eb)
+    e, base, c = stack.layers
+    a1, d1, d2, a3, d3 = e.a, e.d, base.d, c.a, c.d
+    q1 = math.sqrt(a1)
+    q3 = math.sqrt(a3 - v_eb)
     k2 = math.sqrt(v_eb)
     return (
         q1, q3, k2,
-        math.cosh(q1 * params.d1), math.sinh(q1 * params.d1),
-        math.cosh(q3 * params.d3), math.sinh(q3 * params.d3),
-        math.cos(k2 * params.d2), math.sin(k2 * params.d2),
+        math.cosh(q1 * d1), math.sinh(q1 * d1),
+        math.cosh(q3 * d3), math.sinh(q3 * d3),
+        math.cos(k2 * d2), math.sin(k2 * d2),
     )
 
 
 def transistor_theta_representations(
-    params: TransistorSpec, v_eb: float
+    stack: StructureSpec, v_eb: float
 ) -> tuple[float, float, float, float]:
     """The four equivalent expressions (I1, I2, 1/J1, 1/J2) for theta_n.
 
     Equality of all four is itself the resonance condition, so their
     spread is the acceptance check for a supplied root.
     """
-    q1, q3, k2, c1h, s1h, c3h, s3h, c2, s2 = _transistor_factors(params, v_eb)
+    q1, q3, k2, c1h, s1h, c3h, s3h, c2, s2 = _transistor_factors(stack, v_eb)
     i1 = (c1h * c2 + (q1 / k2) * s1h * s2) / c3h
     i2 = (k2 * c1h * s2 - q1 * s1h * c2) / (q3 * s3h)
     j1 = (c2 * c3h + (q3 / k2) * s2 * s3h) / c1h
@@ -311,35 +293,37 @@ def transistor_theta_representations(
     return i1, i2, 1.0 / j1, 1.0 / j2
 
 
-def transistor_offdiag_strength(
-    params: TransistorSpec, v_eb: float, v_cb: float
-) -> float:
-    """Off-diagonal element alpha_n of the delta-prime transistor limit
-    (grouped form: each barrier tilt weighted by the opposite-side factors)."""
-    q1, q3, k2, c1h, s1h, c3h, s3h, c2, s2 = _transistor_factors(params, v_eb)
-    return params.a1**-1.5 * (v_eb / (4.0 * params.d1)) * s1h * (
+def transistor_offdiag_strength(stack: StructureSpec, v_eb: float) -> float:
+    """Off-diagonal element alpha_n of the delta-prime transistor limit at
+    the stack's v_cb = -b3 (grouped form: each barrier tilt weighted by the
+    opposite-side factors)."""
+    e, _, c = stack.layers
+    a1, d1, a3, d3, v_cb = e.a, e.d, c.a, c.d, -c.b
+    q1, q3, k2, c1h, s1h, c3h, s3h, c2, s2 = _transistor_factors(stack, v_eb)
+    return a1**-1.5 * (v_eb / (4.0 * d1)) * s1h * (
         k2 * c3h * s2 - q3 * s3h * c2
-    ) - (params.a3 - v_eb) ** -1.5 * (v_cb / (4.0 * params.d3)) * s3h * (
+    ) - (a3 - v_eb) ** -1.5 * (v_cb / (4.0 * d3)) * s3h * (
         k2 * c1h * s2 - q1 * s1h * c2
     )
 
 
 def _transistor_deltaprime(stack: StructureSpec) -> LimitClassification:
-    """(2,1) + (2,0) + (2,1): a delta-prime point where v_eb in (0, a3) has
-    a scaled residual below RESIDUAL_RTOL and the four theta
+    """(2,1) + (2,0) + (2,1): a delta-prime point where v_eb = -b1 in
+    (0, a3) has a scaled residual below RESIDUAL_RTOL and the four theta
     representations agree to 1e-7."""
-    params, v_eb, v_cb, admissible = _tuned_transistor(stack)
+    e, _, c = _transistor(stack)
+    v_eb, admissible = -e.b, _transistor_admissible(e, c)
     wall = LimitClassification(LimitKind.OPAQUE_WALL, admissible=admissible)
-    if not 0.0 < v_eb < params.a3:
+    if not 0.0 < v_eb < c.a:
         return wall
-    residual, scale = transistor_resonance_residual(params, v_eb)
+    residual, scale = transistor_resonance_residual(stack, v_eb)
     if abs(residual) > RESIDUAL_RTOL * max(scale, 1e-300):
         return wall
-    reps = transistor_theta_representations(params, v_eb)
+    reps = transistor_theta_representations(stack, v_eb)
     theta = reps[0]
     if max(abs(r - theta) for r in reps[1:]) > 1e-7 * abs(theta):
         return wall
-    alpha = transistor_offdiag_strength(params, v_eb, v_cb)
+    alpha = transistor_offdiag_strength(stack, v_eb)
     return LimitClassification(
         LimitKind.DELTA_PRIME_FAMILY, alpha=alpha, theta=theta, admissible=admissible
     )

@@ -18,21 +18,19 @@ import numpy as np
 from .errors import EvanescentLeadError
 from .limits import (
     LimitKind,
+    _transistor,
     limit_transmission_on_resonance,
     squeezed_limit,
     transistor_resonance_residual,
-    transistor_spec,
     two_layer_resonance_residual,
 )
 from .lockstep import refine
 from .potential import SQUEEZES, LayerSpec, ResonanceEquation, StructureSpec
 
 __all__ = [
-    "ResonanceEquation",
     "ResonanceRoot",
     "ResonanceSet",
     "FINDERS",
-    "SQUEEZES",
     "scan_and_bisect",
     "resonances_delta_barrier_well",
     "resonances_transistor_delta",
@@ -270,9 +268,13 @@ def _level_roots(
 def _scanned_roots(
     eq: ResonanceEquation, stack: StructureSpec, residual, lo, hi, poles, energy
 ) -> ResonanceSet:
-    """Sign changes of residual(x)[0] on [lo, hi], split at the poles; a
-    candidate whose tuned stack's squeezed_limit is a wall bisected into a
-    tangent pole and is dropped.  Roots carry their scaled residual."""
+    """Sign changes of residual(x)[0] on [lo, hi], split at the poles, so
+    that no bracket spans a pole.  A candidate is dropped when its tuned
+    stack's squeezed_limit is a wall: its scaled residual misses
+    RESIDUAL_RTOL, or its four theta forms disagree (EQ83).  A real root
+    within a scan step of a tangent pole can miss the gate, as bisection
+    to ROOT_REL_TOL leaves too large a residual on so steep a slope.
+    Roots carry their scaled residual."""
     values = scan_and_bisect(lambda x: residual(x)[0], lo, hi, poles)
     resid, scale = residual(np.array(values))
     scaled = (np.abs(resid) / np.maximum(scale, 1e-300)).tolist()
@@ -311,12 +313,12 @@ def resonances_transistor_delta(
     stack: StructureSpec, lo: float, hi: float, energy: float | None = None
 ) -> ResonanceSet:
     """Closed-form emitter-voltage set of the transistor delta limit:
-    V_n = (n pi / d2)^2 for n >= 1 inside [max(lo, 0), hi], squeezed at
+    V_n = (n pi / d2)^2 for n >= 1 inside [lo, hi], squeezed at
     (1,1) + (2,0) + (1,1), with the summed barrier strength per root."""
-    params, _ = transistor_spec(stack)
+    _, base, _ = _transistor(stack)
     if not hi > 0:
         raise ValueError(f"emitter voltages are positive, so hi must be > 0, got {hi!r}")
-    levels = _levels(1, params.d2, 1.0, 0.0, max(lo, 0.0), hi)
+    levels = _levels(1, base.d, 1.0, 0.0, lo, hi)
     return _level_roots(
         ResonanceEquation.EQ76_TRANSISTOR_DELTA, stack, levels, energy, theta=1.0
     )
@@ -357,20 +359,20 @@ def find_resonances_transistor_deltaprime(
 
     The search domain is (0, a3) shrunk by a 1e-8 margin against the
     endpoint singularities; tangent poles of the base phase are split
-    out analytically.  A candidate whose limit fails the four-way theta
-    cross-check is a wall and is dropped.
+    out analytically.  A candidate whose tuned stack classifies as a wall
+    is dropped (_scanned_roots).
     """
-    params, _ = transistor_spec(stack)
-    margin = 1e-8 * max(1.0, params.a3)
+    _, base, collector = _transistor(stack)
+    margin = 1e-8 * max(1.0, collector.a)
     lo = max(lo, margin)
-    hi = min(hi, params.a3 - margin)
+    hi = min(hi, collector.a - margin)
     if not hi > lo:
         return ResonanceSet(ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, ())
 
     def residual(v):
-        return transistor_resonance_residual(params, v)
+        return transistor_resonance_residual(stack, v)
 
-    poles = tuple(_levels(0.5, params.d2, 1.0, 0.0, lo, hi))
+    poles = tuple(_levels(0.5, base.d, 1.0, 0.0, lo, hi))
     eq = ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME
     return _scanned_roots(eq, stack, residual, lo, hi, poles, energy)
 

@@ -29,9 +29,6 @@ class ScatteringResult:
     t_right: complex
     refl_prob: float
     trans_prob: float
-    p: float
-    q: float
-    d_denom: complex
     k_left: float
     k_right: float
 
@@ -89,9 +86,6 @@ def scatter(matrix, v_left: float, v_right: float, energy: float) -> ScatteringR
         t_right=2.0 / d,
         refl_prob=refl,
         trans_prob=trans,
-        p=p,
-        q=q,
-        d_denom=d,
         k_left=k_l,
         k_right=k_r,
     )

@@ -6,10 +6,10 @@ All matrices are real with unit determinant.  Evanescent regions go
 through the hyperbolic / Airy representations, never complex wavenumbers.
 
 A transfer matrix is a float array of shape (..., 2, 2).  One array path
-builds every matrix: `layer_matrices` takes edge potentials of any shape
-and gives a matrix per element (called on floats, it gives one (2, 2)
-matrix), and `structure_matrices` multiplies them along the last (layer)
-axis.
+builds every matrix: `structure_matrices` takes edge potentials of any
+shape whose last axis runs over the layers, builds a matrix per layer and
+multiplies them along that axis; a one-layer axis gives the layer's own
+matrix.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .potential import ConcreteLayer
 
 __all__ = [
     "AiryLayerParams",
-    "layer_matrices",
     "structure_matrices",
     "airy_layer_params",
     "slope_is_degenerate",
@@ -179,13 +178,6 @@ def _elements(v_left, v_right, width, energy: float) -> list[np.ndarray]:
         for element, value in zip(elements, values):
             element[where] = value
     return [element.reshape(shape) for element in elements]
-
-
-def layer_matrices(v_left, v_right, width, energy: float) -> np.ndarray:
-    """Transfer matrices of linear-profile layers, shape (..., 2, 2) for
-    edge potentials of shape (...) and widths that broadcast with them."""
-    elements = _elements(v_left, v_right, width, energy)
-    return np.stack(elements, axis=-1).reshape(elements[0].shape + (2, 2))
 
 
 def structure_matrices(v_left, v_right, width, energy: float) -> np.ndarray:

@@ -13,7 +13,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from airystack.airy import _exp, airy_eval_scaled
-from airystack.limits import TransistorSpec
 from airystack.potential import EV_TO_INVNM2, LayerSpec, StructureSpec, stack_potentials
 from airystack.resonance import MAX_STEPS, ROOT_REL_TOL, SCAN_STEPS
 from airystack.scattering import ScatteringResult
@@ -87,6 +86,15 @@ def mp_structure_matrix(v_left, v_right, widths, energy, dps=60):
                 m = fundamental(v1) * mpmath.inverse(fundamental(v0))
             total = m * total
         return total
+
+
+def layer_matrices(v_left, v_right, width, energy):
+    """Transfer matrices of linear-profile layers, shape (..., 2, 2) for
+    edge potentials of shape (...) and widths that broadcast with them
+    (floats give one (2, 2) matrix): structure_matrices over a one-layer
+    axis, which multiplies nothing."""
+    edges = (np.expand_dims(np.asarray(x, dtype=float), -1) for x in (v_left, v_right, width))
+    return structure_matrices(*edges, energy)
 
 
 def structure_matrix(layers, energy):
@@ -238,19 +246,28 @@ def lambda_k_form(k0_sq: float, k1_sq: float, width: float) -> AsymptoticMatrix:
     return AsymptoticMatrix(m, AsymptoticRegime.K_FORM, chi)
 
 
+def transistor_coefficients(stack: StructureSpec) -> tuple[float, ...]:
+    """(a1, a3, d1, d2, d3) of a transistor stack: emitter barrier, base,
+    collector barrier."""
+    emitter, base, collector = stack.layers
+    return emitter.a, collector.a, emitter.d, base.d, collector.d
+
+
 def transistor_resonance_residual_product_form(
-    params: TransistorSpec, v_eb: float
+    stack: StructureSpec, v_eb: float
 ) -> tuple[float, float]:
-    """Same condition in its three-term product form (independent coding):
+    """The transistor delta-prime condition in its three-term product form
+    (independent coding):
     (q1 q3 / k2) T1 T2 T3 + q1 T1 + q3 T3 - k2 T2 with T2 = tan(k2 d2)."""
-    if not 0.0 < v_eb < params.a3:
+    a1, a3, d1, d2, d3 = transistor_coefficients(stack)
+    if not 0.0 < v_eb < a3:
         raise ValueError("v_eb must lie strictly inside (0, a3)")
-    q1 = math.sqrt(params.a1)
-    q3 = math.sqrt(params.a3 - v_eb)
+    q1 = math.sqrt(a1)
+    q3 = math.sqrt(a3 - v_eb)
     k2 = math.sqrt(v_eb)
-    t1 = math.tanh(q1 * params.d1)
-    t3 = math.tanh(q3 * params.d3)
-    t2 = math.tan(k2 * params.d2)
+    t1 = math.tanh(q1 * d1)
+    t3 = math.tanh(q3 * d3)
+    t2 = math.tan(k2 * d2)
     terms = ((q1 * q3 / k2) * t1 * t2 * t3, q1 * t1, q3 * t3, -k2 * t2)
     return math.fsum(terms), sum(abs(t) for t in terms)
 
@@ -274,17 +291,18 @@ def two_layer_resonance_residual_math(shifted1, shifted2, d1, d2) -> tuple[float
     return t1 + t2, abs(t1) + abs(t2)
 
 
-def transistor_resonance_residual_math(params: TransistorSpec, v_eb: float) -> tuple[float, float]:
+def transistor_resonance_residual_math(stack: StructureSpec, v_eb: float) -> tuple[float, float]:
     """Explicit-form transistor delta-prime residual and scale of one point
     in math floats."""
-    if not 0.0 < v_eb < params.a3:
+    a1, a3, d1, d2, d3 = transistor_coefficients(stack)
+    if not 0.0 < v_eb < a3:
         raise ValueError("v_eb must lie strictly inside (0, a3)")
-    r1 = math.sqrt(params.a1 / v_eb)
-    r3 = math.sqrt(params.a3 / v_eb - 1.0)
-    t1 = math.tanh(math.sqrt(params.a1) * params.d1)
-    t3 = math.tanh(math.sqrt(params.a3 - v_eb) * params.d3)
+    r1 = math.sqrt(a1 / v_eb)
+    r3 = math.sqrt(a3 / v_eb - 1.0)
+    t1 = math.tanh(math.sqrt(a1) * d1)
+    t3 = math.tanh(math.sqrt(a3 - v_eb) * d3)
     lhs = r1 * t1 + r3 * t3
-    rhs = (1.0 - r1 * r3 * t1 * t3) * math.tan(math.sqrt(v_eb) * params.d2)
+    rhs = (1.0 - r1 * r3 * t1 * t3) * math.tan(math.sqrt(v_eb) * d2)
     return lhs - rhs, abs(lhs) + abs(rhs)
 
 
@@ -310,18 +328,19 @@ def mp_two_layer_residual(a1, a2, d1, d2):
     return residual
 
 
-def mp_transistor_residual(params: TransistorSpec):
-    """The EQ83 residual of the emitter voltage V in mpmath at the working
-    precision, in the explicit form of limits.transistor_resonance_residual:
-    V -> (lhs - rhs, |lhs| + |rhs|)."""
+def mp_transistor_residual(stack: StructureSpec):
+    """The EQ83 residual of the emitter voltage V of a transistor stack in
+    mpmath at the working precision, in the explicit form of
+    limits.transistor_resonance_residual: V -> (lhs - rhs, |lhs| + |rhs|)."""
+    a1, a3, d1, d2, d3 = transistor_coefficients(stack)
 
     def residual(v):
-        r1 = mpmath.sqrt(params.a1 / v)
-        r3 = mpmath.sqrt(params.a3 / v - 1)
-        t1 = mpmath.tanh(mpmath.sqrt(params.a1) * params.d1)
-        t3 = mpmath.tanh(mpmath.sqrt(params.a3 - v) * params.d3)
+        r1 = mpmath.sqrt(a1 / v)
+        r3 = mpmath.sqrt(a3 / v - 1)
+        t1 = mpmath.tanh(mpmath.sqrt(a1) * d1)
+        t3 = mpmath.tanh(mpmath.sqrt(a3 - v) * d3)
         lhs = r1 * t1 + r3 * t3
-        rhs = (1 - r1 * r3 * t1 * t3) * mpmath.tan(mpmath.sqrt(v) * params.d2)
+        rhs = (1 - r1 * r3 * t1 * t3) * mpmath.tan(mpmath.sqrt(v) * d2)
         return lhs - rhs, abs(lhs) + abs(rhs)
 
     return residual
@@ -335,6 +354,53 @@ def mp_root(residual, x: float, dps: int = 50):
         root = mpmath.findroot(lambda t: residual(t)[0], mpmath.mpf(x))
         slope = mpmath.diff(lambda t: residual(t)[0], root)
         return root, float(residual(root)[1] / abs(root * slope))
+
+
+def _prufer_step(theta: float, q0: float, d: float) -> float:
+    """The Prufer angle theta (tan theta = psi / psi', continuous) at the
+    right edge of a flat layer psi'' = q0 psi of width d, from its value at
+    the left edge, in closed form.
+
+    In a well (q0 = -k^2) the angle alpha, tan alpha = k tan theta, turns by
+    exactly k d, and alpha and theta pass each multiple of pi / 2 together.
+    In a barrier (q0 = q^2) or a flat layer, theta' = cos^2 - q0 sin^2
+    vanishes at j pi -+ beta, beta = atan(1 / q) (pi / 2 at q = 0), so theta
+    never leaves the interval (j pi - beta, (j + 1) pi - beta] it starts in;
+    its value there follows from (psi, psi') at the right edge."""
+    n = math.floor(theta / math.pi + 0.5)
+    if q0 < 0.0:
+        k = math.sqrt(-q0)
+        alpha = n * math.pi + math.atan(k * math.tan(theta - n * math.pi)) + k * d
+        m = math.floor(alpha / math.pi + 0.5)
+        return m * math.pi + math.atan(math.tan(alpha - m * math.pi) / k)
+    q = math.sqrt(q0)
+    beta = math.atan(1.0 / q) if q > 0.0 else 0.5 * math.pi
+    low = (math.ceil((theta + beta) / math.pi) - 1) * math.pi - beta
+    c, s = (math.cosh(q * d), math.sinh(q * d) / q) if q > 0.0 else (1.0, d)
+    sin, cos = math.sin(theta), math.cos(theta)
+    base = math.atan2(c * sin + s * cos, q0 * s * sin + c * cos)
+    return base + math.pi * (math.floor((low - base) / math.pi) + 1)
+
+
+def prufer_count(q0s, ds, lo: float, hi: float) -> int:
+    """The number of zeros of (Pi M0)21 for v in (lo, hi), counted by the
+    Prufer angle (H. Prufer, Math. Ann. 95, 1926).
+
+    M0 is the right-to-left product of the flat-layer matrices of
+    psi'' = q0 psi, layer i of width ds[i] with q0 = q0s(v)[i].  The first
+    column of Pi M0 is (psi, psi') at the far edge for psi = 1, psi' = 0 at
+    the near one, so (Pi M0)21 = 0 where theta = pi / 2 + m pi there.  When
+    every q0 moves the same way with v (or not at all), Sturm theory makes
+    theta at the far edge monotone in v, so the count is the number of
+    those values between its ends.  Independent of the package."""
+
+    def turns(v):
+        theta = 0.5 * math.pi
+        for q0, d in zip(q0s(v), ds):
+            theta = _prufer_step(theta, q0, d)
+        return math.floor((theta - 0.5 * math.pi) / math.pi)
+
+    return abs(turns(hi) - turns(lo))
 
 
 def scan_and_bisect_one_at_a_time(f, lo, hi, poles=()):

@@ -20,7 +20,6 @@ from airystack import (
 )
 from airystack.airy import wronskian_sweep
 from airystack.limits import (
-    TransistorSpec,
     transistor_resonance_residual,
     transistor_theta_representations,
     two_layer_resonance_residual,
@@ -31,13 +30,14 @@ from airystack.resonance import (
     find_resonances_transistor_deltaprime,
 )
 from airystack.sweep import SweepRequest, run_sweep
-from airystack.transfer import layer_matrices, slope_is_degenerate
+from airystack.transfer import slope_is_degenerate
 
 from conftest import (
     barrier_well_stack,
     det,
     lambda_k_form,
     lambda_large_z,
+    layer_matrices,
     ode_transfer_matrix,
     structure_matrix,
     transistor_stack,
@@ -389,13 +389,11 @@ def test_c11_transcendental_root_finders():
         d3 = rng.uniform(0.5, 3.0)
         d2 = rng.uniform(4.0, 12.0)
         v_cb = rng.uniform(0.0, 0.8)
-        rset = find_resonances_transistor_deltaprime(
-            transistor_stack(a1, a3, d1, d2, d3, v_cb), 0.0, a3
-        )
-        params = TransistorSpec(a1, a3, d1, d2, d3)
+        stack = transistor_stack(a1, a3, d1, d2, d3, v_cb)
+        rset = find_resonances_transistor_deltaprime(stack, 0.0, a3)
 
         def g(v):
-            return transistor_resonance_residual(params, v)[0]
+            return transistor_resonance_residual(stack, v)[0]
 
         margin = 1e-8 * max(1.0, a3)
         poles = []
@@ -413,7 +411,7 @@ def test_c11_transcendental_root_finders():
         for (bl, bh), v in zip(brackets, rset.values()):
             ok_transistor &= bl - 1e-9 <= v <= bh + 1e-9
         for root in rset.roots:
-            reps = transistor_theta_representations(params, root.value)
+            reps = transistor_theta_representations(stack, root.value)
             spread = max(abs(r - reps[0]) for r in reps[1:])
             theta_ok &= spread <= 1e-7 * abs(reps[0])
 

@@ -313,6 +313,11 @@ MALFORMED = {
         [(("layers", 0, "a"), -0.1)],
         ["resonances", "--equation", "EQ83", "--interval", "0.0", "0.4"],
     ),
+    "eq83-collector-well": (
+        FIG6,
+        [(("layers", 2, "a"), -0.1)],
+        ["resonances", "--equation", "EQ83", "--interval", "0.0", "0.4"],
+    ),
     "eq76-well-first": (
         FIG6,
         [(("layers", 0, "a"), -0.1)],
@@ -379,6 +384,30 @@ def test_malformed_input_exit_2(tmp_path, capsys, name):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error:")
     assert "Traceback" not in err
+
+
+BASE_ERROR = "config error: the transistor base must be flat and unbiased (a = b = 0)\n"
+BARRIER_ERROR = "config error: barrier coefficients a1, a3 must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("eq83-collector-well", BARRIER_ERROR),
+        ("eq76-well-first", BARRIER_ERROR),
+        ("eq76-base-a", BASE_ERROR),
+        ("eq83-base-b", BASE_ERROR),
+    ],
+)
+def test_transistor_check_messages(tmp_path, capsys, name, message):
+    base, changes, command = MALFORMED[name]
+    cfg = write_config(tmp_path, edited(base, changes))
+    assert main([command[0], cfg, *command[1:]]) == 2
+    assert capsys.readouterr().err == message
+    # the base is checked before the barriers
+    cfg = write_config(tmp_path, edited(base, [*changes, (("layers", 1, "b"), -0.03)]))
+    assert main([command[0], cfg, *command[1:]]) == 2
+    assert capsys.readouterr().err == BASE_ERROR
 
 
 @pytest.mark.parametrize("name", ["out-missing-directory", "out-under-a-file"])

@@ -3,6 +3,7 @@
 import cmath
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import mpmath as mp
 import numpy as np
@@ -12,7 +13,6 @@ from airystack.errors import NoClosedFormLimitError
 from airystack.limits import (
     _kappa_tan,
     LimitKind,
-    TransistorSpec,
     limit_transmission_on_resonance,
     squeezed_limit,
     transistor_resonance_residual,
@@ -21,7 +21,7 @@ from airystack.limits import (
 )
 from airystack.potential import ConcreteLayer, LayerSpec, StructureSpec, realize
 from airystack.scattering import scatter
-from airystack.transfer import layer_matrices, slope_is_degenerate
+from airystack.transfer import slope_is_degenerate
 from conftest import (
     AsymptoticRegime,
     barrier_well_stack,
@@ -30,6 +30,7 @@ from conftest import (
     lambda_k_form,
     lambda_large_z,
     lambda_small_z,
+    layer_matrices,
     random_transistor_device,
     random_two_layer_device,
     richardson_limit,
@@ -407,7 +408,7 @@ def test_two_layer_delta_prime_off_root():
 
 # --- transistor limits ------------------------------------------------------
 
-FIG6 = TransistorSpec(a1=1.31232, a3=1.31232, d1=2.0, d2=10.0, d3=2.0)
+FIG6 = SimpleNamespace(a1=1.31232, a3=1.31232, d1=2.0, d2=10.0, d3=2.0)
 VCB = 0.524928  # 0.2 eV
 FIG6_STACK = transistor_stack(FIG6.a1, FIG6.a3, FIG6.d1, FIG6.d2, FIG6.d3, VCB)
 
@@ -453,13 +454,13 @@ def test_transistor_deltaprime_root_cross_checks():
         v = root.value
         lim = squeezed_limit(_fig6_at(v, 2.0))
         assert lim.kind is LimitKind.DELTA_PRIME_FAMILY
-        reps = transistor_theta_representations(FIG6, v)
+        reps = transistor_theta_representations(FIG6_STACK, v)
         spread = abs(reps[0] - reps[1]) + abs(1.0 / reps[2] - 1.0 / reps[3]) + abs(
             reps[0] / reps[2] - 1.0
         )
         assert spread < 1e-7
         # original three-term form also vanishes at the root
-        resid, scale = transistor_resonance_residual_product_form(FIG6, v)
+        resid, scale = transistor_resonance_residual_product_form(FIG6_STACK, v)
         assert abs(resid) < 1e-8 * scale
         # limit matrix is unimodular by construction
         assert det(lim.matrix()) == pytest.approx(1.0, rel=1e-12)
@@ -544,8 +545,8 @@ def test_array_residuals_match_math_recoding():
     _assert_matches_math(scale, [w[1] for w in want], [w[1] for w in want])
 
     v = np.concatenate([rng.uniform(0.0, FIG6.a3, 300), [1e-8, FIG6.a3 * (1.0 - 1e-8)]])
-    resid, scale = transistor_resonance_residual(FIG6, v)
-    want = [transistor_resonance_residual_math(FIG6, x) for x in v.tolist()]
+    resid, scale = transistor_resonance_residual(FIG6_STACK, v)
+    want = [transistor_resonance_residual_math(FIG6_STACK, x) for x in v.tolist()]
     _assert_matches_math(resid, [w[0] for w in want], [w[1] for w in want])
     _assert_matches_math(scale, [w[1] for w in want], [w[1] for w in want])
 
@@ -554,7 +555,7 @@ def test_array_residuals_match_math_recoding():
 def test_transistor_residual_rejects_any_element_outside_domain(bad):
     v = np.array([0.1, 0.2, bad, 0.3])
     with pytest.raises(ValueError, match="inside"):
-        transistor_resonance_residual(FIG6, v)
+        transistor_resonance_residual(FIG6_STACK, v)
 
 
 def test_scanned_roots_carry_python_floats():
@@ -583,8 +584,8 @@ def test_transistor_residual_forms_share_roots():
 
     rset = find_resonances_transistor_deltaprime(FIG6_STACK, 0.01, 1.2)
     for root in rset.roots:
-        r1, s1 = transistor_resonance_residual(FIG6, root.value)
-        r2, s2 = transistor_resonance_residual_product_form(FIG6, root.value)
+        r1, s1 = transistor_resonance_residual(FIG6_STACK, root.value)
+        r2, s2 = transistor_resonance_residual_product_form(FIG6_STACK, root.value)
         assert abs(r1) < 1e-8 * s1
         assert abs(r2) < 1e-8 * s2
 

@@ -14,9 +14,9 @@ from airystack.cli import load_config
 from airystack.errors import EvanescentLeadError
 from airystack.potential import ev_to_invnm2, realize
 from airystack.scattering import scatter, trans_prob
-from airystack.transfer import layer_matrices
 
 from conftest import (
+    layer_matrices,
     mp_structure_matrix,
     random_superlattice,
     rect_barrier_transmission,
@@ -40,7 +40,7 @@ def test_identity_full_transmission():
     assert res.trans_prob == pytest.approx(1.0)
     assert res.refl_prob == pytest.approx(0.0, abs=1e-15)
     assert res.r_left == pytest.approx(0.0)
-    assert res.p == 0.0 and res.q == 0.0
+    assert res.r_left == 0.0 and res.r_right == 0.0  # p = q = 0 exactly
 
 
 def test_point_kick_half_transmission():
@@ -67,10 +67,11 @@ def test_conservation_and_denominator_identity(rng):
         energy = max(v_l, v_r) + rng.uniform(0.1, 3.0)
         res = scatter(m, v_l, v_r, energy)
         assert res.refl_prob + res.trans_prob == pytest.approx(1.0, abs=1e-9)
-        ratio = 4.0 * res.k_left / res.k_right
-        assert abs(res.d_denom) ** 2 == pytest.approx(
-            ratio + res.p**2 + res.q**2, rel=1e-9
-        )
+        # R and T share the denominator 4 k_L / k_R + p^2 + q^2, which is
+        # |d|^2 of the amplitudes' denominator d when det = 1
+        assert abs(res.r_left) ** 2 == pytest.approx(res.refl_prob, rel=1e-9)
+        flux = abs(res.t_left) ** 2 * res.k_right / res.k_left
+        assert flux == pytest.approx(res.trans_prob, rel=1e-9)
 
 
 def test_left_right_transmission_probability_equality(rng):

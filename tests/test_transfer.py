@@ -9,15 +9,11 @@ from hypothesis import strategies as st
 
 from airystack.errors import DegenerateSlopeError
 from airystack.potential import ConcreteLayer, stack_potentials
-from airystack.transfer import (
-    airy_layer_params,
-    layer_matrices,
-    slope_is_degenerate,
-    structure_matrices,
-)
+from airystack.transfer import airy_layer_params, slope_is_degenerate, structure_matrices
 
 from conftest import (
     det,
+    layer_matrices,
     mixed_stack,
     ode_transfer_matrix,
     ode_wronskian_route_matrix,
