@@ -19,12 +19,19 @@ The inputs are this checkout's configs/ and perfbench/reference/ files.
 Every output is hashed (sha256): each command's stdout, stderr and exit
 code, and a sweep's CSV and JSON files.  The script lists each output
 that differs and exits 1 on any difference, 0 when all are identical.
-Neither tree is written to (no bytecode is cached).
+Under each differing output that is CSV text (a `resonances` stdout or a
+sweep's .csv) it lists each column that moved, with its largest relative
+change and the rows it moved in, and at the end the same per column over
+all of them.  Neither tree is written to (no bytecode is cached).
 """
 
+import csv
 import gzip
 import hashlib
+import io
+import itertools
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -41,18 +48,22 @@ FIGURE_SETS = (
 EPSILONS = ("1", "0.5", "0.1", "0.01")
 
 # Run inside each tree's interpreter: the jobs arrive as JSON on stdin, the
-# digests leave as JSON on stdout.
+# digests leave as JSON on stdout, and each CSV text is kept in the texts
+# directory under its digest.
 CHILD = r"""
 import contextlib, hashlib, io, json, pathlib, sys
 
-tree_src, jobs = json.load(sys.stdin)
+tree_src, jobs, texts = json.load(sys.stdin)
 from airystack import cli
 
 if not pathlib.Path(cli.__file__).resolve().is_relative_to(tree_src):
     sys.exit(f"airystack loaded from {cli.__file__}, not from {tree_src}")
 
-def digest(data):
-    return hashlib.sha256(data).hexdigest()
+def digest(data, is_csv=False):
+    key = hashlib.sha256(data).hexdigest()
+    if is_csv:
+        (pathlib.Path(texts) / key).write_bytes(data)
+    return key
 
 out = {}
 for name, argv, files in jobs:
@@ -62,12 +73,14 @@ for name, argv, files in jobs:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
-    out[name + " stdout"] = digest(stdout.getvalue().encode())
+    out[name + " stdout"] = digest(stdout.getvalue().encode(), name.startswith("resonances "))
     out[name + " stderr"] = digest(stderr.getvalue().encode())
     out[name + " exit"] = str(code)
     for path in files:
         p = pathlib.Path(path)
-        out[f"{name} {p.suffix}"] = digest(p.read_bytes()) if p.exists() else "missing"
+        out[f"{name} {p.suffix}"] = (
+            digest(p.read_bytes(), p.suffix == ".csv") if p.exists() else "missing"
+        )
         if p.exists():
             p.unlink()
 json.dump(out, sys.stdout)
@@ -114,14 +127,43 @@ def jobs(workdir: pathlib.Path) -> list:
     return out
 
 
+def _relative(x: str, y: str) -> float:
+    """|x - y| / max(|x|, |y|) of two CSV fields; inf unless both are
+    finite numbers."""
+    try:
+        fx, fy = float(x), float(y)
+    except ValueError:
+        return math.inf
+    if not (math.isfinite(fx) and math.isfinite(fy)):
+        return math.inf
+    scale = max(abs(fx), abs(fy))
+    return abs(fx - fy) / scale if scale else 0.0
+
+
+def column_changes(text_a: str, text_b: str) -> tuple[int, dict] | None:
+    """(rows, {column: (largest relative change, rows it moved in)}) of two
+    CSV texts with one header; None when the header or row count differs."""
+    rows_a, rows_b = (list(csv.reader(io.StringIO(t))) for t in (text_a, text_b))
+    if rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
+        return None
+    moved = {}
+    for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
+        for column, x, y in itertools.zip_longest(rows_a[0], row_a, row_b, fillvalue=""):
+            if x != y:
+                worst, count = moved.get(column, (0.0, 0))
+                moved[column] = (max(worst, _relative(x, y)), count + 1)
+    return len(rows_a) - 1, moved
+
+
 def run_tree(tree: pathlib.Path, job_list: list, workdir: pathlib.Path) -> dict:
-    """Digest of every output of job_list, run in a fresh interpreter on tree."""
+    """Digest of every output of job_list, run in a fresh interpreter on tree;
+    each CSV text is kept as workdir/texts/<digest>."""
     src = (tree / "src").resolve()
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-s", "-c", CHILD],
-        input=json.dumps([str(src), job_list]),
+        input=json.dumps([str(src), job_list, str(workdir / "texts")]),
         capture_output=True, text=True, env=env, cwd=workdir,
     )
     if proc.returncode != 0:
@@ -140,11 +182,31 @@ def main(argv: list[str]) -> int:
             return 2
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
+        (workdir / "texts").mkdir()
         job_list = jobs(workdir)
         a, b = (run_tree(tree, job_list, workdir) for tree in trees)
-    differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
-    for key in differ:
-        print(f"differs: {key}")
+        differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+        total_rows, total = 0, {}
+        for key in differ:
+            print(f"differs: {key}")
+            texts = [workdir / "texts" / d[key] for d in (a, b) if key in d]
+            if len(texts) != 2 or not all(t.is_file() for t in texts):
+                continue
+            changes = column_changes(*(t.read_text() for t in texts))
+            if changes is None:
+                print("    header or row count differs")
+                continue
+            rows, moved = changes
+            total_rows += rows
+            for column, (worst, count) in moved.items():
+                print(f"    {column}: largest relative change {worst:.3g} in {count} of {rows} rows")
+                top, seen = total.get(column, (0.0, 0))
+                total[column] = (max(top, worst), seen + count)
+    for column, (worst, count) in total.items():
+        print(
+            f"column {column}: largest relative change {worst:.3g} "
+            f"in {count} of {total_rows} rows of the differing CSV outputs"
+        )
     print(f"{len(job_list)} commands, {len(a)} outputs, {len(differ)} differ")
     return 1 if differ else 0
 

@@ -19,8 +19,7 @@ _EXPORTS = {
     "airy": "ScaledAiryQuad airy_eval_scaled",
     "errors": "AirystackError ConfigError DegenerateSlopeError EvanescentLeadError "
               "NoClosedFormLimitError",
-    "limits": "LimitClassification LimitKind limit_transmission_on_resonance "
-              "single_layer_limit squeezed_limit",
+    "limits": "LimitClassification LimitKind single_layer_limit squeezed_limit",
     "potential": "EV_TO_INVNM2 ConcreteLayer LayerSpec RegionClass ResonanceEquation "
                  "StructureSpec classify_region ev_to_invnm2 invnm2_to_ev realize stack_potentials",
     "resonance": "ResonanceRoot ResonanceSet find_resonances_deltaprime_2layer "

@@ -4,7 +4,8 @@ Covers the zero-thickness classifications reachable on the power plane
 (transparent, delta, delta-prime family, resonant delta, opaque wall),
 and the two-layer / three-layer (transistor) limit models with their
 bias-controlled resonance sets.  squeezed_limit(stack) picks the model
-from the layers' powers.  The single-layer asymptotic forms of the
+from the layers' powers.  The module computes no probability: the T of
+a limit matrix is scattering's.  The single-layer asymptotic forms of the
 transfer matrix are test oracles (tests/conftest.py), not package code.
 """
 
@@ -25,7 +26,6 @@ __all__ = [
     "LimitClassification",
     "single_layer_limit",
     "squeezed_limit",
-    "limit_transmission_on_resonance",
     "two_layer_resonance_residual",
     "transistor_resonance_residual",
     "transistor_theta_representations",
@@ -76,16 +76,6 @@ class LimitClassification:
             s = float(self.sign)
             return np.array([[s, 0.0], [s * self.alpha, s]])
         return None
-
-
-def limit_transmission_on_resonance(
-    theta: float, alpha: float, k: float, k_right: float
-) -> float:
-    """Transmission through a lower-triangular limit matrix diag(theta, 1/theta)
-    with off-diagonal strength alpha; theta = 1 recovers the delta formula."""
-    if theta == 0.0:
-        raise ValueError("theta must be nonzero")
-    return 4.0 * k * k_right / ((k / theta + k_right * theta) ** 2 + alpha * alpha)
 
 
 def _on_level(kappa_sq: float, d: float) -> int | None:

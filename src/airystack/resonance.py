@@ -19,13 +19,13 @@ from .errors import EvanescentLeadError
 from .limits import (
     LimitKind,
     _transistor,
-    limit_transmission_on_resonance,
     squeezed_limit,
     transistor_resonance_residual,
     two_layer_resonance_residual,
 )
 from .lockstep import refine
 from .potential import SQUEEZES, LayerSpec, ResonanceEquation, StructureSpec
+from .scattering import _terms
 
 __all__ = [
     "ResonanceRoot",
@@ -227,9 +227,9 @@ def _tuned(stack: StructureSpec, eq: ResonanceEquation, value: float) -> Structu
 
 def _root(n: int, value: float, limit, stack: StructureSpec, energy, **fields) -> ResonanceRoot:
     """Root at value carrying its limit's alpha, theta and admissibility; with
-    an energy, T_n through the limit matrix between the stack's leads
-    (theta = 1 for a delta limit).  A lead at or above the energy is an
-    EvanescentLeadError, a non-finite alpha or T_n a ValueError."""
+    an energy, T_n of the limit matrix between the stack's leads, by the
+    arithmetic of scattering.trans_prob.  A lead at or above the energy is
+    an EvanescentLeadError, a non-finite alpha or T_n a ValueError."""
     if limit.alpha is None:
         raise ValueError(f"{value!r} is off the limit's resonance set in double precision")
     trans = None
@@ -240,12 +240,10 @@ def _root(n: int, value: float, limit, stack: StructureSpec, energy, **fields) -
                 f"energy {energy!r} not above lead potentials ({v_left!r}, {v_right!r}) "
                 f"at the root {value!r}"
             )
-        trans = limit_transmission_on_resonance(
-            1.0 if limit.theta is None else limit.theta,
-            limit.alpha,
-            math.sqrt(energy - v_left),
-            math.sqrt(energy - v_right),
-        )
+        (l11, l12), (l21, l22) = limit.matrix().tolist()
+        k_l, k_r = math.sqrt(energy - v_left), math.sqrt(energy - v_right)
+        _, _, four_r, denom = _terms(l11, l12, l21, l22, k_l, k_r)
+        trans = four_r / denom
     if not (math.isfinite(limit.alpha) and (trans is None or math.isfinite(trans))):
         raise ValueError(f"alpha = {limit.alpha!r} or T_n = {trans!r} at {value!r} is not finite")
     fields = {"theta": limit.theta, "admissible": limit.admissible, **fields}

@@ -6,7 +6,8 @@ reflection; the complex amplitudes are reported alongside and agree with
 the probabilities by construction (conservation R + T = 1 is exact).
 `trans_prob` is the one definition of T, elementwise over (..., 2, 2)
 arrays of transfer matrices; `scatter` takes one (2, 2) matrix and adds
-the amplitudes.
+the amplitudes.  Their arithmetic, `_terms`, also gives each resonance
+root's T_n from its limit matrix on plain floats (resonance._root).
 """
 
 from __future__ import annotations
@@ -33,6 +34,17 @@ class ScatteringResult:
     k_right: float
 
 
+def _terms(l11, l12, l21, l22, k_l, k_r):
+    """(p, q, 4 k_l / k_r, 4 k_l / k_r + p^2 + q^2) of the matrix elements
+    between leads of wavenumbers k_l and k_r, on floats or arrays; T is
+    4 k_l / k_r over the last, R is p^2 + q^2 over it."""
+    ratio = k_l / k_r
+    p = l11 - ratio * l22
+    q = k_l * l12 + l21 / k_r
+    four_r = 4.0 * ratio
+    return p, q, four_r, four_r + p * p + q * q
+
+
 def _probabilities(matrices, v_left, v_right, energy: float) -> tuple[np.ndarray, ...]:
     """(R, T, p, q, k_left, k_right) elementwise over matrices (..., 2, 2)
     and lead potentials that broadcast with them; R and T are NaN where a
@@ -43,11 +55,7 @@ def _probabilities(matrices, v_left, v_right, energy: float) -> tuple[np.ndarray
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         k_l = np.sqrt(energy - np.asarray(v_left, dtype=float))
         k_r = np.sqrt(energy - np.asarray(v_right, dtype=float))
-        ratio = k_l / k_r
-        p = l11 - ratio * l22
-        q = k_l * l12 + l21 / k_r
-        four_r = 4.0 * ratio
-        denom = four_r + p * p + q * q
+        p, q, four_r, denom = _terms(l11, l12, l21, l22, k_l, k_r)
         total = np.isinf(denom)  # total reflection
         refl = np.where(total, 1.0, (p * p + q * q) / denom)
         trans = np.where(total, 0.0, four_r / denom)

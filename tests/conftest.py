@@ -154,6 +154,13 @@ def rect_barrier_transmission(v, width, energy):
     return 1.0 / (1.0 + ((k2 + q2) ** 2 / (4.0 * k2 * q2)) * s * s)
 
 
+def limit_transmission_closed_form(theta, alpha, k, k_right):
+    """The paper's transmission through a lower-triangular limit matrix
+    diag(theta, 1/theta) with off-diagonal strength alpha, between leads of
+    wavenumbers k and k_right; theta = 1 is the delta formula."""
+    return 4.0 * k * k_right / ((k / theta + k_right * theta) ** 2 + alpha * alpha)
+
+
 # --- single-layer asymptotic forms of the transfer matrix ---------------------
 
 

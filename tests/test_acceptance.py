@@ -13,7 +13,6 @@ import numpy as np
 from airystack import (
     LayerSpec,
     StructureSpec,
-    limit_transmission_on_resonance,
     realize,
     scatter,
     single_layer_limit,
@@ -38,6 +37,7 @@ from conftest import (
     lambda_k_form,
     lambda_large_z,
     layer_matrices,
+    limit_transmission_closed_form,
     ode_transfer_matrix,
     structure_matrix,
     transistor_stack,
@@ -292,7 +292,7 @@ def test_c09_delta_limit_convergence():
         spec = StructureSpec((layer,))
         v_l, v_r = spec.lead_potentials()
         alpha = single_layer_limit(layer).alpha
-        t_limit = limit_transmission_on_resonance(
+        t_limit = limit_transmission_closed_form(
             1.0, alpha, math.sqrt(energy), math.sqrt(energy - v_r)
         )
         errs = []

@@ -373,6 +373,19 @@ MALFORMED = {
     # a layer slope b / d past the largest double (d subnormal)
     "slope-overflow-scatter": (STEEP, [(("layers", 0), THIN)], ["scatter"]),
     "slope-overflow-sweep": (STEEP, [(("layers", 0), THIN)], SWEEP),
+    # config rejections, each with its own message (CONFIG_MESSAGES)
+    "layer-not-object": (FIG4, [(("layers", 0), 5)], SWEEP),
+    "energy-missing": ({k: v for k, v in FIG4.items() if k != "energy"}, [], SWEEP),
+    "units-meV": (FIG4, [(("units",), "meV")], SWEEP),
+    "scenario-fig9": (FIG4, [(("scenario",), "fig9")], SWEEP),
+    "layers-empty": (FIG4, [(("layers",), [])], SWEEP),
+    "layer-d-0": (FIG4, [(("layers", 0, "d"), 0.0)], SWEEP),
+    "layer-mu-negative": (BARRIER, [(("layers", 0, "mu"), -1.0)], ["scatter"]),
+    "epsilons-negative": (FIG4, [(("sweep", "epsilons"), [0.5, -0.1])], SWEEP),
+    # BARRIER is configs/barrier.json
+    "width-underflow-scatter": (
+        BARRIER, [(("layers", 0, "d"), 1e-300)], ["scatter", "--epsilon", "1e-30"]
+    ),
 }
 
 
@@ -408,6 +421,34 @@ def test_transistor_check_messages(tmp_path, capsys, name, message):
     cfg = write_config(tmp_path, edited(base, [*changes, (("layers", 1, "b"), -0.03)]))
     assert main([command[0], cfg, *command[1:]]) == 2
     assert capsys.readouterr().err == BASE_ERROR
+
+
+CONFIG_MESSAGES = {
+    "layer-not-object": "layers[0] must be an object",
+    "energy-missing": "config missing required key 'energy'",
+    "units-meV": "units must be one of ('eV', 'invnm2'), got 'meV'",
+    "scenario-fig9": "scenario must be one of ('fig3_barrier_well', 'fig5_transistor', "
+                     "'custom'), got 'fig9'",
+    "layers-empty": "layers must be a non-empty list",
+    "layer-d-0": "layers[0]: layer width d must be positive, got 0.0",
+    "layer-mu-negative": "layers[0]: powers mu, nu must be non-negative",
+    "epsilons-negative": "sweep: epsilons must be positive",
+    "width-underflow-scatter": "a layer width underflows at epsilon = 1e-30",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONFIG_MESSAGES))
+def test_config_rejection_messages(tmp_path, capsys, name):
+    base, changes, command = MALFORMED[name]
+    cfg = write_config(tmp_path, edited(base, changes))
+    assert main([command[0], cfg, *command[1:]]) == 2
+    assert capsys.readouterr().err == f"config error: {CONFIG_MESSAGES[name]}\n"
+
+
+def test_missing_config_exit_2(tmp_path, capsys):
+    assert main(["sweep", str(tmp_path / "missing.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read config:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("name", ["out-missing-directory", "out-under-a-file"])
@@ -566,7 +607,7 @@ def _fresh(code: str) -> set[str]:
         "from airystack.cli import main\n"
         "main(['resonances', FIG4_PATH, '--equation', 'EQ69', '--interval', '-0.6', '0'])",
         {"airystack.resonance", "argparse"},
-        {"airystack.airy", "airystack.transfer", "airystack.sweep", "airystack.scattering"},
+        {"airystack.airy", "airystack.transfer", "airystack.sweep"},
     ),
     (
         "from airystack.cli import main\nmain(['airy-check'])",
@@ -595,6 +636,16 @@ def test_package_names_resolve_on_first_access():
 def test_resonances_empty_interval_prints_header_only(capsys):
     cfg = str(REPO / "configs" / "fig4.json")
     assert main(EQ73[:1] + [cfg] + EQ73[1:-2] + ["-0.01", "-0.005"]) == 0
+    assert capsys.readouterr().out == "n,value_eV,value_invnm2,theta,alpha,T_n,admissible\n"
+
+
+@pytest.mark.parametrize("name, equation, lo, hi", [
+    ("fig4", "EQ69", "0.2", "0.5"),  # above the branch edge b1 = -a2
+    ("fig6", "EQ83", "0.6", "0.9"),  # above the collector barrier a3
+])
+def test_resonances_outside_the_domain_prints_header_only(capsys, name, equation, lo, hi):
+    cfg = str(REPO / "configs" / f"{name}.json")
+    assert main(["resonances", cfg, "--equation", equation, "--interval", lo, hi]) == 0
     assert capsys.readouterr().out == "n,value_eV,value_invnm2,theta,alpha,T_n,admissible\n"
 
 
@@ -722,3 +773,19 @@ def test_benchmark_reference_tool_runs(tmp_path, monkeypatch):
     path.write_text(json.dumps(tool.stack_config(random.Random(1))))
     per_point = tool.series_args_per_point(cli, path)
     assert math.isfinite(per_point) and per_point > 0
+
+
+def test_compare_outputs_names_the_columns_that_moved():
+    spec = importlib.util.spec_from_file_location(
+        "compare_outputs", REPO / "scripts" / "compare_outputs.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    old = "n,theta,T_n,admissible\n1,,0.25,1\n2,2.0,0.5,0\n3,-1.0,0.75,1\n"
+    new = "n,theta,T_n,admissible\n1,,0.25,1\n2,2.0,0.5000000000000001,0\n3,-1.0,0.7,x\n"
+    rows, moved = tool.column_changes(old, new)
+    assert rows == 3 and sorted(moved) == ["T_n", "admissible"]
+    assert moved["T_n"] == (pytest.approx(0.05 / 0.75), 2)
+    assert moved["admissible"] == (math.inf, 1)
+    assert tool.column_changes(old, old) == (3, {})
+    assert tool.column_changes(old, old + "4,,0.1,1\n") is None

@@ -12,15 +12,15 @@ import pytest
 from airystack.errors import NoClosedFormLimitError
 from airystack.limits import (
     _kappa_tan,
+    LimitClassification,
     LimitKind,
-    limit_transmission_on_resonance,
     squeezed_limit,
     transistor_resonance_residual,
     transistor_theta_representations,
     two_layer_resonance_residual,
 )
 from airystack.potential import ConcreteLayer, LayerSpec, StructureSpec, realize
-from airystack.scattering import scatter
+from airystack.scattering import scatter, trans_prob
 from airystack.transfer import slope_is_degenerate
 from conftest import (
     AsymptoticRegime,
@@ -31,6 +31,7 @@ from conftest import (
     lambda_large_z,
     lambda_small_z,
     layer_matrices,
+    limit_transmission_closed_form,
     random_transistor_device,
     random_two_layer_device,
     richardson_limit,
@@ -289,37 +290,67 @@ def test_single_layer_unsupported_powers():
 # --- point transmission formulas --------------------------------------------
 
 
+def _point_t(limit, k, k_right):
+    """T of the limit's matrix through scattering.trans_prob, between leads
+    of wavenumbers k and k_right (energy k^2, so the left lead is at 0)."""
+    energy = k * k
+    return float(trans_prob(limit.matrix(), 0.0, energy - k_right * k_right, energy))
+
+
+def _delta(alpha):
+    return LimitClassification(LimitKind.DELTA, alpha)
+
+
 def test_delta_point_transmission_free_point():
-    assert limit_transmission_on_resonance(1.0, 0.0, 0.7, 0.7) == pytest.approx(1.0)
+    assert _point_t(_delta(0.0), 0.7, 0.7) == pytest.approx(1.0)
 
 
 def test_delta_point_transmission_half():
-    assert limit_transmission_on_resonance(1.0, 2.0, 1.0, 1.0) == pytest.approx(0.5)
+    assert _point_t(_delta(2.0), 1.0, 1.0) == pytest.approx(0.5)
 
 
 def test_delta_point_transmission_unequal_leads_against_scatter():
     alpha, k, k_r = 2.099712, 0.5, math.sqrt(0.25 + 0.524928)
-    want = limit_transmission_on_resonance(1.0, alpha, k, k_r)
-    # independent route: scatter the explicit kick matrix against leads
-    # chosen so that k_left = 0.5 and k_right = k_r at E = 0.25
+    want = _point_t(_delta(alpha), k, k_r)
+    # scatter the explicit kick matrix against leads chosen so that
+    # k_left = 0.5 and k_right = k_r at E = 0.25
     res = scatter([[1.0, 0.0], [alpha, 1.0]], 0.0, 0.25 - k_r * k_r, 0.25)
     assert res.trans_prob == pytest.approx(want, rel=1e-12)
     assert want == pytest.approx(0.27883984134224704, rel=1e-10)  # frozen oracle value
 
 
 def test_limit_transmission_reduces_to_delta():
-    # the delta formula 4 k k' / ((k + k')^2 + alpha^2) at theta = 1
-    k, k_r, alpha = 0.6, 0.9, 1.3
-    assert limit_transmission_on_resonance(1.0, alpha, k, k_r) == pytest.approx(
+    # the delta formula 4 k k' / ((k + k')^2 + alpha^2)
+    k, alpha = 0.6, 1.3
+    k_r = math.sqrt(k * k + 0.45)  # the right lead at -0.45
+    assert _point_t(_delta(alpha), k, k_r) == pytest.approx(
         4.0 * k * k_r / ((k + k_r) ** 2 + alpha**2), rel=1e-14
     )
 
 
 def test_limit_transmission_theta_examples():
-    assert limit_transmission_on_resonance(1.0, 0.0, 0.8, 0.8) == pytest.approx(1.0)
-    assert limit_transmission_on_resonance(2.0, 0.0, 1.0, 1.0) == pytest.approx(0.64)
-    with pytest.raises(ValueError):
-        limit_transmission_on_resonance(0.0, 1.0, 1.0, 1.0)
+    def family(theta):
+        return LimitClassification(LimitKind.DELTA_PRIME_FAMILY, 0.0, theta)
+
+    assert _point_t(family(1.0), 0.8, 0.8) == pytest.approx(1.0)
+    assert _point_t(family(2.0), 1.0, 1.0) == pytest.approx(0.64)
+
+
+@pytest.mark.parametrize(
+    "limit, theta, alpha",
+    [
+        (LimitClassification(LimitKind.TRANSPARENT), 1.0, 0.0),
+        (LimitClassification(LimitKind.DELTA, 1.3), 1.0, 1.3),
+        (LimitClassification(LimitKind.RESONANT_DELTA, -0.8, sign=1, n=2), 1.0, -0.8),
+        (LimitClassification(LimitKind.RESONANT_DELTA, 0.45, sign=-1, n=1), 1.0, 0.45),
+        (LimitClassification(LimitKind.DELTA_PRIME_FAMILY, 0.7, -2.5), -2.5, 0.7),
+    ],
+    ids=["transparent", "delta", "resonant-delta-even", "resonant-delta-odd", "delta-prime"],
+)
+@pytest.mark.parametrize("k, k_right", [(0.7, 0.7), (0.6, 0.95), (1.1, 0.3)])
+def test_limit_matrix_transmission_is_the_closed_form(limit, theta, alpha, k, k_right):
+    want = limit_transmission_closed_form(theta, alpha, k, k_right)
+    assert _point_t(limit, k, k_right) == pytest.approx(want, rel=1e-14, abs=0.0)
 
 
 # --- two-layer limits -------------------------------------------------------
@@ -599,7 +630,7 @@ def test_delta_limit_squeezing_convergence():
     energy = 0.7
     v_l, v_r = spec.lead_potentials()
     lim = _squeezed_layer(layer)
-    t_limit = limit_transmission_on_resonance(
+    t_limit = limit_transmission_closed_form(
         1.0, lim.alpha, math.sqrt(energy), math.sqrt(energy - v_r)
     )
     errs = []

@@ -103,6 +103,11 @@ def test_layer_spec_validation():
     LayerSpec(1.0, 0.0, 1.0, 0.0, 0.0)  # flat finite layer is allowed
 
 
+def test_structure_needs_a_layer():
+    with pytest.raises(ValueError, match="at least one layer"):
+        StructureSpec(())
+
+
 def test_lead_defaults_and_override():
     spec = StructureSpec(
         (LayerSpec(1.0, -0.4, 2.0, 1.0, 1.0), LayerSpec(-0.3, 0.1, 5.0, 2.0, 1.0)),

@@ -346,6 +346,13 @@ def test_scan_of_an_interval_narrower_than_its_steps_is_an_error():
     assert scan_and_bisect(lambda x: x + 5e-321, -1e-320, 0.0)
 
 
+def test_scan_of_an_empty_interval_has_no_roots():
+    def never(x):
+        raise AssertionError("f was called on an empty interval")
+
+    assert scan_and_bisect(never, 1.0, 1.0) == []
+
+
 @pytest.mark.parametrize(
     "config, equation, interval",
     [
@@ -452,9 +459,15 @@ def test_figure_root_count_equals_prufer_count(name, eq, interval):
 DROPPED_ROOT = ("transistor", 27, EQ83.value)
 
 
-def _pool_sets():
+def _pool():
+    """The `resonances` benchmark pool, read only: per kind, each device's
+    config and its sets (equation, interval in eV, reference rows)."""
     with gzip.open(ROOT / "perfbench" / "reference" / "resonances.json.gz", "rt") as fh:
-        pool = json.load(fh)
+        return json.load(fh)
+
+
+def _pool_sets():
+    pool = _pool()
     for kind in ("barrier_well", "transistor"):
         for i, device in enumerate(pool[kind]):
             for s in device["sets"]:
@@ -476,6 +489,37 @@ def test_pool_root_count_equals_prufer_count(tmp_path, config, equation, interva
     stack, eq = load_config(str(path)).spec, ResonanceEquation(equation)
     lo, hi = interval[0] * EV, interval[1] * EV
     assert len(FINDERS[eq](stack, lo, hi).roots) == _prufer_roots(stack, eq, lo, hi)
+
+
+def test_pool_trans_prob_matches_the_closed_form_reference(tmp_path):
+    # the reference's T_n column holds the paper's closed form
+    # (conftest.limit_transmission_closed_form); each root's T_n comes from
+    # its limit matrix through scattering's formula
+    pool, path = _pool(), tmp_path / "device.json"
+    sets, worst = 0, 0.0
+    for kind in ("barrier_well", "transistor"):
+        for device in pool[kind]:
+            path.write_text(json.dumps(device["config"]))
+            cfg = load_config(str(path))
+            for s in device["sets"]:
+                lo, hi = s["interval"][0] * EV, s["interval"][1] * EV
+                finder = FINDERS[ResonanceEquation(s["equation"])]
+                roots = finder(cfg.spec, lo, hi, cfg.energy).roots
+                assert len(roots) == len(s["rows"])
+                for root, row in zip(roots, s["rows"]):
+                    worst = max(worst, abs(root.trans_prob - row[5]) / row[5])
+                sets += 1
+    assert sets == 384 and worst <= 1e-14
+
+
+def test_root_t_n_of_a_huge_theta_is_zero():
+    # theta ~ 1e201 at both roots: the closed form's (k / theta + k_r theta)^2
+    # overflows a double, while T of the limit matrix, 4 k_l / k_r over
+    # 4 k_l / k_r + p^2 + q^2, rounds to 0 as trans_prob's does
+    stack = barrier_well_stack(52900.0, 2.0, -0.1 * EV, 10.0)
+    roots = find_resonances_deltaprime_2layer(stack, -1.5, 0.0, 0.1 * EV).roots
+    assert len(roots) == 2
+    assert all(abs(r.theta) > 1e200 and r.trans_prob == 0.0 for r in roots)
 
 
 # --- closed-form levels, alpha and theta against mpmath ----------------------
