@@ -6,16 +6,20 @@
 Each tree runs in its own fresh interpreter with only TREE/src on the
 path, and both run the same commands on the same inputs:
 
-- `sweep` on configs/fig4.json and configs/fig6.json, and on the 48
+- `sweep` on configs/fig4.json and configs/fig6.json, on fig6 with
+  sweep.tuned_sign 1 (a grid of negative emitter voltages), and on the 48
   devices of the `stack` benchmark pool;
 - `resonances` on the 384 sets of the `resonances` benchmark pool (96
   barrier-well devices through EQ73 and EQ69, 96 transistors through EQ76
   and EQ83), plus fig4 EQ73/EQ69 on [-1, 0] eV and fig6 EQ76/EQ83 on
-  [0, 0.5] eV;
+  [0, 0.5] eV; the domain edges fig6 EQ76 on [-0.4, -0.1] eV and fig6
+  EQ83 on [1e12, 2e12] eV; and fig4 through EQ69 with a 126000 nm^-2
+  barrier, whose theta overflows;
 - `scatter` on every configs/*.json at epsilon 1, 0.5, 0.1 and 0.01;
 - `limit-check` and `airy-check --verbose`.
 
-The inputs are this checkout's configs/ and perfbench/reference/ files.
+The inputs are this checkout's configs/ and perfbench/reference/ files,
+and the configs derived from them in a temporary directory.
 Every output is hashed (sha256): each command's stdout, stderr and exit
 code, and a sweep's CSV and JSON files.  The script lists each output
 that differs and exits 1 on any difference, 0 when all are identical.
@@ -44,6 +48,11 @@ FIGURE_SETS = (
     ("fig4", "EQ69", ("-1", "0")),
     ("fig6", "EQ76", ("0", "0.5")),
     ("fig6", "EQ83", ("0", "0.5")),
+)
+# intervals with no part of the equation's domain
+EDGE_SETS = (
+    ("fig6", "EQ76", ("-0.4", "-0.1")),
+    ("fig6", "EQ83", ("1e12", "2e12")),
 )
 EPSILONS = ("1", "0.5", "0.1", "0.01")
 
@@ -100,6 +109,10 @@ def jobs(workdir: pathlib.Path) -> list:
     out = []
     for name in ("fig4", "fig6"):
         out.append((f"sweep {name}", ["sweep", configs[name], "--out", prefix], files))
+    fig4, fig6 = (json.loads(pathlib.Path(configs[n]).read_text()) for n in ("fig4", "fig6"))
+    flipped = dict(fig6, sweep=dict(fig6["sweep"], tuned_sign=1.0))
+    path = _write(workdir / "fig6-tuned-sign-1.json", flipped)
+    out.append(("sweep fig6-tuned-sign-1", ["sweep", path, "--out", prefix], files))
 
     def reference(workload):
         with gzip.open(HERE / "perfbench" / "reference" / f"{workload}.json.gz", "rt") as fh:
@@ -119,6 +132,15 @@ def jobs(workdir: pathlib.Path) -> list:
     for name, eq, (lo, hi) in FIGURE_SETS:
         argv = ["resonances", configs[name], "--equation", eq, "--interval", lo, hi]
         out.append((f"resonances {name} {eq}", argv, []))
+    for name, eq, (lo, hi) in EDGE_SETS:
+        argv = ["resonances", configs[name], "--equation", eq, "--interval", lo, hi]
+        out.append((f"resonances {name} {eq} [{lo}, {hi}]", argv, []))
+    barrier, well = fig4["layers"]
+    overflow = dict(fig4, units="invnm2", energy=0.262464,
+                    layers=[dict(barrier, a=126000.0), dict(well, a=-0.262464)])
+    path = _write(workdir / "fig4-theta-overflow.json", overflow)
+    argv = ["resonances", path, "--equation", "EQ69", "--interval", "-1.5", "0", "--units", "invnm2"]
+    out.append(("resonances fig4-theta-overflow EQ69", argv, []))
     for name, path in configs.items():
         for eps in EPSILONS:
             out.append((f"scatter {name} eps={eps}", ["scatter", path, "--epsilon", eps], []))

@@ -18,6 +18,7 @@ import sys
 from .errors import ConfigError, EvanescentLeadError
 from .potential import (
     EV_TO_INVNM2,
+    MAX_POINTS,
     SQUEEZES,
     LayerSpec,
     ResonanceEquation,
@@ -42,11 +43,6 @@ SCENARIOS = {
     ),
     "custom": (),
 }
-# Most grid points a sweep may ask for: each point costs a matrix per layer
-# and epsilon, so a typo such as 10**15 is rejected before any array is
-# built.  The bound is the one resonance sets have (resonance.MAX_LEVELS).
-MAX_POINTS = 100_000
-
 # JSON value types and the Python types that carry them; a bool never
 # counts as a number or an index, and a number must be finite
 NUMBER, INTEGER, STRING, LIST, OBJECT = (

@@ -39,6 +39,10 @@ __all__ = [
 
 EV_TO_INVNM2 = 2.62464  # 1 eV in nm^-2 for m* = 0.1 m_e
 
+# Most grid points of a sweep and levels (closed-form roots or tangent
+# poles) of a resonance set: a larger count is rejected before any is made.
+MAX_POINTS = 100_000
+
 # Two squeeze powers closer than this are the same power: the named lines
 # and points of the power plane, and the squeezes the limits are derived for.
 POWER_TOL = 1e-12

@@ -4,8 +4,9 @@ Two of the four resonance conditions are solvable in closed form (the
 barrier-well delta set and the transistor delta set); the other two are
 transcendental and are found by a pole-aware uniform scan followed by
 bisection.  Roots are returned sorted ascending by the tuned value with
-the limit data (theta, alpha, on-resonance transmission) of
-limits.squeezed_limit of the tuned stack attached.
+the limit data (alpha, on-resonance transmission, and theta for the
+scanned sets) of limits.squeezed_limit of the tuned stack attached.  An
+interval with no part of an equation's domain gives the empty set.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .limits import (
     two_layer_resonance_residual,
 )
 from .lockstep import refine
+from .potential import MAX_POINTS as MAX_LEVELS
 from .potential import SQUEEZES, LayerSpec, ResonanceEquation, StructureSpec
 from .scattering import _terms
 
@@ -37,10 +39,6 @@ __all__ = [
     "find_resonances_deltaprime_2layer",
     "find_resonances_transistor_deltaprime",
 ]
-
-# Most levels (closed-form roots or tangent poles) one set may span; a
-# wider interval is rejected before any level is generated.
-MAX_LEVELS = 100_000
 
 # Uniform scan steps across [lo, hi], the relative width at which
 # bisection stops and its most steps per bracket, for the transcendental
@@ -56,7 +54,8 @@ class ResonanceRoot:
 
     value is the tuned bias in nm^-2 (b1 for the two-layer devices, the
     emitter voltage for the transistor); n is the analytic mode number
-    for closed-form sets and the ascending position otherwise.
+    for closed-form sets and the ascending position otherwise.  theta is
+    the limit's for the scanned sets, None for EQ73 and 1.0 for EQ76.
     """
 
     n: int
@@ -65,7 +64,6 @@ class ResonanceRoot:
     theta: float | None = None
     trans_prob: float | None = None
     admissible: bool = True
-    residual: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -196,9 +194,11 @@ def _predicted(x0, x1, f0, f1, x2, f2) -> float:
 def _levels(start, d: float, sign: float, offset: float, lo: float, hi: float) -> list[float]:
     """sign * (x pi / d)^2 + offset for x = start, start + 1, ... inside [lo, hi].
 
-    The count follows from the closed form before any level is made; more
-    than MAX_LEVELS is a ValueError.
+    An inverted interval holds none.  The count follows from the closed
+    form before any level is made; more than MAX_LEVELS is a ValueError.
     """
+    if lo > hi:
+        return []
     # levels inside [lo, hi] have (x pi / d)^2 in [y_lo, y_hi]
     y_lo, y_hi = sorted((sign * (lo - offset), sign * (hi - offset)))
     x_lo = d * math.sqrt(max(y_lo, 0.0)) / math.pi
@@ -225,11 +225,12 @@ def _tuned(stack: StructureSpec, eq: ResonanceEquation, value: float) -> Structu
     return StructureSpec(tuple(layers), stack.v_left, stack.v_right_override)
 
 
-def _root(n: int, value: float, limit, stack: StructureSpec, energy, **fields) -> ResonanceRoot:
-    """Root at value carrying its limit's alpha, theta and admissibility; with
-    an energy, T_n of the limit matrix between the stack's leads, by the
-    arithmetic of scattering.trans_prob.  A lead at or above the energy is
-    an EvanescentLeadError, a non-finite alpha or T_n a ValueError."""
+def _root(n: int, value: float, limit, theta, stack: StructureSpec, energy) -> ResonanceRoot:
+    """Root at value carrying theta and its limit's alpha and admissibility;
+    with an energy, T_n of the limit matrix between the stack's leads, by
+    the arithmetic of scattering.trans_prob.  A lead at or above the energy
+    is an EvanescentLeadError; a theta, alpha or T_n that is not finite is
+    a ValueError."""
     if limit.alpha is None:
         raise ValueError(f"{value!r} is off the limit's resonance set in double precision")
     trans = None
@@ -244,22 +245,22 @@ def _root(n: int, value: float, limit, stack: StructureSpec, energy, **fields) -
         k_l, k_r = math.sqrt(energy - v_left), math.sqrt(energy - v_right)
         _, _, four_r, denom = _terms(l11, l12, l21, l22, k_l, k_r)
         trans = four_r / denom
-    if not (math.isfinite(limit.alpha) and (trans is None or math.isfinite(trans))):
-        raise ValueError(f"alpha = {limit.alpha!r} or T_n = {trans!r} at {value!r} is not finite")
-    fields = {"theta": limit.theta, "admissible": limit.admissible, **fields}
-    return ResonanceRoot(n, value, limit.alpha, trans_prob=trans, **fields)
+    if not all(math.isfinite(x) for x in (theta, limit.alpha, trans) if x is not None):
+        raise ValueError(f"theta = {theta!r}, alpha = {limit.alpha!r} or T_n = {trans!r} "
+                         f"at {value!r} is not finite")
+    return ResonanceRoot(n, value, limit.alpha, theta, trans, limit.admissible)
 
 
 def _level_roots(
-    eq: ResonanceEquation, stack: StructureSpec, levels, energy, **fields
+    eq: ResonanceEquation, stack: StructureSpec, levels, energy, theta=None
 ) -> ResonanceSet:
-    """The roots at closed-form levels, ascending, each with the mode
-    number n and limit data of its tuned stack's squeezed_limit."""
+    """The roots at closed-form levels, ascending, each with theta and the
+    mode number n and limit data of its tuned stack's squeezed_limit."""
     roots = []
     for value in sorted(levels):
         tuned = _tuned(stack, eq, value)
         limit = squeezed_limit(tuned)
-        roots.append(_root(limit.n, value, limit, tuned, energy, **fields))
+        roots.append(_root(limit.n, value, limit, theta, tuned, energy))
     return ResonanceSet(eq, tuple(roots))
 
 
@@ -267,21 +268,17 @@ def _scanned_roots(
     eq: ResonanceEquation, stack: StructureSpec, residual, lo, hi, poles, energy
 ) -> ResonanceSet:
     """Sign changes of residual(x)[0] on [lo, hi], split at the poles, so
-    that no bracket spans a pole.  A candidate is dropped when its tuned
-    stack's squeezed_limit is a wall: its scaled residual misses
-    RESIDUAL_RTOL, or its four theta forms disagree (EQ83).  A real root
+    that no bracket spans a pole.  A candidate's one judge is its tuned
+    stack's squeezed_limit: a wall (scaled residual past RESIDUAL_RTOL, or
+    four theta forms that disagree for EQ83) is dropped.  A real root
     within a scan step of a tangent pole can miss the gate, as bisection
-    to ROOT_REL_TOL leaves too large a residual on so steep a slope.
-    Roots carry their scaled residual."""
-    values = scan_and_bisect(lambda x: residual(x)[0], lo, hi, poles)
-    resid, scale = residual(np.array(values))
-    scaled = (np.abs(resid) / np.maximum(scale, 1e-300)).tolist()
+    to ROOT_REL_TOL leaves too large a residual on so steep a slope."""
     roots = []
-    for value, value_scaled in zip(values, scaled):
+    for value in scan_and_bisect(lambda x: residual(x)[0], lo, hi, poles):
         tuned = _tuned(stack, eq, value)
         limit = squeezed_limit(tuned)
         if limit.kind is not LimitKind.OPAQUE_WALL:
-            roots.append(_root(len(roots) + 1, value, limit, tuned, energy, residual=value_scaled))
+            roots.append(_root(len(roots) + 1, value, limit, limit.theta, tuned, energy))
     return ResonanceSet(eq, tuple(roots))
 
 
@@ -312,14 +309,11 @@ def resonances_transistor_delta(
 ) -> ResonanceSet:
     """Closed-form emitter-voltage set of the transistor delta limit:
     V_n = (n pi / d2)^2 for n >= 1 inside [lo, hi], squeezed at
-    (1,1) + (2,0) + (1,1), with the summed barrier strength per root."""
+    (1,1) + (2,0) + (1,1), with the summed barrier strength and theta = 1.0
+    per root; an interval of no positive voltage holds none."""
     _, base, _ = _transistor(stack)
-    if not hi > 0:
-        raise ValueError(f"emitter voltages are positive, so hi must be > 0, got {hi!r}")
     levels = _levels(1, base.d, 1.0, 0.0, lo, hi)
-    return _level_roots(
-        ResonanceEquation.EQ76_TRANSISTOR_DELTA, stack, levels, energy, theta=1.0
-    )
+    return _level_roots(ResonanceEquation.EQ76_TRANSISTOR_DELTA, stack, levels, energy, 1.0)
 
 
 def find_resonances_deltaprime_2layer(
@@ -338,8 +332,6 @@ def find_resonances_deltaprime_2layer(
     if not a1 > 0:
         raise ValueError("first layer must be a barrier (a1 > 0)")
     hi = min(hi, -a2 - 1e-12 * max(1.0, abs(a2)))
-    if not hi > lo:
-        return ResonanceSet(ResonanceEquation.EQ69_DELTAPRIME_2LAYER, ())
 
     def residual(b1):
         return two_layer_resonance_residual(a1, a2 + b1, d1, d2)
@@ -364,8 +356,6 @@ def find_resonances_transistor_deltaprime(
     margin = 1e-8 * max(1.0, collector.a)
     lo = max(lo, margin)
     hi = min(hi, collector.a - margin)
-    if not hi > lo:
-        return ResonanceSet(ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, ())
 
     def residual(v):
         return transistor_resonance_residual(stack, v)

@@ -376,7 +376,9 @@ def test_c11_transcendental_root_finders():
             m += 1
         brackets = _dense_scan_brackets(f, lo, hi, poles)
         ok_2layer &= len(brackets) == len(rset.roots)
-        ok_2layer &= all(r.residual < 1e-9 for r in rset.roots)
+        for root in rset.roots:
+            resid, scale = two_layer_resonance_residual(a1, a2 + root.value, d1, d2)
+            ok_2layer &= bool(abs(resid) / max(scale, 1e-300) < 1e-9)
         for (bl, bh), v in zip(brackets, rset.values()):
             ok_2layer &= bl - 1e-9 <= v <= bh + 1e-9
 
@@ -407,7 +409,9 @@ def test_c11_transcendental_root_finders():
             m += 1
         brackets = _dense_scan_brackets(g, margin, a3 - margin, poles)
         ok_transistor &= len(brackets) == len(rset.roots)
-        ok_transistor &= all(r.residual < 1e-9 for r in rset.roots)
+        for root in rset.roots:
+            resid, scale = transistor_resonance_residual(stack, root.value)
+            ok_transistor &= bool(abs(resid) / max(scale, 1e-300) < 1e-9)
         for (bl, bh), v in zip(brackets, rset.values()):
             ok_transistor &= bl - 1e-9 <= v <= bh + 1e-9
         for root in rset.roots:

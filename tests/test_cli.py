@@ -338,9 +338,6 @@ MALFORMED = {
         [],
         ["resonances", "--equation", "EQ69", "--interval", "-1e-322", "0", "--units", "invnm2"],
     ),
-    "eq76-negative-interval": (
-        FIG6, [], ["resonances", "--equation", "EQ76", "--interval", "-0.4", "-0.1"]
-    ),
     # level counts and values that overflow once scaled or squeezed
     "eq76-too-many-levels": (
         FIG6, [], ["resonances", "--equation", "EQ76", "--interval", "0", "1e300"]
@@ -359,6 +356,13 @@ MALFORMED = {
         FIG4,
         [(("units",), "invnm2"), (("layers", 0, "d"), 1e300)],
         ["resonances", "--equation", "EQ69", "--interval", "-0.6", "0.0"],
+    ),
+    # cosh(sqrt(a1) d1) ~ 1e308 over the well's cos: theta is +-inf at both roots
+    "eq69-theta-inf-invnm2": (
+        FIG4,
+        [(("units",), "invnm2"), (("energy",), 0.262464),
+         (("layers", 0, "a"), 126000.0), (("layers", 1, "a"), -0.262464)],
+        ["resonances", "--equation", "EQ69", "--interval", "-1.5", "0", "--units", "invnm2"],
     ),
     "sweep-hi-overflow": (FIG4, [(("sweep", "hi"), 1e308)], SWEEP),
     "scatter-energy-overflow": (FIG4, [], ["scatter", "--energy", "1e308"]),
@@ -642,11 +646,23 @@ def test_resonances_empty_interval_prints_header_only(capsys):
 @pytest.mark.parametrize("name, equation, lo, hi", [
     ("fig4", "EQ69", "0.2", "0.5"),  # above the branch edge b1 = -a2
     ("fig6", "EQ83", "0.6", "0.9"),  # above the collector barrier a3
+    ("fig6", "EQ76", "-0.4", "-0.1"),  # no positive emitter voltage
+    # above both clips: the inverted clipped interval counts no level
+    ("fig4", "EQ69", "1e12", "2e12"),
+    ("fig6", "EQ83", "1e12", "2e12"),
 ])
 def test_resonances_outside_the_domain_prints_header_only(capsys, name, equation, lo, hi):
     cfg = str(REPO / "configs" / f"{name}.json")
     assert main(["resonances", cfg, "--equation", equation, "--interval", lo, hi]) == 0
     assert capsys.readouterr().out == "n,value_eV,value_invnm2,theta,alpha,T_n,admissible\n"
+
+
+def test_resonances_theta_overflow_names_theta(tmp_path, capsys):
+    base, changes, command = MALFORMED["eq69-theta-inf-invnm2"]
+    cfg = write_config(tmp_path, edited(base, changes))
+    assert main([command[0], cfg, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: theta = -inf, ")
 
 
 def test_resonances_evanescent_lead_at_root_exit_3(tmp_path, capsys):
@@ -732,6 +748,13 @@ def test_sweep_sign_flipped_fig6_reference_roots(tmp_path):
     roots = sweep_json(tmp_path, flipped)["reference_roots_invnm2"]
     assert len(shipped) == 3
     assert roots == sorted(-r for r in shipped)
+
+
+def test_sweep_of_negative_emitter_voltages_has_no_reference_roots(tmp_path):
+    # tuned_sign 1 maps the positive grid to V_EB < 0, where EQ76 has no level
+    doc = sweep_json(tmp_path, edited(FIG6, [(("sweep", "tuned_sign"), 1.0)]))
+    assert doc["reference_roots_invnm2"] == []
+    assert all(s["convergence_invnm2"] == [] for s in doc["sweeps"])
 
 
 def test_sweep_of_other_layer_has_no_reference_roots(tmp_path):

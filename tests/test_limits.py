@@ -602,7 +602,7 @@ def test_scanned_roots_carry_python_floats():
     for rset in sets:
         assert rset.roots
         for root in rset.roots:
-            for field in (root.value, root.alpha, root.theta, root.trans_prob, root.residual):
+            for field in (root.value, root.alpha, root.theta, root.trans_prob):
                 assert type(field) is float
     lim = squeezed_limit(_fig6_at(sets[1].roots[0].value, 2.0))
     assert lim.kind is LimitKind.DELTA_PRIME_FAMILY

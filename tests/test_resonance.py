@@ -649,8 +649,8 @@ def test_2layer_residuals_small():
     rset = find_resonances_deltaprime_2layer(barrier_well_stack(1.0, 2.0, -0.3, 10.0), -2.0, 0.29)
     assert rset.roots
     for root in rset.roots:
-        assert root.residual < 1e-9
         resid, scale = two_layer_resonance_residual(1.0, -0.3 + root.value, 2.0, 10.0)
+        assert abs(resid) / max(scale, 1e-300) < 1e-9
         assert abs(resid) < 1e-8 * max(scale, 1.0)
 
 
@@ -727,7 +727,8 @@ def test_transistor_deltaprime_fig6_count_matches_dense_scan():
 def test_transistor_deltaprime_residuals_and_thetas():
     rset = find_resonances_transistor_deltaprime(FIG6_STACK, 1e-6, 0.5 * EV, energy=0.1 * EV)
     for root in rset.roots:
-        assert root.residual < 1e-9
+        resid, scale = transistor_resonance_residual(FIG6_STACK, root.value)
+        assert abs(resid) / max(scale, 1e-300) < 1e-9
         assert root.theta is not None and abs(root.theta) > 1.0
         assert root.trans_prob is not None and 0.0 < root.trans_prob < 1.0
 
@@ -867,6 +868,27 @@ def test_squeezed_limit_kind_matches_each_equation():
         assert len(rset.roots) >= 2
         for root in rset.roots:
             assert squeezed_limit(_tuned(stack, eq, root.value)).kind is kind
+
+
+def test_transistor_deltaprime_theta_disagreement_drops_the_root(monkeypatch):
+    # the four theta forms must agree to 1e-7: one form off by 1e-6 relative
+    # makes the classifier a wall, and the finder drops the root it judges
+    from airystack import limits
+
+    eq = ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME
+    root = find_resonances_transistor_deltaprime(FIG6_STACK, 1e-6, 0.5 * EV).roots[0].value
+    tuned = _tuned(FIG6_STACK, eq, root)
+    assert squeezed_limit(tuned).kind is LimitKind.DELTA_PRIME_FAMILY
+    exact = limits.transistor_theta_representations
+
+    def skewed(stack, v_eb):
+        *forms, last = exact(stack, v_eb)
+        return (*forms, last * (1.0 + 1e-6))
+
+    monkeypatch.setattr(limits, "transistor_theta_representations", skewed)
+    assert squeezed_limit(tuned).kind is LimitKind.OPAQUE_WALL
+    kept = find_resonances_transistor_deltaprime(FIG6_STACK, 1e-6, 0.5 * EV).values()
+    assert root not in kept
 
 
 # --- level enumeration --------------------------------------------------------
