@@ -15,7 +15,9 @@ path, and both run the same commands on the same inputs:
   [0, 0.5] eV; the domain edges fig6 EQ76 on [-0.4, -0.1] eV and fig6
   EQ83 on [1e12, 2e12] eV; and fig4 through EQ69 with a 126000 nm^-2
   barrier, whose theta overflows;
-- `scatter` on every configs/*.json at epsilon 1, 0.5, 0.1 and 0.01;
+- `scatter` on every configs/*.json at epsilon 1, 0.5, 0.1 and 0.01, and
+  at epsilon 1 on `stack` pool devices 0-3 and 28, whose many non-zero
+  biases make the right lead's summation order visible;
 - `limit-check` and `airy-check --verbose`.
 
 The inputs are this checkout's configs/ and perfbench/reference/ files,
@@ -55,6 +57,8 @@ EDGE_SETS = (
     ("fig6", "EQ83", ("1e12", "2e12")),
 )
 EPSILONS = ("1", "0.5", "0.1", "0.01")
+# `stack` pool devices also run through `scatter` at epsilon 1
+SCATTERED_STACKS = (0, 1, 2, 3, 28)
 
 # Run inside each tree's interpreter: the jobs arrive as JSON on stdin, the
 # digests leave as JSON on stdout, and each CSV text is kept in the texts
@@ -144,6 +148,9 @@ def jobs(workdir: pathlib.Path) -> list:
     for name, path in configs.items():
         for eps in EPSILONS:
             out.append((f"scatter {name} eps={eps}", ["scatter", path, "--epsilon", eps], []))
+    for i in SCATTERED_STACKS:
+        path = str(workdir / f"stack-{i}.json")
+        out.append((f"scatter stack-{i} eps=1", ["scatter", path, "--epsilon", "1"], []))
     out.append(("limit-check", ["limit-check"], []))
     out.append(("airy-check", ["airy-check", "--verbose"], []))
     return out

@@ -15,7 +15,9 @@ checked without loading the limits.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -82,9 +84,11 @@ class LayerSpec:
 class StructureSpec:
     """Ordered layer stack plus lead potentials.
 
-    The right lead defaults to v_left + sum(b_i): the face-value cumulative
-    bias, independent of eps.  Leads are physical constants; continuity
-    with the (diverging) layer edges is not required.
+    The right lead defaults to v_left + b_1 + ... + b_L summed left to
+    right, independent of eps: the order in which stack_potentials shifts
+    the edges, so at eps = 1 it meets a last layer's right edge if a = 0.
+    Leads are physical constants; continuity with the (diverging) layer
+    edges is not required.
     """
 
     layers: tuple[LayerSpec, ...]
@@ -96,12 +100,12 @@ class StructureSpec:
         if len(self.layers) < 1:
             raise ValueError("structure needs at least one layer")
 
-    def right_lead(self, biases) -> float:
-        """Right lead potential when the layers carry these biases: the
-        override, else v_left plus their exactly rounded sum."""
+    def right_lead(self, biases):
+        """Right lead when the layers carry these biases (in layer order, each
+        a float or an array over rows): the override, else v_left + running sum."""
         if self.v_right_override is not None:
             return self.v_right_override
-        return self.v_left + math.fsum(biases)
+        return self.v_left + functools.reduce(operator.add, biases)
 
     def lead_potentials(self) -> tuple[float, float]:
         return self.v_left, self.right_lead(layer.b for layer in self.layers)

@@ -2,12 +2,12 @@
 
 Probabilities are computed from the real combinations p and q rather than
 from |amplitude|^2, which avoids catastrophic cancellation at near-total
-reflection; the complex amplitudes are reported alongside and agree with
-the probabilities by construction (conservation R + T = 1 is exact).
+reflection.  R + T = 1 holds exactly for the formulas; R and T are each
+rounded on their own, so their computed sum is 1 to within a few ulps.
 `trans_prob` is the one definition of T, elementwise over (..., 2, 2)
-arrays of transfer matrices; `scatter` takes one (2, 2) matrix and adds
-the amplitudes.  Their arithmetic, `_terms`, also gives each resonance
-root's T_n from its limit matrix on plain floats (resonance._root).
+arrays of transfer matrices (it computes no R); `scatter` takes one (2, 2)
+matrix on floats and adds R and the amplitudes.  Their arithmetic, `_terms`,
+also gives each resonance root's T_n from its limit matrix (resonance._root).
 """
 
 from __future__ import annotations
@@ -45,29 +45,18 @@ def _terms(l11, l12, l21, l22, k_l, k_r):
     return p, q, four_r, four_r + p * p + q * q
 
 
-def _probabilities(matrices, v_left, v_right, energy: float) -> tuple[np.ndarray, ...]:
-    """(R, T, p, q, k_left, k_right) elementwise over matrices (..., 2, 2)
-    and lead potentials that broadcast with them; R and T are NaN where a
-    lead does not propagate."""
-    m = np.asarray(matrices, dtype=float)
-    l11, l12, l21, l22 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
-    propagating = (energy > np.asarray(v_left)) & (energy > np.asarray(v_right))
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        k_l = np.sqrt(energy - np.asarray(v_left, dtype=float))
-        k_r = np.sqrt(energy - np.asarray(v_right, dtype=float))
-        p, q, four_r, denom = _terms(l11, l12, l21, l22, k_l, k_r)
-        total = np.isinf(denom)  # total reflection
-        refl = np.where(total, 1.0, (p * p + q * q) / denom)
-        trans = np.where(total, 0.0, four_r / denom)
-    refl, trans = (np.where(propagating, x, math.nan) for x in (refl, trans))
-    return refl, trans, p, q, k_l, k_r
-
-
 def trans_prob(matrices, v_left, v_right, energy: float) -> np.ndarray:
     """Transmission probability elementwise over matrices (..., 2, 2) and
     lead potentials that broadcast with them; NaN where energy is not
     strictly above both leads."""
-    return _probabilities(matrices, v_left, v_right, energy)[1]
+    m = np.asarray(matrices, dtype=float)
+    l11, l12, l21, l22 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    v_left, v_right = np.asarray(v_left, dtype=float), np.asarray(v_right, dtype=float)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        k_l, k_r = np.sqrt(energy - v_left), np.sqrt(energy - v_right)
+        _, _, four_r, denom = _terms(l11, l12, l21, l22, k_l, k_r)
+        trans = np.where(np.isinf(denom), 0.0, four_r / denom)  # total reflection
+    return np.where((energy > v_left) & (energy > v_right), trans, math.nan)
 
 
 def scatter(matrix, v_left: float, v_right: float, energy: float) -> ScatteringResult:
@@ -82,9 +71,11 @@ def scatter(matrix, v_left: float, v_right: float, energy: float) -> ScatteringR
             f"energy {energy!r} not above lead potentials ({v_left!r}, {v_right!r})"
         )
     (l11, l12), (l21, l22) = np.asarray(matrix, dtype=float).tolist()
-    refl, trans, p, q, k_l, k_r = (
-        float(x) for x in _probabilities(matrix, v_left, v_right, energy)
-    )
+    k_l, k_r = math.sqrt(energy - v_left), math.sqrt(energy - v_right)
+    p, q, four_r, denom = _terms(l11, l12, l21, l22, k_l, k_r)
+    total = math.isinf(denom)  # total reflection
+    refl = 1.0 if total else (p * p + q * q) / denom
+    trans = 0.0 if total else four_r / denom
     ratio = k_l / k_r
     d = complex(l11 + ratio * l22, -(k_l * l12 - l21 / k_r))
     return ScatteringResult(

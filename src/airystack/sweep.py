@@ -93,8 +93,7 @@ class SweepRequest:
         spec = self.structure
         biases = self._biases(values)
         matrices = structure_matrices(*stack_potentials(spec, epsilon, biases), self.energy)
-        v_right = np.array([spec.right_lead(row) for row in biases.tolist()])
-        t = trans_prob(matrices, spec.v_left, v_right, self.energy)
+        t = trans_prob(matrices, spec.v_left, spec.right_lead(biases.T), self.energy)
         return float(t[0]) if values.ndim == 0 else t.reshape(values.shape)
 
 

@@ -2,7 +2,11 @@
 and test helpers."""
 
 import cmath
+import gzip
+import json
 import math
+import pathlib
+import tempfile
 from dataclasses import dataclass
 from enum import Enum
 from types import SimpleNamespace
@@ -13,6 +17,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from airystack.airy import _exp, airy_eval_scaled
+from airystack.cli import DeviceConfig, load_config
 from airystack.potential import EV_TO_INVNM2, LayerSpec, StructureSpec, stack_potentials
 from airystack.resonance import MAX_STEPS, ROOT_REL_TOL, SCAN_STEPS
 from airystack.scattering import ScatteringResult
@@ -518,6 +523,22 @@ def random_superlattice(rng) -> tuple[StructureSpec, float]:
             a, d = 0.0, rng.uniform(3.0, 8.0)
         layers.append(LayerSpec(a * EV_TO_INVNM2, -field * d * EV_TO_INVNM2, d, 0.0, 0.0))
     return StructureSpec(tuple(layers)), rng.uniform(0.05, 0.2) * EV_TO_INVNM2
+
+
+def stack_pool() -> list[DeviceConfig]:
+    """The 48 devices of the `stack` benchmark pool, read only from
+    perfbench/reference/stack.json.gz and loaded as the CLI loads a config:
+    biased superlattices with powers (0, 0), each with its sweep."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    with gzip.open(root / "perfbench" / "reference" / "stack.json.gz", "rt") as fh:
+        devices = json.load(fh)["devices"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "device.json"
+        configs = []
+        for device in devices:
+            path.write_text(json.dumps(device["config"]))
+            configs.append(load_config(str(path)))
+    return configs
 
 
 def golden_max_per_bracket(f, lo: float, hi: float, rel_tol: float) -> float:

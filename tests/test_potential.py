@@ -1,6 +1,7 @@
 """Structure realization, region classification, units."""
 
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +14,10 @@ from airystack.potential import (
     ev_to_invnm2,
     invnm2_to_ev,
     realize,
+    stack_potentials,
 )
+
+from conftest import random_superlattice, stack_pool
 
 
 def test_unit_constant_and_examples():
@@ -118,6 +122,35 @@ def test_lead_defaults_and_override():
     assert v_r == pytest.approx(0.2 - 0.4 + 0.1)
     spec2 = StructureSpec(spec.layers, 0.2, v_right_override=-1.0)
     assert spec2.lead_potentials()[1] == -1.0
+
+
+def test_right_lead_meets_a_flat_last_layer_of_the_stack_pool():
+    # with v_left = 0 and a = 0, the last layer's right edge at eps = 1 is
+    # the running bias b_1 + ... + b_L, the lead's default
+    flat = [cfg.spec for cfg in stack_pool() if cfg.spec.layers[-1].a == 0.0]
+    assert len(flat) == 26
+    for spec in flat:
+        assert spec.v_left == 0.0 and spec.v_right_override is None
+        _, v_right, _ = stack_potentials(spec, 1.0, [[layer.b for layer in spec.layers]])
+        assert spec.lead_potentials()[1] == v_right[0, -1]
+
+
+@pytest.mark.parametrize("v_left", [0.0, 0.013])
+def test_right_lead_of_bias_rows_is_each_row_summed_left_to_right(v_left):
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        layers = random_superlattice(rng)[0].layers
+        spec = StructureSpec(layers, v_left)
+        biases = np.tile([layer.b for layer in layers], (101, 1))
+        biases[:, int(rng.integers(len(layers)))] = np.linspace(-0.5, 0.0, 101)
+        leads = spec.right_lead(biases.T)
+        assert leads.shape == (101,)
+        for lead, row in zip(leads.tolist(), biases):
+            assert lead == spec.right_lead(row.tolist()) == v_left + np.cumsum(row)[-1]
+        # an override holds for every row
+        pinned = StructureSpec(layers, v_left, v_right_override=-0.3)
+        assert pinned.right_lead(biases.T) == -0.3
+        assert all(pinned.right_lead(row.tolist()) == -0.3 for row in biases)
 
 
 def test_named_points():

@@ -818,6 +818,26 @@ def test_transistor_trans_prob_is_limit_scattering():
             assert root.trans_prob == pytest.approx(want, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "config, equation, interval",
+    [
+        ("fig4", ResonanceEquation.EQ73_DELTA_BARRIER_WELL, (-1.0 * EV, 0.0)),
+        ("fig4", ResonanceEquation.EQ69_DELTAPRIME_2LAYER, (-1.0 * EV, 0.0)),
+        ("fig6", ResonanceEquation.EQ76_TRANSISTOR_DELTA, (0.0, 0.5 * EV)),
+        ("fig6", ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, (0.0, 0.5 * EV)),
+    ],
+)
+def test_figure_root_t_n_is_scatter_of_its_limit_matrix(config, equation, interval):
+    # _root's float arithmetic and scatter's give the same bits
+    cfg = load_config(f"{ROOT}/configs/{config}.json")
+    roots = FINDERS[equation](cfg.spec, *interval, cfg.energy).roots
+    assert len(roots) >= 2
+    for root in roots:
+        tuned = _tuned(cfg.spec, equation, root.value)
+        matrix = squeezed_limit(tuned).matrix()
+        assert root.trans_prob == scatter(matrix, *tuned.lead_potentials(), cfg.energy).trans_prob
+
+
 def _alpha_barrier_well(a1, a2, b1, b2, d1, d2):
     """Off-diagonal strength of the barrier-well delta-prime limit in real
     arithmetic (a1 > 0, a2 + b1 < 0; independent coding): each bias tilt

@@ -3,6 +3,7 @@ and T against a 60-digit mpmath product."""
 
 import math
 import pathlib
+import warnings
 
 import mpmath
 import numpy as np
@@ -21,6 +22,7 @@ from conftest import (
     random_superlattice,
     rect_barrier_transmission,
     s_matrix,
+    stack_pool,
     structure_matrix,
 )
 
@@ -95,6 +97,47 @@ def test_time_reversal_equal_leads(rng):
         assert abs(res.t_left) == pytest.approx(abs(res.t_right), abs=1e-12)
 
 
+def _array_route(matrices, v_l, v_r, energy):
+    """(R, T) of matrices (..., 2, 2) on arrays: T from trans_prob, and R
+    as p^2 + q^2 over T's denominator, 1 where that overflows."""
+    m = np.asarray(matrices, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k_l, k_r = np.sqrt(energy - v_l), np.sqrt(energy - v_r)
+        ratio = k_l / k_r
+        p = m[..., 0, 0] - ratio * m[..., 1, 1]
+        q = k_l * m[..., 0, 1] + m[..., 1, 0] / k_r
+        denom = 4.0 * ratio + p * p + q * q
+        refl = np.where(np.isinf(denom), 1.0, (p * p + q * q) / denom)
+    return refl, trans_prob(m, v_l, v_r, energy)
+
+
+def test_scatter_probabilities_equal_the_array_route(rng):
+    energy = 1.7
+    matrices = np.array([random_unimodular(rng) for _ in range(2000)])
+    v_l, v_r = rng.uniform(-2.0, 1.6, size=(2, 2000))
+    refl, trans = _array_route(matrices, v_l, v_r, energy)
+    for m, a, b, r, t in zip(matrices, v_l.tolist(), v_r.tolist(), refl.tolist(), trans.tolist()):
+        res = scatter(m, a, b, energy)
+        assert (res.refl_prob, res.trans_prob) == (r, t)
+
+
+@pytest.mark.parametrize(
+    "matrix, v_lead, energy",
+    [
+        ([[1e200, 0.0], [0.0, 1e-200]], 0.0, 1.0),  # p^2 overflows
+        ([[1.0, 0.0], [2.0, 1.0]], 0.0, 5e-324),  # (l21 / k_r)^2 overflows
+    ],
+    ids=["p-squared-overflows", "energy-one-subnormal-above-the-leads"],
+)
+def test_total_reflection_on_both_routes(matrix, v_lead, energy):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = scatter(matrix, v_lead, v_lead, energy)
+    assert (res.refl_prob, res.trans_prob) == (1.0, 0.0)
+    refl, trans = _array_route(matrix, v_lead, v_lead, energy)
+    assert (float(refl), float(trans)) == (1.0, 0.0)
+
+
 def test_evanescent_lead_errors():
     m = np.eye(2)
     with pytest.raises(EvanescentLeadError):
@@ -167,7 +210,19 @@ def _config(name, epsilon, bias_ev=None):
     return spec, cfg.energy, epsilon
 
 
+def _stack_device(index, point):
+    """Device `index` of the `stack` benchmark pool at grid point `point`
+    of its sweep, at epsilon 1."""
+    cfg = stack_pool()[index]
+    sweep = cfg.sweep
+    value = sweep["lo"] + (sweep["hi"] - sweep["lo"]) * point / (sweep["points"] - 1)
+    return cfg.spec.replace_bias(sweep["tuned_layer"], sweep["tuned_sign"] * value), cfg.energy, 1.0
+
+
 ORACLE_CASES = {f"superlattice-{seed}": (_superlattice, seed) for seed in range(4)}
+# ill-conditioned: 24 layers; point 35 has the largest T error of its 200
+# (1.9e-12, against a bound of 8.0e-6)
+ORACLE_CASES["stack-28"] = (_stack_device, 28, 35)
 for _eps in (1.0, 0.5, 0.1):
     for _name in ("barrier", "fig4", "fig6"):
         ORACLE_CASES[f"{_name}-eps{_eps}"] = (_config, _name, _eps)
