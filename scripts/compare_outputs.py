@@ -7,8 +7,9 @@ Each tree runs in its own fresh interpreter with only TREE/src on the
 path, and both run the same commands on the same inputs:
 
 - `sweep` on configs/fig4.json and configs/fig6.json, on fig6 with
-  sweep.tuned_sign 1 (a grid of negative emitter voltages), and on the 48
-  devices of the `stack` benchmark pool;
+  sweep.tuned_sign 1 (a grid of negative emitter voltages), on the 48
+  devices of the `stack` benchmark pool, and on its 24-layer device 17
+  with sweep.points 20001, whose grid call runs in many row blocks;
 - `resonances` on the 384 sets of the `resonances` benchmark pool (96
   barrier-well devices through EQ73 and EQ69, 96 transistors through EQ76
   and EQ83), plus fig4 EQ73/EQ69 on [-1, 0] eV and fig6 EQ76/EQ83 on
@@ -59,6 +60,9 @@ EDGE_SETS = (
 EPSILONS = ("1", "0.5", "0.1", "0.01")
 # `stack` pool devices also run through `scatter` at epsilon 1
 SCATTERED_STACKS = (0, 1, 2, 3, 28)
+# a 24-layer `stack` pool device swept on a grid long enough that each
+# transmission call runs in many row blocks
+LONG_STACK, LONG_POINTS = 17, 20001
 
 # Run inside each tree's interpreter: the jobs arrive as JSON on stdin, the
 # digests leave as JSON on stdout, and each CSV text is kept in the texts
@@ -122,9 +126,14 @@ def jobs(workdir: pathlib.Path) -> list:
         with gzip.open(HERE / "perfbench" / "reference" / f"{workload}.json.gz", "rt") as fh:
             return json.load(fh)
 
-    for i, device in enumerate(reference("stack")["devices"]):
+    stack = reference("stack")["devices"]
+    for i, device in enumerate(stack):
         path = _write(workdir / f"stack-{i}.json", device["config"])
         out.append((f"sweep stack-{i}", ["sweep", path, "--out", prefix], files))
+    config = stack[LONG_STACK]["config"]
+    long = dict(config, sweep=dict(config["sweep"], points=LONG_POINTS))
+    path = _write(workdir / f"stack-{LONG_STACK}-long.json", long)
+    out.append((f"sweep stack-{LONG_STACK}-long", ["sweep", path, "--out", prefix], files))
     pool = reference("resonances")
     for kind in ("barrier_well", "transistor"):
         for i, device in enumerate(pool[kind]):

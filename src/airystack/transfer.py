@@ -9,7 +9,8 @@ A transfer matrix is a float array of shape (..., 2, 2).  One array path
 builds every matrix: `structure_matrices` takes edge potentials of any
 shape whose last axis runs over the layers, builds a matrix per layer and
 multiplies them along that axis; a one-layer axis gives the layer's own
-matrix.
+matrix.  The matrices are stored element-major, (2, 2, ...), so each
+element is one long row, and the product is a (..., 2, 2) view of it.
 """
 
 from __future__ import annotations
@@ -29,19 +30,6 @@ __all__ = [
     "airy_layer_params",
     "slope_is_degenerate",
 ]
-
-
-def _product(a, b) -> tuple:
-    """a b for 2x2 matrices given as (l11, l12, l21, l22), elementwise over
-    floats or arrays."""
-    a11, a12, a21, a22 = a
-    b11, b12, b21, b22 = b
-    return (
-        a11 * b11 + a12 * b21,
-        a11 * b12 + a12 * b22,
-        a21 * b11 + a22 * b21,
-        a21 * b12 + a22 * b22,
-    )
 
 
 @dataclass(frozen=True)
@@ -154,10 +142,11 @@ def _linear(sigma: np.ndarray, z: np.ndarray) -> tuple:
     )
 
 
-def _elements(v_left, v_right, width, energy: float) -> list[np.ndarray]:
-    """(l11, l12, l21, l22) of linear-profile layers, each shaped like the
-    broadcast edge potentials.  A layer whose tilt is degenerate takes the
-    flat formula at its mid potential; every other layer the Airy formula."""
+def _elements(v_left, v_right, width, energy: float) -> np.ndarray:
+    """Matrices of linear-profile layers, element-major: shape (2, 2, *s)
+    for broadcast edge potentials of shape s.  A layer whose tilt is
+    degenerate takes the flat formula at its mid potential; every other
+    layer the Airy formula."""
     v_left, v_right, width = np.broadcast_arrays(
         np.asarray(v_left, dtype=float), np.asarray(v_right, dtype=float),
         np.asarray(width, dtype=float),
@@ -173,19 +162,20 @@ def _elements(v_left, v_right, width, energy: float) -> list[np.ndarray]:
         del p
     if flat.any():
         parts.append((flat, _constant(v_left[flat], v_right[flat], width[flat], energy)))
-    elements = [np.empty(v_left.size) for _ in range(4)]
+    m = np.empty((2, 2, v_left.size))
     for where, values in parts:
-        for element, value in zip(elements, values):
-            element[where] = value
-    return [element.reshape(shape) for element in elements]
+        for row, value in zip(m.reshape(4, v_left.size), values):
+            row[where] = value
+    return m.reshape((2, 2) + shape)
 
 
 def structure_matrices(v_left, v_right, width, energy: float) -> np.ndarray:
     """Right-to-left products Lambda_N ... Lambda_1 along the last axis of
-    the edge potentials (the layers); shape (..., 2, 2)."""
-    elements = _elements(v_left, v_right, width, energy)
-    total = [element[..., 0] for element in elements]
-    for i in range(1, elements[0].shape[-1]):
-        total = _product([element[..., i] for element in elements], total)
-    return np.stack(total, axis=-1).reshape(elements[0].shape[:-1] + (2, 2))
-
+    the edge potentials (the layers); shape (..., 2, 2), a view of the
+    element-major product."""
+    m = _elements(v_left, v_right, width, energy)
+    total = m[..., 0]
+    for i in range(1, m.shape[-1]):
+        # (A T)_jk = A_j1 T_1k + A_j2 T_2k, each element in one broadcast term
+        total = m[:, :1, ..., i] * total[:1] + m[:, 1:, ..., i] * total[1:]
+    return np.moveaxis(total, (0, 1), (-2, -1))

@@ -58,9 +58,10 @@ def mp_structure_matrix(v_left, v_right, widths, energy, dps=60):
     """Right-to-left product of the layers' transfer matrices in dps-digit
     arithmetic (an mpmath 2x2 matrix), independent of the package: a tilted
     layer is F(z_right) F(z_left)^-1 with F = [[Ai, Bi], [sigma Ai', sigma Bi']]
-    from mpmath's Airy functions, sigma the real cube root of the slope and
-    z = (v - E) / sigma^2; a flat layer is cos/sin above its potential,
-    cosh/sinh below.  The float inputs are taken exactly."""
+    from mpmath's Airy functions (F^-1 in closed form), sigma the real cube
+    root of the slope and z = (v - E) / sigma^2; a flat layer is cos/sin
+    above its potential, cosh/sinh below.  The float inputs are taken
+    exactly."""
     with mpmath.workdps(dps):
         e = mpmath.mpf(energy)
         total = mpmath.eye(2)
@@ -88,7 +89,11 @@ def mp_structure_matrix(v_left, v_right, widths, energy, dps=60):
                         [sigma * mpmath.airyai(z, 1), sigma * mpmath.airybi(z, 1)],
                     ])
 
-                m = fundamental(v1) * mpmath.inverse(fundamental(v0))
+                # F^-1 from the Wronskian W(Ai, Bi) = 1 / pi, det F = sigma / pi:
+                # no pivoting, so Bi >> Ai at large z does not make it singular
+                (f11, f12), (f21, f22) = fundamental(v0).tolist()
+                inverse = (mpmath.pi / sigma) * mpmath.matrix([[f22, -f12], [-f21, f11]])
+                m = fundamental(v1) * inverse
             total = m * total
         return total
 

@@ -223,6 +223,9 @@ ORACLE_CASES = {f"superlattice-{seed}": (_superlattice, seed) for seed in range(
 # ill-conditioned: 24 layers; point 35 has the largest T error of its 200
 # (1.9e-12, against a bound of 8.0e-6)
 ORACLE_CASES["stack-28"] = (_stack_device, 28, 35)
+# layer 0 biased by a few meV: z_left ~ 100, where Bi swamps Ai
+for _point in range(1, 7):
+    ORACLE_CASES[f"stack-28-point{_point}"] = (_stack_device, 28, _point)
 for _eps in (1.0, 0.5, 0.1):
     for _name in ("barrier", "fig4", "fig6"):
         ORACLE_CASES[f"{_name}-eps{_eps}"] = (_config, _name, _eps)

@@ -3,6 +3,7 @@
 import json
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from airystack.sweep import (
     sweep_to_json,
 )
 
-from conftest import golden_max_per_bracket, mixed_stack, random_superlattice
+from conftest import golden_max_per_bracket, mixed_stack, random_superlattice, stack_pool
 
 EV = 2.62464
 
@@ -206,6 +207,26 @@ def test_batched_curve_equals_batch_of_one(monkeypatch):
         assert 0 < gaps.sum() < len(grid)
         assert np.array_equal(gaps, np.isnan(single))
         assert np.all(np.abs(curve[~gaps] - single[~gaps]) <= 1e-14 * np.abs(single[~gaps]))
+
+
+def test_long_transmission_call_runs_in_bounded_memory():
+    # `stack` pool device 28: 24 layers, so 10,001 points are 240,024 layer
+    # matrices; evaluated in one block they peak at ~96 MB under tracemalloc
+    cfg = stack_pool()[28]
+    sweep = cfg.sweep
+    assert len(cfg.spec.layers) == 24
+    req = SweepRequest(cfg.spec, sweep["tuned_layer"], sweep["lo"], sweep["hi"], 10_001,
+                       (1.0,), cfg.energy, sweep["tuned_sign"])
+    grid = np.linspace(sweep["lo"], sweep["hi"], 10_001)
+    tracemalloc.start()
+    try:
+        t = req.transmission(grid, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16e6, peak
+    halves = np.concatenate([req.transmission(half, 1.0) for half in np.array_split(grid, 2)])
+    assert t.tobytes() == halves.tobytes()
 
 
 def test_lockstep_refinement_equals_per_bracket_golden_section():
