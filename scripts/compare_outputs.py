@@ -19,7 +19,10 @@ path, and both run the same commands on the same inputs:
 - `scatter` on every configs/*.json at epsilon 1, 0.5, 0.1 and 0.01, and
   at epsilon 1 on `stack` pool devices 0-3 and 28, whose many non-zero
   biases make the right lead's summation order visible;
-- `limit-check` and `airy-check --verbose`.
+- `limit-check` and `airy-check --verbose`;
+- `scatter` and `sweep` on configs/barrier.json with its layer's k * w
+  (a = 1e300, d = 1e200) or Airy exponent (a = 1, b = d = 1e300) past the
+  largest double, each a config error (exit 2).
 
 The inputs are this checkout's configs/ and perfbench/reference/ files,
 and the configs derived from them in a temporary directory.
@@ -63,6 +66,12 @@ SCATTERED_STACKS = (0, 1, 2, 3, 28)
 # a 24-layer `stack` pool device swept on a grid long enough that each
 # transmission call runs in many row blocks
 LONG_STACK, LONG_POINTS = 17, 20001
+# configs/barrier.json layer edits whose k * w (flat) or Airy exponent
+# (tilted) is inf, and the sweep range of each
+OVERFLOWS = (
+    ("flat-inf", {"a": 1e300, "d": 1e200}, (0.0, 1e-4)),
+    ("tilted-inf", {"a": 1.0, "b": 1e300, "d": 1e300}, (-1e300, -1e299)),
+)
 
 # Run inside each tree's interpreter: the jobs arrive as JSON on stdin, the
 # digests leave as JSON on stdout, and each CSV text is kept in the texts
@@ -162,6 +171,13 @@ def jobs(workdir: pathlib.Path) -> list:
         out.append((f"scatter stack-{i} eps=1", ["scatter", path, "--epsilon", "1"], []))
     out.append(("limit-check", ["limit-check"], []))
     out.append(("airy-check", ["airy-check", "--verbose"], []))
+    barrier = json.loads(pathlib.Path(configs["barrier"]).read_text())
+    for name, layer, (lo, hi) in OVERFLOWS:
+        sweep = {"tuned_layer": 0, "lo": lo, "hi": hi, "points": 3, "epsilons": [1.0]}
+        config = dict(barrier, layers=[dict(barrier["layers"][0], **layer)], sweep=sweep)
+        path = _write(workdir / f"barrier-{name}.json", config)
+        out.append((f"scatter barrier-{name}", ["scatter", path], []))
+        out.append((f"sweep barrier-{name}", ["sweep", path, "--out", prefix], files))
     return out
 
 

@@ -117,9 +117,11 @@ _U, _V = _uv_tables(40)
 
 
 def _zeta(z: np.ndarray) -> np.ndarray:
-    """zeta = (2/3) |z|^(3/2), the phase or exponent of the expansions."""
+    """zeta = (2/3) |z|^(3/2), the phase or exponent of the expansions; inf
+    where it is past the largest double."""
     size = np.abs(z)
-    return (2.0 / 3.0) * size * np.sqrt(size)
+    with np.errstate(over="ignore"):
+        return (2.0 / 3.0) * size * np.sqrt(size)
 
 
 def _regimes(z: np.ndarray) -> dict[str, np.ndarray]:

@@ -3,9 +3,9 @@
 Sweep peaks (golden section) and resonance roots (bisection) run here.  A
 plan lists a predicted path to closure plus the point that the other way
 of its first undecided step needs, so each round takes every open bracket
-two steps or more.  Steps read f only from evaluated values, so with an
-elementwise, pure f every bracket ends where one f call per step would
-take it, bit for bit: a wrong prediction costs a round, never an answer.
+two steps or more.  Steps read f only from a bracket's one store of values,
+so with an elementwise, pure f every bracket ends where one f call per step
+would take it, bit for bit: a wrong prediction costs a round, not an answer.
 """
 
 from __future__ import annotations
@@ -18,10 +18,10 @@ __all__: list[str] = []
 def refine(f, brackets, plan) -> None:
     """Run the searches until no plan lists a point.
 
-    Each bracket is a list: item 0 its dict x -> f(x), the rest its state.
+    Each bracket is a list: item 0 its dict x -> f(x), the one store of its
+    values (seeded by the search), then its state, which holds no f-value.
     plan(bracket) walks the steps its values decide, stores the state it
     reaches and returns the points of its next round (none once closed).
-    A round evaluates all open brackets' points in one call of f.
     """
     while plans := [(s, p) for s in brackets if (p := plan(s))]:
         values = iter(f(np.array([x for _, p in plans for x in p])).tolist())

@@ -110,57 +110,47 @@ def scan_and_bisect(f, lo: float, hi: float, poles: tuple[float, ...] = ()) -> l
     inside[np.cumsum([p.size for p in pieces[:-1]], dtype=int) - 1] = False
     # opposite signs; f0 * f1 itself would underflow to 0 for tiny values
     i = np.flatnonzero(inside & (np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0))
-    # each bracket's third point: the scan neighbour left of it in its
-    # piece, else the one right of it, else its own left end (no third point)
-    left = np.zeros(inside.size, dtype=bool)
-    left[1:] = inside[:-1]
-    right = np.zeros(inside.size, dtype=bool)
-    right[:-1] = inside[1:]
-    j = np.where(left[i], i - 1, np.where(right[i], i + 2, i))
-    # f of the points evaluated so far, x0, x1, f0, f1, x2, f2, steps, closed
-    ends = (v.tolist() for v in (xs[i], xs[i + 1], fs[i], fs[i + 1], xs[j], fs[j]))
-    brackets = [[{}, *s, 0, False] for s in zip(*ends)]
+    # third point: the scan neighbour to the left in the bracket's piece, else the one to the right
+    j = np.where(np.r_[False, inside][i], i - 1, np.minimum(i + 2, xs.size - 1))
+    ends = (v.tolist() for v in (xs[i], xs[i + 1], xs[j], fs[i], fs[i + 1], fs[j]))
+    brackets = [[dict(zip(s[:3], s[3:])), *s[:3], 0] for s in zip(*ends)]
     refine(f, brackets, _bisect_plan)
     roots = xs[fs == 0.0].tolist() + [0.5 * (s[1] + s[2]) for s in brackets]
     return sorted(set(roots))
 
 
-def _bisect_plan(s) -> list[float]:
-    """One round of bisection on s = [seen, x0, x1, f0, f1, x2, f2, steps,
-    closed], f0 and f1 the values of f at x0 and x1, of opposite signs, and
-    (x2, f2) a third point of f: a scan neighbour at first, then the end
-    that the last step replaced.
+def _closed(x0, x1, steps) -> bool:
+    """Bisection's one stopping rule: at least one step, then a true relative
+    width of ROOT_REL_TOL (x0 <= x1: max(|x0|, |x1|) is max(x1, -x0)) or MAX_STEPS."""
+    return steps > 0 and (x1 - x0 <= ROOT_REL_TOL * (x1 if x1 > -x0 else -x0) or steps == MAX_STEPS)
 
-    It walks the steps whose midpoint is in seen, at least one and at most
-    MAX_STEPS, to ROOT_REL_TOL, and stores where it stops.  An open bracket
-    lists the midpoint after the other way of its first step and those of
-    its path to closure, which heads for the predicted root (_predicted).
+
+def _bisect_plan(s) -> list[float]:
+    """One round of bisection on s = [seen, x0, x1, x2, steps]: seen holds f
+    at every point known so far, of opposite signs at x0 and x1, and x2 is a
+    third point, a scan neighbour at first, then the end the last step replaced.
+
+    It walks the steps whose midpoint is in seen until _closed, and stores
+    where it stops.  An open bracket lists the midpoint after the other way
+    of its first step and those of its path to closure, which heads for the
+    predicted root (_predicted).
     """
-    seen, x0, x1, f0, f1, x2, f2, steps, closed = s
-    while not closed:
-        mid = 0.5 * (x0 + x1)
-        fm = seen.get(mid)
-        if fm is None:
-            break
+    seen, x0, x1, x2, steps = s
+    while not _closed(x0, x1, steps) and (fm := seen.get(mid := 0.5 * (x0 + x1))) is not None:
         steps += 1
+        f0 = seen[x0]
         if fm == 0.0:
             x0 = x1 = mid
         elif f0 < 0.0 < fm or fm < 0.0 < f0:
-            x2, f2, x1, f1 = x1, f1, mid, fm
+            x2, x1 = x1, mid
         else:
-            x2, f2, x0, f0 = x0, f0, mid, fm
-        # true relative tolerance: small roots (steep residuals near
-        # poles) still need their full relative precision
-        a0 = x0 if x0 >= 0.0 else -x0
-        a1 = x1 if x1 >= 0.0 else -x1
-        closed = (x1 - x0) <= ROOT_REL_TOL * (a0 if a0 > a1 else a1) or steps == MAX_STEPS
-    s[1:] = x0, x1, f0, f1, x2, f2, steps, closed
-    if closed:
+            x2, x0 = x0, mid
+    s[1:] = x0, x1, x2, steps
+    if _closed(x0, x1, steps):
         return []
-    r = _predicted(x0, x1, f0, f1, x2, f2)  # left of mid: step left
-    mid = 0.5 * (x0 + x1)
+    r = _predicted(seen, x0, x1, x2)  # left of mid (the walk's last, not in seen): step left
     points = [0.5 * (mid + x1) if r < mid else 0.5 * (x0 + mid)]  # the other way
-    while not closed:
+    while not _closed(x0, x1, steps):
         mid = 0.5 * (x0 + x1)
         points.append(mid)
         if r < mid:
@@ -168,17 +158,15 @@ def _bisect_plan(s) -> list[float]:
         else:
             x0 = mid
         steps += 1
-        a0 = x0 if x0 >= 0.0 else -x0
-        a1 = x1 if x1 >= 0.0 else -x1
-        closed = (x1 - x0) <= ROOT_REL_TOL * (a0 if a0 > a1 else a1) or steps == MAX_STEPS
     return points
 
 
-def _predicted(x0, x1, f0, f1, x2, f2) -> float:
-    """Where the root of f in (x0, x1) is predicted: the inverse quadratic
-    interpolation of the three points (Brent) when their values are
-    pairwise distinct and it falls strictly inside, else the secant root
-    of the two ends.  It only chooses the points a round evaluates."""
+def _predicted(seen, x0, x1, x2) -> float:
+    """Where the root of f in (x0, x1) is predicted from seen: the inverse
+    quadratic interpolation of the three points (Brent) when their values
+    are pairwise distinct and it falls strictly inside, else the secant
+    root of the two ends.  It only chooses the points a round evaluates."""
+    f0, f1, f2 = seen[x0], seen[x1], seen[x2]
     if f0 != f1 and f0 != f2 and f1 != f2:
         # Lagrange form of x(f) at f = 0, one difference per divisor
         r = (

@@ -144,17 +144,16 @@ def _golden_max(f, x: np.ndarray, fx: np.ndarray) -> list[float]:
     and not at all for brackets closed from the start.
 
     x holds each bracket's ends and a point between them, fx the values of
-    f there (finite at the middle one); they only guide which points get
-    evaluated.
+    f there (finite at the middle one); they are each bracket's first
+    values in seen, the one store its plan reads.
     """
     lo, hi = x[:, 0], x[:, 2]
     c = hi - _GOLDEN * (hi - lo)
     d = lo + _GOLDEN * (hi - lo)
     tol = PEAK_REL_TOL * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
-    # f of the points evaluated so far, a, b, c, d, tol, the (x, f) seeds
     brackets = [
-        [{}, *s[:5], list(zip(*s[5:]))]
-        for s in zip(*(v.tolist() for v in (lo, hi, c, d, tol, x, fx)))
+        [dict(zip(xs, fs)), *s]
+        for xs, fs, *s in zip(*(v.tolist() for v in (x, fx, lo, hi, c, d, tol)))
     ]
     refine(f, brackets, _golden_plan)
     return [0.5 * (s[1] + s[2]) for s in brackets]
@@ -168,11 +167,11 @@ def _golden_step(a, b, c, d, left):
     return c, b, d, c + _GOLDEN * (b - c)
 
 
-def _vertex(points) -> float:
-    """Vertex of the parabola through the best finite (x, f) point and its
-    nearest neighbours on either side; the best point itself when it has
-    no neighbour on one side or the three are collinear."""
-    points = sorted(p for p in points if not math.isnan(p[1]))
+def _vertex(seen) -> float:
+    """Vertex of the parabola through the best finite point of seen
+    (x -> f) and its nearest neighbours on either side; the best point
+    itself when it has no neighbour on one side or the three are collinear."""
+    points = sorted(p for p in seen.items() if not math.isnan(p[1]))
     i = max(range(len(points)), key=lambda k: points[k][1])
     if not 0 < i < len(points) - 1:
         return points[i][0]
@@ -182,22 +181,23 @@ def _vertex(points) -> float:
 
 
 def _golden_plan(s) -> list[float]:
-    """One round of golden section on s = [seen, a, b, c, d, tol, seeds].
+    """One round of golden section on s = [seen, a, b, c, d, tol], seen
+    holding f at the seeds and at every point evaluated so far.
 
     It walks the steps whose compared values are in seen (fc > fd goes
     left, ties and NaN right) and stores where it stops.  An open bracket
     lists its inner points not in seen, the new points of its path to
     closure, and the new point of the other way of its first step.  On the
     path, values in seen decide as in the walk, and otherwise a step goes
-    left iff c is nearer than d to the _vertex of the known points.
+    left iff c is nearer than d to the _vertex of seen.
     """
-    seen, a, b, c, d, tol, seeds = s
+    seen, a, b, c, d, tol = s
     while (b - a) > tol and c in seen and d in seen:
         a, b, c, d = _golden_step(a, b, c, d, seen[c] > seen[d])
     s[1:5] = a, b, c, d
     if not (b - a) > tol:
         return []
-    v = _vertex(seeds + list(seen.items()))
+    v = _vertex(seen)
     left = abs(c - v) < abs(d - v)
     step = _golden_step(a, b, c, d, not left)
     new = step[3] if left else step[2]

@@ -84,11 +84,15 @@ def airy_layer_params(layer: ConcreteLayer, energy: float) -> AiryLayerParams:
 
 
 def _constant(v_left, v_right, width, energy) -> tuple:
-    """Flat-layer matrices at the mid potential: trig above it, hyperbolic below."""
+    """Flat-layer matrices at the mid potential: trig above it, hyperbolic below;
+    OverflowError when a k * w is past the largest double."""
     k2 = energy - 0.5 * (v_left + v_right)
     above, below = k2 > 0.0, k2 < 0.0
     k = np.sqrt(np.abs(k2))
-    kw = k * width
+    with np.errstate(over="ignore"):
+        kw = k * width
+    if not np.isfinite(kw).all():
+        raise OverflowError("k * w past the largest double")
     c, s = np.cos(kw), np.sin(kw)
     c[below], s[below] = _libm(math.cosh, kw[below]), _libm(math.sinh, kw[below])
     c[~(above | below)] = 1.0
@@ -110,7 +114,10 @@ def _combine(c_a, w_a, c_b, w_b, w_m):
 
 def _weights(za: np.ndarray, zb: np.ndarray) -> tuple[np.ndarray, ...]:
     """exp(za - zb - m), exp(zb - za - m) and exp(m), m the larger of the
-    two exponents that every element combines."""
+    two exponents that every element combines; OverflowError when an
+    exponent is past the largest double."""
+    if not (np.isfinite(za).all() and np.isfinite(zb).all()):
+        raise OverflowError("Airy exponent past the largest double")
     up, down = za - zb, zb - za
     m = np.maximum(up, down)
     return _exp(up - m), _exp(down - m), _exp(m)

@@ -546,6 +546,24 @@ def stack_pool() -> list[DeviceConfig]:
     return configs
 
 
+def refinement_cost(monkeypatch, module) -> list[int]:
+    """[calls, points]: the calls of f that lockstep refinement makes through
+    module.refine from here on, and the points they evaluate, counted by
+    wrapping it for the rest of the test."""
+    cost, refine = [0, 0], module.refine
+
+    def counting(f, brackets, plan):
+        def counted(x):
+            cost[0] += 1
+            cost[1] += x.size
+            return f(x)
+
+        refine(counted, brackets, plan)
+
+    monkeypatch.setattr(module, "refine", counting)
+    return cost
+
+
 def golden_max_per_bracket(f, lo: float, hi: float, rel_tol: float) -> float:
     """Golden-section maximum of a scalar f on one bracket, one step and one
     call of f at a time: the reference for the batched refinement of all

@@ -257,6 +257,10 @@ STEEP = {
 
 
 THIN = {"a": 1.0, "b": 0.2, "d": 1e-320, "mu": 0.0, "nu": 0.0}
+# q * w = 1e150 * 1e200 (flat) or the Airy exponent (tilted, sigma = 1,
+# z = 1e300) past the largest double: inf, not a range error of exp or cosh
+FLAT_INF = {"a": 1e300, "b": 0.0, "d": 1e200, "mu": 0.0, "nu": 0.0}
+TILTED_INF = {"a": 1.0, "b": 1e300, "d": 1e300, "mu": 0.0, "nu": 0.0}
 
 
 def edited(base, changes):
@@ -374,6 +378,13 @@ MALFORMED = {
     "tilted-layer-overflow-scatter": (STEEP, [(("layers", 0, "b"), -1.0)], ["scatter"]),
     "flat-layer-overflow-sweep": (STEEP, [], SWEEP),
     "tilted-layer-overflow-sweep": (STEEP, [(("sweep", "lo"), 0.5), (("sweep", "hi"), 1.0)], SWEEP),
+    "flat-layer-inf-scatter": (STEEP, [(("layers", 0), FLAT_INF)], ["scatter"]),
+    "flat-layer-inf-sweep": (STEEP, [(("layers", 0), FLAT_INF)], SWEEP),
+    "tilted-layer-inf-scatter": (STEEP, [(("layers", 0), TILTED_INF)], ["scatter"]),
+    "tilted-layer-inf-sweep": (
+        STEEP, [(("layers", 0), TILTED_INF), (("sweep", "lo"), -1e300), (("sweep", "hi"), -1e299)],
+        SWEEP,
+    ),
     # a layer slope b / d past the largest double (d subnormal)
     "slope-overflow-scatter": (STEEP, [(("layers", 0), THIN)], ["scatter"]),
     "slope-overflow-sweep": (STEEP, [(("layers", 0), THIN)], SWEEP),

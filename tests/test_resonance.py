@@ -39,6 +39,7 @@ from conftest import (
     prufer_count,
     random_transistor_device,
     random_two_layer_device,
+    refinement_cost,
     scan_and_bisect_one_at_a_time,
     transistor_coefficients,
     transistor_stack,
@@ -489,6 +490,24 @@ def test_pool_root_count_equals_prufer_count(tmp_path, config, equation, interva
     stack, eq = load_config(str(path)).spec, ResonanceEquation(equation)
     lo, hi = interval[0] * EV, interval[1] * EV
     assert len(FINDERS[eq](stack, lo, hi).roots) == _prufer_roots(stack, eq, lo, hi)
+
+
+def test_pool_refinement_cost_is_pinned(tmp_path, monkeypatch):
+    # the 192 scanned sets (EQ69, EQ83) of the `resonances` benchmark workload
+    path, sets = tmp_path / "device.json", 0
+    cost = refinement_cost(monkeypatch, resonance)
+    pool = _pool()
+    for kind in ("barrier_well", "transistor"):
+        for device in pool[kind]:
+            path.write_text(json.dumps(device["config"]))
+            stack = load_config(str(path)).spec
+            for s in device["sets"]:
+                if s["equation"] in (EQ69.value, EQ83.value):
+                    sets += 1
+                    lo, hi = s["interval"]
+                    FINDERS[ResonanceEquation(s["equation"])](stack, lo * EV, hi * EV)
+    assert sets == 192
+    assert cost[0] <= 401 and cost[1] <= 29_279, cost
 
 
 def test_pool_trans_prob_matches_the_closed_form_reference(tmp_path):

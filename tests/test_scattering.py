@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from airystack.cli import load_config
 from airystack.errors import EvanescentLeadError
-from airystack.potential import ev_to_invnm2, realize
+from airystack.potential import ev_to_invnm2, realize, stack_potentials
 from airystack.scattering import scatter, trans_prob
+from airystack.transfer import structure_matrices
 
 from conftest import (
     layer_matrices,
@@ -234,6 +235,19 @@ for _eps in (1.0, 0.5, 0.1):
     ORACLE_CASES[f"fig6-b1-eps{_eps}"] = (_config, "fig6", _eps, -0.2)
 
 
+def _t_and_tau(product, k_l, k_r, norm):
+    """T of the matrix product (rows of floats or mpf) between leads of
+    wavenumbers k_l and k_r, and tau = norm sum |dT/dP_ij| / T, norm = |P|."""
+    (p11, p12), (p21, p22) = product
+    ratio = k_l / k_r
+    p = p11 - ratio * p22
+    q = k_l * p12 + p21 / k_r
+    t = 4 * ratio / (4 * ratio + p * p + q * q)
+    # |dT/dP_ij|: dT = -T^2 / (4 ratio) (2 p dp + 2 q dq)
+    slope = t**2 / (2 * ratio) * (abs(p) * (1 + ratio) + abs(q) * (k_l + 1 / k_r))
+    return t, norm * slope / t
+
+
 def transmission_error(case):
     """(relative error of P, its bound, relative error of T, its bound)."""
     make, *args = ORACLE_CASES[case]
@@ -246,16 +260,11 @@ def transmission_error(case):
     with mpmath.workdps(60):
         exact = mp_structure_matrix(*zip(*edges), energy)
         k_l, k_r = mpmath.sqrt(energy - mpmath.mpf(v_l)), mpmath.sqrt(energy - mpmath.mpf(v_r))
-        ratio = k_l / k_r
-        p = exact[0, 0] - ratio * exact[1, 1]
-        q = k_l * exact[0, 1] + exact[1, 0] / k_r
-        t_exact = 4 * ratio / (4 * ratio + p * p + q * q)
-        # |dT/dP_ij|: dT = -T^2 / (4 ratio) (2 p dp + 2 q dq)
-        slope = t_exact**2 / (2 * ratio) * (abs(p) * (1 + ratio) + abs(q) * (k_l + 1 / k_r))
         norm = mpmath.mnorm(exact, "f")
+        t_exact, tau = _t_and_tau(exact.tolist(), k_l, k_r, norm)
         p_err = float(mpmath.mnorm(mpmath.matrix(product.tolist()) - exact, "f") / norm)
         t_err = float(abs(t - t_exact) / t_exact)
-        tau = float(norm * slope / t_exact)
+        tau = float(tau)
     kappa = math.prod(np.linalg.norm(layer_matrices(*edge, energy)) for edge in edges) / float(norm)
     p_bound = len(layers) * ORACLE_C * ORACLE_EPS * kappa
     return p_err, p_bound, t_err, p_bound * tau
@@ -266,3 +275,61 @@ def test_transmission_against_mpmath(case):
     p_err, p_bound, t_err, t_bound = transmission_error(case)
     assert p_err <= p_bound
     assert t_err <= t_bound
+
+
+# Invariances of T, checked without an oracle: scaling every length by s
+# with every potential and the energy by 1 / s^2, shifting every potential
+# and the energy by one constant, and mirroring the device (layers
+# reversed, each layer's edges and the leads swapped) leave the exact T
+# unchanged.  Each pair is judged against the sum of both sides' bounds
+# n C EPS kappa tau, kappa and tau taken from the double product as
+# transmission_error takes them from the exact one.
+INVARIANCE_CASES = {f"superlattice-{seed}": (_superlattice, seed) for seed in range(24)}
+for _eps in (1.0, 0.5, 0.1):
+    for _name, _bias in (("fig4", -0.3), ("fig6", -0.2)):
+        INVARIANCE_CASES[f"{_name}-eps{_eps}"] = (_config, _name, _eps)
+        INVARIANCE_CASES[f"{_name}-b1-eps{_eps}"] = (_config, _name, _eps, _bias)
+
+
+def _scaled(s):
+    def scaled(v_left, v_right, widths, leads, energy):
+        return v_left / (s * s), v_right / (s * s), widths * s, leads / (s * s), energy / (s * s)
+
+    return scaled
+
+
+def _shifted(v_left, v_right, widths, leads, energy, c=0.013):
+    return v_left + c, v_right + c, widths, leads + c, energy + c
+
+
+def _mirrored(v_left, v_right, widths, leads, energy):
+    return v_right[::-1], v_left[::-1], widths[::-1], leads[::-1], energy
+
+
+INVARIANCES = {"scale-2": _scaled(2.0), "scale-3": _scaled(3.0), "scale-0.7": _scaled(0.7),
+               "shift": _shifted, "mirror": _mirrored}
+
+
+def _transmission_and_bound(v_left, v_right, widths, leads, energy):
+    """T of the layers (edge potentials and widths in nm^-2 and nm) between
+    the leads, and its bound n C EPS kappa tau from the double product."""
+    product = structure_matrices([v_left], [v_right], [widths], energy)[0]
+    t = float(trans_prob(product, *leads, energy))
+    k_l, k_r = (math.sqrt(energy - v) for v in leads)
+    norm = float(np.linalg.norm(product))
+    _, tau = _t_and_tau(product.tolist(), k_l, k_r, norm)
+    layers = layer_matrices(v_left, v_right, widths, energy)
+    kappa = math.prod(float(np.linalg.norm(m)) for m in layers) / norm
+    return t, len(widths) * ORACLE_C * ORACLE_EPS * kappa * tau
+
+
+@pytest.mark.parametrize("case", sorted(INVARIANCE_CASES))
+def test_transmission_invariances_within_both_bounds(case):
+    make, *args = INVARIANCE_CASES[case]
+    spec, energy, epsilon = make(*args)
+    v_left, v_right, widths = stack_potentials(spec, epsilon, [[layer.b for layer in spec.layers]])
+    device = (v_left[0], v_right[0], widths, np.array(spec.lead_potentials()), energy)
+    t, bound = _transmission_and_bound(*device)
+    for name, transform in INVARIANCES.items():
+        t_other, bound_other = _transmission_and_bound(*transform(*device))
+        assert abs(t_other - t) <= (bound + bound_other) * t, name

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import airystack.sweep
 import airystack.transfer
 from airystack.airy import SERIES_RADIUS
 from airystack.cli import load_config, main
@@ -22,7 +23,13 @@ from airystack.sweep import (
     sweep_to_json,
 )
 
-from conftest import golden_max_per_bracket, mixed_stack, random_superlattice, stack_pool
+from conftest import (
+    golden_max_per_bracket,
+    mixed_stack,
+    random_superlattice,
+    refinement_cost,
+    stack_pool,
+)
 
 EV = 2.62464
 
@@ -388,6 +395,32 @@ def test_refinement_calls_do_not_grow_with_brackets():
     counted, detect_sizes = _counted(f)
     assert detect_peaks(xs, f(xs), 0.1, evaluator=counted) == peaks
     assert len(detect_sizes) <= math.ceil(max(steps) / 2)
+
+
+def _swept(cfg):
+    """run_sweep of a loaded config's sweep, without reference roots."""
+    sweep = cfg.sweep
+    return run_sweep(SweepRequest(cfg.spec, sweep["tuned_layer"], sweep["lo"], sweep["hi"],
+                                  sweep["points"], sweep["epsilons"], cfg.energy,
+                                  sweep["tuned_sign"]))
+
+
+def test_figure_refinement_cost_is_pinned(monkeypatch):
+    # fig4 and fig6 together are one job of the `figures` benchmark workload
+    cost = refinement_cost(monkeypatch, airystack.sweep)
+    for name in ("fig4", "fig6"):
+        _swept(load_config(str(pathlib.Path(__file__).parents[1] / "configs" / f"{name}.json")))
+    assert cost[0] <= 11 and cost[1] <= 342, cost
+
+
+def test_stack_pool_refinement_cost_is_pinned(monkeypatch):
+    # the 48 devices of the `stack` benchmark workload
+    pool = stack_pool()
+    cost = refinement_cost(monkeypatch, airystack.sweep)
+    for cfg in pool:
+        _swept(cfg)
+    assert len(pool) == 48
+    assert cost[0] <= 129 and cost[1] <= 5_508, cost
 
 
 def test_sweep_outputs_are_python_float_reprs(tmp_path):
