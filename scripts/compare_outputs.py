@@ -21,8 +21,9 @@ path, and both run the same commands on the same inputs:
   biases make the right lead's summation order visible;
 - `limit-check` and `airy-check --verbose`;
 - `scatter` and `sweep` on configs/barrier.json with its layer's k * w
-  (a = 1e300, d = 1e200) or Airy exponent (a = 1, b = d = 1e300) past the
-  largest double, each a config error (exit 2).
+  (a = 1e300, d = 1e200), Airy exponent (a = 1, b = d = 1e300) or
+  oscillatory Airy phase (a = 1, b = -1e300, d = 1e300) past the largest
+  double, each a config error (exit 2).
 
 The inputs are this checkout's configs/ and perfbench/reference/ files,
 and the configs derived from them in a temporary directory.
@@ -66,11 +67,12 @@ SCATTERED_STACKS = (0, 1, 2, 3, 28)
 # a 24-layer `stack` pool device swept on a grid long enough that each
 # transmission call runs in many row blocks
 LONG_STACK, LONG_POINTS = 17, 20001
-# configs/barrier.json layer edits whose k * w (flat) or Airy exponent
-# (tilted) is inf, and the sweep range of each
+# configs/barrier.json layer edits whose k * w (flat), Airy exponent or
+# oscillatory Airy phase (tilted) is inf, and the sweep range of each
 OVERFLOWS = (
     ("flat-inf", {"a": 1e300, "d": 1e200}, (0.0, 1e-4)),
     ("tilted-inf", {"a": 1.0, "b": 1e300, "d": 1e300}, (-1e300, -1e299)),
+    ("tilted-phase-inf", {"a": 1.0, "b": -1e300, "d": 1e300}, (1e299, 1e300)),
 )
 
 # Run inside each tree's interpreter: the jobs arrive as JSON on stdin, the

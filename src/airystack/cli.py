@@ -228,7 +228,7 @@ def cmd_scatter(args) -> int:
 
 def _evaluated(fn, *args, **kwargs):
     """fn(*args, **kwargs); a layer whose transfer matrix overflows a double
-    (q * w or an Airy exponent past ~709) is a config error."""
+    (an exp or cosh past ~709, or a non-finite element) is a config error."""
     try:
         return fn(*args, **kwargs)
     except OverflowError as exc:

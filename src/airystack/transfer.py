@@ -59,12 +59,8 @@ def slope_is_degenerate(layer: ConcreteLayer, energy: float) -> bool:
 
 
 def _airy_geometry(v_left, v_right, width, energy) -> AiryLayerParams:
-    """AiryLayerParams elementwise over arrays of non-degenerate layers;
-    OverflowError when a slope does not fit in a double."""
-    with np.errstate(over="ignore"):
-        eta = (v_right - v_left) / width
-    if not np.isfinite(eta).all():
-        raise OverflowError("slope past the largest double")
+    """AiryLayerParams elementwise over arrays of non-degenerate layers."""
+    eta = (v_right - v_left) / width
     sigma = np.copysign(_libm(math.pow, np.abs(eta), 1.0 / 3.0), eta)
     s2 = sigma * sigma
     return AiryLayerParams(
@@ -84,25 +80,20 @@ def airy_layer_params(layer: ConcreteLayer, energy: float) -> AiryLayerParams:
 
 
 def _constant(v_left, v_right, width, energy) -> tuple:
-    """Flat-layer matrices at the mid potential: trig above it, hyperbolic below;
-    OverflowError when a k * w is past the largest double."""
+    """Flat-layer matrices at the mid potential: trig above it, hyperbolic below."""
     k2 = energy - 0.5 * (v_left + v_right)
     above, below = k2 > 0.0, k2 < 0.0
     k = np.sqrt(np.abs(k2))
-    with np.errstate(over="ignore"):
-        kw = k * width
-    if not np.isfinite(kw).all():
-        raise OverflowError("k * w past the largest double")
+    kw = k * width
     c, s = np.cos(kw), np.sin(kw)
     c[below], s[below] = _libm(math.cosh, kw[below]), _libm(math.sinh, kw[below])
     c[~(above | below)] = 1.0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return (
-            c,
-            np.where(above | below, s / k, width),
-            np.where(above, -k * s, np.where(below, k * s, 0.0)),
-            c,
-        )
+    return (
+        c,
+        np.where(above | below, s / k, width),
+        np.where(above, -k * s, np.where(below, k * s, 0.0)),
+        c,
+    )
 
 
 def _combine(c_a, w_a, c_b, w_b, w_m):
@@ -114,10 +105,7 @@ def _combine(c_a, w_a, c_b, w_b, w_m):
 
 def _weights(za: np.ndarray, zb: np.ndarray) -> tuple[np.ndarray, ...]:
     """exp(za - zb - m), exp(zb - za - m) and exp(m), m the larger of the
-    two exponents that every element combines; OverflowError when an
-    exponent is past the largest double."""
-    if not (np.isfinite(za).all() and np.isfinite(zb).all()):
-        raise OverflowError("Airy exponent past the largest double")
+    two exponents that every element combines."""
     up, down = za - zb, zb - za
     m = np.maximum(up, down)
     return _exp(up - m), _exp(down - m), _exp(m)
@@ -153,7 +141,7 @@ def _elements(v_left, v_right, width, energy: float) -> np.ndarray:
     """Matrices of linear-profile layers, element-major: shape (2, 2, *s)
     for broadcast edge potentials of shape s.  A layer whose tilt is
     degenerate takes the flat formula at its mid potential; every other
-    layer the Airy formula."""
+    layer the Airy formula.  A non-finite element is an OverflowError."""
     v_left, v_right, width = np.broadcast_arrays(
         np.asarray(v_left, dtype=float), np.asarray(v_right, dtype=float),
         np.asarray(width, dtype=float),
@@ -162,17 +150,20 @@ def _elements(v_left, v_right, width, energy: float) -> np.ndarray:
     v_left, v_right, width = v_left.ravel(), v_right.ravel(), width.ravel()
     flat = _degenerate(v_left, v_right, energy)
     parts = []
-    if not flat.all():  # first, so that no output is held while the Airy call runs
-        tilted = ~flat
-        p = _airy_geometry(v_left[tilted], v_right[tilted], width[tilted], energy)
-        parts.append((tilted, _linear(p.sigma, np.concatenate([p.z_left, p.z_right]))))
-        del p
-    if flat.any():
-        parts.append((flat, _constant(v_left[flat], v_right[flat], width[flat], energy)))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if not flat.all():  # first, so that no output is held while the Airy call runs
+            tilted = ~flat
+            p = _airy_geometry(v_left[tilted], v_right[tilted], width[tilted], energy)
+            parts.append((tilted, _linear(p.sigma, np.concatenate([p.z_left, p.z_right]))))
+            del p
+        if flat.any():
+            parts.append((flat, _constant(v_left[flat], v_right[flat], width[flat], energy)))
     m = np.empty((2, 2, v_left.size))
     for where, values in parts:
         for row, value in zip(m.reshape(4, v_left.size), values):
             row[where] = value
+    if not np.isfinite(m).all():
+        raise OverflowError("a slope, k * w, Airy exponent or phase past the largest double")
     return m.reshape((2, 2) + shape)
 
 

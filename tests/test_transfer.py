@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from airystack.errors import DegenerateSlopeError
-from airystack.potential import ConcreteLayer, stack_potentials
+from airystack.potential import ConcreteLayer, LayerSpec, StructureSpec, stack_potentials
 from airystack.transfer import airy_layer_params, slope_is_degenerate, structure_matrices
 
 from conftest import (
@@ -195,6 +195,28 @@ def test_composition_associativity(rng):
 def test_det_one_property(v0, v1, width, energy):
     m = layer_matrices(v0, v1, width, energy)
     assert det(m) == pytest.approx(1.0, rel=1e-9)
+
+
+MAGNITUDES = st.floats(min_value=1e-300, max_value=1e300)
+SIGNED = st.builds(lambda sign, size: sign * size, st.sampled_from((-1.0, 1.0)), MAGNITUDES)
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=300, deadline=None)
+# the oscillatory Airy phase past the largest double (sigma = 1, z_right = -1e300)
+@example(a=1.0, b=-1e300, d=1e300)
+@given(a=SIGNED, b=SIGNED, d=MAGNITUDES)
+def test_layer_matrix_is_finite_or_overflows(a, b, d):
+    spec = StructureSpec((LayerSpec(a, b, d, 0.0, 0.0),))
+    try:
+        potentials = stack_potentials(spec, 1.0, [[b]])
+    except ValueError:
+        reject()
+    try:
+        m = structure_matrices(*potentials, 0.5)
+    except OverflowError:
+        return
+    assert np.isfinite(m).all()
 
 
 def test_batched_matrices_equal_batch_of_one():
