@@ -21,19 +21,24 @@ path, and both run the same commands on the same inputs:
   biases make the right lead's summation order visible;
 - `limit-check` and `airy-check --verbose`;
 - `scatter` and `sweep` on configs/barrier.json with its layer's k * w
-  (a = 1e300, d = 1e200), Airy exponent (a = 1, b = d = 1e300) or
-  oscillatory Airy phase (a = 1, b = -1e300, d = 1e300) past the largest
-  double, each a config error (exit 2).
+  (a = 1e300, d = 1e200), Airy exponent (a = 1, b = d = 1e300),
+  oscillatory Airy phase (a = 1, b = -1e300, d = 1e300) or Airy argument
+  (a = 1e300, b = 1e292, d = 1e308) past the largest double, each a
+  config error (exit 2).
 
 The inputs are this checkout's configs/ and perfbench/reference/ files,
 and the configs derived from them in a temporary directory.
 Every output is hashed (sha256): each command's stdout, stderr and exit
-code, and a sweep's CSV and JSON files.  The script lists each output
+code (or the name of an exception that escaped it, whose traceback is
+then its stderr), and a sweep's CSV and JSON files.  The script lists each output
 that differs and exits 1 on any difference, 0 when all are identical.
 Under each differing output that is CSV text (a `resonances` stdout or a
 sweep's .csv) it lists each column that moved, with its largest relative
-change and the rows it moved in, and at the end the same per column over
-all of them.  Neither tree is written to (no bytecode is cached).
+change, its largest change in units of perfbench's agreement rule,
+|B - A| / (1e-12 |A| + 1e-14) with TREE_A's value as the reference (a
+value above 1 would fail the benchmark's check), and the rows it moved
+in; at the end, the same per column over all of them.  Neither tree is
+written to (no bytecode is cached).
 """
 
 import csv
@@ -50,6 +55,9 @@ import sys
 import tempfile
 
 HERE = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(HERE / "perfbench"))
+from workloads import ATOL, RTOL  # noqa: E402  (the benchmark's agreement rule)
+
 FIGURE_SETS = (
     ("fig4", "EQ73", ("-1", "0")),
     ("fig4", "EQ69", ("-1", "0")),
@@ -67,19 +75,21 @@ SCATTERED_STACKS = (0, 1, 2, 3, 28)
 # a 24-layer `stack` pool device swept on a grid long enough that each
 # transmission call runs in many row blocks
 LONG_STACK, LONG_POINTS = 17, 20001
-# configs/barrier.json layer edits whose k * w (flat), Airy exponent or
-# oscillatory Airy phase (tilted) is inf, and the sweep range of each
+# configs/barrier.json layer edits whose k * w (flat), Airy exponent,
+# oscillatory Airy phase or Airy argument (tilted) is inf, and the sweep
+# range of each
 OVERFLOWS = (
     ("flat-inf", {"a": 1e300, "d": 1e200}, (0.0, 1e-4)),
     ("tilted-inf", {"a": 1.0, "b": 1e300, "d": 1e300}, (-1e300, -1e299)),
     ("tilted-phase-inf", {"a": 1.0, "b": -1e300, "d": 1e300}, (1e299, 1e300)),
+    ("tilted-argument-inf", {"a": 1e300, "b": 1e292, "d": 1e308}, (-1e293, -1e292)),
 )
 
 # Run inside each tree's interpreter: the jobs arrive as JSON on stdin, the
 # digests leave as JSON on stdout, and each CSV text is kept in the texts
 # directory under its digest.
 CHILD = r"""
-import contextlib, hashlib, io, json, pathlib, sys
+import contextlib, hashlib, io, json, pathlib, sys, traceback
 
 tree_src, jobs, texts = json.load(sys.stdin)
 from airystack import cli
@@ -101,6 +111,9 @@ for name, argv, files in jobs:
             code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:  # a traceback is an output too: stderr holds it
+            traceback.print_exc()
+            code = f"uncaught {type(exc).__name__}"
     out[name + " stdout"] = digest(stdout.getvalue().encode(), name.startswith("resonances "))
     out[name + " stderr"] = digest(stderr.getvalue().encode())
     out[name + " exit"] = str(code)
@@ -183,22 +196,25 @@ def jobs(workdir: pathlib.Path) -> list:
     return out
 
 
-def _relative(x: str, y: str) -> float:
-    """|x - y| / max(|x|, |y|) of two CSV fields; inf unless both are
-    finite numbers."""
+def _changes(x: str, y: str) -> tuple[float, float]:
+    """|x - y| / max(|x|, |y|) and |x - y| / (RTOL |x| + ATOL) of two CSV
+    fields, x the reference; both inf unless x and y are finite numbers."""
     try:
         fx, fy = float(x), float(y)
     except ValueError:
-        return math.inf
+        return math.inf, math.inf
     if not (math.isfinite(fx) and math.isfinite(fy)):
-        return math.inf
+        return math.inf, math.inf
     scale = max(abs(fx), abs(fy))
-    return abs(fx - fy) / scale if scale else 0.0
+    diff = abs(fx - fy)
+    return (diff / scale if scale else 0.0), diff / (RTOL * abs(fx) + ATOL)
 
 
 def column_changes(text_a: str, text_b: str) -> tuple[int, dict] | None:
-    """(rows, {column: (largest relative change, rows it moved in)}) of two
-    CSV texts with one header; None when the header or row count differs."""
+    """(rows, {column: (largest relative change, largest change in units of
+    the agreement rule, rows it moved in)}) of two CSV texts with one
+    header, text_a the reference; None when the header or row count
+    differs."""
     rows_a, rows_b = (list(csv.reader(io.StringIO(t))) for t in (text_a, text_b))
     if rows_a[:1] != rows_b[:1] or len(rows_a) != len(rows_b):
         return None
@@ -206,8 +222,9 @@ def column_changes(text_a: str, text_b: str) -> tuple[int, dict] | None:
     for row_a, row_b in zip(rows_a[1:], rows_b[1:]):
         for column, x, y in itertools.zip_longest(rows_a[0], row_a, row_b, fillvalue=""):
             if x != y:
-                worst, count = moved.get(column, (0.0, 0))
-                moved[column] = (max(worst, _relative(x, y)), count + 1)
+                relative, rule = _changes(x, y)
+                worst, worst_rule, count = moved.get(column, (0.0, 0.0, 0))
+                moved[column] = (max(worst, relative), max(worst_rule, rule), count + 1)
     return len(rows_a) - 1, moved
 
 
@@ -254,13 +271,15 @@ def main(argv: list[str]) -> int:
                 continue
             rows, moved = changes
             total_rows += rows
-            for column, (worst, count) in moved.items():
-                print(f"    {column}: largest relative change {worst:.3g} in {count} of {rows} rows")
-                top, seen = total.get(column, (0.0, 0))
-                total[column] = (max(top, worst), seen + count)
-    for column, (worst, count) in total.items():
+            for column, (worst, rule, count) in moved.items():
+                print(f"    {column}: largest relative change {worst:.3g} "
+                      f"({rule:.3g} of the agreement rule) in {count} of {rows} rows")
+                top, top_rule, seen = total.get(column, (0.0, 0.0, 0))
+                total[column] = (max(top, worst), max(top_rule, rule), seen + count)
+    for column, (worst, rule, count) in total.items():
         print(
             f"column {column}: largest relative change {worst:.3g} "
+            f"({rule:.3g} of the agreement rule) "
             f"in {count} of {total_rows} rows of the differing CSV outputs"
         )
     print(f"{len(job_list)} commands, {len(a)} outputs, {len(differ)} differ")

@@ -2,33 +2,37 @@
 
 Two evaluation regimes, selected by |z|:
 
-* |z| <= SERIES_RADIUS (9.0): one Taylor step of the Airy equation
-  y'' = z y from the nearest node c = k/2, |z - c| <= 1/4, summed in
-  plain doubles by Horner over per-node coefficient tables.  The node
-  values are built on first use by the same step, of length 1/2, from
-  the exact Ai(0) and Ai'(0).  Each solution is
+* |z| <= SERIES_RADIUS (12.0): one Taylor step of the Airy equation
+  y'' = z y from the nearest node c = k/2, |k| <= 24, |z - c| <= 1/4,
+  summed in plain doubles by Horner over per-node coefficient tables.
+  The node values are built on first use by the same step, of length
+  1/2, from the exact Ai(0) and Ai'(0).  Each solution is
   stepped only in a direction where it does not decay, so step round-off
   never grows relative to it: Ai and Bi outward over z < 0, where both
   oscillate with the same amplitude; Bi upward over z > 0; Ai downward
-  over z > 0, from z = 12 where the asymptotic expansion gives Ai'/Ai,
-  rescaled to end on Ai(0).  No Taylor term exceeds about e^0.75 times
+  over z > 0, from z = 14 where the asymptotic expansion gives Ai'/Ai,
+  rescaled to end on Ai(0).  No Taylor term exceeds about e^0.9 times
   the local amplitude and Ai is never a difference of growing solutions,
   so nothing cancels: the error is below 1e-15 of the local amplitude
   (hypot(Ai, Bi) on the oscillatory side).
 
 * |z| > SERIES_RADIUS: Poincare asymptotic expansions, each element
-  truncated at its own smallest term.  At the crossover zeta = 18 the
-  optimally truncated series is already below 1e-14 relative; accuracy
-  improves further out.
-  A radius smaller than ~7 would not work: the asymptotic error at
-  |z| = 5.5 is only ~2e-9, short of the 1e-10 target.
+  truncated at its own smallest term.  The radius is 12, where
+  zeta = (2/3) 12^(3/2) = 27.7, because up to there the Taylor step is the
+  more accurate of the two: over 9 < |z| <= 12 it stays below 1e-15 of
+  the local amplitude, where the optimally truncated expansions read up
+  to 6e-15.  Past it the expansions improve, with fewer terms.
 
 The one entry point, airy_eval_scaled, removes the exp(+-zeta) factors
-for z > 0 so that barrier-side evaluations never overflow:
+for z > SERIES_RADIUS so that barrier-side evaluations never overflow:
 ai = ai_scaled * exp(-exponent), bi = bi_scaled * exp(+exponent).  For
-z <= 0 the exponent is zero and the scaled values are Ai, Bi themselves.
+z <= SERIES_RADIUS the exponent is zero and the scaled values are Ai, Bi
+themselves: there e^zeta <= e^27.7 ~ 1e12 needs no removing.
 The transfer matrices use the scaled quad only, and wronskian_sweep checks
 Ai Bi' - Ai' Bi = 1/pi on it directly, where the factors cancel exactly.
+The ~1e-13 is that of the quad; a tilted layer's matrix, built from the
+quads at its two edges, loses more than that where zeta is large, as its
+error grows like ulp(zeta).
 
 Every function takes an array of arguments and works elementwise; a float
 argument is a batch of one and gives floats back.
@@ -50,7 +54,7 @@ __all__ = [
     "SERIES_RADIUS",
 ]
 
-SERIES_RADIUS = 9.0
+SERIES_RADIUS = 12.0
 
 _SQRT_PI = math.sqrt(math.pi)
 
@@ -59,10 +63,10 @@ _SQRT_PI = math.sqrt(math.pi)
 _AI0 = 0.3550280538878172
 _AIP0 = -0.2588194037928068
 
-# Taylor nodes c = k/2 for |k| <= _NODE_MAX.  For a step |t| <= 1/2 from
-# |c| <= 12 the terms fall like (sqrt|c| |t|)^j / j!, below 1e-18 of the
-# largest one by j = _TERMS.
-_NODE_MAX = 20
+# Taylor nodes c = k/2 for |k| <= _NODE_MAX, reaching +-SERIES_RADIUS.  For
+# a step |t| <= 1/2 from |c| <= 14 the terms fall like (sqrt|c| |t|)^j / j!,
+# below 1e-17 of the largest one by j = _TERMS.
+_NODE_MAX = 24
 _TERMS = 24
 
 
@@ -72,7 +76,7 @@ class ScaledAiryQuad:
 
     ai = ai_scaled * exp(-exponent), bi = bi_scaled * exp(+exponent),
     and identically for the derivatives; exponent = (2/3) z^(3/2) for
-    z > 0, else 0.
+    z > SERIES_RADIUS, else 0.
     """
 
     ai_scaled: float
@@ -134,12 +138,13 @@ def _regimes(z: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _asym_pos(z: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Scaled (ai, aip, bi, bip) for z > SERIES_RADIUS, zeta = _zeta(z).
+def _asym_pos(z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Scaled (ai, aip, bi, bip) for z > SERIES_RADIUS and their exponent zeta.
 
     Each element stops at its own smallest term, or once the term falls
     below 1e-18 of the Bi sum: a term is added only while its element is live.
     """
+    zeta = _zeta(z)
     t = 1.0 / zeta
     sa, sb, sap, sbp = (np.zeros_like(z) for _ in range(4))
     tk = np.ones_like(z)
@@ -170,13 +175,14 @@ def _asym_pos(z: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, ...]:
         -z4 * sap / (2.0 * _SQRT_PI),
         sb / (_SQRT_PI * z4),
         z4 * sbp / _SQRT_PI,
+        zeta,
     )
 
 
-def _asym_neg(z: np.ndarray, zeta: np.ndarray) -> tuple[np.ndarray, ...]:
+def _asym_neg(z: np.ndarray) -> tuple[np.ndarray, ...]:
     """Oscillatory expansion for z < -SERIES_RADIUS (values are O(1)):
-    (ai, aip, bi, bip), each element stopping at its own smallest term;
-    zeta = _zeta(z)."""
+    (ai, aip, bi, bip), each element stopping at its own smallest term."""
+    zeta = _zeta(z)
     x4 = _libm(math.pow, -z, 0.25)
     t = 1.0 / zeta
     t2 = t * t
@@ -243,10 +249,9 @@ def _build_nodes() -> list[tuple[float, float, float, float]]:
     n = _NODE_MAX
     bi0 = (math.sqrt(3.0) * _AI0, -math.sqrt(3.0) * _AIP0)
     bi = _walk(0.0, -0.5, n, *bi0)[::-1] + _walk(0.0, 0.5, n, *bi0)[1:]
-    # any Bi admixture in the asymptotic start shrinks by e^-55 on the way down
-    start = np.array([12.0])
-    ai_s, aip_s = (float(x[0]) for x in _asym_pos(start, _zeta(start))[:2])
-    down = _walk(12.0, -0.5, 24, ai_s, aip_s)[::-1]
+    # any Bi admixture in the asymptotic start shrinks by e^-14 by z = 12
+    ai_s, aip_s = (float(x[0]) for x in _asym_pos(np.array([14.0]))[:2])
+    down = _walk(14.0, -0.5, 28, ai_s, aip_s)[::-1]
     scale = _AI0 / down[0][0]
     ai = _walk(0.0, -0.5, n, _AI0, _AIP0)[::-1]
     ai += [(scale * y, scale * yp) for y, yp in down[1:n + 1]]
@@ -266,7 +271,7 @@ def _node_table() -> list[np.ndarray]:
 
 
 def _series(z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(Ai, Ai', Bi, Bi') by one Taylor step from the nearest node, |z| <= ~10."""
+    """(Ai, Ai', Bi, Bi') by one Taylor step from the nearest node."""
     k = np.rint(2.0 * z)  # half to even, as round()
     t = z - 0.5 * k
     index = k.astype(np.intp) + _NODE_MAX
@@ -280,15 +285,6 @@ def _series(z: np.ndarray) -> tuple[np.ndarray, ...]:
     return ai, acc[:, 2], bi, acc[:, 3]
 
 
-def _series_scaled(z: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Scaled (ai, aip, bi, bip) for |z| <= SERIES_RADIUS, given the exponent
-    row (zeta where z > 0, else 0)."""
-    # exponent <= 18 on 0 < z <= SERIES_RADIUS: both factors representable
-    ep, em = _exp(exponent), _exp(-exponent)
-    ai, aip, bi, bip = _series(z)
-    return ai * ep, aip * ep, bi * em, bip * em
-
-
 def airy_eval_scaled(z) -> ScaledAiryQuad:
     """Scaled Airy quad, finite for every representable z; elementwise over
     an array z (floats for a float z).  Every z must be finite."""
@@ -297,13 +293,11 @@ def airy_eval_scaled(z) -> ScaledAiryQuad:
         bad = z_arr[~np.isfinite(z_arr)].flat[0]
         raise ValueError(f"Airy functions need finite z, got {float(bad)!r}")
     flat = z_arr.ravel()
-    zeta = _zeta(flat)
-    exponent = np.where(flat > 0.0, zeta, 0.0)
-    quad = [np.zeros(flat.size) for _ in range(4)] + [exponent]
-    kernels = (_series_scaled, exponent), (_asym_neg, zeta), (_asym_pos, zeta)
-    for where, (kernel, phase) in zip(_regimes(flat).values(), kernels):
+    # only _asym_pos gives a fifth row, the exponent: it stays 0 elsewhere
+    quad = [np.zeros(flat.size) for _ in range(5)]
+    for where, kernel in zip(_regimes(flat).values(), (_series, _asym_neg, _asym_pos)):
         if where.any():
-            for row, value in zip(quad, kernel(flat[where], phase[where])):
+            for row, value in zip(quad, kernel(flat[where])):
                 row[where] = value
     if z_arr.ndim == 0:
         ai, aip, bi, bip, exponent = (row.item() for row in quad)

@@ -154,16 +154,20 @@ def _elements(v_left, v_right, width, energy: float) -> np.ndarray:
         if not flat.all():  # first, so that no output is held while the Airy call runs
             tilted = ~flat
             p = _airy_geometry(v_left[tilted], v_right[tilted], width[tilted], energy)
-            parts.append((tilted, _linear(p.sigma, np.concatenate([p.z_left, p.z_right]))))
-            del p
+            # a layer with an infinite Airy argument z is not filled: it stays NaN
+            finite = np.isfinite(p.z_left) & np.isfinite(p.z_right)
+            tilted[tilted] = finite
+            z = np.concatenate([p.z_left[finite], p.z_right[finite]])
+            parts.append((tilted, _linear(p.sigma[finite], z)))
+            del p, z
         if flat.any():
             parts.append((flat, _constant(v_left[flat], v_right[flat], width[flat], energy)))
-    m = np.empty((2, 2, v_left.size))
+    m = np.full((2, 2, v_left.size), np.nan)
     for where, values in parts:
         for row, value in zip(m.reshape(4, v_left.size), values):
             row[where] = value
     if not np.isfinite(m).all():
-        raise OverflowError("a slope, k * w, Airy exponent or phase past the largest double")
+        raise OverflowError("a slope, k * w, Airy z, exponent or phase past the largest double")
     return m.reshape((2, 2) + shape)
 
 

@@ -503,11 +503,11 @@ def mixed_stack() -> tuple[StructureSpec, float, int]:
     exact; the last layer's arguments move with the tuned bias through all
     three regimes while the leads propagate (tuned bias below -3)."""
     layers = (
-        LayerSpec(10.0, 1.0, 1.0, 0.0, 0.0),  # z = 9 -> 10: exactly on SERIES_RADIUS
+        LayerSpec(13.0, 1.0, 1.0, 0.0, 0.0),  # z = 12 -> 13: exactly on SERIES_RADIUS
         LayerSpec(2.25, 1.0, 1.0, 0.0, 0.0),  # z = 2.25 -> 3.25: ties k/2 + 1/4
         LayerSpec(-1.5, 0.0, 0.7, 0.0, 0.0),  # flat well (degenerate slope): cos
         LayerSpec(0.5, 0.0, 0.3, 0.0, 0.0),  # flat barrier (degenerate slope): cosh
-        LayerSpec(-13.0, 1.0, 1.0, 0.0, 0.0),  # z = -12 -> -11: oscillatory expansion
+        LayerSpec(-16.0, 1.0, 1.0, 0.0, 0.0),  # z = -15 -> -14: oscillatory expansion
         LayerSpec(4.0, 0.0, 0.8, 0.0, 0.0),  # tuned; its bias moves the right lead
         LayerSpec(18.0, 1.0, 1.0, 0.0, 0.0),  # z = 21 + tuned bias
     )

@@ -78,8 +78,10 @@ def test_values_at_one_against_series_oracle():
     assert q.bi == pytest.approx(1.2074235949528713, rel=1e-12)
 
 
-@pytest.mark.parametrize("z", [-40.0, -20.0, -9.5, -9.0, -5.5, -2.0, -0.3, 0.0,
-                               0.7, 3.0, 5.5, 8.0, 9.0, 9.5, 15.0, 30.0, 80.0, 104.0])
+# +-12 and +-12.5 straddle SERIES_RADIUS; +-9 and +-9.5 are series points
+@pytest.mark.parametrize("z", [-40.0, -20.0, -12.5, -12.0, -9.5, -9.0, -5.5, -2.0, -0.3, 0.0,
+                               0.7, 3.0, 5.5, 8.0, 9.0, 9.5, 12.0, 12.5, 15.0, 30.0, 80.0,
+                               104.0])
 def test_against_scipy_and_mpmath(z):
     q = airy_unscaled(z)
     sai, saip, sbi, sbip = special.airy(z)
@@ -125,9 +127,36 @@ def test_dense_grid_against_mpmath():
                 assert abs(value - ref * f) <= 1e-14 * scale * f, (name, z, "scaled")
 
 
+def test_taylor_step_beats_the_expansion_it_replaced():
+    # 9 < |z| <= 12 went from the asymptotic expansions (~6e-15 of the local
+    # amplitude there) to the Taylor step; its bound is the dense grid's
+    # 1e-15 with a factor 2 of room, fixed before measuring.  Steps of 1/40
+    # hit every node k/2 and every node midpoint.
+    zs = 9.0 + np.arange(1, 121) / 40
+    with mp.workdps(DPS):
+        for z in np.r_[zs, -zs].tolist():
+            q = airy_unscaled(z)
+            refs = (mp.airyai(z), mp.airyai(z, 1), mp.airybi(z), mp.airybi(z, 1))
+            if z < 0:
+                amp, amp_prime = mp.hypot(refs[0], refs[2]), mp.hypot(refs[1], refs[3])
+                scales = (amp, amp_prime, amp, amp_prime)
+            else:
+                scales = tuple(abs(r) for r in refs)
+            mine = (q.ai, q.ai_prime, q.bi, q.bi_prime)
+            for name, value, ref, scale in zip(("Ai", "Ai'", "Bi", "Bi'"), mine, refs, scales):
+                assert abs(value - ref) <= 2e-15 * scale, (name, z, float((value - ref) / scale))
+
+
 def test_scaled_identity_below_zero():
     for z in (-7.3, -0.1, 0.0):
         assert airy_eval_scaled(z).exponent == 0.0
+
+
+def test_exponent_is_removed_only_past_the_series_radius():
+    r = SERIES_RADIUS
+    assert airy_eval_scaled(np.array([0.5, 9.0, r])).exponent.tolist() == [0.0, 0.0, 0.0]
+    past = float(np.nextafter(r, 20.0))
+    assert airy_eval_scaled(past).exponent == pytest.approx((2.0 / 3.0) * past**1.5, rel=1e-15)
 
 
 def test_scaled_product_leading_order_at_100():
@@ -169,21 +198,21 @@ def test_wronskian_sweep_grid():
 
 def test_regime_agreement_at_crossover():
     # the two representations agree where they hand over
-    from airystack.airy import _asym_neg, _asym_pos, _series, _zeta
+    from airystack.airy import _asym_neg, _asym_pos, _series
 
-    def at(kernel, z, *zeta):
-        return [float(x[0]) for x in kernel(np.array([z]), *zeta)]
+    def at(kernel, z):
+        return [float(x[0]) for x in kernel(np.array([z]))]
 
-    for z in (8.5, 8.8, 9.2, 9.5):
-        zeta = _zeta(np.array([z]))
-        ai_s, aip_s, bi_s, bip_s = at(_asym_pos, z, zeta)
-        em, ep = math.exp(-zeta[0]), math.exp(zeta[0])
+    # the nodes reach +-12, so the series is defined up to |z| = 12.25
+    for z in (11.5, 11.8, 12.1, 12.2):
+        ai_s, aip_s, bi_s, bip_s, zeta = at(_asym_pos, z)
+        em, ep = math.exp(-zeta), math.exp(zeta)
         asym = (ai_s * em, aip_s * em, bi_s * ep, bip_s * ep)
         series = at(_series, z)
         for a, b in zip(asym, series):
             assert a == pytest.approx(b, rel=1e-9)
-    for z in (-8.5, -8.8, -9.2, -9.5):
-        for a, b in zip(at(_asym_neg, z, _zeta(np.array([z]))), at(_series, z)):
+    for z in (-11.5, -11.8, -12.1, -12.2):
+        for a, b in zip(at(_asym_neg, z), at(_series, z)):
             assert a == pytest.approx(b, rel=1e-9)
 
 
@@ -208,7 +237,7 @@ def test_sign_pattern_positive_argument():
 
 
 def test_series_radius_constant():
-    assert SERIES_RADIUS == 9.0
+    assert SERIES_RADIUS == 12.0
 
 
 def _edges() -> np.ndarray:
@@ -230,23 +259,23 @@ def test_exp_keeps_the_bits_of_libm_exp():
 
 
 # Bits of the scaled quad as this numpy and this platform's libm give them
-# (math.exp and math.pow element by element; numpy's sqrt, cos and sin):
+# (math.pow element by element; numpy's sqrt, cos and sin):
 # a refactor of the evaluator must leave every value as it was.  The grid
 # spans all three regimes and the float neighbours of both crossovers.
-QUAD_GRID_SHA256 = "d36043ff9171f1412c1fc2d88c8c8c21b6bb48097bf1f2c8469f527fb3790396"
+QUAD_GRID_SHA256 = "31c0bea43d957837c7367677a01b4d4babb41639c5454c9357837c814a10c029"
 QUAD_HEX = {  # z: (ai, bi, ai', bi', exponent), all scaled
     -25.0: ("0x1.4ee705e0d3ea3p-3", "-0x1.8984450b5d98fp-3", "0x1.ecbcebba24f09p-1",
             "0x1.a1a603bbbcae3p-1", "0x0.0p+0"),
-    -9.000000000000002: ("-0x1.6aa38e8bd05fcp-6", "0x1.4cbefdbca6ec8p-2", "-0x1.f38a3ab3ed728p-1",
-                         "-0x1.d6399a376d98dp-5", "0x0.0p+0"),
-    -9.0: ("-0x1.6aa38e8bd0860p-6", "0x1.4cbefdbca6ec3p-2", "-0x1.f38a3ab3ed722p-1",
-           "-0x1.d6399a376dcd0p-5", "0x0.0p+0"),
-    0.5: ("0x1.2c50d8fc81f53p-2", "0x1.598b7f841ed50p-1", "-0x1.2386147a949c9p-2",
-          "0x1.b88bd7fe298a2p-2", "0x1.e2b7dddfefa66p-3"),
-    9.0: ("0x1.4c4d50ce9b6cdp-3", "0x1.4ee14ef245a7ap-2", "-0x1.f6f78b6c00013p-2",
-          "0x1.f18e09532637dp-1", "0x1.2000000000000p+4"),
-    9.000000000000002: ("0x1.4c4d50ce9b6cbp-3", "0x1.4ee14ef245a77p-2", "-0x1.f6f78b6c00011p-2",
-                        "0x1.f18e09532637ep-1", "0x1.2000000000002p+4"),
+    -12.000000000000002: ("-0x1.109c28c3cf367p-4", "-0x1.2ed1335c9af35p-2", "0x1.05ea911169424p+0",
+                          "-0x1.e4d3d9bcc2515p-3", "0x0.0p+0"),
+    -12.0: ("-0x1.109c28c3cf340p-4", "-0x1.2ed1335c9af36p-2", "0x1.05ea911169423p+0",
+            "-0x1.e4d3d9bcc2500p-3", "0x0.0p+0"),
+    0.5: ("0x1.da822d7438440p-3", "0x1.b563ccf3b4098p-1", "-0x1.cc9de4b290e92p-3",
+          "0x1.16d2371290beep-1", "0x0.0p+0"),
+    12.0: ("0x1.39b7a11f5a8eep-43", "0x1.33282b8f944c0p+38", "-0x1.114c208e15be4p-41",
+           "0x1.086185756b5efp+40", "0x0.0p+0"),
+    12.000000000000002: ("0x1.35a471fc4fe54p-3", "0x1.3732fb16c7c64p-2", "-0x1.0dbf594e99b3bp-1",
+                         "0x1.0bdc38493f3dcp+0", "0x1.bb67ae8584cabp+4"),
     25.0: ("0x1.0227a2cc20734p-3", "0x1.0295e1c7fc5efp-2", "-0x1.4355f2986cf38p-1",
            "0x1.42950528a859ap+0", "0x1.4d55555555554p+6"),
 }
