@@ -296,3 +296,19 @@ def test_scaled_quad_keeps_its_bits():
     for x, expected in QUAD_HEX.items():
         assert tuple(v.hex() for v in _quad_rows(airy_eval_scaled(x))) == expected, x
     assert digest.hexdigest() == QUAD_GRID_SHA256
+
+
+# The same, over the asymptotic regimes out to |z| = 1e8: the float neighbour
+# above the radius, then 256 points per octave (exact binary fractions, so
+# the grid is the same on every platform), both signs.
+FAR_GRID_SHA256 = "74ba58c1fcde4f5c40f61f6a372f1adb0c97fa2dc7e6baec10d7a9893b2a5eaf"
+
+
+def test_far_asymptotic_quad_keeps_its_bits():
+    r = SERIES_RADIUS
+    z = np.ldexp(1.0 + np.arange(256) / 256, np.arange(3, 27)[:, None]).ravel()
+    z = np.r_[np.nextafter(r, np.inf), z[(z > r) & (z <= 1e8)], 1e8]
+    digest = hashlib.sha256()
+    for row in _quad_rows(airy_eval_scaled(np.r_[z, -z])):
+        digest.update(row.tobytes())
+    assert digest.hexdigest() == FAR_GRID_SHA256
