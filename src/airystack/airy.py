@@ -16,12 +16,16 @@ Two evaluation regimes, selected by |z|:
   so nothing cancels: the error is below 1e-15 of the local amplitude
   (hypot(Ai, Bi) on the oscillatory side).
 
-* |z| > SERIES_RADIUS: Poincare asymptotic expansions, each element
-  truncated at its own smallest term.  The radius is 12, where
-  zeta = (2/3) 12^(3/2) = 27.7, because up to there the Taylor step is the
-  more accurate of the two: over 9 < |z| <= 12 it stays below 1e-15 of
-  the local amplitude, where the optimally truncated expansions read up
-  to 6e-15.  Past it the expansions improve, with fewer terms.
+* |z| > SERIES_RADIUS: Poincare asymptotic expansions in u_k zeta^-k
+  (DLMF 9.7), each element's sum cut where its term falls below 1e-18,
+  under half an ulp of every sum (all four are >= 0.99).  The radius is
+  12, where zeta = (2/3) 12^(3/2) = 27.7, because up to there the Taylor
+  step is the more accurate of the two: over 9 < |z| <= 12 it stays below
+  1e-15 of the local amplitude, where the optimally truncated expansions
+  read up to 6e-15.  Just past it the floor ends the exponential sums
+  after 20 terms and the oscillatory ones after 11 pairs, u_0 .. u_21,
+  the whole table; further out it ends them sooner.  The smallest term,
+  near k = 2 zeta >= 55 as u_(k+1)/u_k ~ k/2, lies far past the table.
 
 The one entry point, airy_eval_scaled, removes the exp(+-zeta) factors
 for z > SERIES_RADIUS so that barrier-side evaluations never overflow:
@@ -80,8 +84,8 @@ class ScaledAiryQuad:
     """
 
     ai_scaled: float
-    bi_scaled: float
     ai_prime_scaled: float
+    bi_scaled: float
     bi_prime_scaled: float
     exponent: float
 
@@ -117,7 +121,7 @@ def _uv_tables(n: int) -> tuple[list[float], list[float]]:
     return u, v
 
 
-_U, _V = _uv_tables(40)
+_U, _V = _uv_tables(21)
 
 
 def _zeta(z: np.ndarray) -> np.ndarray:
@@ -138,27 +142,26 @@ def _regimes(z: np.ndarray) -> dict[str, np.ndarray]:
     }
 
 
-def _asym_pos(z: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Scaled (ai, aip, bi, bip) for z > SERIES_RADIUS and their exponent zeta.
+def _powers(t: np.ndarray, lead: list[float]):
+    """t^k for k = 0, 1, ..., element by element, for a sum of terms
+    lead[k] t^k: an element's power is 0 from the step after its term
+    falls below 1e-18.  Stops once every power is 0 or lead ends."""
+    tk = np.ones_like(t)
+    for coefficient in lead:
+        yield tk
+        tk = np.where(coefficient * tk >= 1e-18, tk * t, 0.0)
+        if not tk.any():
+            return
 
-    Each element stops at its own smallest term, or once the term falls
-    below 1e-18 of the Bi sum: a term is added only while its element is live.
-    """
+
+def _asym_pos(z: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Scaled (ai, aip, bi, bip) for z > SERIES_RADIUS and their exponent zeta,
+    each sum u_k zeta^-k (v_k for the derivatives) cut by _powers."""
     zeta = _zeta(z)
-    t = 1.0 / zeta
     sa, sb, sap, sbp = (np.zeros_like(z) for _ in range(4))
-    tk = np.ones_like(z)
-    prev = np.full_like(z, np.inf)
-    live = np.ones(z.shape, dtype=bool)
-    for k in range(41):
-        mag = _U[k] * tk
-        live &= mag <= prev
-        if not live.any():
-            break
-        prev = mag
-        live_tk = np.where(live, tk, 0.0)  # a dead element adds zeros
-        term = _U[k] * live_tk
-        term_v = _V[k] * live_tk
+    for k, tk in enumerate(_powers(1.0 / zeta, _U)):
+        term = _U[k] * tk
+        term_v = _V[k] * tk
         if k & 1:
             sa -= term
             sap -= term_v
@@ -167,8 +170,6 @@ def _asym_pos(z: np.ndarray) -> tuple[np.ndarray, ...]:
             sap += term_v
         sb += term
         sbp += term_v
-        tk *= t
-        live &= mag >= 1e-18 * sb
     z4 = _libm(math.pow, z, 0.25)
     return (
         sa / (2.0 * _SQRT_PI * z4),
@@ -181,29 +182,18 @@ def _asym_pos(z: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _asym_neg(z: np.ndarray) -> tuple[np.ndarray, ...]:
     """Oscillatory expansion for z < -SERIES_RADIUS (values are O(1)):
-    (ai, aip, bi, bip), each element stopping at its own smallest term."""
+    (ai, aip, bi, bip), its sums taken in pairs (u_2k, u_2k+1), cut by
+    _powers on the even term."""
     zeta = _zeta(z)
     x4 = _libm(math.pow, -z, 0.25)
     t = 1.0 / zeta
-    t2 = t * t
     pe, po, re, ro = (np.zeros_like(z) for _ in range(4))
-    tk = np.ones_like(z)  # t^(2k)
-    prev = np.full_like(z, np.inf)
-    live = np.ones(z.shape, dtype=bool)
-    for k in range(0, 20):
-        mag = _U[2 * k] * tk
-        live &= mag <= prev
-        if not live.any():
-            break
-        prev = mag
+    for k, tk in enumerate(_powers(t * t, _U[::2])):  # tk = t^(2k)
         s = -1.0 if (k & 1) else 1.0
-        live_tk = np.where(live, tk, 0.0)  # a dead element adds zeros
-        pe += s * _U[2 * k] * live_tk
-        po += s * _U[2 * k + 1] * live_tk * t
-        re += s * _V[2 * k] * live_tk
-        ro += s * _V[2 * k + 1] * live_tk * t
-        tk *= t2
-        live &= mag >= 1e-18
+        pe += s * _U[2 * k] * tk
+        po += s * _U[2 * k + 1] * tk * t
+        re += s * _V[2 * k] * tk
+        ro += s * _V[2 * k + 1] * tk * t
     phi = zeta - 0.25 * math.pi
     c = np.cos(phi)
     s = np.sin(phi)
@@ -300,10 +290,8 @@ def airy_eval_scaled(z) -> ScaledAiryQuad:
             for row, value in zip(quad, kernel(flat[where])):
                 row[where] = value
     if z_arr.ndim == 0:
-        ai, aip, bi, bip, exponent = (row.item() for row in quad)
-    else:
-        ai, aip, bi, bip, exponent = (row.reshape(z_arr.shape) for row in quad)
-    return ScaledAiryQuad(ai, bi, aip, bip, exponent)
+        return ScaledAiryQuad(*(row.item() for row in quad))
+    return ScaledAiryQuad(*(row.reshape(z_arr.shape) for row in quad))
 
 
 def wronskian_sweep(lo: float = -20.0, hi: float = 20.0, n: int = 4001):

@@ -304,9 +304,6 @@ def cmd_sweep(args) -> int:
     if args.out and not os.path.isdir(os.path.dirname(args.out) or "."):
         # fails as the write after the sweep would, before the sweep runs
         _write(args.out, ".csv", "")
-    if min(req.epsilons) < 0.02:
-        print("note: epsilon < 0.02 drives Airy arguments to |z| ~ 1e4; "
-              "scaled evaluation is in effect", file=sys.stderr)
     roots: tuple[float, ...] = ()
     equations = SCENARIOS[cfg.scenario]
     if equations and req.tuned_layer == 0:

@@ -233,9 +233,8 @@ def classify_region(mu: float, nu: float) -> RegionClass:
     exponent = 2.0 * (1.0 + nu) / 3.0 - mu
     if exponent > 0:
         return RegionClass.S0 if mu < 2.0 else RegionClass.OUTSIDE
-    if exponent < 0:
-        return RegionClass.S_INF
-    return RegionClass.L0_INF
+    # an exponent of 0 puts nu on the L0_INF line, which returned above
+    return RegionClass.S_INF
 
 
 class ResonanceEquation(Enum):

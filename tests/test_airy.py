@@ -216,6 +216,24 @@ def test_regime_agreement_at_crossover():
             assert a == pytest.approx(b, rel=1e-9)
 
 
+def test_the_floor_ends_every_asymptotic_sum_inside_the_table():
+    # Both kernels cut each element's sum of u_k zeta^-k where a term falls
+    # below 1e-18: _asym_pos term by term, _asym_neg pair by pair
+    # (u_2k, u_2k+1) on the even term.  Just past the radius, where zeta is
+    # least and the sums longest, the terms must fall strictly over the whole
+    # table, so no sum reaches its smallest term, and the floor must be met
+    # inside the table, so that the table's end truncates no sum.
+    from airystack.airy import _U, _V, _zeta
+
+    assert len(_V) == len(_U)
+    zeta = float(_zeta(np.array(np.nextafter(SERIES_RADIUS, np.inf))))
+    terms = [u * zeta**-k for k, u in enumerate(_U)]
+    assert all(b < a for a, b in zip(terms, terms[1:]))
+    pairs = list(zip(terms[0::2], terms[1::2]))
+    assert any(term < 1e-18 for term in terms)
+    assert any(even < 1e-18 for even, _ in pairs)
+
+
 @pytest.mark.parametrize("z", [-10.0, -6.0, -3.0, -1.0, 0.5, 2.0, 5.0])
 def test_derivative_consistency(z):
     h = 1e-5

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
@@ -15,6 +16,7 @@ from conftest import (
     det,
     layer_matrices,
     mixed_stack,
+    mp_structure_matrix,
     ode_transfer_matrix,
     ode_wronskian_route_matrix,
     structure_matrix,
@@ -111,6 +113,25 @@ def test_linear_scaled_path_huge_arguments():
     ref = ode_transfer_matrix(1.0e4, 1.0001e4, 0.01, 1.0)
     assert max_rel_err(m, ref) < 1e-9
     assert det(m) == pytest.approx(1.0, rel=1e-9)
+
+
+@pytest.mark.xfail(strict=True, reason="each edge's phase zeta ~ 7e14 carries an error of "
+                   "ulp(zeta) ~ 0.1 rad, and the layer matrix subtracts two of them")
+def test_oscillatory_layer_far_past_the_radius_against_mpmath():
+    # One sigma = 1 layer from V0 = -1e10 to V0 + 1e4 over 1e4 nm at E = 0.5:
+    # z ~ -1e10 at both edges, a phase span Delta = zeta_left - zeta_right of
+    # ~1e9 rad.  ulp(Delta) is the layer's own conditioning, so the bound is
+    # 10 EPS (1 + |Delta|) relative to the largest element.
+    v0, width, energy = -1e10, 1e4, 0.5
+    v1 = v0 + 1e4
+    m = layer_matrices(v0, v1, width, energy)
+    with mpmath.workdps(60):
+        exact = mp_structure_matrix([v0], [v1], [width], energy)
+        za, zb = mpmath.mpf(v0) - energy, mpmath.mpf(v1) - energy
+        delta = float(2 * ((-za) ** 1.5 - (-zb) ** 1.5) / 3)
+        err = max(abs(mpmath.mpf(x) - y) for x, y in zip(m.ravel().tolist(), exact))
+        err = float(err / max(abs(y) for y in exact))
+    assert err <= 10 * np.finfo(float).eps * (1 + abs(delta))
 
 
 def test_degenerate_slope_raises_and_dispatcher_falls_back():
