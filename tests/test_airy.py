@@ -229,7 +229,7 @@ def test_the_floor_ends_every_asymptotic_sum_inside_the_table():
     zeta = float(_zeta(np.array(np.nextafter(SERIES_RADIUS, np.inf))))
     terms = [u * zeta**-k for k, u in enumerate(_U)]
     assert all(b < a for a, b in zip(terms, terms[1:]))
-    pairs = list(zip(terms[0::2], terms[1::2]))
+    pairs = list(zip(terms[0::2], terms[1::2]))  # whole pairs: _asym_neg reads u_2k+1 too
     assert any(term < 1e-18 for term in terms)
     assert any(even < 1e-18 for even, _ in pairs)
 
