@@ -1,6 +1,7 @@
 """Resonance sets: closed forms, transcendental search, dense-scan oracles."""
 
 import gzip
+import hashlib
 import json
 import math
 import pathlib
@@ -10,14 +11,20 @@ import numpy as np
 import pytest
 
 from airystack import resonance
-from airystack.cli import load_config
+from airystack.cli import load_config, main
 from airystack.limits import (
     LimitKind,
     squeezed_limit,
     transistor_resonance_residual,
     two_layer_resonance_residual,
 )
-from airystack.potential import EV_TO_INVNM2, ResonanceEquation
+from airystack.potential import (
+    EV_TO_INVNM2,
+    SQUEEZES,
+    LayerSpec,
+    ResonanceEquation,
+    StructureSpec,
+)
 from airystack.resonance import (
     FINDERS,
     MAX_LEVELS,
@@ -454,6 +461,15 @@ def test_figure_root_count_equals_prufer_count(name, eq, interval):
     assert len(FINDERS[eq](cfg.spec, lo, hi).roots) == count >= 2
 
 
+# each equation on its figure config and the interval of the figure
+FIGURE_SETS = [
+    ("fig4", ResonanceEquation.EQ73_DELTA_BARRIER_WELL, (-1.0 * EV, 0.0)),
+    ("fig4", ResonanceEquation.EQ69_DELTAPRIME_2LAYER, (-1.0 * EV, 0.0)),
+    ("fig6", ResonanceEquation.EQ76_TRANSISTOR_DELTA, (0.0, 0.5 * EV)),
+    ("fig6", ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, (0.0, 0.5 * EV)),
+]
+
+
 # The third EQ83 root of transistor device 27 lies 5.2e-5 nm^-2 above a
 # tangent pole; the RESIDUAL_RTOL gate of limits._transistor_deltaprime
 # classifies it as a wall (CHANGES.md, the FOUND line on that gate).
@@ -529,6 +545,54 @@ def test_pool_trans_prob_matches_the_closed_form_reference(tmp_path):
                     worst = max(worst, abs(root.trans_prob - row[5]) / row[5])
                 sets += 1
     assert sets == 384 and worst <= 1e-14
+
+
+# sha256 of the `resonances` stdout of the pool's 384 sets in pool order,
+# then of fig4 EQ73/EQ69 on [-1, 0] eV and fig6 EQ76/EQ83 on [0, 0.5] eV
+RESONANCES_STDOUT_SHA256 = "6444971f05f18902f0f154346dc886c04c1fc24043ec5421b40500c42ddc46f7"
+
+
+def test_resonances_stdout_keeps_its_bits(tmp_path, capsys):
+    commands = []
+    pool = _pool()
+    for kind in ("barrier_well", "transistor"):
+        for i, device in enumerate(pool[kind]):
+            path = tmp_path / f"{kind}-{i}.json"
+            path.write_text(json.dumps(device["config"]))
+            for s in device["sets"]:
+                interval = [repr(float(x)) for x in s["interval"]]
+                commands.append((path, s["equation"], interval))
+    assert len(commands) == 384
+    for name, eq, interval in (("fig4", "EQ73", ("-1", "0")), ("fig4", "EQ69", ("-1", "0")),
+                               ("fig6", "EQ76", ("0", "0.5")), ("fig6", "EQ83", ("0", "0.5"))):
+        commands.append((ROOT / "configs" / f"{name}.json", eq, interval))
+    digest = hashlib.sha256()
+    for path, eq, interval in commands:
+        assert main(["resonances", str(path), "--equation", eq, "--interval", *interval]) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == RESONANCES_STDOUT_SHA256
+
+
+def _at_powers(stack, powers):
+    """stack with layer i squeezed at powers[i]."""
+    layers = (LayerSpec(x.a, x.b, x.d, mu, nu) for x, (mu, nu) in zip(stack.layers, powers))
+    return StructureSpec(tuple(layers), stack.v_left, stack.v_right_override)
+
+
+@pytest.mark.parametrize("config, equation, interval", FIGURE_SETS)
+def test_finders_ignore_the_stack_powers(config, equation, interval):
+    # a finder reads widths, coefficients, biases and leads only: the figure
+    # stack at the scenario's powers, at the equation's own and at (0, 0)
+    # gives one set
+    cfg = load_config(f"{ROOT}/configs/{config}.json")
+    layers = len(cfg.spec.layers)
+    sets = [
+        FINDERS[equation](_at_powers(cfg.spec, powers), *interval, cfg.energy)
+        for powers in ([(x.mu, x.nu) for x in cfg.spec.layers], SQUEEZES[equation][0],
+                       [(0.0, 0.0)] * layers)
+    ]
+    assert len(sets[0].roots) >= 2
+    assert sets[1] == sets[0] and sets[2] == sets[0]
 
 
 def test_root_t_n_of_a_huge_theta_is_zero():
@@ -837,15 +901,7 @@ def test_transistor_trans_prob_is_limit_scattering():
             assert root.trans_prob == pytest.approx(want, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "config, equation, interval",
-    [
-        ("fig4", ResonanceEquation.EQ73_DELTA_BARRIER_WELL, (-1.0 * EV, 0.0)),
-        ("fig4", ResonanceEquation.EQ69_DELTAPRIME_2LAYER, (-1.0 * EV, 0.0)),
-        ("fig6", ResonanceEquation.EQ76_TRANSISTOR_DELTA, (0.0, 0.5 * EV)),
-        ("fig6", ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME, (0.0, 0.5 * EV)),
-    ],
-)
+@pytest.mark.parametrize("config, equation, interval", FIGURE_SETS)
 def test_figure_root_t_n_is_scatter_of_its_limit_matrix(config, equation, interval):
     # _root's float arithmetic and scatter's give the same bits
     cfg = load_config(f"{ROOT}/configs/{config}.json")
