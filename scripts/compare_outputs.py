@@ -7,7 +7,9 @@ Each tree runs in its own fresh interpreter with only TREE/src on the
 path, and both run the same commands on the same inputs:
 
 - `sweep` on configs/fig4.json and configs/fig6.json, on fig6 with
-  sweep.tuned_sign 1 (a grid of negative emitter voltages), on the 48
+  sweep.tuned_sign 1 (a grid of negative emitter voltages), on fig4 with
+  its barrier at mu = nu = 1 + 1e-13, within POWER_TOL of the EQ73
+  template (41 points, eps 0.5), on the 48
   devices of the `stack` benchmark pool, and on its 24-layer device 17
   with sweep.points 20001, whose grid call runs in many row blocks;
 - `resonances` on the 384 sets of the `resonances` benchmark pool (96
@@ -145,6 +147,12 @@ def jobs(workdir: pathlib.Path) -> list:
     flipped = dict(fig6, sweep=dict(fig6["sweep"], tuned_sign=1.0))
     path = _write(workdir / "fig6-tuned-sign-1.json", flipped)
     out.append(("sweep fig6-tuned-sign-1", ["sweep", path, "--out", prefix], files))
+    near = 1.0 + 1e-13
+    barrier, well = fig4["layers"]
+    near_template = dict(fig4, layers=[dict(barrier, mu=near, nu=near), well],
+                         sweep=dict(fig4["sweep"], points=41, epsilons=[0.5]))
+    path = _write(workdir / "fig4-near-template.json", near_template)
+    out.append(("sweep fig4-near-template", ["sweep", path, "--out", prefix], files))
 
     def reference(workload):
         with gzip.open(HERE / "perfbench" / "reference" / f"{workload}.json.gz", "rt") as fh:

@@ -20,10 +20,12 @@ from .potential import (
     EV_TO_INVNM2,
     MAX_POINTS,
     SQUEEZES,
+    TEMPLATE_EQUATIONS,
     LayerSpec,
     ResonanceEquation,
     StructureSpec,
     ev_to_invnm2,
+    classify_region,
     invnm2_to_ev,
     stack_potentials,
 )
@@ -306,15 +308,14 @@ def cmd_sweep(args) -> int:
         _write(args.out, ".csv", "")
     roots: tuple[float, ...] = ()
     equations = SCENARIOS[cfg.scenario]
-    if equations and req.tuned_layer == 0:
-        template, sign = SQUEEZES[equations[0]]
-        # the closed form describes its own squeeze only
-        if tuple((layer.mu, layer.nu) for layer in cfg.spec.layers) == template:
-            # grid value v sets b1 = tuned_sign * v, so the variable is k * v
-            k = sign * req.tuned_sign
-            lo, hi = sorted((k * req.grid_lo, k * req.grid_hi))
-            rset = _solve(equations[0], cfg.spec, lo, hi, None)
-            roots = tuple(sorted(k * r.value for r in rset.roots))
+    points = tuple(classify_region(layer.mu, layer.nu) for layer in cfg.spec.layers)
+    # the closed form describes its own squeeze only
+    if req.tuned_layer == 0 and equations and TEMPLATE_EQUATIONS.get(points) is equations[0]:
+        # grid value v sets b1 = tuned_sign * v, so the variable is k * v
+        k = SQUEEZES[equations[0]][1] * req.tuned_sign
+        lo, hi = sorted((k * req.grid_lo, k * req.grid_hi))
+        rset = _solve(equations[0], cfg.spec, lo, hi, None)
+        roots = tuple(sorted(k * r.value for r in rset.roots))
     result = _evaluated(run_sweep, req, reference_roots=roots)
     csv_text = sweep_to_csv(result)
     json_text = sweep_to_json(result)
@@ -345,7 +346,7 @@ def cmd_limit_check(args) -> int:
     """Squeezing-convergence check for the delta-point limit: the exact T of
     the squeezed layer at each epsilon against the T of its limit matrix,
     both through scattering.trans_prob."""
-    from .limits import LimitKind, squeezed_limit
+    from .limits import squeezed_limit
     from .scattering import trans_prob
     from .transfer import structure_matrices
 
@@ -354,10 +355,7 @@ def cmd_limit_check(args) -> int:
     )
     spec = StructureSpec((layer,))
     energy = ev_to_invnm2(0.3)
-    limit = squeezed_limit(spec)
-    if limit.kind is not LimitKind.DELTA:
-        print(f"limit is {limit.kind.value}, expected DELTA", file=sys.stderr)
-        return 1
+    limit = squeezed_limit(spec)  # a DELTA: the layer sits at (1, 1)
     v_l, v_r = spec.lead_potentials()
     t_lim = float(trans_prob(limit.matrix(), v_l, v_r, energy))
     print("epsilon,T_exact,T_limit,abs_error")

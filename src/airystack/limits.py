@@ -19,7 +19,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import NoClosedFormLimitError
-from .potential import POWER_TOL, LayerSpec, RegionClass, StructureSpec, classify_region
+from .potential import POWER_TOL, TEMPLATE_EQUATIONS, LayerSpec, RegionClass, StructureSpec
+from .potential import ResonanceEquation, classify_region
 
 __all__ = [
     "LimitKind",
@@ -321,31 +322,32 @@ def _transistor_deltaprime(stack: StructureSpec) -> LimitClassification:
 
 # --- one entry point -------------------------------------------------------
 
-# power-plane points of a stack's layers -> the classifier of that squeeze;
-# each takes the tuned stack and returns OPAQUE_WALL off its resonance set
+# equation -> the classifier of its squeeze; each takes the tuned stack,
+# reads no layer power and returns OPAQUE_WALL off its resonance set
 _CLASSIFIERS = {
-    (RegionClass.P11, RegionClass.P21): _barrier_well_delta,
-    (RegionClass.P21, RegionClass.P21): _deltaprime_pair,
-    (RegionClass.P11, RegionClass.P20, RegionClass.P11): _transistor_delta,
-    (RegionClass.P21, RegionClass.P20, RegionClass.P21): _transistor_deltaprime,
+    ResonanceEquation.EQ73_DELTA_BARRIER_WELL: _barrier_well_delta,
+    ResonanceEquation.EQ69_DELTAPRIME_2LAYER: _deltaprime_pair,
+    ResonanceEquation.EQ76_TRANSISTOR_DELTA: _transistor_delta,
+    ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME: _transistor_deltaprime,
 }
 
 
 def squeezed_limit(stack: StructureSpec) -> LimitClassification:
     """Zero-thickness limit of a squeezed stack, chosen by the power-plane
-    point of each layer: one layer as single_layer_limit; the barrier-well
-    delta (1,1) + (2,1) and the delta-prime pair (2,1) + (2,1); the
-    transistor delta (1,1) + (2,0) + (1,1) and delta-prime
-    (2,1) + (2,0) + (2,1).  Layer 0's bias is the tuned variable (b1, or
-    b1 = -v_eb for the transistor).  Any other stack has no closed form
-    here: NoClosedFormLimitError."""
+    point of each layer: one layer as single_layer_limit; else the
+    classifier of the equation whose SQUEEZES template has those points:
+    the barrier-well delta (1,1) + (2,1), the delta-prime pair
+    (2,1) + (2,1), the transistor delta (1,1) + (2,0) + (1,1) and
+    delta-prime (2,1) + (2,0) + (2,1).  Layer 0's bias is the tuned
+    variable (b1, or b1 = -v_eb for the transistor).  Any other stack
+    has no closed form here: NoClosedFormLimitError."""
     if len(stack.layers) == 1:
         return single_layer_limit(stack.layers[0])
     regions = tuple(classify_region(layer.mu, layer.nu) for layer in stack.layers)
-    classifier = _CLASSIFIERS.get(regions)
-    if classifier is None:
+    eq = TEMPLATE_EQUATIONS.get(regions)
+    if eq is None:
         raise NoClosedFormLimitError(
             "no closed-form zero-thickness limit for layer regions "
             + " + ".join(r.value for r in regions)
         )
-    return classifier(stack)
+    return _CLASSIFIERS[eq](stack)

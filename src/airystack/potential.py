@@ -111,8 +111,9 @@ class StructureSpec:
         return self.v_left, self.right_lead(layer.b for layer in self.layers)
 
     def replace_bias(self, index: int, b: float) -> "StructureSpec":
-        """Copy with layer `index` given bias b (perfbench/make_reference.py
-        probes a device's Airy arguments along its sweep with it)."""
+        """Copy with layer `index` given bias b: the tuned stack of a
+        resonance root, and perfbench/make_reference.py's probe of a
+        device's Airy arguments along its sweep."""
         layers = list(self.layers)
         old = layers[index]
         layers[index] = LayerSpec(old.a, b, old.d, old.mu, old.nu)
@@ -251,4 +252,10 @@ SQUEEZES = {
     ResonanceEquation.EQ69_DELTAPRIME_2LAYER: (((2.0, 1.0), (2.0, 1.0)), 1.0),
     ResonanceEquation.EQ76_TRANSISTOR_DELTA: (((1.0, 1.0), (2.0, 0.0), (1.0, 1.0)), -1.0),
     ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME: (((2.0, 1.0), (2.0, 0.0), (2.0, 1.0)), -1.0),
+}
+
+# the power-plane points of each template's layers -> its equation
+TEMPLATE_EQUATIONS = {
+    tuple(classify_region(mu, nu) for mu, nu in powers): eq
+    for eq, (powers, _) in SQUEEZES.items()
 }

@@ -5,8 +5,8 @@ barrier-well delta set and the transistor delta set); the other two are
 transcendental and are found by a pole-aware uniform scan followed by
 bisection.  Roots are returned sorted ascending by the tuned value with
 the limit data (alpha, on-resonance transmission, and theta for the
-scanned sets) of limits.squeezed_limit of the tuned stack attached.  An
-interval with no part of an equation's domain gives the empty set.
+scanned sets) that the equation's own classifier in limits gives the tuned
+stack.  An interval with no part of an equation's domain gives the empty set.
 """
 
 from __future__ import annotations
@@ -18,15 +18,15 @@ import numpy as np
 
 from .errors import EvanescentLeadError
 from .limits import (
+    _CLASSIFIERS,
     LimitKind,
     _transistor,
-    squeezed_limit,
     transistor_resonance_residual,
     two_layer_resonance_residual,
 )
 from .lockstep import refine
 from .potential import MAX_POINTS as MAX_LEVELS
-from .potential import SQUEEZES, LayerSpec, ResonanceEquation, StructureSpec
+from .potential import SQUEEZES, ResonanceEquation, StructureSpec
 from .scattering import _terms
 
 __all__ = [
@@ -199,20 +199,6 @@ def _levels(start, d: float, sign: float, offset: float, lo: float, hi: float) -
     return [v for v in values if lo <= v <= hi]
 
 
-def _tuned(stack: StructureSpec, eq: ResonanceEquation, value: float) -> StructureSpec:
-    """stack at the equation's tuned variable = value (layer 0's bias set to
-    b1 = s * value) with layer i squeezed at the equation's powers[i]."""
-    powers, sign = SQUEEZES[eq]
-    layers = []
-    for layer, (mu, nu) in zip(stack.layers, powers):
-        if not layers:
-            layer = LayerSpec(layer.a, sign * value, layer.d, mu, nu)
-        elif not (layer.mu == mu and layer.nu == nu):  # a layer at its powers is kept
-            layer = LayerSpec(layer.a, layer.b, layer.d, mu, nu)
-        layers.append(layer)
-    return StructureSpec(tuple(layers), stack.v_left, stack.v_right_override)
-
-
 def _root(n: int, value: float, limit, theta, stack: StructureSpec, energy) -> ResonanceRoot:
     """Root at value carrying theta and its limit's alpha and admissibility;
     with an energy, T_n of the limit matrix between the stack's leads, by
@@ -243,11 +229,12 @@ def _level_roots(
     eq: ResonanceEquation, stack: StructureSpec, levels, energy, theta=None
 ) -> ResonanceSet:
     """The roots at closed-form levels, ascending, each with theta and the
-    mode number n and limit data of its tuned stack's squeezed_limit."""
+    mode number n and limit data of the equation's classifier."""
+    classify, sign = _CLASSIFIERS[eq], SQUEEZES[eq][1]
     roots = []
     for value in sorted(levels):
-        tuned = _tuned(stack, eq, value)
-        limit = squeezed_limit(tuned)
+        tuned = stack.replace_bias(0, sign * value)
+        limit = classify(tuned)
         roots.append(_root(limit.n, value, limit, theta, tuned, energy))
     return ResonanceSet(eq, tuple(roots))
 
@@ -256,24 +243,25 @@ def _scanned_roots(
     eq: ResonanceEquation, stack: StructureSpec, residual, lo, hi, poles, energy
 ) -> ResonanceSet:
     """Sign changes of residual(x)[0] on [lo, hi], split at the poles, so
-    that no bracket spans a pole.  A candidate's one judge is its tuned
-    stack's squeezed_limit: a wall (scaled residual past RESIDUAL_RTOL, or
-    four theta forms that disagree for EQ83) is dropped.  A real root
-    within a scan step of a tangent pole can miss the gate, as bisection
-    to ROOT_REL_TOL leaves too large a residual on so steep a slope."""
+    that no bracket spans a pole.  A candidate's one judge is the equation's
+    classifier: a wall (scaled residual past RESIDUAL_RTOL, or four theta
+    forms that disagree for EQ83) is dropped.  A real root within a scan
+    step of a tangent pole can miss the gate, as bisection to ROOT_REL_TOL
+    leaves too large a residual on so steep a slope."""
+    classify, sign = _CLASSIFIERS[eq], SQUEEZES[eq][1]
     roots = []
     for value in scan_and_bisect(lambda x: residual(x)[0], lo, hi, poles):
-        tuned = _tuned(stack, eq, value)
-        limit = squeezed_limit(tuned)
+        tuned = stack.replace_bias(0, sign * value)
+        limit = classify(tuned)
         if limit.kind is not LimitKind.OPAQUE_WALL:
             roots.append(_root(len(roots) + 1, value, limit, limit.theta, tuned, energy))
     return ResonanceSet(eq, tuple(roots))
 
 
 # Every finder maps (stack, lo, hi, energy) to the resonance set on [lo, hi]
-# of the tuned variable.  It reads widths, coefficients, biases and leads
-# from the stack, and tunes layer 0's bias and squeezes each layer as its
-# equation's SQUEEZES entry gives; the stack's own powers play no part.
+# of the tuned variable: it sets layer 0's bias to s * value and judges each
+# root by its equation's classifier (limits._CLASSIFIERS), which reads no
+# layer power, so the stack's own powers play no part.
 
 
 def resonances_delta_barrier_well(
@@ -284,7 +272,7 @@ def resonances_delta_barrier_well(
     (1,1) + (2,1).  Each root carries the barrier's delta strength; with an
     energy the on-resonance transmission between the leads is attached."""
     barrier, well = stack.layers
-    # b2 is zeroed, so alpha and T_n are the unbiased well's (squeezed_limit
+    # b2 is zeroed, so alpha and T_n are the unbiased well's (the classifier
     # would add b2 d2 / 4, the lead v_left + b1 + b2), as perfbench/reference
     # records them until the references are regenerated.
     stack = replace(stack, layers=(barrier, replace(well, b=0.0)))

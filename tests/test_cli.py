@@ -828,6 +828,16 @@ def test_sweep_of_other_squeeze_has_no_reference_roots(tmp_path):
     assert all(s["convergence_invnm2"] == [] for s in doc["sweeps"])
 
 
+def test_sweep_within_power_tol_of_the_squeeze_has_its_reference_roots(tmp_path):
+    # powers within POWER_TOL of the template are the template, as for
+    # squeezed_limit: a (1 + 1e-13, 1 + 1e-13) barrier keeps EQ73's roots
+    near = 1.0 + 1e-13
+    doc = edited(FIG4, [(("layers", 0, "mu"), near), (("layers", 0, "nu"), near)])
+    roots = sweep_json(tmp_path, doc)["reference_roots_invnm2"]
+    assert len(roots) == 3
+    assert roots == sweep_json(tmp_path, FIG4)["reference_roots_invnm2"]
+
+
 def test_benchmark_tracer_wraps_nothing_in_lockstep(monkeypatch):
     # the tracer wraps every public function; the lockstep driver has none,
     # so its time stays in the spans of detect_peaks and scan_and_bisect
@@ -840,8 +850,9 @@ def test_benchmark_tracer_wraps_nothing_in_lockstep(monkeypatch):
 
 def test_benchmark_reference_tool_runs(tmp_path, monkeypatch):
     # perfbench/make_reference.py regenerates the benchmark references through
-    # names no sweep calls any more (realize, StructureSpec.replace_bias,
-    # slope_is_degenerate, airy_layer_params); this keeps them working for it
+    # names no sweep calls any more (realize, slope_is_degenerate,
+    # airy_layer_params) and StructureSpec.replace_bias, which the resonance
+    # finders call too; this keeps them working for it
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
         monkeypatch.setenv(name, "1")  # the tool sets both on import
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))

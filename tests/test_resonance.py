@@ -30,7 +30,6 @@ from airystack.resonance import (
     MAX_LEVELS,
     MAX_STEPS,
     ROOT_REL_TOL,
-    _tuned,
     find_resonances_deltaprime_2layer,
     find_resonances_transistor_deltaprime,
     resonances_delta_barrier_well,
@@ -579,6 +578,13 @@ def _at_powers(stack, powers):
     return StructureSpec(tuple(layers), stack.v_left, stack.v_right_override)
 
 
+def _tuned(stack, eq, value):
+    """stack at the equation's template: each layer at its SQUEEZES powers,
+    layer 0's bias at the tuned variable's b1 = s * value."""
+    powers, sign = SQUEEZES[eq]
+    return _at_powers(stack, powers).replace_bias(0, sign * value)
+
+
 @pytest.mark.parametrize("config, equation, interval", FIGURE_SETS)
 def test_finders_ignore_the_stack_powers(config, equation, interval):
     # a finder reads widths, coefficients, biases and leads only: the figure
@@ -942,8 +948,8 @@ def test_2layer_alpha_against_real_barrier_well_form(rng):
 
 
 def test_squeezed_limit_kind_matches_each_equation():
-    # potential.SQUEEZES and the limits table agree: at every root a finder
-    # returns, the squeezed limit of its tuned stack is the equation's kind
+    # at every root a finder returns, squeezed_limit of its stack at the
+    # equation's template finds the equation's classifier, of the equation's kind
     fig4 = barrier_well_stack(FIG4["a1"], FIG4["d1"], FIG4["a2"], FIG4["d2"])
     eq73, eq69, eq76, eq83 = (
         ResonanceEquation.EQ73_DELTA_BARRIER_WELL,
