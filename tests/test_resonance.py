@@ -591,11 +591,10 @@ def test_finders_ignore_the_stack_powers(config, equation, interval):
     # stack at the scenario's powers, at the equation's own and at (0, 0)
     # gives one set
     cfg = load_config(f"{ROOT}/configs/{config}.json")
-    layers = len(cfg.spec.layers)
     sets = [
         FINDERS[equation](_at_powers(cfg.spec, powers), *interval, cfg.energy)
         for powers in ([(x.mu, x.nu) for x in cfg.spec.layers], SQUEEZES[equation][0],
-                       [(0.0, 0.0)] * layers)
+                       [(0.0, 0.0)] * len(cfg.spec.layers))
     ]
     assert len(sets[0].roots) >= 2
     assert sets[1] == sets[0] and sets[2] == sets[0]
