@@ -848,11 +848,9 @@ def test_benchmark_tracer_wraps_nothing_in_lockstep(monkeypatch):
     assert tracer.discover(airystack.lockstep) == []
 
 
-def test_benchmark_reference_tool_runs(tmp_path, monkeypatch):
-    # perfbench/make_reference.py regenerates the benchmark references through
-    # names no sweep calls any more (realize, slope_is_degenerate,
-    # airy_layer_params) and StructureSpec.replace_bias, which the resonance
-    # finders call too; this keeps them working for it
+@pytest.fixture
+def reference_tool(monkeypatch):
+    """perfbench/make_reference.py, loaded as a module."""
     for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS"):
         monkeypatch.setenv(name, "1")  # the tool sets both on import
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
@@ -861,10 +859,38 @@ def test_benchmark_reference_tool_runs(tmp_path, monkeypatch):
     )
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_benchmark_reference_tool_runs(tmp_path, reference_tool):
+    # perfbench/make_reference.py regenerates the benchmark references through
+    # names no sweep calls any more (realize, slope_is_degenerate,
+    # airy_layer_params) and StructureSpec.replace_bias, which the resonance
+    # finders call too; this keeps them working for it
+    tool = reference_tool
     path = tmp_path / "stack.json"
     path.write_text(json.dumps(tool.stack_config(random.Random(1))))
     per_point = tool.series_args_per_point(cli, path)
     assert math.isfinite(per_point) and per_point > 0
+
+
+# series_args_per_point of stack_config(random.Random(s)), s = 1 ... 8: the
+# density decides which generated devices enter the `stack` pool
+# (make_reference.STACK_SERIES_BAND), so it must keep its bits
+PINNED_SERIES_DENSITIES = (
+    "0x1.251eb851eb852p+4", "0x1.f99999999999ap+3", "0x1.270a3d70a3d71p+4",
+    "0x1.5d70a3d70a3d7p+4", "0x1.2333333333333p+4", "0x1.2b851eb851eb8p+4",
+    "0x1.3000000000000p+4", "0x1.4b851eb851eb8p+4",
+)
+
+
+def test_benchmark_reference_probe_densities_are_pinned(tmp_path, reference_tool):
+    path = tmp_path / "stack.json"
+    densities = []
+    for seed in range(1, 9):
+        path.write_text(json.dumps(reference_tool.stack_config(random.Random(seed))))
+        densities.append(reference_tool.series_args_per_point(cli, path).hex())
+    assert tuple(densities) == PINNED_SERIES_DENSITIES
 
 
 def test_compare_outputs_names_the_columns_that_moved():

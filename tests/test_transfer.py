@@ -9,8 +9,20 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from airystack.errors import DegenerateSlopeError
-from airystack.potential import ConcreteLayer, LayerSpec, StructureSpec, stack_potentials
-from airystack.transfer import airy_layer_params, slope_is_degenerate, structure_matrices
+from airystack.potential import (
+    ConcreteLayer,
+    LayerSpec,
+    StructureSpec,
+    realize,
+    stack_potentials,
+)
+from airystack.transfer import (
+    _airy_geometry,
+    _degenerate,
+    airy_layer_params,
+    slope_is_degenerate,
+    structure_matrices,
+)
 
 from conftest import (
     det,
@@ -19,6 +31,7 @@ from conftest import (
     mp_structure_matrix,
     ode_transfer_matrix,
     ode_wronskian_route_matrix,
+    stack_pool,
     structure_matrix,
 )
 
@@ -132,6 +145,30 @@ def test_oscillatory_layer_far_past_the_radius_against_mpmath():
         err = max(abs(mpmath.mpf(x) - y) for x, y in zip(m.ravel().tolist(), exact))
         err = float(err / max(abs(y) for y in exact))
     assert err <= 10 * np.finfo(float).eps * (1 + abs(delta))
+
+
+def test_per_layer_probe_equals_the_array_route_on_the_stack_pool():
+    # perfbench/make_reference.py probes each layer that realize lists with
+    # slope_is_degenerate and airy_layer_params; at eps 1 on every `stack`
+    # pool device they must give the bits of the array route's _degenerate
+    # and _airy_geometry on the stack_potentials row
+    for cfg in stack_pool():
+        spec, energy = cfg.spec, cfg.energy
+        v_left, v_right, widths = stack_potentials(spec, 1.0, [[x.b for x in spec.layers]])
+        v_left, v_right = v_left[0], v_right[0]
+        flat = _degenerate(v_left, v_right, energy)
+        tilted = ~flat
+        p = _airy_geometry(v_left[tilted], v_right[tilted], widths[tilted], energy)
+        expected = iter(zip(p.sigma.tolist(), p.z_left.tolist(), p.z_right.tolist()))
+        layers = realize(spec, 1.0)
+        assert len(layers) == len(spec.layers)
+        for layer, is_flat in zip(layers, flat.tolist()):
+            assert slope_is_degenerate(layer, energy) is is_flat
+            if not is_flat:
+                q = airy_layer_params(layer, energy)
+                got = (q.sigma, q.z_left, q.z_right)
+                assert [x.hex() for x in got] == [x.hex() for x in next(expected)]
+        assert next(expected, None) is None
 
 
 def test_degenerate_slope_raises_and_dispatcher_falls_back():
