@@ -20,7 +20,7 @@ _EXPORTS = {
     "errors": "AirystackError ConfigError DegenerateSlopeError EvanescentLeadError "
               "NoClosedFormLimitError",
     "limits": "LimitClassification LimitKind single_layer_limit squeezed_limit",
-    "potential": "EV_TO_INVNM2 ConcreteLayer LayerSpec RegionClass ResonanceEquation "
+    "potential": "EV_TO_INVNM2 LayerSpec RegionClass ResonanceEquation "
                  "StructureSpec classify_region ev_to_invnm2 invnm2_to_ev realize stack_potentials",
     "resonance": "ResonanceRoot ResonanceSet find_resonances_deltaprime_2layer "
                  "find_resonances_transistor_deltaprime resonances_delta_barrier_well "

@@ -29,7 +29,6 @@ __all__ = [
     "invnm2_to_ev",
     "LayerSpec",
     "StructureSpec",
-    "ConcreteLayer",
     "RegionClass",
     "realize",
     "stack_potentials",
@@ -120,24 +119,6 @@ class StructureSpec:
         return StructureSpec(tuple(layers), self.v_left, self.v_right_override)
 
 
-@dataclass(frozen=True)
-class ConcreteLayer:
-    """Realized layer at a fixed eps: edge potentials and physical width
-    (for perfbench/make_reference.py; matrices come from stack_potentials)."""
-
-    v_left_edge: float
-    v_right_edge: float
-    width: float
-
-    def __post_init__(self):
-        if not self.width > 0:
-            raise ValueError(f"layer width must be positive, got {self.width!r}")
-
-    @property
-    def slope(self) -> float:
-        return (self.v_right_edge - self.v_left_edge) / self.width
-
-
 def stack_potentials(
     spec: StructureSpec, epsilon: float, biases
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -174,16 +155,14 @@ def stack_potentials(
     return v_left, v_right, widths
 
 
-def realize(spec: StructureSpec, epsilon: float) -> list[ConcreteLayer]:
-    """Concrete per-layer potentials at the given squeeze parameter, for
+def realize(spec: StructureSpec, epsilon: float) -> list[tuple[float, float, float]]:
+    """(v_left, v_right, width) of each layer at the given squeeze parameter:
+    the stack's own row of stack_potentials, as floats, for
     perfbench/make_reference.py; a potential that overflows is a ValueError."""
     v_left, v_right, widths = stack_potentials(
         spec, epsilon, [[layer.b for layer in spec.layers]]
     )
-    return [
-        ConcreteLayer(*edges)
-        for edges in zip(v_left[0].tolist(), v_right[0].tolist(), widths.tolist())
-    ]
+    return list(zip(v_left[0].tolist(), v_right[0].tolist(), widths.tolist()))
 
 
 class RegionClass(Enum):

@@ -22,7 +22,6 @@ import numpy as np
 
 from .airy import _exp, _libm, airy_eval_scaled
 from .errors import DegenerateSlopeError
-from .potential import ConcreteLayer
 
 __all__ = [
     "AiryLayerParams",
@@ -48,14 +47,16 @@ def _degenerate(v_left, v_right, energy):
     return dv < 1e-9 * np.maximum(np.maximum(1.0, np.abs(v_left)), abs(energy))
 
 
-def slope_is_degenerate(layer: ConcreteLayer, energy: float) -> bool:
-    """True when the tilt is too small for the Airy route to be stable.
+def slope_is_degenerate(layer: tuple[float, float, float], energy: float) -> bool:
+    """True when the tilt of a (v_left, v_right, width) layer is too small
+    for the Airy route to be stable.
 
     sigma -> 0 makes the Airy elements 0*inf-indeterminate well before
     the limit matrix stops being finite, so below this threshold the
     constant-profile formula is the accurate branch (for perfbench/make_reference.py).
     """
-    return bool(_degenerate(layer.v_left_edge, layer.v_right_edge, energy))
+    v_left, v_right, _ = layer
+    return bool(_degenerate(v_left, v_right, energy))
 
 
 def _airy_geometry(v_left, v_right, width, energy) -> AiryLayerParams:
@@ -68,14 +69,13 @@ def _airy_geometry(v_left, v_right, width, energy) -> AiryLayerParams:
     )
 
 
-def airy_layer_params(layer: ConcreteLayer, energy: float) -> AiryLayerParams:
-    """Airy geometry of one tilted layer, for perfbench/make_reference.py;
-    DegenerateSlopeError when its tilt is too small (`slope_is_degenerate`)."""
+def airy_layer_params(layer: tuple[float, float, float], energy: float) -> AiryLayerParams:
+    """Airy geometry of one tilted (v_left, v_right, width) layer; DegenerateSlopeError
+    when its tilt is too small (`slope_is_degenerate`).  For perfbench/make_reference.py."""
+    v_left, v_right, width = layer
     if slope_is_degenerate(layer, energy):
-        raise DegenerateSlopeError(f"slope {layer.slope!r} below threshold")
-    p = _airy_geometry(
-        np.array([layer.v_left_edge]), np.array([layer.v_right_edge]), layer.width, energy
-    )
+        raise DegenerateSlopeError(f"slope {(v_right - v_left) / width!r} below threshold")
+    p = _airy_geometry(np.array([v_left]), np.array([v_right]), width, energy)
     return AiryLayerParams(*(float(x[0]) for x in astuple(p)))
 
 

@@ -108,8 +108,9 @@ def layer_matrices(v_left, v_right, width, energy):
 
 
 def structure_matrix(layers, energy):
-    """The (2, 2) right-to-left product over a list of ConcreteLayers."""
-    v_left, v_right, widths = zip(*((x.v_left_edge, x.v_right_edge, x.width) for x in layers))
+    """The (2, 2) right-to-left product over a list of (v_left, v_right,
+    width) layers, as `realize` lists them."""
+    v_left, v_right, widths = zip(*layers)
     return structure_matrices([v_left], [v_right], widths, energy)[0]
 
 

@@ -23,7 +23,7 @@ from airystack.limits import (
     transistor_theta_representations,
     two_layer_resonance_residual,
 )
-from airystack.potential import EV_TO_INVNM2, ConcreteLayer
+from airystack.potential import EV_TO_INVNM2
 from airystack.resonance import (
     find_resonances_deltaprime_2layer,
     find_resonances_transistor_deltaprime,
@@ -73,14 +73,14 @@ def test_c02_determinant_law():
             m = layer_matrices(v0, v0, width, energy)
         else:
             v1 = v0 + rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.5)
-            assert not slope_is_degenerate(ConcreteLayer(v0, v1, width), energy)
+            assert not slope_is_degenerate((v0, v1, width), energy)
             m = layer_matrices(v0, v1, width, energy)
         worst_single = max(worst_single, abs(det(m) - 1.0))
     worst_product = 0.0
     for _ in range(200):
         n = int(rng.integers(1, 17))
         layers = [
-            ConcreteLayer(
+            (
                 v0 := rng.uniform(-3.0, 3.0),
                 v0 + rng.choice([0.0, -1.0, 1.0]) * rng.uniform(0.3, 2.0),
                 rng.uniform(0.05, 0.3),
@@ -127,9 +127,9 @@ def test_c04_constant_profile_limit():
         v0 = rng.uniform(-3.0, 3.0)
         width = rng.uniform(0.6, 1.5)
         energy = rng.uniform(0.2, 3.0)
-        layer = ConcreteLayer(v0, v0 + 1e-8 * width, width)
+        layer = (v0, v0 + 1e-8 * width, width)
         assert not slope_is_degenerate(layer, energy)
-        m = layer_matrices(layer.v_left_edge, layer.v_right_edge, width, energy)
+        m = layer_matrices(*layer, energy)
         v_mid = v0 + 0.5e-8 * width
         ref = layer_matrices(v_mid, v_mid, width, energy)
         worst = max(worst, float(np.max(np.abs(m - ref))))
@@ -147,7 +147,7 @@ def test_c05_ode_oracle_equivalence():
         v1 = v0 + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
         width = rng.uniform(0.3, 1.5)
         energy = rng.uniform(0.2, 4.0)
-        assert not slope_is_degenerate(ConcreteLayer(v0, v1, width), energy)
+        assert not slope_is_degenerate((v0, v1, width), energy)
         m = layer_matrices(v0, v1, width, energy)
         ref = ode_transfer_matrix(v0, v1, width, energy)
         worst = max(worst, float(np.max(np.abs(m - ref) / np.maximum(1.0, np.abs(ref)))))
@@ -165,9 +165,9 @@ def test_c06_asymptotic_regime():
     def exact(z0, z1, sigma, energy=1.0):
         v0 = energy + z0 * sigma * sigma
         v1 = energy + z1 * sigma * sigma
-        layer = ConcreteLayer(v0, v1, (z1 - z0) / sigma)
+        layer = (v0, v1, (z1 - z0) / sigma)
         assert not slope_is_degenerate(layer, energy)
-        return layer_matrices(v0, v1, layer.width, energy)
+        return layer_matrices(*layer, energy)
 
     pairs = ((50.0, 9.0), (100.0, 6.4), (200.0, 4.5), (400.0, 3.2))
     errs = {"osc": [], "exp": [], "kf-well": [], "kf-barrier": []}

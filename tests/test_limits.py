@@ -19,7 +19,7 @@ from airystack.limits import (
     transistor_theta_representations,
     two_layer_resonance_residual,
 )
-from airystack.potential import ConcreteLayer, LayerSpec, StructureSpec, realize
+from airystack.potential import LayerSpec, StructureSpec, realize
 from airystack.scattering import scatter, trans_prob
 from airystack.transfer import slope_is_degenerate
 from conftest import (
@@ -48,7 +48,7 @@ def exact_matrix_from_z(z0, z1, sigma, energy=1.0):
     v0 = energy + z0 * sigma * sigma
     v1 = energy + z1 * sigma * sigma
     width = (z1 - z0) / sigma
-    assert not slope_is_degenerate(ConcreteLayer(v0, v1, width), energy)
+    assert not slope_is_degenerate((v0, v1, width), energy)
     return layer_matrices(v0, v1, width, energy)
 
 

@@ -33,17 +33,17 @@ def test_unit_round_trip(e):
 
 def test_realize_identity_at_unit_epsilon():
     spec = StructureSpec((LayerSpec(1.31232, 0.0, 2.0, 1.0, 1.0),))
-    (layer,) = realize(spec, 1.0)
-    assert layer.v_left_edge == pytest.approx(1.31232)
-    assert layer.v_right_edge == pytest.approx(1.31232)
-    assert layer.width == pytest.approx(2.0)
+    ((v_left, v_right, width),) = realize(spec, 1.0)
+    assert v_left == pytest.approx(1.31232)
+    assert v_right == pytest.approx(1.31232)
+    assert width == pytest.approx(2.0)
 
 
 def test_realize_halved_epsilon():
     spec = StructureSpec((LayerSpec(1.31232, 0.0, 2.0, 1.0, 1.0),))
-    (layer,) = realize(spec, 0.5)
-    assert layer.v_left_edge == pytest.approx(2.62464)
-    assert layer.width == pytest.approx(1.0)
+    ((v_left, _, width),) = realize(spec, 0.5)
+    assert v_left == pytest.approx(2.62464)
+    assert width == pytest.approx(1.0)
 
 
 def test_realize_second_layer_shifted_by_upstream_bias():
@@ -53,10 +53,10 @@ def test_realize_second_layer_shifted_by_upstream_bias():
             LayerSpec(-0.3, 0.1, 5.0, 1.0, 1.0),
         )
     )
-    l1, l2 = realize(spec, 1.0)
-    assert l2.v_left_edge == pytest.approx(-0.3 + -0.4)
-    assert l2.v_right_edge == pytest.approx(-0.3 + -0.4 + 0.1)
-    assert l1.v_right_edge == pytest.approx(1.0 - 0.4)
+    (_, l1_right, _), (l2_left, l2_right, _) = realize(spec, 1.0)
+    assert l2_left == pytest.approx(-0.3 + -0.4)
+    assert l2_right == pytest.approx(-0.3 + -0.4 + 0.1)
+    assert l1_right == pytest.approx(1.0 - 0.4)
 
 
 def test_realize_rejects_bad_epsilon():
@@ -84,17 +84,9 @@ def test_bias_accumulation_property(rows):
     spec = StructureSpec(layers)
     realized = realize(spec, 1.0)
     shift = 0.0
-    for layer, conc in zip(layers, realized):
-        assert conc.v_left_edge == pytest.approx(layer.a + shift, rel=1e-12, abs=1e-12)
+    for layer, (v_left, _, _) in zip(layers, realized):
+        assert v_left == pytest.approx(layer.a + shift, rel=1e-12, abs=1e-12)
         shift += layer.b
-
-
-def test_slope_width_consistency():
-    spec = StructureSpec((LayerSpec(1.0, -0.5, 2.0, 1.0, 1.0),))
-    (layer,) = realize(spec, 0.25)
-    assert layer.slope * layer.width == pytest.approx(
-        layer.v_right_edge - layer.v_left_edge, rel=1e-14
-    )
 
 
 def test_layer_spec_validation():

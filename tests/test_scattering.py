@@ -256,16 +256,15 @@ def transmission_error(case):
     product = structure_matrix(layers, energy)
     v_l, v_r = spec.lead_potentials()
     t = float(trans_prob(product, v_l, v_r, energy))
-    edges = [[layer.v_left_edge, layer.v_right_edge, layer.width] for layer in layers]
     with mpmath.workdps(60):
-        exact = mp_structure_matrix(*zip(*edges), energy)
+        exact = mp_structure_matrix(*zip(*layers), energy)
         k_l, k_r = mpmath.sqrt(energy - mpmath.mpf(v_l)), mpmath.sqrt(energy - mpmath.mpf(v_r))
         norm = mpmath.mnorm(exact, "f")
         t_exact, tau = _t_and_tau(exact.tolist(), k_l, k_r, norm)
         p_err = float(mpmath.mnorm(mpmath.matrix(product.tolist()) - exact, "f") / norm)
         t_err = float(abs(t - t_exact) / t_exact)
         tau = float(tau)
-    kappa = math.prod(np.linalg.norm(layer_matrices(*edge, energy)) for edge in edges) / float(norm)
+    kappa = math.prod(np.linalg.norm(layer_matrices(*layer, energy)) for layer in layers) / float(norm)
     p_bound = len(layers) * ORACLE_C * ORACLE_EPS * kappa
     return p_err, p_bound, t_err, p_bound * tau
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from airystack.errors import DegenerateSlopeError
 from airystack.potential import (
-    ConcreteLayer,
     LayerSpec,
     StructureSpec,
     realize,
@@ -72,24 +71,24 @@ def test_constant_at_energy_equal_potential():
 
 
 def test_airy_layer_params_geometry():
-    layer = ConcreteLayer(0.5, 1.5, 2.0)  # slope 0.5, sigma = 0.5^(1/3)
+    v_left, v_right, width = layer = (0.5, 1.5, 2.0)  # slope 0.5, sigma = 0.5^(1/3)
     p = airy_layer_params(layer, 1.0)
     assert p.sigma == pytest.approx(0.5 ** (1.0 / 3.0))
     # z(x) is linear in x with slope sigma across the layer
-    assert p.z_right - p.z_left == pytest.approx(p.sigma * layer.width, rel=1e-12)
+    assert p.z_right - p.z_left == pytest.approx(p.sigma * width, rel=1e-12)
     # z = -(E - v) / sigma^2 at each edge
-    assert p.z_left == pytest.approx(-(1.0 - layer.v_left_edge) / p.sigma**2, rel=1e-12)
-    assert p.z_right == pytest.approx(-(1.0 - layer.v_right_edge) / p.sigma**2, rel=1e-12)
+    assert p.z_left == pytest.approx(-(1.0 - v_left) / p.sigma**2, rel=1e-12)
+    assert p.z_right == pytest.approx(-(1.0 - v_right) / p.sigma**2, rel=1e-12)
 
 
 def test_airy_layer_params_zero_left_wavenumber():
-    layer = ConcreteLayer(1.0, 2.0, 1.0)
+    layer = (1.0, 2.0, 1.0)
     p = airy_layer_params(layer, 1.0)  # E equals the left edge
     assert p.z_left == 0.0
 
 
 def test_airy_layer_params_negative_slope_sign():
-    layer = ConcreteLayer(2.0, 1.0, 1.0)
+    layer = (2.0, 1.0, 1.0)
     p = airy_layer_params(layer, 0.5)
     assert p.sigma == pytest.approx(-1.0)
     assert p.z_right < p.z_left  # descending Airy variable along the layer
@@ -98,7 +97,7 @@ def test_airy_layer_params_negative_slope_sign():
 def test_linear_matches_ode_oracle_sample():
     # frozen spot check: 0.5 eV down to 0.3 eV across 2 nm at 0.1 eV
     v0, v1, width, energy = 1.31232, 0.787392, 2.0, 0.262464
-    assert not slope_is_degenerate(ConcreteLayer(v0, v1, width), energy)
+    assert not slope_is_degenerate((v0, v1, width), energy)
     m = layer_matrices(v0, v1, width, energy)
     ref = ode_transfer_matrix(v0, v1, width, energy)
     assert max_rel_err(m, ref) < 1e-7
@@ -112,7 +111,7 @@ def test_linear_matches_ode_oracle_random(rng):
         v1 = v0 + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0)
         width = rng.uniform(0.3, 1.5)
         energy = rng.uniform(0.2, 4.0)
-        assert not slope_is_degenerate(ConcreteLayer(v0, v1, width), energy)
+        assert not slope_is_degenerate((v0, v1, width), energy)
         m = layer_matrices(v0, v1, width, energy)
         ref = ode_transfer_matrix(v0, v1, width, energy)
         worst = max(worst, max_rel_err(m, ref))
@@ -121,7 +120,7 @@ def test_linear_matches_ode_oracle_random(rng):
 
 def test_linear_scaled_path_huge_arguments():
     # unscaled Bi overflows at these arguments; the assembly must not
-    assert not slope_is_degenerate(ConcreteLayer(1.0e4, 1.0001e4, 0.01), 1.0)
+    assert not slope_is_degenerate((1.0e4, 1.0001e4, 0.01), 1.0)
     m = layer_matrices(1.0e4, 1.0001e4, 0.01, 1.0)
     ref = ode_transfer_matrix(1.0e4, 1.0001e4, 0.01, 1.0)
     assert max_rel_err(m, ref) < 1e-9
@@ -172,7 +171,7 @@ def test_per_layer_probe_equals_the_array_route_on_the_stack_pool():
 
 
 def test_degenerate_slope_raises_and_dispatcher_falls_back():
-    layer = ConcreteLayer(0.5, 0.5 + 1e-12, 1.0)
+    layer = (0.5, 0.5 + 1e-12, 1.0)
     assert slope_is_degenerate(layer, 1.0)
     with pytest.raises(DegenerateSlopeError):
         airy_layer_params(layer, 1.0)
@@ -185,9 +184,9 @@ def test_constant_profile_limit_small_slope():
     # eta = 1e-8: linear path against the flat matrix at the mid potential
     for energy, v0 in ((1.0, 0.5), (0.3, 0.8), (2.0, -1.0)):
         width = 1.0
-        layer = ConcreteLayer(v0, v0 + 1e-8 * width, width)
+        layer = (v0, v0 + 1e-8 * width, width)
         assert not slope_is_degenerate(layer, energy)
-        m = layer_matrices(layer.v_left_edge, layer.v_right_edge, width, energy)
+        m = layer_matrices(*layer, energy)
         v_mid = v0 + 0.5e-8 * width
         ref = layer_matrices(v_mid, v_mid, width, energy)
         assert max_rel_err(m, ref) < 1e-6
@@ -208,22 +207,21 @@ def test_continuity_across_degeneracy_threshold(rng):
 
 
 def test_single_layer_structure_equals_layer():
-    layer = ConcreteLayer(0.3, 1.1, 0.7)
-    assert np.array_equal(structure_matrix([layer], 2.0), layer_matrices(0.3, 1.1, 0.7, 2.0))
+    assert np.array_equal(
+        structure_matrix([(0.3, 1.1, 0.7)], 2.0), layer_matrices(0.3, 1.1, 0.7, 2.0)
+    )
 
 
 def test_free_propagation_composition():
     e = 1.7
-    l1 = ConcreteLayer(0.0, 0.0, 0.6)
-    l2 = ConcreteLayer(0.0, 0.0, 1.1)
-    combined = structure_matrix([l1, l2], e)
+    combined = structure_matrix([(0.0, 0.0, 0.6), (0.0, 0.0, 1.1)], e)
     single = layer_matrices(0.0, 0.0, 1.7, e)
     assert max_rel_err(combined, single) < 1e-12
 
 
 def test_barrier_well_product_against_wronskian_route():
     e = 0.5
-    layers = [ConcreteLayer(1.0, 1.0, 1.0), ConcreteLayer(-1.0, -1.0, 1.0)]
+    layers = [(1.0, 1.0, 1.0), (-1.0, -1.0, 1.0)]
     m = structure_matrix(layers, e)
     ref = ode_wronskian_route_matrix(1.0, 1.0, 1.0, e)
     ref = ode_wronskian_route_matrix(-1.0, -1.0, 1.0, e) @ ref
@@ -234,7 +232,7 @@ def test_barrier_well_product_against_wronskian_route():
 def test_composition_associativity(rng):
     e = 1.3
     layers = [
-        ConcreteLayer(rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.2, 0.8))
+        (rng.uniform(-2, 2), rng.uniform(-2, 2), rng.uniform(0.2, 0.8))
         for _ in range(6)
     ]
     full = structure_matrix(layers, e)
@@ -291,9 +289,9 @@ def test_batched_matrices_equal_batch_of_one():
         products = structure_matrices(v_left, v_right, widths, energy)
         assert layers.shape == biases.shape + (2, 2) and products.shape == (81, 2, 2)
         for p in range(len(biases)):
-            stack = [ConcreteLayer(*edge) for edge in zip(v_left[p], v_right[p], widths)]
+            stack = list(zip(v_left[p], v_right[p], widths))
             for i, layer in enumerate(stack):
-                ref = layer_matrices(layer.v_left_edge, layer.v_right_edge, layer.width, energy)
+                ref = layer_matrices(*layer, energy)
                 assert np.all(np.abs(layers[p, i] - ref) <= 1e-14 * np.abs(ref))
             ref = structure_matrix(stack, energy)
             assert np.all(np.abs(products[p] - ref) <= 1e-14 * np.abs(ref))
