@@ -224,7 +224,9 @@ def cmd_scatter(args) -> int:
         "k_left": res.k_left,
         "k_right": res.k_right,
     }
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    # JSON has no NaN or inf: an opaque stack's non-finite numbers print as null
+    doc = json.loads(json.dumps(doc), parse_constant=lambda _: None)
+    print(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False))
     return 0
 
 

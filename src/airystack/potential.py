@@ -159,9 +159,7 @@ def realize(spec: StructureSpec, epsilon: float) -> list[tuple[float, float, flo
     """(v_left, v_right, width) of each layer at the given squeeze parameter:
     the stack's own row of stack_potentials, as floats, for
     perfbench/make_reference.py; a potential that overflows is a ValueError."""
-    v_left, v_right, widths = stack_potentials(
-        spec, epsilon, [[layer.b for layer in spec.layers]]
-    )
+    v_left, v_right, widths = stack_potentials(spec, epsilon, [[x.b for x in spec.layers]])
     return list(zip(v_left[0].tolist(), v_right[0].tolist(), widths.tolist()))
 
 

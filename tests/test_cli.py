@@ -98,6 +98,31 @@ def test_scatter_evanescent_lead_exit_3(tmp_path, capsys):
     assert main(["scatter", cfg]) == 3
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize(
+    "layers",
+    [
+        # the matrix is finite, but its det overflows
+        [{"a": 0.5, "b": 0.0, "d": 400.0, "mu": 0.0, "nu": 0.0}],
+        # the 300-layer product overflows
+        [
+            {"a": 0.5, "b": 0.0, "d": 5.0, "mu": 0.0, "nu": 0.0},
+            {"a": 0.0, "b": 0.0, "d": 2.0, "mu": 0.0, "nu": 0.0},
+        ] * 150,
+    ],
+    ids=["barrier-400nm", "150-periods"],
+)
+def test_scatter_prints_strict_json_for_an_opaque_stack(tmp_path, capsys, layers):
+    doc = {"units": "eV", "scenario": "custom", "energy": 0.1, "layers": layers,
+           "leads": {"v_left": 0.0, "v_right": 0.0}}
+    assert main(["scatter", write_config(tmp_path, doc)]) == 0
+    out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+    assert out["det"] is None  # a non-finite number is null
+
+
 def test_resonances_fig3_eq73(capsys):
     cfg = str(REPO / "configs" / "fig4.json")
     assert main(["resonances", cfg, "--equation", "EQ73", "--interval", "-0.6", "0.0"]) == 0
