@@ -26,13 +26,17 @@ path, and both run the same commands on the same inputs:
   (a = 1e300, d = 1e200), Airy exponent (a = 1, b = d = 1e300),
   oscillatory Airy phase (a = 1, b = -1e300, d = 1e300) or Airy argument
   (a = 1e300, b = 1e292, d = 1e308) past the largest double, each a
-  config error (exit 2).
+  config error (exit 2);
+- and, outside the CLI, this checkout's perfbench/make_reference.py probe
+  `series_args_per_point` on each of the 48 `stack` pool devices, the
+  density that admits a generated device to the pool.
 
 The inputs are this checkout's configs/ and perfbench/reference/ files,
 and the configs derived from them in a temporary directory.
 Every output is hashed (sha256): each command's stdout, stderr and exit
 code (or the name of an exception that escaped it, whose traceback is
-then its stderr), and a sweep's CSV and JSON files.  The script lists each output
+then its stderr), a sweep's CSV and JSON files, and each probed density's
+float.hex().  The script lists each output
 that differs and exits 1 on any difference, 0 when all are identical.
 Under each differing output that is CSV text (a `resonances` stdout or a
 sweep's .csv) it lists each column that moved, with its largest relative
@@ -59,6 +63,9 @@ import tempfile
 HERE = pathlib.Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(HERE / "perfbench"))
 from workloads import ATOL, RTOL  # noqa: E402  (the benchmark's agreement rule)
+
+# the reference tool, whose series-density probe each tree runs on the pool
+TOOL = HERE / "perfbench" / "make_reference.py"
 
 FIGURE_SETS = (
     ("fig4", "EQ73", ("-1", "0")),
@@ -87,13 +94,13 @@ OVERFLOWS = (
     ("tilted-argument-inf", {"a": 1e300, "b": 1e292, "d": 1e308}, (-1e293, -1e292)),
 )
 
-# Run inside each tree's interpreter: the jobs arrive as JSON on stdin, the
-# digests leave as JSON on stdout, and each CSV text is kept in the texts
-# directory under its digest.
+# Run inside each tree's interpreter: the jobs and probes arrive as JSON on
+# stdin, the digests leave as JSON on stdout, and each CSV text is kept in
+# the texts directory under its digest.
 CHILD = r"""
-import contextlib, hashlib, io, json, pathlib, sys, traceback
+import contextlib, hashlib, importlib.util, io, json, pathlib, sys, traceback
 
-tree_src, jobs, texts = json.load(sys.stdin)
+tree_src, jobs, (tool_path, probes), texts = json.load(sys.stdin)
 from airystack import cli
 
 if not pathlib.Path(cli.__file__).resolve().is_relative_to(tree_src):
@@ -126,6 +133,12 @@ for name, argv, files in jobs:
         )
         if p.exists():
             p.unlink()
+sys.path.append(str(pathlib.Path(tool_path).parent))  # the tool imports workloads
+spec = importlib.util.spec_from_file_location("make_reference", tool_path)
+tool = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tool)
+for name, path in probes:
+    out[name] = digest(tool.series_args_per_point(cli, path).hex().encode())
 json.dump(out, sys.stdout)
 """
 
@@ -135,8 +148,9 @@ def _write(path: pathlib.Path, config: dict) -> str:
     return str(path)
 
 
-def jobs(workdir: pathlib.Path) -> list:
-    """(name, argv, output files) of every command, inputs written to workdir."""
+def jobs(workdir: pathlib.Path) -> tuple[list, list]:
+    """(name, argv, output files) of every command and (name, config path) of
+    every probed `stack` device, inputs written to workdir."""
     configs = {p.stem: str(p) for p in sorted((HERE / "configs").glob("*.json"))}
     prefix = str(workdir / "out")
     files = [prefix + ".csv", prefix + ".json"]
@@ -159,9 +173,11 @@ def jobs(workdir: pathlib.Path) -> list:
             return json.load(fh)
 
     stack = reference("stack")["devices"]
+    probes = []
     for i, device in enumerate(stack):
         path = _write(workdir / f"stack-{i}.json", device["config"])
         out.append((f"sweep stack-{i}", ["sweep", path, "--out", prefix], files))
+        probes.append((f"series density stack-{i}", path))
     config = stack[LONG_STACK]["config"]
     long = dict(config, sweep=dict(config["sweep"], points=LONG_POINTS))
     path = _write(workdir / f"stack-{LONG_STACK}-long.json", long)
@@ -201,7 +217,7 @@ def jobs(workdir: pathlib.Path) -> list:
         path = _write(workdir / f"barrier-{name}.json", config)
         out.append((f"scatter barrier-{name}", ["scatter", path], []))
         out.append((f"sweep barrier-{name}", ["sweep", path, "--out", prefix], files))
-    return out
+    return out, probes
 
 
 def _changes(x: str, y: str) -> tuple[float, float]:
@@ -236,15 +252,15 @@ def column_changes(text_a: str, text_b: str) -> tuple[int, dict] | None:
     return len(rows_a) - 1, moved
 
 
-def run_tree(tree: pathlib.Path, job_list: list, workdir: pathlib.Path) -> dict:
-    """Digest of every output of job_list, run in a fresh interpreter on tree;
-    each CSV text is kept as workdir/texts/<digest>."""
+def run_tree(tree: pathlib.Path, job_list: list, probes: list, workdir: pathlib.Path) -> dict:
+    """Digest of every output of job_list and of every probe, run in a fresh
+    interpreter on tree; each CSV text is kept as workdir/texts/<digest>."""
     src = (tree / "src").resolve()
     env = {k: v for k, v in os.environ.items() if not k.startswith("PYTHON")}
     env.update(PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-s", "-c", CHILD],
-        input=json.dumps([str(src), job_list, str(workdir / "texts")]),
+        input=json.dumps([str(src), job_list, [str(TOOL), probes], str(workdir / "texts")]),
         capture_output=True, text=True, env=env, cwd=workdir,
     )
     if proc.returncode != 0:
@@ -264,8 +280,8 @@ def main(argv: list[str]) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = pathlib.Path(tmp)
         (workdir / "texts").mkdir()
-        job_list = jobs(workdir)
-        a, b = (run_tree(tree, job_list, workdir) for tree in trees)
+        job_list, probes = jobs(workdir)
+        a, b = (run_tree(tree, job_list, probes, workdir) for tree in trees)
         differ = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
         total_rows, total = 0, {}
         for key in differ:
@@ -290,7 +306,8 @@ def main(argv: list[str]) -> int:
             f"({rule:.3g} of the agreement rule) "
             f"in {count} of {total_rows} rows of the differing CSV outputs"
         )
-    print(f"{len(job_list)} commands, {len(a)} outputs, {len(differ)} differ")
+    print(f"{len(job_list)} commands, {len(probes)} probes, {len(a)} outputs, "
+          f"{len(differ)} differ")
     return 1 if differ else 0
 
 
