@@ -9,12 +9,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from airystack.errors import DegenerateSlopeError
-from airystack.potential import (
-    LayerSpec,
-    StructureSpec,
-    realize,
-    stack_potentials,
-)
+from airystack.potential import LayerSpec, StructureSpec, realize, stack_potentials
 from airystack.transfer import (
     _airy_geometry,
     _degenerate,
