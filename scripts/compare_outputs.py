@@ -16,8 +16,11 @@ path, and both run the same commands on the same inputs:
   barrier-well devices through EQ73 and EQ69, 96 transistors through EQ76
   and EQ83), plus fig4 EQ73/EQ69 on [-1, 0] eV and fig6 EQ76/EQ83 on
   [0, 0.5] eV; the domain edges fig6 EQ76 on [-0.4, -0.1] eV and fig6
-  EQ83 on [1e12, 2e12] eV; and fig4 through EQ69 with a 126000 nm^-2
-  barrier, whose theta overflows;
+  EQ83 on [1e12, 2e12] eV; fig4 through EQ69 with a 126000 nm^-2
+  barrier, whose theta overflows; and the figure configs with one number
+  a config fuzzer set to an extreme (a barrier width at the largest double
+  or at 5e-324, a barrier coefficient at 1e300, 1e-300 or 5e-324), each
+  through both of its scenario's equations on [-1, 1] eV;
 - `scatter` on every configs/*.json at epsilon 1, 0.5, 0.1 and 0.01, and
   at epsilon 1 on `stack` pool devices 0-3 and 28, whose many non-zero
   biases make the right lead's summation order visible;
@@ -77,6 +80,18 @@ FIGURE_SETS = (
 EDGE_SETS = (
     ("fig6", "EQ76", ("-0.4", "-0.1")),
     ("fig6", "EQ83", ("1e12", "2e12")),
+)
+# (config, layer, key, value) edits of a figure config that a config fuzzer
+# found to end in a traceback, a numpy warning or a silently dropped root
+FUZZED = (
+    ("fig6", 0, "d", sys.float_info.max),
+    ("fig6", 2, "d", sys.float_info.max),
+    ("fig6", 0, "a", 1e300),
+    ("fig4", 0, "d", sys.float_info.max),
+    ("fig6", 0, "d", 5e-324),
+    ("fig6", 2, "d", 5e-324),
+    ("fig6", 0, "a", 5e-324),
+    ("fig6", 0, "a", 1e-300),
 )
 EPSILONS = ("1", "0.5", "0.1", "0.01")
 # `stack` pool devices also run through `scatter` at epsilon 1
@@ -202,6 +217,13 @@ def jobs(workdir: pathlib.Path) -> tuple[list, list]:
     path = _write(workdir / "fig4-theta-overflow.json", overflow)
     argv = ["resonances", path, "--equation", "EQ69", "--interval", "-1.5", "0", "--units", "invnm2"]
     out.append(("resonances fig4-theta-overflow EQ69", argv, []))
+    for name, i, key, value in FUZZED:
+        doc = json.loads(pathlib.Path(configs[name]).read_text())
+        doc["layers"][i][key] = value
+        path = _write(workdir / f"{name}-layers{i}-{key}-{value!r}.json", doc)
+        for eq in (e for n, e, _ in FIGURE_SETS if n == name):
+            argv = ["resonances", path, "--equation", eq, "--interval", "-1", "1"]
+            out.append((f"resonances {name} layers[{i}].{key}={value!r} {eq}", argv, []))
     for name, path in configs.items():
         for eps in EPSILONS:
             out.append((f"scatter {name} eps={eps}", ["scatter", path, "--epsilon", eps], []))

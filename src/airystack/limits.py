@@ -29,13 +29,13 @@ __all__ = [
     "squeezed_limit",
     "two_layer_resonance_residual",
     "transistor_resonance_residual",
-    "transistor_theta_representations",
-    "transistor_offdiag_strength",
     "RESIDUAL_RTOL",
 ]
 
 # A candidate counts as a resonance root when its scaled residual is below
-# this; the four theta representations then agree to ~1e-7.
+# this.  The residual is the one judge: on the EQ83 roots of the
+# `resonances` pool and fig6, the paper's four theta forms (I1, I2, 1/J1,
+# 1/J2) of every root it admits agree to 1.2e-9 relative at most.
 RESIDUAL_RTOL = 1e-9
 
 
@@ -253,56 +253,13 @@ def transistor_resonance_residual(stack: StructureSpec, v_eb):
     return lhs - rhs, np.abs(lhs) + np.abs(rhs)
 
 
-def _transistor_factors(stack: StructureSpec, v_eb: float) -> tuple[float, ...]:
-    """q1, q3, k2 and cosh/sinh(q1 d1), cosh/sinh(q3 d3), cos/sin(k2 d2)."""
-    e, base, c = stack.layers
-    a1, d1, d2, a3, d3 = e.a, e.d, base.d, c.a, c.d
-    q1 = math.sqrt(a1)
-    q3 = math.sqrt(a3 - v_eb)
-    k2 = math.sqrt(v_eb)
-    return (
-        q1, q3, k2,
-        math.cosh(q1 * d1), math.sinh(q1 * d1),
-        math.cosh(q3 * d3), math.sinh(q3 * d3),
-        math.cos(k2 * d2), math.sin(k2 * d2),
-    )
-
-
-def transistor_theta_representations(
-    stack: StructureSpec, v_eb: float
-) -> tuple[float, float, float, float]:
-    """The four equivalent expressions (I1, I2, 1/J1, 1/J2) for theta_n.
-
-    Equality of all four is itself the resonance condition, so their
-    spread is the acceptance check for a supplied root.
-    """
-    q1, q3, k2, c1h, s1h, c3h, s3h, c2, s2 = _transistor_factors(stack, v_eb)
-    i1 = (c1h * c2 + (q1 / k2) * s1h * s2) / c3h
-    i2 = (k2 * c1h * s2 - q1 * s1h * c2) / (q3 * s3h)
-    j1 = (c2 * c3h + (q3 / k2) * s2 * s3h) / c1h
-    j2 = (k2 * s2 * c3h - q3 * s3h * c2) / (q1 * s1h)
-    return i1, i2, 1.0 / j1, 1.0 / j2
-
-
-def transistor_offdiag_strength(stack: StructureSpec, v_eb: float) -> float:
-    """Off-diagonal element alpha_n of the delta-prime transistor limit at
-    the stack's v_cb = -b3 (grouped form: each barrier tilt weighted by the
-    opposite-side factors)."""
-    e, _, c = stack.layers
-    a1, d1, a3, d3, v_cb = e.a, e.d, c.a, c.d, -c.b
-    q1, q3, k2, c1h, s1h, c3h, s3h, c2, s2 = _transistor_factors(stack, v_eb)
-    return a1**-1.5 * (v_eb / (4.0 * d1)) * s1h * (
-        k2 * c3h * s2 - q3 * s3h * c2
-    ) - (a3 - v_eb) ** -1.5 * (v_cb / (4.0 * d3)) * s3h * (
-        k2 * c1h * s2 - q1 * s1h * c2
-    )
-
-
 def _transistor_deltaprime(stack: StructureSpec) -> LimitClassification:
     """(2,1) + (2,0) + (2,1): a delta-prime point where v_eb = -b1 in
-    (0, a3) has a scaled residual below RESIDUAL_RTOL and the four theta
-    representations agree to 1e-7."""
-    e, _, c = _transistor(stack)
+    (0, a3) has a scaled residual below RESIDUAL_RTOL.  theta is the I1
+    form of theta_n and alpha the off-diagonal element at the stack's
+    v_cb = -b3, grouped: each barrier tilt weighted by the opposite-side
+    factors."""
+    e, base, c = _transistor(stack)
     v_eb, admissible = -e.b, _transistor_admissible(e, c)
     wall = LimitClassification(LimitKind.OPAQUE_WALL, admissible=admissible)
     if not 0.0 < v_eb < c.a:
@@ -310,11 +267,17 @@ def _transistor_deltaprime(stack: StructureSpec) -> LimitClassification:
     residual, scale = transistor_resonance_residual(stack, v_eb)
     if abs(residual) > RESIDUAL_RTOL * max(scale, 1e-300):
         return wall
-    reps = transistor_theta_representations(stack, v_eb)
-    theta = reps[0]
-    if max(abs(r - theta) for r in reps[1:]) > 1e-7 * abs(theta):
-        return wall
-    alpha = transistor_offdiag_strength(stack, v_eb)
+    a1, d1, d2, a3, d3, v_cb = e.a, e.d, base.d, c.a, c.d, -c.b
+    q1, q3, k2 = math.sqrt(a1), math.sqrt(a3 - v_eb), math.sqrt(v_eb)
+    c1h, s1h = math.cosh(q1 * d1), math.sinh(q1 * d1)
+    c3h, s3h = math.cosh(q3 * d3), math.sinh(q3 * d3)
+    c2, s2 = math.cos(k2 * d2), math.sin(k2 * d2)
+    theta = (c1h * c2 + (q1 / k2) * s1h * s2) / c3h
+    alpha = a1**-1.5 * (v_eb / (4.0 * d1)) * s1h * (
+        k2 * c3h * s2 - q3 * s3h * c2
+    ) - (a3 - v_eb) ** -1.5 * (v_cb / (4.0 * d3)) * s3h * (
+        k2 * c1h * s2 - q1 * s1h * c2
+    )
     return LimitClassification(
         LimitKind.DELTA_PRIME_FAMILY, alpha=alpha, theta=theta, admissible=admissible
     )

@@ -215,10 +215,13 @@ def _root(n: int, value: float, limit, theta, stack: StructureSpec, energy) -> R
                 f"energy {energy!r} not above lead potentials ({v_left!r}, {v_right!r}) "
                 f"at the root {value!r}"
             )
-        (l11, l12), (l21, l22) = limit.matrix().tolist()
-        k_l, k_r = math.sqrt(energy - v_left), math.sqrt(energy - v_right)
-        _, _, four_r, denom = _terms(l11, l12, l21, l22, k_l, k_r)
-        trans = four_r / denom
+        # the matrix holds 1 / theta; a theta of 0 (an overflowed cosh of the
+        # collector) comes with an alpha that is not finite, judged below
+        if limit.theta != 0.0:
+            (l11, l12), (l21, l22) = limit.matrix().tolist()
+            k_l, k_r = math.sqrt(energy - v_left), math.sqrt(energy - v_right)
+            _, _, four_r, denom = _terms(l11, l12, l21, l22, k_l, k_r)
+            trans = four_r / denom
     if not all(math.isfinite(x) for x in (theta, limit.alpha, trans) if x is not None):
         raise ValueError(f"theta = {theta!r}, alpha = {limit.alpha!r} or T_n = {trans!r} "
                          f"at {value!r} is not finite")
@@ -244,17 +247,20 @@ def _scanned_roots(
 ) -> ResonanceSet:
     """Sign changes of residual(x)[0] on [lo, hi], split at the poles, so
     that no bracket spans a pole.  A candidate's one judge is the equation's
-    classifier: a wall (scaled residual past RESIDUAL_RTOL, or four theta
-    forms that disagree for EQ83) is dropped.  A real root within a scan
-    step of a tangent pole can miss the gate, as bisection to ROOT_REL_TOL
-    leaves too large a residual on so steep a slope."""
+    classifier: a wall (scaled residual past RESIDUAL_RTOL) is dropped.  A
+    real root within a scan step of a tangent pole can miss the gate, as
+    bisection to ROOT_REL_TOL leaves too large a residual on so steep a
+    slope.  numpy's floating-point warnings are off for the whole search:
+    an overflowing device's nan or inf makes no bracket, and _root's
+    finiteness check judges each root."""
     classify, sign = _CLASSIFIERS[eq], SQUEEZES[eq][1]
     roots = []
-    for value in scan_and_bisect(lambda x: residual(x)[0], lo, hi, poles):
-        tuned = stack.replace_bias(0, sign * value)
-        limit = classify(tuned)
-        if limit.kind is not LimitKind.OPAQUE_WALL:
-            roots.append(_root(len(roots) + 1, value, limit, limit.theta, tuned, energy))
+    with np.errstate(all="ignore"):
+        for value in scan_and_bisect(lambda x: residual(x)[0], lo, hi, poles):
+            tuned = stack.replace_bias(0, sign * value)
+            limit = classify(tuned)
+            if limit.kind is not LimitKind.OPAQUE_WALL:
+                roots.append(_root(len(roots) + 1, value, limit, limit.theta, tuned, energy))
     return ResonanceSet(eq, tuple(roots))
 
 

@@ -290,6 +290,30 @@ def transistor_resonance_residual_product_form(
     return math.fsum(terms), sum(abs(t) for t in terms)
 
 
+def transistor_theta_representations(
+    stack: StructureSpec, v_eb: float
+) -> tuple[float, float, float, float]:
+    """The four equivalent expressions (I1, I2, 1/J1, 1/J2) for theta_n of
+    the transistor delta-prime limit.
+
+    Equality of all four is itself the resonance condition, so their
+    spread checks a supplied root independently of the residual that
+    found it.
+    """
+    a1, a3, d1, d2, d3 = transistor_coefficients(stack)
+    q1 = math.sqrt(a1)
+    q3 = math.sqrt(a3 - v_eb)
+    k2 = math.sqrt(v_eb)
+    c1h, s1h = math.cosh(q1 * d1), math.sinh(q1 * d1)
+    c3h, s3h = math.cosh(q3 * d3), math.sinh(q3 * d3)
+    c2, s2 = math.cos(k2 * d2), math.sin(k2 * d2)
+    i1 = (c1h * c2 + (q1 / k2) * s1h * s2) / c3h
+    i2 = (k2 * c1h * s2 - q1 * s1h * c2) / (q3 * s3h)
+    j1 = (c2 * c3h + (q3 / k2) * s2 * s3h) / c1h
+    j2 = (k2 * s2 * c3h - q3 * s3h * c2) / (q1 * s1h)
+    return i1, i2, 1.0 / j1, 1.0 / j2
+
+
 def kappa_tan_math(shifted: float, d: float) -> float:
     """kappa tan(kappa d), continued to -q tanh(q d) on the barrier branch,
     for one float through the math module (reference for the array code)."""

@@ -18,11 +18,7 @@ from airystack import (
     single_layer_limit,
 )
 from airystack.airy import wronskian_sweep
-from airystack.limits import (
-    transistor_resonance_residual,
-    transistor_theta_representations,
-    two_layer_resonance_residual,
-)
+from airystack.limits import transistor_resonance_residual, two_layer_resonance_residual
 from airystack.potential import EV_TO_INVNM2
 from airystack.resonance import (
     find_resonances_deltaprime_2layer,
@@ -41,6 +37,7 @@ from conftest import (
     ode_transfer_matrix,
     structure_matrix,
     transistor_stack,
+    transistor_theta_representations,
 )
 
 EV = EV_TO_INVNM2

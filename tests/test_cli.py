@@ -271,6 +271,8 @@ FIG4 = json.loads((REPO / "configs" / "fig4.json").read_text())
 FIG6 = json.loads((REPO / "configs" / "fig6.json").read_text())
 SWEEP = ["sweep"]
 EQ73 = ["resonances", "--equation", "EQ73_DELTA_BARRIER_WELL", "--interval", "-0.6", "0.0"]
+EQ83_FUZZ = ["resonances", "--equation", "EQ83", "--interval", "-1", "1"]
+MAX = sys.float_info.max
 
 
 # one 1 nm layer of a = 1e6 nm^-2 at E = 0.5 nm^-2: q * w (flat) or the
@@ -399,6 +401,22 @@ MALFORMED = {
         [(("units",), "invnm2"), (("energy",), 0.262464),
          (("layers", 0, "a"), 126000.0), (("layers", 1, "a"), -0.262464)],
         ["resonances", "--equation", "EQ69", "--interval", "-1.5", "0", "--units", "invnm2"],
+    ),
+    # devices a config fuzzer found (one number edited, as in test_robustness): a
+    # barrier width at the largest double makes cosh inf, so theta is nan
+    # (emitter) or 0 with alpha nan (collector); a = 1e300 overflows a1 / V
+    # in the scan, and the fig4 barrier's tan argument is inf.  A subnormal
+    # barrier width or a tiny a1 overflows alpha's 1 / d or a1^-1.5.
+    "eq83-emitter-d-max": (FIG6, [(("layers", 0, "d"), MAX)], EQ83_FUZZ),
+    "eq83-collector-d-max": (FIG6, [(("layers", 2, "d"), MAX)], EQ83_FUZZ),
+    "eq83-emitter-a-1e300": (FIG6, [(("layers", 0, "a"), 1e300)], EQ83_FUZZ),
+    "eq83-emitter-d-5e-324": (FIG6, [(("layers", 0, "d"), 5e-324)], EQ83_FUZZ),
+    "eq83-collector-d-5e-324": (FIG6, [(("layers", 2, "d"), 5e-324)], EQ83_FUZZ),
+    "eq83-emitter-a-5e-324": (FIG6, [(("layers", 0, "a"), 5e-324)], EQ83_FUZZ),
+    "eq83-emitter-a-1e-300": (FIG6, [(("layers", 0, "a"), 1e-300)], EQ83_FUZZ),
+    "eq69-barrier-d-max": (
+        FIG4, [(("layers", 0, "d"), MAX)],
+        ["resonances", "--equation", "EQ69", "--interval", "-1", "1"],
     ),
     "sweep-hi-overflow": (FIG4, [(("sweep", "hi"), 1e308)], SWEEP),
     "scatter-energy-overflow": (FIG4, [], ["scatter", "--energy", "1e308"]),

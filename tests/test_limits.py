@@ -16,7 +16,6 @@ from airystack.limits import (
     LimitKind,
     squeezed_limit,
     transistor_resonance_residual,
-    transistor_theta_representations,
     two_layer_resonance_residual,
 )
 from airystack.potential import LayerSpec, StructureSpec, realize
@@ -39,6 +38,7 @@ from conftest import (
     transistor_resonance_residual_math,
     transistor_resonance_residual_product_form,
     transistor_stack,
+    transistor_theta_representations,
     two_layer_resonance_residual_math,
 )
 

@@ -970,22 +970,18 @@ def test_squeezed_limit_kind_matches_each_equation():
             assert squeezed_limit(_tuned(stack, eq, root.value)).kind is kind
 
 
-def test_transistor_deltaprime_theta_disagreement_drops_the_root(monkeypatch):
-    # the four theta forms must agree to 1e-7: one form off by 1e-6 relative
-    # makes the classifier a wall, and the finder drops the root it judges
+def test_transistor_deltaprime_residual_gate_drops_the_root(monkeypatch):
+    # a gate below a root's scaled residual makes the classifier a wall,
+    # and the finder drops the root it judges
     from airystack import limits
 
     eq = ResonanceEquation.EQ83_TRANSISTOR_DELTAPRIME
     root = find_resonances_transistor_deltaprime(FIG6_STACK, 1e-6, 0.5 * EV).roots[0].value
     tuned = _tuned(FIG6_STACK, eq, root)
     assert squeezed_limit(tuned).kind is LimitKind.DELTA_PRIME_FAMILY
-    exact = limits.transistor_theta_representations
-
-    def skewed(stack, v_eb):
-        *forms, last = exact(stack, v_eb)
-        return (*forms, last * (1.0 + 1e-6))
-
-    monkeypatch.setattr(limits, "transistor_theta_representations", skewed)
+    residual, scale = limits.transistor_resonance_residual(tuned, root)
+    assert residual != 0.0
+    monkeypatch.setattr(limits, "RESIDUAL_RTOL", 0.5 * abs(residual) / scale)
     assert squeezed_limit(tuned).kind is LimitKind.OPAQUE_WALL
     kept = find_resonances_transistor_deltaprime(FIG6_STACK, 1e-6, 0.5 * EV).values()
     assert root not in kept
