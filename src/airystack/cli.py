@@ -51,6 +51,7 @@ NUMBER, INTEGER, STRING, LIST, OBJECT = (
     "a finite number", "an integer", "a string", "a list", "an object"
 )
 _TYPES = {NUMBER: (int, float), INTEGER: int, STRING: str, LIST: list, OBJECT: dict}
+_FLOAT_MAX = sys.float_info.max
 
 # per config object: key -> (type, required)
 _CONFIG_KEYS = {
@@ -84,7 +85,7 @@ class DeviceConfig:
 
 def _is(value, kind: str) -> bool:
     typed = isinstance(value, _TYPES[kind]) and not isinstance(value, bool)
-    return typed and (kind != NUMBER or abs(value) <= sys.float_info.max)
+    return typed and (kind != NUMBER or abs(value) <= _FLOAT_MAX)
 
 
 def _check(obj, keys: dict, where: str) -> dict:
@@ -92,9 +93,8 @@ def _check(obj, keys: dict, where: str) -> dict:
     key present, every value of its declared type."""
     if not _is(obj, OBJECT):
         raise ConfigError(f"{where} must be an object")
-    unknown = set(obj) - set(keys)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    if not obj.keys() <= keys.keys():
+        raise ConfigError(f"unknown key(s) {sorted(obj.keys() - keys.keys())} in {where}")
     for key, (kind, required) in keys.items():
         if required and key not in obj:
             raise ConfigError(f"{where} missing required key {key!r}")
@@ -113,13 +113,18 @@ def _object(pairs: list) -> dict:
     return obj
 
 
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)  # json.loads builds one per call
+
+
 def load_config(path: str) -> DeviceConfig:
     try:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
         if "\r" in text:  # the newline translation of a text-mode read
             text = text.replace("\r\n", "\n").replace("\r", "\n")
-        raw = json.loads(text, object_pairs_hook=_object)
+        if text.startswith("\ufeff"):  # as json.loads rejects it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        raw = _DECODER.decode(text)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -266,14 +271,15 @@ def cmd_resonances(args) -> int:
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ConfigError(f"interval needs finite LO < HI, got {args.interval}")
     rset = _solve(eq, cfg.spec, lo, hi, cfg.energy)
-    print("n,value_eV,value_invnm2,theta,alpha,T_n,admissible")
+    lines = ["n,value_eV,value_invnm2,theta,alpha,T_n,admissible\n"]
     for root in rset.roots:
         theta = "" if root.theta is None else repr(root.theta)
         trans = "" if root.trans_prob is None else repr(root.trans_prob)
-        print(
+        lines.append(
             f"{root.n},{invnm2_to_ev(root.value)!r},{root.value!r},"
-            f"{theta},{root.alpha!r},{trans},{int(root.admissible)}"
+            f"{theta},{root.alpha!r},{trans},{int(root.admissible)}\n"
         )
+    sys.stdout.write("".join(lines))
     return 0
 
 

@@ -65,18 +65,22 @@ class LimitClassification:
     n: int | None = None
     admissible: bool = True
 
-    def matrix(self) -> np.ndarray | None:
-        """The (2, 2) connection matrix; None for OPAQUE_WALL."""
+    def elements(self) -> tuple[tuple[float, float], tuple[float, float]] | None:
+        """The connection matrix's rows ((l11, l12), (l21, l22)); None for OPAQUE_WALL."""
         if self.kind is LimitKind.TRANSPARENT:
-            return np.eye(2)
+            return (1.0, 0.0), (0.0, 1.0)
         if self.kind is LimitKind.DELTA:
-            return np.array([[1.0, 0.0], [self.alpha, 1.0]])
+            return (1.0, 0.0), (self.alpha, 1.0)
         if self.kind is LimitKind.DELTA_PRIME_FAMILY:
-            return np.array([[self.theta, 0.0], [self.alpha, 1.0 / self.theta]])
+            return (self.theta, 0.0), (self.alpha, 1.0 / self.theta)
         if self.kind is LimitKind.RESONANT_DELTA:
             s = float(self.sign)
-            return np.array([[s, 0.0], [s * self.alpha, s]])
+            return (s, 0.0), (s * self.alpha, s)
         return None
+
+    def matrix(self) -> np.ndarray | None:
+        """The (2, 2) connection matrix of elements(); None for OPAQUE_WALL."""
+        return None if (rows := self.elements()) is None else np.array(rows)
 
 
 def _on_level(kappa_sq: float, d: float) -> int | None:

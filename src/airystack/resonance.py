@@ -98,31 +98,26 @@ def scan_and_bisect(f, lo: float, hi: float, poles: tuple[float, ...] = ()) -> l
     for p in cuts:
         edges.extend((p - margin, p + margin))
     edges.append(hi)
-    pieces = []
+    pieces, starts, n = [], set(), 0  # starts: the index of each piece's first point
     for a, b in zip(edges[::2], edges[1::2]):
         if b > a:
             m = max(2, int(math.ceil((b - a) / step)) + 1)
             pieces.append(a + (b - a) * np.arange(m) / (m - 1))
+            starts.add(n)
+            n += m
     xs = np.concatenate(pieces)
     fs = f(xs)
-    # neighbours (i, i + 1) in one piece: a pair across a pole cut is no bracket
-    inside = np.ones(xs.size - 1, dtype=bool)
-    inside[np.cumsum([p.size for p in pieces[:-1]], dtype=int) - 1] = False
+    sign, x, y = np.sign(fs), xs.item, fs.item
+    brackets = []
     # opposite signs; f0 * f1 itself would underflow to 0 for tiny values
-    i = np.flatnonzero(inside & (np.sign(fs[:-1]) * np.sign(fs[1:]) < 0.0))
-    # third point: the scan neighbour to the left in the bracket's piece, else the one to the right
-    j = np.where(np.r_[False, inside][i], i - 1, np.minimum(i + 2, xs.size - 1))
-    ends = (v.tolist() for v in (xs[i], xs[i + 1], xs[j], fs[i], fs[i + 1], fs[j]))
-    brackets = [[dict(zip(s[:3], s[3:])), *s[:3], 0] for s in zip(*ends)]
+    for i in np.flatnonzero(sign[:-1] * sign[1:] < 0.0).tolist():
+        if i + 1 not in starts:  # a pair across a pole cut is no bracket
+            # third point: the left scan neighbour in the bracket's piece, else the right one
+            j = min(i + 2, n - 1) if i in starts else i - 1
+            brackets.append([{x(i): y(i), x(i + 1): y(i + 1), x(j): y(j)}, x(i), x(i + 1), x(j), 0])
     refine(f, brackets, _bisect_plan)
     roots = xs[fs == 0.0].tolist() + [0.5 * (s[1] + s[2]) for s in brackets]
     return sorted(set(roots))
-
-
-def _closed(x0, x1, steps) -> bool:
-    """Bisection's one stopping rule: at least one step, then a true relative
-    width of ROOT_REL_TOL (x0 <= x1: max(|x0|, |x1|) is max(x1, -x0)) or MAX_STEPS."""
-    return steps > 0 and (x1 - x0 <= ROOT_REL_TOL * (x1 if x1 > -x0 else -x0) or steps == MAX_STEPS)
 
 
 def _bisect_plan(s) -> list[float]:
@@ -130,27 +125,29 @@ def _bisect_plan(s) -> list[float]:
     at every point known so far, of opposite signs at x0 and x1, and x2 is a
     third point, a scan neighbour at first, then the end the last step replaced.
 
-    It walks the steps whose midpoint is in seen until _closed, and stores
-    where it stops.  An open bracket lists the midpoint after the other way
-    of its first step and those of its path to closure, which heads for the
-    predicted root (_predicted).
+    s is open on entry.  It walks the steps whose midpoint is in seen until
+    the one stopping rule, a true relative width of ROOT_REL_TOL (x0 <= x1:
+    max(|x0|, |x1|) is max(x1, -x0)) or MAX_STEPS, and stores where it stops.
+    An open bracket lists the midpoint after the other way of its first step
+    and those of its path to closure, toward the root that _predicted gives.
     """
     seen, x0, x1, x2, steps = s
-    while not _closed(x0, x1, steps) and (fm := seen.get(mid := 0.5 * (x0 + x1))) is not None:
+    f0 = seen[x0]
+    while (fm := seen.get(mid := 0.5 * (x0 + x1))) is not None:
         steps += 1
-        f0 = seen[x0]
         if fm == 0.0:
             x0 = x1 = mid
         elif f0 < 0.0 < fm or fm < 0.0 < f0:
             x2, x1 = x1, mid
         else:
-            x2, x0 = x0, mid
+            x2, x0, f0 = x0, mid, fm
+        if x1 - x0 <= ROOT_REL_TOL * (x1 if x1 > -x0 else -x0) or steps == MAX_STEPS:
+            s[1:] = x0, x1, x2, steps
+            return []
     s[1:] = x0, x1, x2, steps
-    if _closed(x0, x1, steps):
-        return []
     r = _predicted(seen, x0, x1, x2)  # left of mid (the walk's last, not in seen): step left
     points = [0.5 * (mid + x1) if r < mid else 0.5 * (x0 + mid)]  # the other way
-    while not _closed(x0, x1, steps):
+    while True:
         mid = 0.5 * (x0 + x1)
         points.append(mid)
         if r < mid:
@@ -158,7 +155,8 @@ def _bisect_plan(s) -> list[float]:
         else:
             x0 = mid
         steps += 1
-    return points
+        if x1 - x0 <= ROOT_REL_TOL * (x1 if x1 > -x0 else -x0) or steps == MAX_STEPS:
+            return points
 
 
 def _predicted(seen, x0, x1, x2) -> float:
@@ -218,7 +216,7 @@ def _root(n: int, value: float, limit, theta, stack: StructureSpec, energy) -> R
         # the matrix holds 1 / theta; a theta of 0 (an overflowed cosh of the
         # collector) comes with an alpha that is not finite, judged below
         if limit.theta != 0.0:
-            (l11, l12), (l21, l22) = limit.matrix().tolist()
+            (l11, l12), (l21, l22) = limit.elements()
             k_l, k_r = math.sqrt(energy - v_left), math.sqrt(energy - v_right)
             _, _, four_r, denom = _terms(l11, l12, l21, l22, k_l, k_r)
             trans = four_r / denom

@@ -759,20 +759,28 @@ def test_resonances_eq76_raised_collector_bounds_admissibility(tmp_path, capsys)
     assert [(row[0], row[-1]) for row in rows] == [("1", "1"), ("2", "1"), ("3", "0"), ("4", "0")]
 
 
-@pytest.mark.parametrize("where", ["config", "layer"])
+@pytest.mark.parametrize("where", ["config", "layer", "leads", "sweep"])
 def test_repeated_key_exit_2(tmp_path, capsys, where):
-    # raw text, since a dict cannot hold a key twice
-    layer = '{"a": 1.0, "b": 0.0, "d": 1.0, "mu": 0, "nu": 0}'
-    units = '"units": "eV"'
-    if where == "config":
-        units += ', "units": "invnm2"'
-    else:
-        layer = layer.replace('"a": 1.0', '"a": 1.0, "a": 2.0')
+    # raw text, since a dict cannot hold a key twice; one key is repeated
+    # with another value at each depth of the schema the decoder's hook sees
+    key, again = {
+        "config": ('"units": "eV"', '"units": "invnm2"'),
+        "layer": ('"a": 1.0', '"a": 2.0'),
+        "leads": ('"v_left": 0.0', '"v_left": 0.1'),
+        "sweep": ('"tuned_layer": 0', '"tuned_layer": 1'),
+    }[where]
+    text = (
+        '{"units": "eV", "energy": 0.5, "layers": [{"a": 1.0, "b": 0.0, "d": 1.0, "mu": 0, '
+        '"nu": 0}], "leads": {"v_left": 0.0}, "sweep": {"tuned_layer": 0, "lo": 0, "hi": 1}}'
+    )
     path = tmp_path / "cfg.json"
-    path.write_text(f'{{{units}, "energy": 0.5, "layers": [{layer}]}}')
+    path.write_text(text)
+    assert main(["scatter", str(path)]) == 0
+    path.write_text(text.replace(key, f"{key}, {again}"))
+    capsys.readouterr()
     assert main(["scatter", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert len(err.splitlines()) == 1 and err.startswith("config error: repeated key")
+    name = key.split('"')[1]
+    assert capsys.readouterr().err == f"config error: repeated key {name!r} in a config object\n"
 
 
 def sweep_json(tmp_path, doc):
@@ -953,3 +961,39 @@ def test_compare_outputs_names_the_columns_that_moved():
     assert moved["admissible"] == (math.inf, math.inf, 1)
     assert tool.column_changes(old, old) == (3, {})
     assert tool.column_changes(old, old + "4,,0.1,1\n") is None
+
+
+def test_bench_pairs_claim_rule_on_fixed_numbers():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", REPO / "scripts" / "bench_pairs.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    parent = [2.0, 2.1, 2.2, 2.3, 2.4, 2.5, 2.6, 2.7, 2.8, 2.9]  # IQR 2.675 - 2.225
+    faster = [p - 0.6 for p in parent]
+    s = tool.compare(parent, faster, "lower", 0.25)
+    assert s["parent_quartiles"] == pytest.approx([2.225, 2.675])
+    assert s["parent_iqr"] == pytest.approx(0.45) and s["parent_median"] == pytest.approx(2.45)
+    assert s["pairs_change_better"] == 10 and s["claim_rule_holds"]
+    assert s["bound_verdict"] == "within its bound"
+    assert tool.compare(parent, [p - 1.0 for p in parent], "lower", 0.25)["bound_verdict"] == (
+        "better in every run")
+    # nine wins of ten hold, a tie counts for neither side, and eight fail
+    nine = faster[:9] + parent[9:]
+    assert tool.compare(parent, nine, "lower", 0.25)["claim_rule_holds"]
+    eight = faster[:8] + parent[8:]
+    assert tool.compare(parent, eight, "lower", 0.25)["pairs_change_better"] == 8
+    assert not tool.compare(parent, eight, "lower", 0.25)["claim_rule_holds"]
+    # every pair won, but the median gap (0.4) inside the parent's IQR (0.45)
+    assert not tool.compare(parent, [p - 0.4 for p in parent], "lower", 0.25)["claim_rule_holds"]
+    # fewer than ten pairs, or a larger share of failed jobs, never hold
+    assert not tool.compare(parent[:9], faster[:9], "lower", 0.25)["claim_rule_holds"]
+    assert not tool.compare(parent, faster, "lower", 0.25, (0.0, 0.01))["claim_rule_holds"]
+    # higher is better: the mirror image
+    up = tool.compare([-p for p in parent], [-p for p in faster], "higher", 0.25)
+    assert up["pairs_change_better"] == 10 and up["claim_rule_holds"]
+    # the bound: worse past it, unresolved when the parent spreads past it
+    assert tool.compare(parent, [1.3 * p for p in parent], "lower", 0.25)["bound_verdict"] == (
+        "worse than its bound")
+    assert tool.compare(parent, parent, "lower", 0.25)["bound_verdict"] == "within its bound"
+    assert tool.compare(parent, parent, "lower", 0.1)["bound_verdict"].startswith("unresolved")

@@ -275,6 +275,28 @@ def test_single_layer_resonant_well_on_set():
     assert m[0, 0] == -1.0 and m[1, 1] == -1.0 and m[1, 0] == 0.0
 
 
+@pytest.mark.parametrize("kind", list(LimitKind), ids=lambda kind: kind.value)
+def test_elements_and_matrix_agree_bit_for_bit(kind):
+    # sign is read by RESONANT_DELTA only, theta by DELTA_PRIME_FAMILY only
+    alpha, theta, sign = -0.7391283514, 1.3e-3, -1
+    limit = LimitClassification(kind, alpha=alpha, theta=theta, sign=sign, n=3)
+    want = {
+        LimitKind.TRANSPARENT: ((1.0, 0.0), (0.0, 1.0)),
+        LimitKind.DELTA: ((1.0, 0.0), (alpha, 1.0)),
+        LimitKind.DELTA_PRIME_FAMILY: ((theta, 0.0), (alpha, 1.0 / theta)),
+        LimitKind.RESONANT_DELTA: ((-1.0, 0.0), (-alpha, -1.0)),
+        LimitKind.OPAQUE_WALL: None,
+    }[kind]
+    rows, m = limit.elements(), limit.matrix()
+    assert rows == want
+    if want is None:
+        assert m is None
+        return
+    assert all(type(x) is float for row in rows for x in row)
+    assert m.dtype == np.float64 and m.shape == (2, 2)
+    assert [x.hex() for x in m.ravel().tolist()] == [x.hex() for row in rows for x in row]
+
+
 def test_single_layer_barrier_wall_at_21():
     lim = _squeezed_layer(LayerSpec(0.5, 0.0, 10.0, 2.0, 1.0))
     assert lim.kind is LimitKind.OPAQUE_WALL
