@@ -2,18 +2,20 @@
 """Alternating benchmark runs of two source trees, and the claim rule on them.
 
     python3 scripts/bench_pairs.py TREE_A TREE_B --workload W \
-        [--pairs 10] [--seconds S] [--first-seed 1]
+        [--pairs 10] [--first-seed 1]
 
 TREE_A is the parent and TREE_B the change.  Pair k runs seed
-first-seed + k on both trees, TREE_A first when k is even and TREE_B first
-when k is odd.  Each run is
+first-seed + k on both trees, TREE_A first when the seed is odd and TREE_B
+first when it is even, so pairs split over several calls still alternate.
+Each run is
 
     python3 perfbench/run.py --workload W --seed SEED --seconds S --trace 0
 
 in a fresh temporary copy of its tree, made without __pycache__, .git or
 out/ directories, so no run reads bytecode that another run wrote and
 neither tree is written to.  The environment is passed through unchanged.
---seconds defaults to TREE_A's BENCHMARK.json run_seconds.
+S is TREE_A's BENCHMARK.json run_seconds; the tool refuses two trees whose
+run_seconds differ.
 
 For each end-to-end metric of TREE_A's BENCHMARK.json it prints both
 sides' medians and quartiles (statistics.quantiles, inclusive), the
@@ -81,6 +83,11 @@ def compare(parent: list[float], change: list[float], better: str, bound: float,
     }
 
 
+def order(seed: int) -> tuple[str, str]:
+    """The sides of a pair in the order they run."""
+    return SIDES if seed % 2 else SIDES[::-1]
+
+
 def run(tree: pathlib.Path, workload: str, seed: int, seconds: float) -> dict:
     """{"meta", "result"} of one untraced run in a fresh copy of tree."""
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -126,7 +133,6 @@ def main(argv=None) -> int:
     parser.add_argument("tree_b", type=pathlib.Path, help="the change tree")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float)
     parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
     spec = json.loads((args.tree_a / "BENCHMARK.json").read_text())
@@ -134,14 +140,16 @@ def main(argv=None) -> int:
         parser.error(f"unknown workload {args.workload!r}")
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
+    if json.loads((args.tree_b / "BENCHMARK.json").read_text())["run_seconds"] != seconds:
+        parser.error("the two trees' BENCHMARK.json run_seconds differ")
     trees = dict(zip(SIDES, (args.tree_a.resolve(), args.tree_b.resolve())))
     runs = []
     for k in range(args.pairs):
         seed = args.first_seed + k
-        order = SIDES if k % 2 == 0 else SIDES[::-1]
-        entry = {"workload": args.workload, "seed": seed, "order": f"{order[0]}-first"}
-        for side in order:
+        sides = order(seed)
+        entry = {"workload": args.workload, "seed": seed, "order": f"{sides[0]}-first"}
+        for side in sides:
             entry[side] = run(trees[side], args.workload, seed, seconds)
             values = entry[side]["result"]["metrics"]
             print(f"pair {k + 1} seed {seed} {side}: "

@@ -783,6 +783,22 @@ def test_repeated_key_exit_2(tmp_path, capsys, where):
     assert capsys.readouterr().err == f"config error: repeated key {name!r} in a config object\n"
 
 
+def test_utf8_bom_exit_2(tmp_path, capsys):
+    # load_config rejects a leading BOM with json.loads' own message
+    text = (
+        '{"units": "eV", "energy": 0.5, "layers": [{"a": 1.0, "b": 0.0, "d": 1.0, "mu": 0, '
+        '"nu": 0}], "sweep": {"tuned_layer": 0, "lo": 0, "hi": 1}}'
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text("\ufeff" + text, encoding="utf-8")
+    assert main(["scatter", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "config error: invalid JSON at line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"
+    )
+    path.write_text(text, encoding="utf-8")
+    assert main(["scatter", str(path)]) == 0
+
+
 def sweep_json(tmp_path, doc):
     """Short sweep of doc; returns the emitted JSON document."""
     doc = edited(doc, [(("sweep", "points"), 21), (("sweep", "epsilons"), [0.5])])
@@ -997,3 +1013,6 @@ def test_bench_pairs_claim_rule_on_fixed_numbers():
         "worse than its bound")
     assert tool.compare(parent, parent, "lower", 0.25)["bound_verdict"] == "within its bound"
     assert tool.compare(parent, parent, "lower", 0.1)["bound_verdict"].startswith("unresolved")
+    # the order follows the seed, so pairs split over several calls still alternate
+    assert [tool.order(seed)[0] for seed in range(1001, 1005)] == ["parent", "change"] * 2
+    assert tool.order(1000) == ("change", "parent")
