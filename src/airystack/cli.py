@@ -365,7 +365,7 @@ def cmd_limit_check(args) -> int:
     energy = ev_to_invnm2(0.3)
     limit = squeezed_limit(spec)  # a DELTA: the layer sits at (1, 1)
     v_l, v_r = spec.lead_potentials()
-    t_lim = float(trans_prob(limit.matrix(), v_l, v_r, energy))
+    t_lim = float(trans_prob(limit.elements(), v_l, v_r, energy))
     print("epsilon,T_exact,T_limit,abs_error")
     errors = []
     for eps in (0.5, 0.25, 0.1, 0.05):

@@ -78,10 +78,6 @@ class LimitClassification:
             return (s, 0.0), (s * self.alpha, s)
         return None
 
-    def matrix(self) -> np.ndarray | None:
-        """The (2, 2) connection matrix of elements(); None for OPAQUE_WALL."""
-        return None if (rows := self.elements()) is None else np.array(rows)
-
 
 def _on_level(kappa_sq: float, d: float) -> int | None:
     """n >= 1 when kappa d = n pi to 1e-9 relative, kappa = sqrt(kappa_sq);

@@ -10,20 +10,18 @@ import time
 
 import numpy as np
 
-from airystack import (
-    LayerSpec,
-    StructureSpec,
-    realize,
-    scatter,
-    single_layer_limit,
-)
 from airystack.airy import wronskian_sweep
-from airystack.limits import transistor_resonance_residual, two_layer_resonance_residual
-from airystack.potential import EV_TO_INVNM2
+from airystack.limits import (
+    single_layer_limit,
+    transistor_resonance_residual,
+    two_layer_resonance_residual,
+)
+from airystack.potential import EV_TO_INVNM2, LayerSpec, StructureSpec, realize
 from airystack.resonance import (
     find_resonances_deltaprime_2layer,
     find_resonances_transistor_deltaprime,
 )
+from airystack.scattering import scatter
 from airystack.sweep import SweepRequest, run_sweep
 from airystack.transfer import slope_is_degenerate
 

@@ -11,6 +11,7 @@ import pkgutil
 import random
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -639,6 +640,16 @@ def test_matrix_outputs_keep_their_bits(capsys):
     assert capsys.readouterr().out == LIMIT_CHECK_TABLE
 
 
+def test_pyproject_takes_the_package_version():
+    # the version is stated once, in airystack/__init__.py; setuptools
+    # reads it from the source without a build
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # [tool.setuptools] is "beta"
+        config = pyprojecttoml.read_configuration(REPO / "pyproject.toml", expand=True)
+    assert config["project"]["version"] == airystack.__version__ == "0.1.0"
+
+
 def test_every_export_resolves():
     # perfbench/tracer.py skips a name it cannot find, so a stale export
     # would otherwise go unnoticed
@@ -647,29 +658,26 @@ def test_every_export_resolves():
         module = importlib.import_module(f"airystack.{name}")
         missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
         assert not missing, f"airystack.{name}.__all__ names {missing}"
-    # the lazy table: every submodule, and each name from the module that
-    # exports it
-    assert airystack._SUBMODULES == names
-    assert airystack.__all__ == sorted(airystack._SOURCE)
-    for name, source in airystack._SOURCE.items():
-        module = importlib.import_module(f"airystack.{source}")
-        assert name in getattr(module, "__all__", vars(module))
-        assert getattr(airystack, name) is getattr(module, name)
-    with pytest.raises(AttributeError):
-        airystack.no_such_name
 
 
-def _fresh(code: str) -> set[str]:
+def _run_fresh(code: str) -> subprocess.CompletedProcess:
+    """code run in a fresh interpreter that imports the package from src/."""
+    return subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+    )
+
+
+def _fresh(code: str, **paths) -> set[str]:
     """The modules loaded after code runs in a fresh interpreter, with
-    fig4 as FIG4_PATH."""
+    fig4 as FIG4_PATH and each keyword as a variable of its value."""
+    paths = {"FIG4_PATH": str(REPO / "configs" / "fig4.json"), **paths}
     script = (
-        f"FIG4_PATH = {str(REPO / 'configs' / 'fig4.json')!r}\n{code}\n"
+        "".join(f"{name} = {value!r}\n" for name, value in paths.items()) + f"{code}\n"
         "import sys\nprint('loaded:', *sorted(sys.modules))"
     )
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(REPO / "src")}, check=True,
-    )
+    done = _run_fresh(script)
+    done.check_returncode()
     return set(done.stdout.splitlines()[-1].split()[1:])
 
 
@@ -684,32 +692,79 @@ def _fresh(code: str) -> set[str]:
     ),
     (
         "from airystack.cli import main\n"
-        "main(['resonances', FIG4_PATH, '--equation', 'EQ69', '--interval', '-0.6', '0'])",
-        {"airystack.resonance", "argparse"},
+        "assert main(['resonances', FIG4_PATH, '--equation', 'EQ69', '--interval', '-0.6', '0'])"
+        " == 0",
+        {"airystack.resonance", "airystack.limits", "airystack.lockstep",
+         "airystack.scattering", "argparse"},
         {"airystack.airy", "airystack.transfer", "airystack.sweep"},
     ),
     (
-        "from airystack.cli import main\nmain(['airy-check'])",
+        "from airystack.cli import main\n"
+        "assert main(['sweep', FIG4_PATH, '--epsilons', '0.5']) == 0",
+        {"airystack.sweep", "airystack.lockstep", "airystack.transfer", "airystack.airy",
+         "airystack.scattering", "airystack.resonance", "airystack.limits"},
+        set(),
+    ),
+    (
+        # fig4 as a custom device: its squeeze has no reference roots
+        "from airystack.cli import main\n"
+        "assert main(['sweep', CUSTOM_PATH, '--epsilons', '0.5']) == 0",
+        {"airystack.sweep", "airystack.lockstep", "airystack.transfer", "airystack.airy",
+         "airystack.scattering"},
+        {"airystack.resonance", "airystack.limits"},
+    ),
+    (
+        "from airystack.cli import main\nassert main(['scatter', FIG4_PATH]) == 0",
+        {"airystack.transfer", "airystack.airy", "airystack.scattering"},
+        {"airystack.limits", "airystack.resonance", "airystack.sweep", "airystack.lockstep"},
+    ),
+    (
+        "from airystack.cli import main\nassert main(['limit-check']) == 0",
+        {"airystack.limits", "airystack.transfer", "airystack.airy", "airystack.scattering"},
+        {"airystack.resonance", "airystack.sweep", "airystack.lockstep"},
+    ),
+    (
+        "from airystack.cli import main\nassert main(['airy-check']) == 0",
         {"airystack.airy"},
         {"airystack.limits", "airystack.resonance"},
     ),
-], ids=["setup", "resonances", "airy-check"])
-def test_each_command_loads_only_its_modules(code, needed, unloaded):
-    loaded = _fresh(code)
+], ids=["setup", "resonances", "sweep", "sweep-no-roots", "scatter", "limit-check",
+        "airy-check"])
+def test_each_command_loads_only_its_modules(tmp_path, code, needed, unloaded):
+    # the rows of README "Start-up"
+    doc = json.loads((REPO / "configs" / "fig4.json").read_text())
+    for layer, (mu, nu) in zip(doc["layers"], ((1.0, 1.0), (2.0, 1.0))):
+        layer.update(mu=mu, nu=nu)  # fig4's own squeeze
+    custom = tmp_path / "custom.json"
+    custom.write_text(json.dumps({**doc, "scenario": "custom"}))
+    loaded = _fresh(code, CUSTOM_PATH=str(custom))
     assert needed <= loaded and not unloaded & loaded
 
 
 def test_package_names_resolve_on_first_access():
+    assert not {name for name in _fresh("import airystack") if name.startswith("airystack.")}
     # perfbench/layers.py reads package.airy.SERIES_RADIUS right after
-    # `import airystack`, before anything imports the submodules
-    code = (
+    # `import airystack`, and perfbench/setup_probe.py imports SweepRequest
+    # from the package root
+    done = _run_fresh(
         "import airystack\n"
         "assert airystack.airy.SERIES_RADIUS > 0\n"
-        "assert set(airystack.__all__) | airystack._SUBMODULES <= set(dir(airystack))\n"
-        "for name in airystack.__all__:\n"
-        "    getattr(airystack, name)"
+        "from airystack import SweepRequest\n"
+        "assert SweepRequest is airystack.sweep.SweepRequest\n"
+        "airystack.no_such_name"
     )
-    assert "airystack.airy" in _fresh(code)
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == (
+        "AttributeError: module 'airystack' has no attribute 'no_such_name'"
+    )
+    # a dependency a submodule cannot import is that import's own error
+    done = _run_fresh(
+        "import sys\nsys.modules['numpy'] = None\nimport airystack\nairystack.airy"
+    )
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == (
+        "ModuleNotFoundError: import of numpy halted; None in sys.modules"
+    )
 
 
 def test_resonances_empty_interval_prints_header_only(capsys):

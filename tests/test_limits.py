@@ -234,7 +234,7 @@ def test_single_layer_delta_strength():
     lim = _squeezed_layer(LayerSpec(1.31232, -0.524928, 2.0, 1.0, 1.0))
     assert lim.kind is LimitKind.DELTA
     assert lim.alpha == pytest.approx(2.099712, rel=1e-12)
-    m = lim.matrix()
+    m = np.array(lim.elements())
     assert (m[0, 0], m[0, 1], m[1, 1]) == (1.0, 0.0, 1.0)
     assert m[1, 0] == pytest.approx(2.099712)
 
@@ -254,7 +254,7 @@ def test_single_layer_interior_delta_drops_slow_bias():
 def test_single_layer_wall_above_one():
     lim = _squeezed_layer(LayerSpec(1.0, 0.5, 1.0, 1.5, 1.5))
     assert lim.kind is LimitKind.OPAQUE_WALL
-    assert lim.matrix() is None
+    assert lim.elements() is None
 
 
 def test_single_layer_resonant_well_depths():
@@ -263,7 +263,7 @@ def test_single_layer_resonant_well_depths():
         assert lim.kind is LimitKind.RESONANT_DELTA and lim.n == n and lim.sign == (-1) ** n
     lim = _squeezed_layer(LayerSpec(-1.0, 0.0, 10.0, 2.0, 1.0))
     assert lim.kind is LimitKind.OPAQUE_WALL  # depth -1.0 itself is off the discrete set
-    assert lim.matrix() is None
+    assert lim.elements() is None
 
 
 def test_single_layer_resonant_well_on_set():
@@ -271,7 +271,7 @@ def test_single_layer_resonant_well_on_set():
     lim = _squeezed_layer(LayerSpec(depth, 0.0, 10.0, 2.0, 1.0))
     assert lim.kind is LimitKind.RESONANT_DELTA
     assert lim.n == 3 and lim.sign == -1
-    m = lim.matrix()
+    m = np.array(lim.elements())
     assert m[0, 0] == -1.0 and m[1, 1] == -1.0 and m[1, 0] == 0.0
 
 
@@ -287,12 +287,13 @@ def test_elements_and_matrix_agree_bit_for_bit(kind):
         LimitKind.RESONANT_DELTA: ((-1.0, 0.0), (-alpha, -1.0)),
         LimitKind.OPAQUE_WALL: None,
     }[kind]
-    rows, m = limit.elements(), limit.matrix()
+    rows = limit.elements()
     assert rows == want
     if want is None:
-        assert m is None
         return
     assert all(type(x) is float for row in rows for x in row)
+    # the matrix trans_prob and scatter build from the rows
+    m = np.asarray(rows, dtype=float)
     assert m.dtype == np.float64 and m.shape == (2, 2)
     assert [x.hex() for x in m.ravel().tolist()] == [x.hex() for row in rows for x in row]
 
@@ -316,7 +317,7 @@ def _point_t(limit, k, k_right):
     """T of the limit's matrix through scattering.trans_prob, between leads
     of wavenumbers k and k_right (energy k^2, so the left lead is at 0)."""
     energy = k * k
-    return float(trans_prob(limit.matrix(), 0.0, energy - k_right * k_right, energy))
+    return float(trans_prob(limit.elements(), 0.0, energy - k_right * k_right, energy))
 
 
 def _delta(alpha):
@@ -448,7 +449,7 @@ def test_two_layer_delta_prime_unbiased_symmetric():
     assert lim.theta == pytest.approx(
         math.cosh(math.sqrt(a1) * d1) / math.cos(math.sqrt(-a2) * d2), rel=1e-9
     )
-    assert det(lim.matrix()) == pytest.approx(1.0, rel=1e-12)
+    assert det(lim.elements()) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_two_layer_delta_prime_off_root():
@@ -516,7 +517,7 @@ def test_transistor_deltaprime_root_cross_checks():
         resid, scale = transistor_resonance_residual_product_form(FIG6_STACK, v)
         assert abs(resid) < 1e-8 * scale
         # limit matrix is unimodular by construction
-        assert det(lim.matrix()) == pytest.approx(1.0, rel=1e-12)
+        assert det(lim.elements()) == pytest.approx(1.0, rel=1e-12)
         # grouped and expanded codings of the off-diagonal strength agree
         expanded = _alpha_expanded(FIG6, v, VCB)
         assert lim.alpha == pytest.approx(expanded, rel=1e-10)
@@ -560,7 +561,7 @@ def test_squeezed_limit_off_the_set_is_a_wall():
     )
     for stack in off:
         lim = squeezed_limit(stack)
-        assert lim.kind is LimitKind.OPAQUE_WALL and lim.matrix() is None
+        assert lim.kind is LimitKind.OPAQUE_WALL and lim.elements() is None
 
 
 def test_squeezed_limit_without_closed_form():
@@ -719,7 +720,7 @@ def test_delta_family_is_the_exact_stacks_limit(case):
     lim = squeezed_limit(stack)
     assert lim.kind is (LimitKind.DELTA if case.startswith("flat") else LimitKind.RESONANT_DELTA)
     want = richardson_limit(stack)
-    assert np.all(np.abs(lim.matrix() - want) <= 1e-3 * max(1.0, abs(want[1, 0])))
+    assert np.all(np.abs(np.array(lim.elements()) - want) <= 1e-3 * max(1.0, abs(want[1, 0])))
 
 
 def test_biased_well_ramp_terms():

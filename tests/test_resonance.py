@@ -914,8 +914,8 @@ def test_figure_root_t_n_is_scatter_of_its_limit_matrix(config, equation, interv
     assert len(roots) >= 2
     for root in roots:
         tuned = _tuned(cfg.spec, equation, root.value)
-        matrix = squeezed_limit(tuned).matrix()
-        assert root.trans_prob == scatter(matrix, *tuned.lead_potentials(), cfg.energy).trans_prob
+        rows = squeezed_limit(tuned).elements()
+        assert root.trans_prob == scatter(rows, *tuned.lead_potentials(), cfg.energy).trans_prob
 
 
 def _alpha_barrier_well(a1, a2, b1, b2, d1, d2):
