@@ -1,8 +1,8 @@
 """Command-line front end: device configs in, CSV/JSON out.
 
 Subcommands: airy-check, scatter, resonances, sweep, limit-check.
-Exit codes: 0 success, 2 config/usage error, 3 physics-domain error
-(evanescent leads).  Data goes to stdout, diagnostics to stderr.
+Exit codes: 0 success, 2 config/usage error or an overflow, 3 physics-domain
+error (evanescent leads).  Data goes to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import dataclass
 
 # Each command imports the modules it computes with when it runs, so that
 # start-up loads only the config schema (see README, "Start-up").
@@ -73,14 +74,14 @@ _UNITS = {"eV": EV_TO_INVNM2, "invnm2": 1.0}
 _EQUATIONS = {n: eq for eq in ResonanceEquation for n in (eq.value, eq.value.split("_")[0])}
 
 
+@dataclass
 class DeviceConfig:
     """Validated config with all energies converted to nm^-2."""
 
-    def __init__(self, spec: StructureSpec, energy: float, scenario: str, sweep: dict | None):
-        self.spec = spec
-        self.energy = energy
-        self.scenario = scenario
-        self.sweep = sweep
+    spec: StructureSpec
+    energy: float
+    scenario: str
+    sweep: dict | None
 
 
 def _is(value, kind: str) -> bool:
@@ -211,7 +212,7 @@ def cmd_scatter(args) -> int:
         potentials = stack_potentials(cfg.spec, args.epsilon, [[x.b for x in cfg.spec.layers]])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    matrix = _evaluated(structure_matrices, *potentials, energy)[0]
+    matrix = structure_matrices(*potentials, energy)[0]
     v_l, v_r = cfg.spec.lead_potentials()
     res = scatter(matrix, v_l, v_r, energy)
     (l11, l12), (l21, l22) = rows = matrix.tolist()
@@ -235,18 +236,9 @@ def cmd_scatter(args) -> int:
     return 0
 
 
-def _evaluated(fn, *args, **kwargs):
-    """fn(*args, **kwargs); a layer whose transfer matrix overflows a double
-    (an exp or cosh past ~709, or a non-finite element) is a config error."""
-    try:
-        return fn(*args, **kwargs)
-    except OverflowError as exc:
-        raise ConfigError(f"a layer's transfer matrix overflows a double ({exc})") from exc
-
-
 def _solve(eq: ResonanceEquation, stack: StructureSpec, lo: float, hi: float, energy):
-    """The equation's roots on [lo, hi]; its finder's argument checks are
-    config errors, an evanescent lead stays a physics error."""
+    """The equation's roots on [lo, hi]: its finder's argument checks become
+    config errors; an evanescent lead or an overflow reaches main as it is."""
     from .resonance import FINDERS
 
     try:
@@ -255,8 +247,6 @@ def _solve(eq: ResonanceEquation, stack: StructureSpec, lo: float, hi: float, en
         raise
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    except OverflowError as exc:
-        raise ConfigError(f"a device value overflows the closed form ({exc})") from exc
 
 
 def cmd_resonances(args) -> int:
@@ -324,7 +314,7 @@ def cmd_sweep(args) -> int:
         lo, hi = sorted((k * req.grid_lo, k * req.grid_hi))
         rset = _solve(equations[0], cfg.spec, lo, hi, None)
         roots = tuple(sorted(k * r.value for r in rset.roots))
-    result = _evaluated(run_sweep, req, reference_roots=roots)
+    result = run_sweep(req, reference_roots=roots)
     csv_text = sweep_to_csv(result)
     json_text = sweep_to_json(result)
     if args.out:
@@ -443,6 +433,9 @@ def main(argv=None) -> int:
     except EvanescentLeadError as exc:
         print(f"physics error: {exc}", file=sys.stderr)
         return 3
+    except OverflowError as exc:
+        print(f"config error: a value overflows a double ({exc})", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

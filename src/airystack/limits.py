@@ -52,7 +52,7 @@ class LimitClassification:
     """Zero-thickness limit of a squeezed structure.
 
     DELTA carries alpha; DELTA_PRIME_FAMILY carries theta != 0 and alpha;
-    RESONANT_DELTA carries the parity sign (-1)^n, n and alpha; OPAQUE_WALL
+    RESONANT_DELTA carries n and alpha, signed by the parity (-1)^n; OPAQUE_WALL
     has no connection matrix (two-sided Dirichlet wall).  admissible is
     False when the tuned bias lets a barrier edge potential of the device
     reach zero or below.
@@ -61,7 +61,6 @@ class LimitClassification:
     kind: LimitKind
     alpha: float | None = None
     theta: float | None = None
-    sign: int | None = None
     n: int | None = None
     admissible: bool = True
 
@@ -74,7 +73,7 @@ class LimitClassification:
         if self.kind is LimitKind.DELTA_PRIME_FAMILY:
             return (self.theta, 0.0), (self.alpha, 1.0 / self.theta)
         if self.kind is LimitKind.RESONANT_DELTA:
-            s = float(self.sign)
+            s = -1.0 if self.n % 2 else 1.0
             return (s, 0.0), (s * self.alpha, s)
         return None
 
@@ -102,7 +101,7 @@ def _resonant_delta(shifted, b, d, alpha, admissible=True) -> LimitClassificatio
     if n is None:
         return LimitClassification(LimitKind.OPAQUE_WALL, admissible=admissible)
     kind, alpha = LimitKind.RESONANT_DELTA, alpha + 0.25 * b * d
-    return LimitClassification(kind, alpha, sign=(-1) ** n, n=n, admissible=admissible)
+    return LimitClassification(kind, alpha, n=n, admissible=admissible)
 
 
 def single_layer_limit(layer: LayerSpec) -> LimitClassification:
@@ -237,13 +236,12 @@ def transistor_resonance_residual(stack: StructureSpec, v_eb):
     sqrt(a1/V) T1 + sqrt(a3/V - 1) T3
         = [1 - sqrt(a1/V) sqrt(a3/V - 1) T1 T3] tan(sqrt(V) d2)
     with T1 = tanh(sqrt(a1) d1), T3 = tanh(sqrt(a3 - V) d3).
-    Returns (lhs - rhs, |lhs| + |rhs|) as arrays; every V must lie in
-    0 < V < a3.
+    Returns (lhs - rhs, |lhs| + |rhs|) as arrays.  Precondition, unchecked:
+    0 < V < a3 for every V (the finder clips its interval inside it, the
+    classifier tests it).
     """
     e, base, c = stack.layers
     a1, d1, d2, a3, d3 = e.a, e.d, base.d, c.a, c.d
-    if not np.all((v_eb > 0.0) & (v_eb < a3)):
-        raise ValueError("v_eb must lie strictly inside (0, a3)")
     r1 = np.sqrt(a1 / v_eb)
     r3 = np.sqrt(a3 / v_eb - 1.0)
     t1 = math.tanh(math.sqrt(a1) * d1)

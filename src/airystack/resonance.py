@@ -68,7 +68,6 @@ class ResonanceRoot:
 
 @dataclass(frozen=True)
 class ResonanceSet:
-    equation: ResonanceEquation
     roots: tuple[ResonanceRoot, ...]
 
     def values(self) -> tuple[float, ...]:
@@ -237,7 +236,7 @@ def _level_roots(
         tuned = stack.replace_bias(0, sign * value)
         limit = classify(tuned)
         roots.append(_root(limit.n, value, limit, theta, tuned, energy))
-    return ResonanceSet(eq, tuple(roots))
+    return ResonanceSet(tuple(roots))
 
 
 def _scanned_roots(
@@ -259,7 +258,7 @@ def _scanned_roots(
             limit = classify(tuned)
             if limit.kind is not LimitKind.OPAQUE_WALL:
                 roots.append(_root(len(roots) + 1, value, limit, limit.theta, tuned, energy))
-    return ResonanceSet(eq, tuple(roots))
+    return ResonanceSet(tuple(roots))
 
 
 # Every finder maps (stack, lo, hi, energy) to the resonance set on [lo, hi]

@@ -479,6 +479,23 @@ def test_malformed_input_exit_2(tmp_path, capsys, name):
     assert "Traceback" not in err
 
 
+# every origin of an overflow reaches main, which prints one message for all:
+# transfer._elements' own rule on a non-finite element, math's range error
+# in a flat layer's cosh, and a closed form's (EQ83's cosh(sqrt(a1) d1))
+@pytest.mark.parametrize(
+    "name",
+    ["flat-layer-inf-scatter", "flat-layer-inf-sweep", "flat-layer-overflow-scatter",
+     "eq83-emitter-a-1e300"],
+)
+def test_every_overflow_is_one_config_error(tmp_path, capsys, name):
+    base, changes, command = MALFORMED[name]
+    cfg = write_config(tmp_path, edited(base, changes))
+    assert main([command[0], cfg, *command[1:]]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("config error: a value overflows a double (")
+
+
 BASE_ERROR = "config error: the transistor base must be flat and unbiased (a = b = 0)\n"
 BARRIER_ERROR = "config error: barrier coefficients a1, a3 must be positive\n"
 

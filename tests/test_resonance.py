@@ -851,13 +851,6 @@ def test_transistor_deltaprime_determinism():
     )
 
 
-def test_equation_tags():
-    rset = resonances_delta_barrier_well(barrier_well_stack(1.0, 2.0, -0.3, 10.0), -1.0, 0.0)
-    assert rset.equation is ResonanceEquation.EQ73_DELTA_BARRIER_WELL
-    rset = resonances_transistor_delta(transistor_stack(1.0, 1.0, 1.0, 10.0, 1.0, 0.0), 0.0, 1.0)
-    assert rset.equation is ResonanceEquation.EQ76_TRANSISTOR_DELTA
-
-
 # --- limit data of every root ------------------------------------------------
 
 FIG4 = dict(a1=0.5 * EV, a2=-0.1 * EV, d1=2.0, d2=10.0)

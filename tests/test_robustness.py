@@ -1,7 +1,9 @@
-"""Robustness judged by generators: any one config number, any CPU dispatch.
+"""Robustness judged by generators: any one config number, any command-line
+value, any CPU dispatch.
 
-The generator test edits one number of a shipped config and runs the CLI
-on it in-process with warnings as errors.  The dispatch test reruns the
+The config generator edits one number of a shipped config, the argument
+generator puts an extreme value into one command-line number; both run
+the CLI in-process with warnings as errors.  The dispatch test reruns the
 figure outputs in a child process with numpy's dispatch targets above its
 baseline switched off, and compares their digest with this process's.
 """
@@ -68,6 +70,17 @@ def run(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def assert_ends_cleanly(argv) -> None:
+    """One run with warnings as errors ends in exit 0, 2 or 3, one stderr
+    line on a non-zero exit, and no NaN or Infinity on stdout."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert code == 0 or len(err.splitlines()) == 1, (argv, err)
+    assert "NaN" not in out and "Infinity" not in out, argv
+
+
 @settings(derandomize=True, max_examples=400, deadline=None, database=None)
 @given(st.sampled_from(NUMBERS), st.sampled_from(VALUES))
 def test_generated_configs_end_cleanly(number, value):
@@ -86,12 +99,52 @@ def test_generated_configs_end_cleanly(number, value):
             for eq in SCENARIOS[doc["scenario"]]:
                 commands.append(["resonances", cfg, "--equation", eq.value, "--interval", "-1", "1"])
         for argv in commands:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                code, out, err = run(argv)
-            assert code in (0, 2, 3), (argv, code, err)
-            assert code == 0 or len(err.splitlines()) == 1, (argv, err)
-            assert "NaN" not in out and "Infinity" not in out, argv
+            assert_ends_cleanly(argv)
+
+
+# the values put into one command-line number: signed zeros and subnormals,
+# tiny, unit and huge magnitudes, and the largest double, each of both signs
+ARGS = tuple(
+    sign * v
+    for v in (0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 1e12, 1e300, sys.float_info.max)
+    for sign in (1.0, -1.0)
+)
+ARG = st.sampled_from(ARGS).map(repr)
+# each figure config with the equations of its scenario
+FIGURE_EQUATIONS = [
+    (name, eq.value) for name in ("fig4", "fig6") for eq in SCENARIOS[CONFIGS[name]["scenario"]]
+]
+# argv with a config name (CONFIGS) in place of its path
+ARGVS = st.one_of(
+    st.builds(
+        lambda config, lo, hi, units: ["resonances", config[0], "--equation", config[1],
+                                       "--interval", lo, hi, "--units", units],
+        st.sampled_from(FIGURE_EQUATIONS), ARG, ARG, st.sampled_from(("eV", "invnm2")),
+    ),
+    st.builds(
+        lambda name, flag, value: ["scatter", name, flag, value],
+        st.sampled_from(sorted(CONFIGS)), st.sampled_from(("--epsilon", "--energy")), ARG,
+    ),
+    st.builds(lambda name, value: ["sweep", name, "--epsilons", value],
+              st.sampled_from(("fig4", "fig6")), ARG),
+)
+
+
+@pytest.fixture(scope="module")
+def config_paths(tmp_path_factory) -> dict:
+    """Each of CONFIGS written once: name -> path."""
+    tmp = tmp_path_factory.mktemp("configs")
+    for name, doc in CONFIGS.items():
+        (tmp / f"{name}.json").write_text(json.dumps(doc))
+    return {name: str(tmp / f"{name}.json") for name in CONFIGS}
+
+
+# 500 examples run every scatter and sweep case and about 360 of the 2,592
+# resonances cases, in about a second
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(ARGVS)
+def test_generated_arguments_end_cleanly(config_paths, argv):
+    assert_ends_cleanly([argv[0], config_paths[argv[1]], *argv[2:]])
 
 
 def figure_digest() -> str:
