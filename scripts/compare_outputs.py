@@ -30,6 +30,15 @@ path, and both run the same commands on the same inputs:
   oscillatory Airy phase (a = 1, b = -1e300, d = 1e300) or Airy argument
   (a = 1e300, b = 1e292, d = 1e308) past the largest double, each a
   config error (exit 2);
+- `scatter` on configs/fig4.json with an energy below its leads (--energy
+  -1000, -1e12 and -1e300: exit 3 at any magnitude), with a bad epsilon
+  (--epsilon 0, -1, nan and inf, and -1 with --energy -1000, where epsilon
+  is judged before the leads), and `sweep` on it with --epsilons
+  0.5,-0.1: each exit 2 with the one epsilon message;
+- `sweep` on a one-layer device whose right lead is the tuned bias, over
+  [0, 20000] eV at energy 0.1 eV: its gap rows would overflow if their
+  matrices were built; and `scatter` on a 150-period stack whose
+  300-layer product overflows (null fields, exit 0, no numpy warning);
 - and, outside the CLI, this checkout's perfbench/make_reference.py probe
   `series_args_per_point` on each of the 48 `stack` pool devices, the
   density that admits a generated device to the pool.
@@ -108,6 +117,31 @@ OVERFLOWS = (
     ("tilted-phase-inf", {"a": 1.0, "b": -1e300, "d": 1e300}, (1e299, 1e300)),
     ("tilted-argument-inf", {"a": 1e300, "b": 1e292, "d": 1e308}, (-1e293, -1e292)),
 )
+# fig4 energies below its leads, and bad epsilons of `scatter` and `sweep`
+LEAD_ENERGIES = ("-1000", "-1e12", "-1e300")
+BAD_EPSILONS = (
+    ("scatter", "--epsilon", "0"),
+    ("scatter", "--epsilon", "-1"),
+    ("scatter", "--epsilon", "nan"),
+    ("scatter", "--epsilon", "inf"),
+    ("scatter", "--epsilon", "-1", "--energy", "-1000"),
+    ("sweep", "--epsilons", "0.5,-0.1"),
+)
+# a flat 50 nm layer tuned from 0 to 20000 eV at 0.1 eV: the right lead is the
+# bias, so every row past the first is a gap whose matrix could overflow
+GAP_ROWS = {
+    "units": "eV", "scenario": "custom", "energy": 0.1,
+    "layers": [{"a": 0, "b": 0, "d": 50, "mu": 0, "nu": 0}], "leads": {"v_left": 0},
+    "sweep": {"tuned_layer": 0, "tuned_sign": 1, "lo": 0, "hi": 20000, "points": 41,
+              "epsilons": [1.0]},
+}
+# 150 periods of a 5 nm, 0.5 eV barrier and a 2 nm well at 0.1 eV
+PERIODS_150 = {
+    "units": "eV", "scenario": "custom", "energy": 0.1,
+    "layers": [{"a": 0.5, "b": 0.0, "d": 5.0, "mu": 0.0, "nu": 0.0},
+               {"a": 0.0, "b": 0.0, "d": 2.0, "mu": 0.0, "nu": 0.0}] * 150,
+    "leads": {"v_left": 0.0, "v_right": 0.0},
+}
 
 # Run inside each tree's interpreter: the jobs and probes arrive as JSON on
 # stdin, the digests leave as JSON on stdout, and each CSV text is kept in
@@ -239,6 +273,15 @@ def jobs(workdir: pathlib.Path) -> tuple[list, list]:
         path = _write(workdir / f"barrier-{name}.json", config)
         out.append((f"scatter barrier-{name}", ["scatter", path], []))
         out.append((f"sweep barrier-{name}", ["sweep", path, "--out", prefix], files))
+    for energy in LEAD_ENERGIES:
+        argv = ["scatter", configs["fig4"], "--energy", energy]
+        out.append((f"scatter fig4 energy={energy}", argv, []))
+    for command, *flags in BAD_EPSILONS:
+        out.append((f"{command} fig4 {' '.join(flags)}", [command, configs["fig4"], *flags], []))
+    path = _write(workdir / "gap-rows.json", GAP_ROWS)
+    out.append(("sweep gap-rows", ["sweep", path, "--out", prefix], files))
+    path = _write(workdir / "periods-150.json", PERIODS_150)
+    out.append(("scatter periods-150", ["scatter", path], []))
     return out, probes
 
 

@@ -199,11 +199,9 @@ def cmd_airy_check(args) -> int:
 
 
 def cmd_scatter(args) -> int:
-    from .scattering import scatter
+    from .scattering import _lead_wavenumbers, scatter
     from .transfer import structure_matrices
 
-    if not (math.isfinite(args.epsilon) and args.epsilon > 0.0):
-        raise ConfigError(f"--epsilon must be a finite number > 0, got {args.epsilon!r}")
     cfg = load_config(args.config)
     energy = ev_to_invnm2(args.energy) if args.energy is not None else cfg.energy
     if not math.isfinite(energy):
@@ -212,8 +210,9 @@ def cmd_scatter(args) -> int:
         potentials = stack_potentials(cfg.spec, args.epsilon, [[x.b for x in cfg.spec.layers]])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    matrix = structure_matrices(*potentials, energy)[0]
     v_l, v_r = cfg.spec.lead_potentials()
+    _lead_wavenumbers(energy, v_l, v_r)  # an evanescent lead is judged before any matrix
+    matrix = structure_matrices(*potentials, energy)[0]
     res = scatter(matrix, v_l, v_r, energy)
     (l11, l12), (l21, l22) = rows = matrix.tolist()
     doc = {

@@ -127,11 +127,11 @@ def stack_potentials(
     Row p of biases, shape (P, L), gives every layer's bias b (a sweep
     varies the tuned layer's and repeats the others).  Returns the left and
     right edge potentials, shape (P, L), and the physical widths, shape
-    (L,); a potential that is not finite or a width that underflows to 0
-    is a ValueError.
+    (L,); an epsilon outside (0, inf), a potential that is not finite or a
+    width that underflows to 0 is a ValueError.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be finite and positive, got {epsilon!r}")
     biases = np.asarray(biases, dtype=float)
     grow = []
     for layer in spec.layers:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EvanescentLeadError
 from .limits import (
     _CLASSIFIERS,
     LimitKind,
@@ -27,7 +26,7 @@ from .limits import (
 from .lockstep import refine
 from .potential import MAX_POINTS as MAX_LEVELS
 from .potential import SQUEEZES, ResonanceEquation, StructureSpec
-from .scattering import _terms
+from .scattering import _lead_wavenumbers, _terms
 
 __all__ = [
     "ResonanceRoot",
@@ -200,23 +199,17 @@ def _root(n: int, value: float, limit, theta, stack: StructureSpec, energy) -> R
     """Root at value carrying theta and its limit's alpha and admissibility;
     with an energy, T_n of the limit matrix between the stack's leads, by
     the arithmetic of scattering.trans_prob.  A lead at or above the energy
-    is an EvanescentLeadError; a theta, alpha or T_n that is not finite is
-    a ValueError."""
+    is scattering._lead_wavenumbers' EvanescentLeadError, its message naming
+    the root; a theta, alpha or T_n that is not finite is a ValueError."""
     if limit.alpha is None:
         raise ValueError(f"{value!r} is off the limit's resonance set in double precision")
     trans = None
     if energy is not None:
-        v_left, v_right = stack.lead_potentials()
-        if energy <= v_left or energy <= v_right:
-            raise EvanescentLeadError(
-                f"energy {energy!r} not above lead potentials ({v_left!r}, {v_right!r}) "
-                f"at the root {value!r}"
-            )
+        k_l, k_r = _lead_wavenumbers(energy, *stack.lead_potentials(), f" at the root {value!r}")
         # the matrix holds 1 / theta; a theta of 0 (an overflowed cosh of the
         # collector) comes with an alpha that is not finite, judged below
         if limit.theta != 0.0:
             (l11, l12), (l21, l22) = limit.elements()
-            k_l, k_r = math.sqrt(energy - v_left), math.sqrt(energy - v_right)
             _, _, four_r, denom = _terms(l11, l12, l21, l22, k_l, k_r)
             trans = four_r / denom
     if not all(math.isfinite(x) for x in (theta, limit.alpha, trans) if x is not None):

@@ -59,19 +59,25 @@ def trans_prob(matrices, v_left, v_right, energy: float) -> np.ndarray:
     return np.where((energy > v_left) & (energy > v_right), trans, math.nan)
 
 
+def _lead_wavenumbers(energy: float, v_left: float, v_right: float, where: str = ""):
+    """(k_l, k_r) of the leads; EvanescentLeadError (its message ending in
+    where) unless the energy is strictly above both lead potentials."""
+    if energy <= v_left or energy <= v_right:
+        raise EvanescentLeadError(
+            f"energy {energy!r} not above lead potentials ({v_left!r}, {v_right!r}){where}"
+        )
+    return math.sqrt(energy - v_left), math.sqrt(energy - v_right)
+
+
 def scatter(matrix, v_left: float, v_right: float, energy: float) -> ScatteringResult:
     """Scatter a plane wave against the structure matrix, any (2, 2)
     array-like.
 
-    Both leads must be propagating: energy strictly above each lead
-    potential.  Bound states and evanescent leads are out of scope.
+    Both leads must be propagating (judged by _lead_wavenumbers).  Bound
+    states and evanescent leads are out of scope.
     """
-    if energy <= v_left or energy <= v_right:
-        raise EvanescentLeadError(
-            f"energy {energy!r} not above lead potentials ({v_left!r}, {v_right!r})"
-        )
+    k_l, k_r = _lead_wavenumbers(energy, v_left, v_right)
     (l11, l12), (l21, l22) = np.asarray(matrix, dtype=float).tolist()
-    k_l, k_r = math.sqrt(energy - v_left), math.sqrt(energy - v_right)
     p, q, four_r, denom = _terms(l11, l12, l21, l22, k_l, k_r)
     total = math.isinf(denom)  # total reflection
     refl = 1.0 if total else (p * p + q * q) / denom

@@ -69,13 +69,12 @@ class SweepRequest:
             raise ValueError("grid needs at least 2 points")
         if not self.grid_hi > self.grid_lo:
             raise ValueError("empty grid range")
-        if any(e <= 0 for e in self.epsilons):
-            raise ValueError("epsilons must be positive")
         if any(a <= b for a, b in zip(self.epsilons, self.epsilons[1:])):
             raise ValueError("epsilons must be strictly descending")
         if not 0 <= self.tuned_layer < len(self.structure.layers):
             raise ValueError("tuned_layer out of range")
-        # potentials are affine in the tuned value: finite at both grid ends, finite throughout
+        # each epsilon judged, and the potentials: affine in the tuned value, so
+        # finite at both grid ends, finite throughout
         ends = self._biases(np.array([self.grid_lo, self.grid_hi]))
         for eps in self.epsilons:
             stack_potentials(self.structure, eps, ends)
@@ -88,19 +87,24 @@ class SweepRequest:
 
     def transmission(self, value, epsilon: float):
         """Exact transmission at grid values, elementwise over an array
-        (a float gives a float); NaN for evanescent leads."""
+        (a float gives a float); NaN for evanescent leads, whose rows build
+        no matrix: a gap stays a gap where its matrix would overflow."""
         # imported here, so that building a request loads no Airy code
         from .scattering import trans_prob
         from .transfer import structure_matrices
 
         values = np.asarray(value, dtype=float)
-        spec, t = self.structure, np.empty(values.size)
+        spec, t = self.structure, np.full(values.size, math.nan)
         rows = max(1, _BLOCK // len(spec.layers))
         for start in range(0, t.size, rows):  # elementwise per row: blocks move no bit
+            block = t[start : start + rows]  # a view of t
             biases = self._biases(values.ravel()[start : start + rows])
+            v_right = np.broadcast_to(spec.right_lead(biases.T), len(biases))
+            live = (self.energy > spec.v_left) & (self.energy > v_right)
+            if not live.all():  # the rows trans_prob would make NaN
+                biases, v_right = biases[live], v_right[live]
             matrices = structure_matrices(*stack_potentials(spec, epsilon, biases), self.energy)
-            v_right = spec.right_lead(biases.T)
-            t[start : start + rows] = trans_prob(matrices, spec.v_left, v_right, self.energy)
+            block[live] = trans_prob(matrices, spec.v_left, v_right, self.energy)
         return float(t[0]) if values.ndim == 0 else t.reshape(values.shape)
 
 

@@ -174,10 +174,11 @@ def _elements(v_left, v_right, width, energy: float) -> np.ndarray:
 def structure_matrices(v_left, v_right, width, energy: float) -> np.ndarray:
     """Right-to-left products Lambda_N ... Lambda_1 along the last axis of
     the edge potentials (the layers); shape (..., 2, 2), a view of the
-    element-major product."""
+    element-major product, inf or NaN without a warning where it overflows."""
     m = _elements(v_left, v_right, width, energy)
     total = m[..., 0]
-    for i in range(1, m.shape[-1]):
-        # (A T)_jk = A_j1 T_1k + A_j2 T_2k, each element in one broadcast term
-        total = m[:, :1, ..., i] * total[:1] + m[:, 1:, ..., i] * total[1:]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for i in range(1, m.shape[-1]):
+            # (A T)_jk = A_j1 T_1k + A_j2 T_2k, each element in one broadcast term
+            total = m[:, :1, ..., i] * total[:1] + m[:, 1:, ..., i] * total[1:]
     return np.moveaxis(total, (0, 1), (-2, -1))

@@ -99,29 +99,58 @@ def test_scatter_evanescent_lead_exit_3(tmp_path, capsys):
     assert main(["scatter", cfg]) == 3
 
 
+@pytest.mark.parametrize("energy", ["-1000", "-1e12", "-1e300"])
+def test_energy_below_a_lead_exits_3_before_any_matrix(monkeypatch, capsys, energy):
+    # at -1e12 eV and below, the fig4 matrix would overflow (exit 2) if it were built
+    def no_matrix(*args):
+        raise AssertionError("a matrix was built for an evanescent lead")
+
+    monkeypatch.setattr("airystack.transfer.structure_matrices", no_matrix)
+    assert main(["scatter", str(REPO / "configs" / "fig4.json"), "--energy", energy]) == 3
+    e = float(energy) * EV_TO_INVNM2
+    assert capsys.readouterr().err == (
+        f"physics error: energy {e!r} not above lead potentials (0.0, 0.0)\n"
+    )
+
+
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
 
 
+OPAQUE = {"units": "eV", "scenario": "custom", "energy": 0.1,
+          "leads": {"v_left": 0.0, "v_right": 0.0}}
+# the 300-layer product overflows
+PERIODS_150 = [
+    {"a": 0.5, "b": 0.0, "d": 5.0, "mu": 0.0, "nu": 0.0},
+    {"a": 0.0, "b": 0.0, "d": 2.0, "mu": 0.0, "nu": 0.0},
+] * 150
+
+
+# an overflowing product is inf or NaN without a numpy warning
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "layers",
     [
         # the matrix is finite, but its det overflows
         [{"a": 0.5, "b": 0.0, "d": 400.0, "mu": 0.0, "nu": 0.0}],
-        # the 300-layer product overflows
-        [
-            {"a": 0.5, "b": 0.0, "d": 5.0, "mu": 0.0, "nu": 0.0},
-            {"a": 0.0, "b": 0.0, "d": 2.0, "mu": 0.0, "nu": 0.0},
-        ] * 150,
+        PERIODS_150,
     ],
     ids=["barrier-400nm", "150-periods"],
 )
 def test_scatter_prints_strict_json_for_an_opaque_stack(tmp_path, capsys, layers):
-    doc = {"units": "eV", "scenario": "custom", "energy": 0.1, "layers": layers,
-           "leads": {"v_left": 0.0, "v_right": 0.0}}
+    doc = dict(OPAQUE, layers=layers)
     assert main(["scatter", write_config(tmp_path, doc)]) == 0
     out = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
     assert out["det"] is None  # a non-finite number is null
+
+
+@pytest.mark.filterwarnings("error")
+def test_sweep_of_an_overflowing_product_is_empty(tmp_path, capsys):
+    sweep = {"tuned_layer": 0, "lo": 0.0, "hi": 0.01, "points": 3, "epsilons": [1.0]}
+    doc = dict(OPAQUE, layers=PERIODS_150, sweep=sweep)
+    assert main(["sweep", write_config(tmp_path, doc)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",,") for row in rows)
 
 
 def test_resonances_fig3_eq73(capsys):
@@ -336,6 +365,11 @@ MALFORMED = {
     "scatter-epsilon-negative": (FIG4, [], ["scatter", "--epsilon", "-1"]),
     "scatter-epsilon-nan": (FIG4, [], ["scatter", "--epsilon", "nan"]),
     "scatter-epsilon-inf": (FIG4, [], ["scatter", "--epsilon", "inf"]),
+    # epsilon is judged before the leads
+    "scatter-epsilon-negative-energy-below-lead": (
+        FIG4, [], ["scatter", "--epsilon", "-1", "--energy", "-1000"]
+    ),
+    "epsilons-negative-flag": (FIG4, [], SWEEP + ["--epsilons", "0.5,-0.1"]),
     "scatter-energy-inf": (FIG4, [], ["scatter", "--energy", "inf"]),
     "scatter-energy-nan": (FIG4, [], ["scatter", "--energy", "nan"]),
     # output prefixes that cannot be written: a missing directory, a file as a directory
@@ -529,7 +563,14 @@ CONFIG_MESSAGES = {
     "layers-empty": "layers must be a non-empty list",
     "layer-d-0": "layers[0]: layer width d must be positive, got 0.0",
     "layer-mu-negative": "layers[0]: powers mu, nu must be non-negative",
-    "epsilons-negative": "sweep: epsilons must be positive",
+    # one epsilon rule and message, in stack_potentials, for scatter and sweep
+    "epsilons-negative": "sweep: epsilon must be finite and positive, got -0.1",
+    "epsilons-negative-flag": "sweep: epsilon must be finite and positive, got -0.1",
+    "scatter-epsilon-0": "epsilon must be finite and positive, got 0.0",
+    "scatter-epsilon-negative": "epsilon must be finite and positive, got -1.0",
+    "scatter-epsilon-nan": "epsilon must be finite and positive, got nan",
+    "scatter-epsilon-inf": "epsilon must be finite and positive, got inf",
+    "scatter-epsilon-negative-energy-below-lead": "epsilon must be finite and positive, got -1.0",
     "width-underflow-scatter": "a layer width underflows at epsilon = 1e-30",
 }
 

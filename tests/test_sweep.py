@@ -128,6 +128,33 @@ def test_gap_recording_for_evanescent_leads():
     assert any(not math.isnan(t) for t in ts)
 
 
+def test_gap_rows_build_no_matrix(tmp_path):
+    # the right lead is the tuned bias, above the 0.1 eV energy past the grid's
+    # first point; the 50 nm layer's matrix would overflow at most gap rows
+    doc = {
+        "units": "eV", "scenario": "custom", "energy": 0.1,
+        "layers": [{"a": 0, "b": 0, "d": 50, "mu": 0, "nu": 0}], "leads": {"v_left": 0},
+        "sweep": {"tuned_layer": 0, "tuned_sign": 1, "lo": 0, "hi": 20000, "points": 41,
+                  "epsilons": [1.0]},
+    }
+    path, prefix = tmp_path / "gap.json", str(tmp_path / "run")
+    path.write_text(json.dumps(doc))
+    assert main(["sweep", str(path), "--out", prefix]) == 0
+    rows = [line.split(",") for line in pathlib.Path(prefix + ".csv").read_text().splitlines()[1:]]
+    assert len(rows) == 41
+    gaps = [float(row[1]) > 0.1 for row in rows]
+    assert sum(gaps) == 40
+    assert all(row[3:] == ["", ""] for row, gap in zip(rows, gaps) if gap)
+    cfg = load_config(str(path))
+    req = SweepRequest(cfg.spec, 0, cfg.sweep["lo"], cfg.sweep["hi"], 41, (1.0,), cfg.energy, 1.0)
+    grid = run_sweep(req).grid
+    t = req.transmission(grid, 1.0)
+    live = ~np.isnan(t)
+    assert live.tolist() == [not gap for gap in gaps]
+    assert t[live].tobytes() == req.transmission(grid[live], 1.0).tobytes()
+    assert [float(row[3]) for row, gap in zip(rows, gaps) if not gap] == t[live].tolist()
+
+
 def test_fig4_mini_sweep_finds_three_peaks():
     roots = tuple(
         (n * math.pi / 10.0) ** 2 - 0.1 * EV for n in (2, 3, 4)
