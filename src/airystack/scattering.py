@@ -56,13 +56,17 @@ def trans_prob(matrices, v_left, v_right, energy: float) -> np.ndarray:
         k_l, k_r = np.sqrt(energy - v_left), np.sqrt(energy - v_right)
         _, _, four_r, denom = _terms(l11, l12, l21, l22, k_l, k_r)
         trans = np.where(np.isinf(denom), 0.0, four_r / denom)  # total reflection
-    return np.where((energy > v_left) & (energy > v_right), trans, math.nan)
+    return np.where(_propagating(energy, v_left, v_right), trans, math.nan)
+
+
+def _propagating(energy, v_left, v_right):
+    """The lead rule, elementwise: energy strictly above both leads."""
+    return (energy > v_left) & (energy > v_right)
 
 
 def _lead_wavenumbers(energy: float, v_left: float, v_right: float, where: str = ""):
-    """(k_l, k_r) of the leads; EvanescentLeadError (its message ending in
-    where) unless the energy is strictly above both lead potentials."""
-    if energy <= v_left or energy <= v_right:
+    """(k_l, k_r); EvanescentLeadError (its message ending in where) unless _propagating holds."""
+    if not _propagating(energy, v_left, v_right):
         raise EvanescentLeadError(
             f"energy {energy!r} not above lead potentials ({v_left!r}, {v_right!r}){where}"
         )

@@ -73,8 +73,7 @@ class SweepRequest:
             raise ValueError("epsilons must be strictly descending")
         if not 0 <= self.tuned_layer < len(self.structure.layers):
             raise ValueError("tuned_layer out of range")
-        # each epsilon judged, and the potentials: affine in the tuned value, so
-        # finite at both grid ends, finite throughout
+        # each epsilon; the potentials are affine: finite at both grid ends, finite throughout
         ends = self._biases(np.array([self.grid_lo, self.grid_hi]))
         for eps in self.epsilons:
             stack_potentials(self.structure, eps, ends)
@@ -90,7 +89,7 @@ class SweepRequest:
         (a float gives a float); NaN for evanescent leads, whose rows build
         no matrix: a gap stays a gap where its matrix would overflow."""
         # imported here, so that building a request loads no Airy code
-        from .scattering import trans_prob
+        from .scattering import _propagating, trans_prob
         from .transfer import structure_matrices
 
         values = np.asarray(value, dtype=float)
@@ -100,11 +99,10 @@ class SweepRequest:
             block = t[start : start + rows]  # a view of t
             biases = self._biases(values.ravel()[start : start + rows])
             v_right = np.broadcast_to(spec.right_lead(biases.T), len(biases))
-            live = (self.energy > spec.v_left) & (self.energy > v_right)
-            if not live.all():  # the rows trans_prob would make NaN
-                biases, v_right = biases[live], v_right[live]
-            matrices = structure_matrices(*stack_potentials(spec, epsilon, biases), self.energy)
-            block[live] = trans_prob(matrices, spec.v_left, v_right, self.energy)
+            live = _propagating(self.energy, spec.v_left, v_right)
+            potentials = stack_potentials(spec, epsilon, biases[live])
+            matrices = structure_matrices(*potentials, self.energy)
+            block[live] = trans_prob(matrices, spec.v_left, v_right[live], self.energy)
         return float(t[0]) if values.ndim == 0 else t.reshape(values.shape)
 
 

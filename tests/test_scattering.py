@@ -147,6 +147,21 @@ def test_evanescent_lead_errors():
         scatter(m, 1.0, 0.0, 1.0)  # energy == v_left
 
 
+@pytest.mark.parametrize(
+    "v_left, v_right, energy",
+    [(0.0, 0.0, 1.0), (0.0, 2.0, 1.0), (1.0, 0.0, 1.0), (0.0, -1.0, 0.0),
+     (math.nan, 0.0, 1.0), (0.0, math.nan, 1.0), (0.0, 0.0, math.nan)],
+)
+def test_scatter_raises_exactly_where_trans_prob_is_nan(v_left, v_right, energy):
+    gap = bool(np.isnan(trans_prob(np.eye(2), v_left, v_right, energy)))
+    try:
+        scatter(np.eye(2), v_left, v_right, energy)
+        raised = False
+    except EvanescentLeadError:
+        raised = True
+    assert raised == gap
+
+
 def test_s_matrix_identity_case():
     res = scatter(np.eye(2), 0.0, 0.0, 1.0)
     s = s_matrix(res)
